@@ -31,7 +31,7 @@ print(f"stored frame: origin={norm.frame.origin.round(2)}, rotation={norm.frame.
 ps = index_scene(norm, grid_size=0.2)
 vox_groups = build_groups_by_voxel(ps)
 print(f"\n{len(ps)} points occupy {vox_groups.n_groups} voxels")
-sizes = np.bincount([len(m) for m in vox_groups.members])
+sizes = np.bincount(vox_groups.counts())
 print(f"voxel occupancy histogram (points per cell): {dict(enumerate(sizes.tolist()))}")
 
 # the instance-time system groups variable-length histories without padding

@@ -173,22 +173,20 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     return _op(x.data * w.data, (x, w), vjp)
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ValueError(f"concat_cols: row mismatch {a.data.shape} vs {b.data.shape}")
-    ca = a.data.shape[1]
+def concat_cols(*tensors: Tensor) -> Tensor:
+    """Column concatenation of tensors with equal row counts, as one op."""
+    if len({t.data.shape[0] for t in tensors}) != 1:
+        raise ValueError(f"concat_cols: row mismatch {[t.data.shape for t in tensors]}")
+    edges = np.cumsum([0] + [t.data.shape[1] for t in tensors])
     return _op(
-        np.hstack([a.data, b.data]),
-        (a, b),
-        lambda g: (g[:, :ca], g[:, ca:]),
+        np.hstack([t.data for t in tensors]),
+        tensors,
+        lambda g: tuple(g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])),
     )
 
 
 def concat_cols_all(tensors) -> Tensor:
-    out = tensors[0]
-    for t in tensors[1:]:
-        out = concat_cols(out, t)
-    return out
+    return concat_cols(*tensors)
 
 
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
@@ -263,20 +261,19 @@ def scatter_max(x: Tensor, groups: GroupTable) -> Tensor:
     """
     if len(groups.group_of) != x.data.shape[0]:
         raise ValueError("scatter_max: group table does not match row count")
-    n_cols = x.data.shape[1]
-    out = np.empty((groups.n_groups, n_cols))
-    argrows = np.empty((groups.n_groups, n_cols), dtype=np.int64)
-    cols = np.arange(n_cols)
-    for gi, m in enumerate(groups.members):
-        sub = x.data[m]
-        am = sub.argmax(axis=0)  # first max wins; members are ascending
-        out[gi] = sub[am, cols]
-        argrows[gi] = m[am]
+    starts = groups.offsets[:-1]
+    xs = x.data[groups.order]
+    out = np.maximum.reduceat(xs, starts, axis=0)
+    # members ascend within a segment, so the first position that attains the
+    # max is the lowest member; a NaN max (no ``<``) routes to the first one
+    attains = ~(xs < out[groups.group_of[groups.order]])
+    pos = np.where(attains, np.arange(len(xs))[:, None], len(xs))
+    argrows = groups.order[np.minimum.reduceat(pos, starts, axis=0)]
+    cols = np.arange(x.data.shape[1])
 
     def vjp(g):
         gx = np.zeros_like(x.data)
-        for gi in range(groups.n_groups):
-            gx[argrows[gi], cols] += g[gi]
+        gx[argrows, cols] = g
         return (gx,)
 
     return _op(out, (x,), vjp)

@@ -66,14 +66,22 @@ def load_checkpoint(path):
     if manifest.get("format") != FORMAT_NAME:
         raise CheckpointMismatchError(f"{manifest_path}: not a {FORMAT_NAME} file")
     data_path = manifest_path.parent / manifest["data_file"]
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
-    arrays = {}
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arrays[entry["name"]] = (
-            raw[entry["offset"] : entry["offset"] + size].reshape(shape).copy()
+    data = data_path.read_bytes()
+    sizes = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
+    if len(data) != 8 * sum(sizes):
+        raise CheckpointMismatchError(
+            f"{data_path}: {len(data)} bytes, manifest lists {sum(sizes)} float64 values"
         )
+    raw = np.frombuffer(data, dtype="<f8")
+    arrays = {}
+    for entry, size in zip(manifest["arrays"], sizes):
+        offset = entry["offset"]
+        if not 0 <= offset <= len(raw) - size:
+            raise CheckpointMismatchError(
+                f"{data_path}: array {entry['name']!r} at [{offset}, {offset + size}) "
+                f"runs past {len(raw)} values"
+            )
+        arrays[entry["name"]] = raw[offset : offset + size].reshape(entry["shape"]).copy()
     return arrays, manifest
 
 

@@ -1,8 +1,10 @@
 """Space mappings: Cartesian-to-voxel hashing and instance-time indexing.
 
-Both index systems reduce to 64-bit hash keys (two signed 32-bit halves),
-and all grouping operations materialize as a :class:`GroupTable` that
-partitions the point set with dense, first-appearance-ordered group ids.
+Both index systems reduce to 64-bit hash keys (two signed 32-bit halves).
+Every grouping operation materializes as a :class:`GroupTable`, a CSR
+partition of the point set with dense, first-appearance-ordered group ids,
+and every coordinate lookup goes through :func:`match_coords`, one sorted
+key array probed by searchsorted.
 """
 
 from __future__ import annotations
@@ -58,16 +60,54 @@ class IndexedPointSet:
         return len(self.points)
 
 
+def match_coords(coords, probes) -> tuple[np.ndarray, np.ndarray]:
+    """All (probe, row) pairs with ``coords[row] == probes[probe]``.
+
+    ``coords`` (M, 2) and ``probes`` (P, 2) hold integer pairs. The packed
+    coordinate keys are sorted once and each probe is one searchsorted range,
+    so duplicate coordinates all match. Pairs come out probe-major, with rows
+    ascending within a probe.
+    """
+    keys = pack_pair(coords[:, 0], coords[:, 1])
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    probe_keys = pack_pair(probes[:, 0], probes[:, 1])
+    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
+    lens = np.searchsorted(sorted_keys, probe_keys, side="right") - lo
+    probe = np.repeat(np.arange(len(probe_keys), dtype=np.int64), lens)
+    # expand every [lo, lo + len) run into flat positions over the sorted order
+    run_start = np.cumsum(lens) - lens
+    rows = order[np.repeat(lo - run_start, lens) + np.arange(len(probe))]
+    return probe, rows
+
+
 @dataclass
 class GroupTable:
-    """A partition of [0, N) into dense groups, first-appearance ordered."""
+    """A partition of [0, N) into dense, non-empty groups, stored as CSR.
+
+    Group g holds rows ``order[offsets[g]:offsets[g + 1]]``, ascending.
+    """
 
     n_groups: int
-    group_of: np.ndarray       # (N,) int64
-    members: list[np.ndarray]  # group id -> ascending point indices
+    group_of: np.ndarray  # (N,) int64
+    order: np.ndarray     # (N,) int64, rows sorted by group
+    offsets: np.ndarray   # (n_groups + 1,) int64, segment bounds into order
+
+    @classmethod
+    def from_group_of(cls, group_of, n_groups: int) -> GroupTable:
+        """The table of dense group ids ``group_of``; each id in [0, n_groups) must occur."""
+        group_of = np.asarray(group_of, dtype=np.int64)
+        offsets = np.zeros(n_groups + 1, dtype=np.int64)
+        np.cumsum(np.bincount(group_of, minlength=n_groups), out=offsets[1:])
+        return cls(n_groups, group_of, np.argsort(group_of, kind="stable"), offsets)
 
     def counts(self) -> np.ndarray:
-        return np.bincount(self.group_of, minlength=self.n_groups).astype(np.int64)
+        return np.diff(self.offsets)
+
+    @property
+    def members(self) -> list[np.ndarray]:
+        """Group id -> ascending rows: a per-group view for inspection, not for hot paths."""
+        return [self.order[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
 
 def group_by_keys(keys) -> GroupTable:
@@ -83,11 +123,7 @@ def group_by_keys(keys) -> GroupTable:
     np.minimum.at(first, inv, np.arange(n, dtype=np.int64))
     rank = np.empty(len(uniq), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(uniq), dtype=np.int64)
-    group_of = rank[inv]
-    order = np.argsort(group_of, kind="stable")
-    bounds = np.cumsum(np.bincount(group_of, minlength=len(uniq)))[:-1]
-    members = np.split(order, bounds)
-    return GroupTable(n_groups=len(uniq), group_of=group_of, members=members)
+    return GroupTable.from_group_of(rank[inv], len(uniq))
 
 
 def build_groups_by_voxel(ps: IndexedPointSet) -> GroupTable:

@@ -87,7 +87,3 @@ def apply_mlp(layers, x: Tensor) -> Tensor:
         if layer.act:
             x = ad.relu(x)
     return x
-
-
-def mlp_out_width(layers) -> int:
-    return layers[-1].lin.w.data.shape[1]

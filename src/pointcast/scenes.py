@@ -143,6 +143,8 @@ def validate_raw(scene: RawScene) -> None:
             raise SceneValidationError(f"agent {a.track_id!r} has no observations")
         if a.xy.shape != (len(a.steps), 2):
             raise SceneValidationError(f"agent {a.track_id!r} steps/xy length mismatch")
+        if not np.all(np.isfinite(a.xy)):
+            raise SceneValidationError(f"agent {a.track_id!r} has non-finite coordinates")
         if np.any(np.diff(a.steps) <= 0):
             raise SceneValidationError(
                 f"agent {a.track_id!r} timestamps not strictly increasing"
@@ -164,10 +166,15 @@ def validate_raw(scene: RawScene) -> None:
     for m in scene.map_elements:
         if len(m.xy) == 0:
             raise SceneValidationError(f"map element {m.element_id!r} is empty")
-    if scene.future is not None and scene.future.shape != (scene.future_steps, 2):
-        raise SceneValidationError(
-            f"future has shape {scene.future.shape}, expected ({scene.future_steps}, 2)"
-        )
+        if not np.all(np.isfinite(m.xy)):
+            raise SceneValidationError(f"map element {m.element_id!r} has non-finite coordinates")
+    if scene.future is not None:
+        if scene.future.shape != (scene.future_steps, 2):
+            raise SceneValidationError(
+                f"future has shape {scene.future.shape}, expected ({scene.future_steps}, 2)"
+            )
+        if not np.all(np.isfinite(scene.future)):
+            raise SceneValidationError("future has non-finite coordinates")
 
 
 def validate_normalized(scene: NormalizedScene, tol: float = 1e-9) -> None:

@@ -17,20 +17,21 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .indexing import GroupTable, IndexedPointSet, build_groups_by_voxel, pack_pair
+from .indexing import GroupTable, IndexedPointSet, build_groups_by_voxel, match_coords
 
 # 3x3 kernel tap order is fixed; the center tap is index 4
 CONV_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 CENTER_TAP = CONV_OFFSETS.index((0, 0))
+# the 2x2 cells whose centers surround a point, from its lower-left one
+INTERP_CORNERS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 @dataclass
 class SparseGrid:
-    """Occupied voxel coordinates with feature rows and a coord -> row table."""
+    """Occupied voxel coordinates with one feature row each."""
 
     coords: np.ndarray  # (G, 2) int64, distinct
     feats: Tensor       # (G, C)
-    index: dict         # (vx, vy) -> row
     grid_size: float
 
 
@@ -42,43 +43,19 @@ def radius_pairs(points, radius: float):
     """All (center, neighbor) pairs within ``radius`` (inclusive), self included.
 
     Bucketed by hashing points into cells of size ``radius`` and probing the
-    3x3 cell neighborhood; pairs come out sorted by (center, neighbor).
-    Cell lookups run through one sorted key array and searchsorted probes.
+    3x3 cell neighborhood through :func:`match_coords`; pairs come out sorted
+    by (center, neighbor).
     """
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
     cells = np.floor(points / radius).astype(np.int64)
-    keys = pack_pair(cells[:, 0], cells[:, 1])
-    order = np.argsort(keys, kind="stable")  # ascending point index within a cell
-    sorted_keys = keys[order]
-
-    probes = np.stack(
-        [pack_pair(cells[:, 0] + dx, cells[:, 1] + dy)
-         for dx in (-1, 0, 1) for dy in (-1, 0, 1)],
-        axis=1,
-    )  # (n, 9), center-major
-    lo = np.searchsorted(sorted_keys, probes.ravel(), side="left")
-    hi = np.searchsorted(sorted_keys, probes.ravel(), side="right")
-    lens = hi - lo
-    total = int(lens.sum())
-    # expand every [lo, hi) run into flat positions over the sorted order
-    starts = np.repeat(lo - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    cand = order[starts + np.arange(total)]
-    centers = np.repeat(np.arange(n, dtype=np.int64), lens.reshape(n, 9).sum(axis=1))
-
+    probes = (cells[:, None, :] + np.asarray(CONV_OFFSETS)).reshape(-1, 2)  # center-major
+    probe, cand = match_coords(cells, probes)
+    centers = probe // len(CONV_OFFSETS)
     d = points[cand] - points[centers]
     keep = (d * d).sum(axis=1) <= radius * radius
     centers, cand = centers[keep], cand[keep]
     by_center_then_neighbor = np.lexsort((cand, centers))
     return centers[by_center_then_neighbor], cand[by_center_then_neighbor]
-
-
-def _center_groups(centers, n_points: int) -> GroupTable:
-    # centers are sorted ascending and every point pairs with itself,
-    # so group ids coincide with point indices
-    bounds = np.cumsum(np.bincount(centers, minlength=n_points))[:-1]
-    members = np.split(np.arange(len(centers), dtype=np.int64), bounds)
-    return GroupTable(n_groups=n_points, group_of=centers.copy(), members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +149,8 @@ def pointwise_learning(ps: IndexedPointSet, feats: Tensor, params: SpatialParams
         rel = ps.points[nbrs] - ps.points[centers]
         pair_feats = ad.concat_cols(ad.gather_rows(feats, nbrs), ad.constant(rel))
         h = nn.apply_mlp(mlp, pair_feats)
-        per_radius.append(ad.scatter_max(h, _center_groups(centers, len(ps))))
+        # every point pairs with itself, so group ids are point indices
+        per_radius.append(ad.scatter_max(h, GroupTable.from_group_of(centers, len(ps))))
     return nn.apply_mlp(params.pointwise_out, ad.concat_cols_all(per_radius))
 
 
@@ -180,26 +158,23 @@ def ftp_point_to_voxel(ps: IndexedPointSet, feats: Tensor, groups: GroupTable | 
     """Scatter pointwise features into their voxels, reducing by mean."""
     if groups is None:
         groups = build_groups_by_voxel(ps)
-    coords = np.stack([ps.voxels[m[0]] for m in groups.members])
-    grid_feats = ad.scatter_mean(feats, groups)
-    index = {(int(c[0]), int(c[1])): g for g, c in enumerate(coords)}
-    return SparseGrid(coords=coords, feats=grid_feats, index=index, grid_size=ps.grid_size)
+    coords = ps.voxels[groups.order[groups.offsets[:-1]]]
+    return SparseGrid(coords=coords, feats=ad.scatter_mean(feats, groups), grid_size=ps.grid_size)
 
 
 def _conv_pairs(grid: SparseGrid):
-    """Per-tap (out_row, in_row) lists for the 3x3 submanifold convolution."""
-    pairs = []
-    for k, (di, dj) in enumerate(CONV_OFFSETS):
-        if k == CENTER_TAP:
-            pairs.append(None)  # center tap is the identity pairing
-            continue
-        outs, ins = [], []
-        for g, (vx, vy) in enumerate(grid.coords):
-            row = grid.index.get((int(vx) + di, int(vy) + dj))
-            if row is not None:
-                outs.append(g)
-                ins.append(row)
-        pairs.append((np.asarray(outs, dtype=np.int64), np.asarray(ins, dtype=np.int64)))
+    """Per-tap (out_row, in_row) lists for the 3x3 submanifold convolution.
+
+    This is the kernel map: tap k pairs each occupied voxel with the occupied
+    voxel at its coordinate plus ``CONV_OFFSETS[k]``, out rows ascending. The
+    center tap is the identity pairing and is given as None.
+    """
+    taps = np.asarray(CONV_OFFSETS)
+    probe, ins = match_coords(grid.coords, (grid.coords + taps[:, None, :]).reshape(-1, 2))
+    tap, outs = np.divmod(probe, len(grid.coords))  # probes are tap-major
+    bounds = np.searchsorted(tap, np.arange(len(taps) + 1))
+    pairs = [(outs[lo:hi], ins[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    pairs[CENTER_TAP] = None
     return pairs
 
 
@@ -233,7 +208,7 @@ def sparse_bottleneck(grid: SparseGrid, params: SpatialParams) -> SparseGrid:
             s = ad.layer_norm(s, block.skip_norm.gain, block.skip_norm.bias)
         else:
             s = x
-        grid = SparseGrid(grid.coords, ad.relu(ad.add(h, s)), grid.index, grid.grid_size)
+        grid = SparseGrid(grid.coords, ad.relu(ad.add(h, s)), grid.grid_size)
     return grid
 
 
@@ -245,26 +220,13 @@ def interp_voxel_to_point(grid: SparseGrid, ps: IndexedPointSet, params: Spatial
     voxel is always occupied and always among the four. An MLP on
     [offset-to-center, voxel feature] produces logits, softmaxed per point.
     """
-    s = grid.grid_size
-    base = np.floor(ps.points / s - 0.5).astype(np.int64)
-    cand_point, cand_row = [], []
-    for i in range(len(ps)):
-        bx, by = base[i]
-        for dx in (0, 1):
-            for dy in (0, 1):
-                row = grid.index.get((int(bx) + dx, int(by) + dy))
-                if row is not None:
-                    cand_point.append(i)
-                    cand_row.append(row)
-    cand_point = np.asarray(cand_point, dtype=np.int64)
-    cand_row = np.asarray(cand_row, dtype=np.int64)
-
-    centers = (grid.coords[cand_row] + 0.5) * s
+    cand_point, cand_row = _interp_candidates(grid, ps.points)
+    centers = (grid.coords[cand_row] + 0.5) * grid.grid_size
     delta = ps.points[cand_point] - centers
     vox_feats = ad.gather_rows(grid.feats, cand_row)
     logits = nn.apply_mlp(params.interp_mlp, ad.concat_cols(ad.constant(delta), vox_feats))
 
-    groups = _candidate_groups(cand_point, len(ps))
+    groups = GroupTable.from_group_of(cand_point, len(ps))
     counts = ad.constant(groups.counts().astype(np.float64)[:, None])
     m = ad.scatter_max(logits, groups)
     z = ad.exp(ad.sub(logits, ad.gather_rows(m, groups.group_of)))
@@ -274,10 +236,12 @@ def interp_voxel_to_point(grid: SparseGrid, ps: IndexedPointSet, params: Spatial
     return ad.mul(ad.scatter_mean(weighted, groups), _tile_cols(counts, weighted.data.shape[1]))
 
 
-def _candidate_groups(cand_point, n_points: int) -> GroupTable:
-    bounds = np.cumsum(np.bincount(cand_point, minlength=n_points))[:-1]
-    members = np.split(np.arange(len(cand_point), dtype=np.int64), bounds)
-    return GroupTable(n_groups=n_points, group_of=cand_point.copy(), members=members)
+def _interp_candidates(grid: SparseGrid, points):
+    """(point, voxel row) pairs over the occupied 2x2 cells around each point, point-major."""
+    base = np.floor(points / grid.grid_size - 0.5).astype(np.int64)
+    probes = (base[:, None, :] + np.asarray(INTERP_CORNERS)).reshape(-1, 2)
+    probe, cand_row = match_coords(grid.coords, probes)
+    return probe // len(INTERP_CORNERS), cand_row
 
 
 def _tile_cols(col: Tensor, n_cols: int) -> Tensor:

@@ -92,6 +92,62 @@ def brute_scatter_max(x, group_of, n_groups):
     return out
 
 
+def brute_scatter_max_routing(x, group_of, n_groups, g):
+    """Gradient of sum(scatter_max(x) * g): each group's column max, first row on ties."""
+    gx = np.zeros_like(x)
+    for grp in range(n_groups):
+        rows = [i for i in range(len(x)) if group_of[i] == grp]
+        for c in range(x.shape[1]):
+            best = rows[0]
+            for i in rows:
+                if x[i, c] > x[best, c]:
+                    best = i
+            gx[best, c] += g[grp, c]
+    return gx
+
+
+def brute_csr(group_of, n_groups):
+    """CSR (order, offsets) of a dense group assignment, built one row at a time."""
+    members = [[] for _ in range(n_groups)]
+    for i, grp in enumerate(group_of):
+        members[grp].append(i)
+    order, offsets = [], [0]
+    for m in members:
+        order.extend(m)
+        offsets.append(len(order))
+    return np.asarray(order, dtype=np.int64), np.asarray(offsets, dtype=np.int64)
+
+
+def brute_conv_pairs(coords, offsets):
+    """Per-offset (out_row, in_row) lists: every voxel pair with coords[in] == coords[out] + offset."""
+    pairs = []
+    for di, dj in offsets:
+        outs, ins = [], []
+        for g, (vx, vy) in enumerate(coords):
+            for h, (ux, uy) in enumerate(coords):
+                if ux == vx + di and uy == vy + dj:
+                    outs.append(g)
+                    ins.append(h)
+        pairs.append((np.asarray(outs, dtype=np.int64), np.asarray(ins, dtype=np.int64)))
+    return pairs
+
+
+def dict_interp_candidates(coords, points, grid_size):
+    """(point, voxel row) candidates from the 2x2 cells around each point, via a dict."""
+    index = {(int(c[0]), int(c[1])): row for row, c in enumerate(coords)}
+    base = np.floor(points / grid_size - 0.5).astype(np.int64)
+    cand_point, cand_row = [], []
+    for i in range(len(points)):
+        bx, by = base[i]
+        for dx in (0, 1):
+            for dy in (0, 1):
+                row = index.get((int(bx) + dx, int(by) + dy))
+                if row is not None:
+                    cand_point.append(i)
+                    cand_row.append(row)
+    return np.asarray(cand_point, dtype=np.int64), np.asarray(cand_row, dtype=np.int64)
+
+
 def brute_radius_pairs(points, radius):
     """O(N^2) inclusive radius search; pairs sorted by (center, neighbor)."""
     n = len(points)

@@ -406,8 +406,7 @@ def test_criterion_05_dense_equivalence():
         coords = np.array([[i, j] for i in range(side) for j in range(side)], dtype=np.int64)
         feats = rng.normal(size=(side * side, 4))
         grid = SparseGrid(
-            coords=coords, feats=ad.constant(feats),
-            index={(int(i), int(j)): k for k, (i, j) in enumerate(coords)}, grid_size=0.5,
+            coords=coords, feats=ad.constant(feats), grid_size=0.5,
         )
         out = sparse_bottleneck(grid, params)
         ref = dense_bottleneck_oracle(feats.reshape(side, side, 4), params)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_scatter_max, check_grads, spread_values
+from conftest import brute_scatter_max, brute_scatter_max_routing, check_grads, spread_values
 
 from pointcast import autodiff as ad
 from pointcast.indexing import group_by_keys
@@ -132,6 +132,23 @@ def test_scatter_max_gradient_routing():
     y = ad.scatter_max(x, table)
     ad.backward(ad.sum_all(y))
     np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+def test_scatter_max_tie_heavy_matches_bruteforce(rng):
+    # values from {0, 1, 2} make most column maxima ties across many groups
+    for _ in range(30):
+        n = int(rng.integers(1, 120))
+        table = rand_table(rng, n, n_keys=int(rng.integers(1, 40)))
+        x = ad.parameter(rng.integers(0, 3, size=(n, 4)).astype(np.float64))
+        g = rng.normal(size=(table.n_groups, 4))
+        y = ad.scatter_max(x, table)
+        np.testing.assert_array_equal(
+            y.data, brute_scatter_max(x.data, table.group_of, table.n_groups)
+        )
+        ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))))
+        np.testing.assert_array_equal(
+            x.grad, brute_scatter_max_routing(x.data, table.group_of, table.n_groups, g)
+        )
 
 
 def test_scatter_add_rows_semantics():

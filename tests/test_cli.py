@@ -247,6 +247,47 @@ def test_plot_without_future_no_red(tmp_path):
     assert "gt" not in classes
 
 
+@pytest.mark.parametrize("cut_bytes", [8, 3])  # a whole value, or mid-value
+def test_predict_truncated_checkpoint_exit3(tmp_path, trained, capsys, cut_bytes):
+    _, data, ckpt = trained
+    copy = tmp_path / "model.json"
+    copy.write_text(ckpt.read_text())
+    blob = ckpt.with_suffix(".bin").read_bytes()
+    copy.with_suffix(".bin").write_bytes(blob[:-cut_bytes])
+    scene_file = sorted(data.glob("syn-*.json"))[0]
+    assert cli.main(["predict", "--ckpt", str(copy), "--scene", str(scene_file),
+                     "--out", str(tmp_path / "pred.json")]) == 3
+    assert "model.bin" in capsys.readouterr().err
+
+
+def _corrupt_nontarget_point(doc):
+    other = next(a for a in doc["agents"] if a["id"] != doc["target_id"])
+    other["points"][0][1] = float("nan")
+
+
+def _corrupt_target_last(doc):
+    target = next(a for a in doc["agents"] if a["id"] == doc["target_id"])
+    target["points"][-1][2] = float("nan")
+
+
+def _corrupt_future(doc):
+    doc["future"][5][0] = float("inf")
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_nontarget_point, _corrupt_target_last,
+                                     _corrupt_future])
+def test_eval_non_finite_scene_exit2(tmp_path, trained, capsys, corrupt):
+    tmp, data, ckpt = trained
+    doc = json.loads(sorted(data.glob("syn-*.json"))[0].read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "scene.json").write_text(json.dumps(doc))
+    assert cli.main(["eval", "--config", str(tmp / "c.json"), "--ckpt", str(ckpt),
+                     "--data", str(bad)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_cli_resume_matches_uninterrupted(tmp_path):
     data = gen_data(tmp_path)
     cfg4 = write_config(tmp_path / "c4.json", data, tmp_path / "full", epochs=4)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import brute_group_by_keys
+from conftest import brute_csr, brute_group_by_keys
 
 from pointcast import gen_synthetic, index_scene, normalize, voxelize
 from pointcast.indexing import (
     KIND_MAP,
     KIND_OTHER,
     KIND_TARGET,
+    GroupTable,
     build_groups_by_instance,
     build_groups_by_voxel,
     group_by_keys,
@@ -145,6 +146,23 @@ def test_groups_partition(rng):
     assert sorted(allpts.tolist()) == list(range(30))
     for g, m in enumerate(table.members):
         assert np.all(table.group_of[m] == g)
+
+
+def test_group_table_csr_matches_bruteforce(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 80))
+        by_keys = group_by_keys(rng.integers(-5, 15, size=n))
+        # sorted dense ids, as radius centers and interpolation candidates arrive
+        by_sorted_ids = GroupTable.from_group_of(np.sort(by_keys.group_of), by_keys.n_groups)
+        for table in (by_keys, by_sorted_ids):
+            order, offsets = brute_csr(table.group_of, table.n_groups)
+            np.testing.assert_array_equal(table.order, order)
+            np.testing.assert_array_equal(table.offsets, offsets)
+            assert table.offsets[0] == 0 and table.offsets[-1] == n
+            assert np.all(table.counts() > 0)  # no empty segment
+            seg = np.repeat(np.arange(table.n_groups), table.counts())
+            np.testing.assert_array_equal(table.group_of[table.order], seg)  # grouped
+            assert np.all(np.diff(table.order)[np.diff(seg) == 0] > 0)  # ascending within
 
 
 # ---------------------------------------------------------------------------

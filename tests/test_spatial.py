@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from conftest import brute_radius_pairs, check_grads, spread_values
+from conftest import (
+    brute_conv_pairs,
+    brute_radius_pairs,
+    check_grads,
+    dict_interp_candidates,
+    spread_values,
+)
 
 from pointcast import ModelConfig, autodiff as ad
-from pointcast.indexing import IndexedPointSet, build_groups_by_voxel, voxelize
+from pointcast.indexing import IndexedPointSet, build_groups_by_voxel, match_coords, voxelize
 from pointcast.spatial import (
+    CENTER_TAP,
     CONV_OFFSETS,
     SparseGrid,
+    _conv_pairs,
+    _interp_candidates,
     ftp_point_to_voxel,
     init_spatial,
     interp_voxel_to_point,
@@ -173,8 +182,9 @@ def test_ftp_conservation_through_graph(rng):
 def test_ftp_coords_match_hash():
     ps = make_ps(np.array([[0.1, 0.1], [5.0, 5.0], [0.3, 0.3]]))
     grid = ftp_point_to_voxel(ps, ad.constant(np.zeros((3, 2))))
-    for (vx, vy), row in grid.index.items():
-        np.testing.assert_array_equal(grid.coords[row], [vx, vy])
+    probe, rows = match_coords(grid.coords, grid.coords)
+    np.testing.assert_array_equal(probe, np.arange(len(grid.coords)))
+    np.testing.assert_array_equal(rows, np.arange(len(grid.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +225,39 @@ def test_bottleneck_single_voxel_is_center_tap(rng):
     grid = SparseGrid(
         coords=np.array([[3, -2]]),
         feats=ad.constant(rng.normal(size=(1, 4))),
-        index={(3, -2): 0},
         grid_size=0.5,
     )
     x = ad.constant(rng.normal(size=(1, 4)))
     got = _submanifold_conv(x, _conv_pairs(grid), blk)
     want = ad.linear(x, blk.conv_w[CENTER_TAP], blk.conv_b)
     np.testing.assert_allclose(got.data, want.data, atol=1e-12)
+
+
+def assert_conv_pairs_match_bruteforce(coords):
+    coords = np.asarray(coords, dtype=np.int64)
+    grid = SparseGrid(coords=coords, feats=ad.constant(np.zeros((len(coords), 1))), grid_size=0.5)
+    got = _conv_pairs(grid)
+    ref = brute_conv_pairs(coords, CONV_OFFSETS)
+    assert len(got) == len(CONV_OFFSETS) and got[CENTER_TAP] is None
+    for k, (pair, (outs, ins)) in enumerate(zip(got, ref)):
+        if k != CENTER_TAP:
+            np.testing.assert_array_equal(pair[0], outs)
+            np.testing.assert_array_equal(pair[1], ins)
+
+
+@pytest.mark.parametrize("coords", [
+    [[3, -2]],                                   # a single occupied voxel
+    [[-7, -7], [0, 0], [5, -3], [-2, 4]],        # isolated voxels: no off-center pairs
+    [[-1, -1], [-1, 0], [0, -1], [0, 0], [-2, 1], [1, -2], [-3, -3]],
+])
+def test_conv_pairs_match_bruteforce(coords):
+    assert_conv_pairs_match_bruteforce(coords)
+
+
+def test_conv_pairs_match_bruteforce_random(rng):
+    for _ in range(30):
+        occupied = np.unique(rng.integers(-4, 4, size=(int(rng.integers(1, 40)), 2)), axis=0)
+        assert_conv_pairs_match_bruteforce(occupied[rng.permutation(len(occupied))])
 
 
 def _layer_norm_ref(x, gain, bias, eps=1e-8):
@@ -282,7 +318,6 @@ def test_bottleneck_dense_equivalence(side, rng):
     grid = SparseGrid(
         coords=coords,
         feats=ad.constant(feats),
-        index={(int(i), int(j)): k for k, (i, j) in enumerate(coords)},
         grid_size=0.5,
     )
     out = sparse_bottleneck(grid, params)
@@ -317,6 +352,18 @@ def test_interp_zero_mlp_uniform_weights(rng):
     grid = ftp_point_to_voxel(ps, ad.constant(feats))
     out = interp_voxel_to_point(grid, ps, params)
     np.testing.assert_allclose(out.data[0], feats.mean(axis=0), atol=1e-12)
+
+
+def test_interp_candidates_match_dict_loop(rng):
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        pts = rng.uniform(-3, 3, size=(n, 2))
+        # the grid holds only some of the points, so some probes miss
+        grid = ftp_point_to_voxel(make_ps(pts[: n // 2 + 1]), ad.constant(np.zeros((n // 2 + 1, 1))))
+        got = _interp_candidates(grid, pts)
+        ref = dict_interp_candidates(grid.coords, pts, grid.grid_size)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
 
 
 def test_interp_gradient_wrt_mlp(rng):
