@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """The dual-representation spatial block, branch by branch.
 
-Walks feature maps through pointwise neighborhood learning, point-to-voxel
-mean propagation, the submanifold bottleneck stack, and learnable
-voxel-to-point interpolation.
+Builds the scene's plan (every neighborhood, voxel group and kernel map,
+once), then walks feature maps through pointwise neighborhood learning,
+point-to-voxel mean propagation, the submanifold bottleneck stack, and
+learnable voxel-to-point interpolation.
 """
 
 import numpy as np
 
-from pointcast import ModelConfig, autodiff as ad, gen_synthetic, index_scene, normalize
+from pointcast import ModelConfig, autodiff as ad, gen_synthetic, index_scene, normalize, plan_scene
 from pointcast.spatial import (
     ftp_point_to_voxel,
     init_spatial,
@@ -26,24 +27,27 @@ cfg = ModelConfig(
 )
 scene = normalize(gen_synthetic(1, seed=3, profile="lane-change")[0])
 ps = index_scene(scene, cfg.grid_size)
+plan = plan_scene(ps, cfg.radii, cfg.intervals)
+pairs = {r: len(rows) for r, (rows, _, _) in zip(cfg.radii, plan.neighborhoods)}
+print(f"plan: radius pairs {pairs}, {len(plan.voxel_coords)} voxels, "
+      f"{sum(len(p[0]) for p in plan.kernel_map if p is not None)} off-center kernel pairs")
 feats = ad.constant(np.random.default_rng(1).normal(size=(len(ps), cfg.embed_width)))
 
 params = init_spatial({}, "demo", cfg.embed_width, cfg, np.random.default_rng(2))
 
-p = pointwise_learning(ps, feats, params)
+p = pointwise_learning(plan, feats, params)
 print(f"pointwise branch: {feats.shape} -> {p.shape} (all {len(ps)} points kept)")
 
-grid = ftp_point_to_voxel(ps, feats)
-print(f"voxel branch: {len(ps)} points -> {len(grid.coords)} occupied cells")
+vox = ftp_point_to_voxel(plan, feats)
+print(f"voxel branch: {len(ps)} points -> {vox.shape[0]} occupied cells")
 
-deep = sparse_bottleneck(grid, params)
-same = set(map(tuple, deep.coords.tolist())) == set(map(tuple, grid.coords.tolist()))
-print(f"after bottleneck stack: occupancy preserved = {same}")
+deep = sparse_bottleneck(plan.kernel_map, vox, params)
+print(f"after bottleneck stack: occupancy preserved = {deep.shape[0] == vox.shape[0]}")
 
-v = interp_voxel_to_point(deep, ps, params)
+v = interp_voxel_to_point(plan, deep, params)
 print(f"interpolated back to points: {v.shape}")
 
-fused = spatial_block(ps, feats, params)
+fused = spatial_block(plan, feats, params)
 print(f"fused block output: {fused.shape}")
 
 # permutation equivariance: shuffling points shuffles rows, nothing else
@@ -55,5 +59,6 @@ ps_perm = IndexedPointSet(
     voxels=ps.voxels[perm], kind=ps.kind[perm], grid_size=ps.grid_size,
     instance_ids=ps.instance_ids, target_instance=ps.target_instance,
 )
-fused_perm = spatial_block(ps_perm, ad.constant(feats.data[perm]), params)
+plan_perm = plan_scene(ps_perm, cfg.radii, cfg.intervals)
+fused_perm = spatial_block(plan_perm, ad.constant(feats.data[perm]), params)
 print("equivariance residual:", np.abs(fused_perm.data - fused.data[perm]).max())

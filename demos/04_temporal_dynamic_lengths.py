@@ -3,13 +3,14 @@
 
 Three agents observed for 1, 7, and 20 steps run through multi-interval
 learning and instance pooling together, with no padding and no cross-instance
-leakage.
+leakage. The interval and instance groups come from the scene's plan, built
+once per point set.
 """
 
 import numpy as np
 
 from pointcast import ModelConfig, autodiff as ad
-from pointcast.indexing import IndexedPointSet, voxelize
+from pointcast.indexing import IndexedPointSet, plan_scene, voxelize
 from pointcast.temporal import init_temporal, temporal_block
 
 cfg = ModelConfig(
@@ -28,16 +29,19 @@ ps = IndexedPointSet(
     instance_ids=[str(i) for i in range(3)], target_instance=0,
 )
 print(f"agent history lengths: {lengths} -> {len(ps)} points, zero padding anywhere")
+plan = plan_scene(ps, cfg.radii, cfg.intervals)
+print("groups per interval:", {t: g.n_groups for t, g in zip(cfg.intervals, plan.by_interval)},
+      f"instances: {plan.by_instance.n_groups}")
 
 params = init_temporal({}, "demo", cfg.spatial_width, cfg, np.random.default_rng(0))
 feats = np.random.default_rng(1).normal(size=(len(ps), cfg.spatial_width))
-out = temporal_block(ps, ad.constant(feats), params)
+out = temporal_block(plan, ad.constant(feats), params)
 print(f"temporal block output: {out.shape}")
 
 # isolation probe: perturb agent 2's features, agents 0 and 1 are untouched
 bumped = feats.copy()
 bumped[8:] += 100.0
-out_b = temporal_block(ps, ad.constant(bumped), params)
+out_b = temporal_block(plan, ad.constant(bumped), params)
 print("rows of agents 0/1 changed:", not np.array_equal(out.data[:8], out_b.data[:8]))
 print("rows of agent 2 changed:   ", not np.array_equal(out.data[8:], out_b.data[8:]))
 
@@ -51,6 +55,6 @@ ps2 = IndexedPointSet(
     instance_ids=[str(i) for i in range(4)], target_instance=0,
 )
 feats2 = np.vstack([feats, np.random.default_rng(2).normal(size=(5, cfg.spatial_width))])
-out2 = temporal_block(ps2, ad.constant(feats2), params)
+out2 = temporal_block(plan_scene(ps2, cfg.radii, cfg.intervals), ad.constant(feats2), params)
 print("existing rows identical after adding an instance:",
       np.array_equal(out2.data[: len(ps)], out.data))

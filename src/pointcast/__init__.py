@@ -7,6 +7,7 @@ from .indexing import (
     build_groups_by_instance,
     build_groups_by_voxel,
     index_scene,
+    plan_scene,
     regroup_by_interval,
     voxelize,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "load_scene",
     "normalize",
     "parameter",
+    "plan_scene",
     "rank_trajectories",
     "regroup_by_interval",
     "save_scene",

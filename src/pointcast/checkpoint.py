@@ -81,7 +81,10 @@ def load_checkpoint(path):
                 f"{data_path}: array {entry['name']!r} at [{offset}, {offset + size}) "
                 f"runs past {len(raw)} values"
             )
-        arrays[entry["name"]] = raw[offset : offset + size].reshape(entry["shape"]).copy()
+        arr = raw[offset : offset + size].reshape(entry["shape"]).copy()
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointMismatchError(f"{data_path}: array {entry['name']!r} is not finite")
+        arrays[entry["name"]] = arr
     return arrays, manifest
 
 

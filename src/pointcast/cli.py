@@ -85,12 +85,10 @@ def parse_run_config(doc: dict) -> dict:
     out = dict(doc)
     out["model"] = parse_model_config(doc.get("model", {}))
     out["augment"] = parse_aug_config(doc.get("augment", {}))
-    out.setdefault("epochs", 36)
-    out.setdefault("batch_size", 32)
-    out.setdefault("lr", 1e-3)
-    out["lr_decay_epochs"] = tuple(out.get("lr_decay_epochs", (10, 20, 30)))
-    out.setdefault("lr_decay_factor", 0.1)
-    out.setdefault("eval_every", 1)
+    defaults = TrainConfig()
+    for key in ("epochs", "batch_size", "lr", "lr_decay_epochs", "lr_decay_factor", "eval_every"):
+        out.setdefault(key, getattr(defaults, key))
+    out["lr_decay_epochs"] = tuple(out["lr_decay_epochs"])
     return out
 
 

@@ -4,7 +4,8 @@ Both index systems reduce to 64-bit hash keys (two signed 32-bit halves).
 Every grouping operation materializes as a :class:`GroupTable`, a CSR
 partition of the point set with dense, first-appearance-ordered group ids,
 and every coordinate lookup goes through :func:`match_coords`, one sorted
-key array probed by searchsorted.
+key array probed by searchsorted. :func:`plan_scene` builds all of a scene's
+topology once into a :class:`ScenePlan` that every network stage reads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ import numpy as np
 from .scenes import NormalizedScene
 
 KIND_TARGET, KIND_OTHER, KIND_MAP = 0, 1, 2
+
+# 3x3 kernel tap order is fixed; the center tap is index 4
+CONV_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+CENTER_TAP = CONV_OFFSETS.index((0, 0))
+# the 2x2 cells whose centers surround a point, from its lower-left one
+INTERP_CORNERS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 _I32_MAX = 2**31
 
@@ -81,6 +88,49 @@ def match_coords(coords, probes) -> tuple[np.ndarray, np.ndarray]:
     return probe, rows
 
 
+def radius_pairs(points, radius: float):
+    """All (center, neighbor) pairs within ``radius`` (inclusive), self included.
+
+    Bucketed by hashing points into cells of size ``radius`` and probing the
+    3x3 cell neighborhood through :func:`match_coords`; pairs come out sorted
+    by (center, neighbor).
+    """
+    points = np.asarray(points, dtype=np.float64)
+    cells = np.floor(points / radius).astype(np.int64)
+    probes = (cells[:, None, :] + np.asarray(CONV_OFFSETS)).reshape(-1, 2)  # center-major
+    probe, cand = match_coords(cells, probes)
+    centers = probe // len(CONV_OFFSETS)
+    d = points[cand] - points[centers]
+    keep = (d * d).sum(axis=1) <= radius * radius
+    centers, cand = centers[keep], cand[keep]
+    by_center_then_neighbor = np.lexsort((cand, centers))
+    return centers[by_center_then_neighbor], cand[by_center_then_neighbor]
+
+
+def kernel_map(coords):
+    """Per-tap (out_row, in_row) lists for the 3x3 submanifold convolution.
+
+    Tap k pairs each occupied voxel with the occupied voxel at its coordinate
+    plus ``CONV_OFFSETS[k]``, out rows ascending. The center tap is the
+    identity pairing and is given as None.
+    """
+    taps = np.asarray(CONV_OFFSETS)
+    probe, ins = match_coords(coords, (coords + taps[:, None, :]).reshape(-1, 2))
+    tap, outs = np.divmod(probe, len(coords))  # probes are tap-major
+    bounds = np.searchsorted(tap, np.arange(len(taps) + 1))
+    pairs = [(outs[lo:hi], ins[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    pairs[CENTER_TAP] = None
+    return pairs
+
+
+def interp_candidates(coords, points, grid_size: float):
+    """(point, voxel row) pairs over the occupied 2x2 cells around each point, point-major."""
+    base = np.floor(points / grid_size - 0.5).astype(np.int64)
+    probes = (base[:, None, :] + np.asarray(INTERP_CORNERS)).reshape(-1, 2)
+    probe, cand_row = match_coords(coords, probes)
+    return probe // len(INTERP_CORNERS), cand_row
+
+
 @dataclass
 class GroupTable:
     """A partition of [0, N) into dense, non-empty groups, stored as CSR.
@@ -116,14 +166,11 @@ def group_by_keys(keys) -> GroupTable:
     Group ids are assigned in order of first appearance over the point index,
     so the table is deterministic and permutation-covariant.
     """
+    # return_index sorts stably, so ``first`` is each key's first occurrence
     keys = np.asarray(keys, dtype=np.int64)
-    n = len(keys)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    first = np.full(len(uniq), n, dtype=np.int64)
-    np.minimum.at(first, inv, np.arange(n, dtype=np.int64))
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(uniq), dtype=np.int64)
-    return GroupTable.from_group_of(rank[inv], len(uniq))
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # group id = rank of the first occurrence
+    return GroupTable.from_group_of(rank[inv], len(first))
 
 
 def build_groups_by_voxel(ps: IndexedPointSet) -> GroupTable:
@@ -195,4 +242,47 @@ def index_scene(scene: NormalizedScene, grid_size: float) -> IndexedPointSet:
         grid_size=grid_size,
         instance_ids=instance_ids,
         target_instance=target_instance,
+    )
+
+
+@dataclass(frozen=True)
+class ScenePlan:
+    """Every index structure of one scene, built once and read by every stage.
+
+    The point set never changes between stages, so its topology (the rulebook
+    of submanifold sparse convolution) belongs to the scene, not the layer.
+    """
+
+    neighborhoods: tuple      # per radius: (neighbor rows, offsets from center, by-center table)
+    by_voxel: GroupTable
+    voxel_coords: np.ndarray  # (G, 2) int64, voxel of each group, distinct
+    kernel_map: list          # per 3x3 tap: (out_row, in_row) voxel pairs; None at the center tap
+    interp_rows: np.ndarray   # (Q,) voxel row of each (point, voxel) interpolation candidate
+    interp_delta: np.ndarray  # (Q, 2) candidate point minus its voxel's center
+    by_point: GroupTable      # the candidates grouped by point
+    by_interval: tuple        # GroupTable per interval
+    by_instance: GroupTable
+
+
+def plan_scene(ps: IndexedPointSet, radii, intervals) -> ScenePlan:
+    """Build the ScenePlan of ``ps`` for the given radius and interval ladders."""
+    neighborhoods = []
+    for radius in radii:
+        centers, rows = radius_pairs(ps.points, radius)
+        # every point pairs with itself, so group ids are point indices
+        by_center = GroupTable.from_group_of(centers, len(ps))
+        neighborhoods.append((rows, ps.points[rows] - ps.points[centers], by_center))
+    by_voxel = build_groups_by_voxel(ps)
+    coords = ps.voxels[by_voxel.order[by_voxel.offsets[:-1]]]
+    cand_point, cand_row = interp_candidates(coords, ps.points, ps.grid_size)
+    return ScenePlan(
+        neighborhoods=tuple(neighborhoods),
+        by_voxel=by_voxel,
+        voxel_coords=coords,
+        kernel_map=kernel_map(coords),
+        interp_rows=cand_row,
+        interp_delta=ps.points[cand_point] - (coords[cand_row] + 0.5) * ps.grid_size,
+        by_point=GroupTable.from_group_of(cand_point, len(ps)),
+        by_interval=tuple(regroup_by_interval(ps, t) for t in intervals),
+        by_instance=build_groups_by_instance(ps),
     )

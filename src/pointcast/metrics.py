@@ -43,10 +43,11 @@ class EvalReport:
         return json.dumps(asdict(self), indent=1)
 
 
-def _scene_topk(pred, k: int):
-    """Top-k trajectories by predicted displacement, ascending, stable ties."""
-    order = np.argsort(pred.displacements, kind="stable")[:k]
-    return [np.asarray(pred.trajectories)[i] for i in order]
+def _scene_topk_errors(pred, gt, k: int, miss_threshold: float):
+    """(min ADE, min FDE, miss) over the top-k trajectories by predicted displacement."""
+    top = np.asarray(pred.trajectories)[np.argsort(pred.displacements, kind="stable")[:k]]
+    best_fde = min(fde(t, gt) for t in top)
+    return min(ade(t, gt) for t in top), best_fde, best_fde > miss_threshold
 
 
 def evaluate(preds, gts, k: int, miss_threshold: float = MISS_THRESHOLD) -> dict:
@@ -63,11 +64,10 @@ def evaluate(preds, gts, k: int, miss_threshold: float = MISS_THRESHOLD) -> dict
     for pred, gt in zip(preds, gts):
         if k > len(pred.displacements):
             raise ValueError(f"evaluate: k={k} exceeds {len(pred.displacements)} trajectories")
-        top = _scene_topk(pred, k)
-        ades.append(min(ade(t, gt) for t in top))
-        best_fde = min(fde(t, gt) for t in top)
-        fdes.append(best_fde)
-        misses.append(1.0 if best_fde > miss_threshold else 0.0)
+        a, f, miss = _scene_topk_errors(pred, gt, k, miss_threshold)
+        ades.append(a)
+        fdes.append(f)
+        misses.append(float(miss))
     return {
         "min_ade": float(np.mean(ades)),
         "min_fde": float(np.mean(fdes)),
@@ -98,8 +98,6 @@ def write_scene_csv(path, scene_ids, preds, gts, miss_threshold: float = MISS_TH
         for sid, pred, gt in zip(scene_ids, preds, gts):
             row = [sid]
             for k in (1, min(6, len(pred.displacements))):
-                top = _scene_topk(pred, k)
-                a = min(ade(t, gt) for t in top)
-                f = min(fde(t, gt) for t in top)
-                row.extend([f"{a:.6f}", f"{f:.6f}", int(f > miss_threshold)])
+                a, f, miss = _scene_topk_errors(pred, gt, k, miss_threshold)
+                row.extend([f"{a:.6f}", f"{f:.6f}", int(miss)])
             writer.writerow(row)

@@ -21,7 +21,7 @@ from . import metrics as metrics_mod
 from . import nn
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
-from .indexing import KIND_TARGET, IndexedPointSet, index_scene
+from .indexing import KIND_TARGET, IndexedPointSet, index_scene, plan_scene
 from .optim import AdamState, adam_init, adam_step, lr_at_epoch
 from .scenes import AugConfig, NormalizedScene, RawScene, augment, normalize
 from .spatial import init_spatial, spatial_block
@@ -110,10 +110,11 @@ def forward_graph(model: Model, scene: NormalizedScene):
     """Run the network, returning (point set, reg head (1, K*T*2), disp head (1, K))."""
     cfg = model.config
     ps = index_scene(scene, cfg.grid_size)
+    plan = plan_scene(ps, cfg.radii, cfg.intervals)  # every stage shares one topology
     x = nn.apply_mlp(model.embed, ad.constant(point_embedding(ps, cfg.history_steps)))
     for sp, tp in zip(model.spatial, model.temporal):
-        x = spatial_block(ps, x, sp)
-        x = temporal_block(ps, x, tp)
+        x = spatial_block(plan, x, sp)
+        x = temporal_block(plan, x, tp)
     # drop map rows, pool the target agent's rows into one vector
     target_rows = np.flatnonzero(ps.kind == KIND_TARGET)
     pooled = ad.mean_rows(ad.gather_rows(x, target_rows))
@@ -141,8 +142,7 @@ def forward(model: Model, scene: NormalizedScene) -> PredictionSet:
 
 def select_best(pred: PredictionSet, gt: np.ndarray) -> int:
     """Index of the trajectory with the smallest endpoint error (ties: lowest)."""
-    err = np.linalg.norm(pred.trajectories[:, -1, :] - gt[-1], axis=1)
-    return int(np.argmin(err))
+    return int(np.argmin(displacement_targets(pred, gt)))
 
 
 def loss_reg(reg: Tensor, gt: np.ndarray, k_star: int, config: ModelConfig) -> Tensor:

@@ -17,45 +17,9 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .indexing import GroupTable, IndexedPointSet, build_groups_by_voxel, match_coords
-
-# 3x3 kernel tap order is fixed; the center tap is index 4
-CONV_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-CENTER_TAP = CONV_OFFSETS.index((0, 0))
-# the 2x2 cells whose centers surround a point, from its lower-left one
-INTERP_CORNERS = [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-@dataclass
-class SparseGrid:
-    """Occupied voxel coordinates with one feature row each."""
-
-    coords: np.ndarray  # (G, 2) int64, distinct
-    feats: Tensor       # (G, C)
-    grid_size: float
-
-
-# ---------------------------------------------------------------------------
-# neighborhood search
-
-
-def radius_pairs(points, radius: float):
-    """All (center, neighbor) pairs within ``radius`` (inclusive), self included.
-
-    Bucketed by hashing points into cells of size ``radius`` and probing the
-    3x3 cell neighborhood through :func:`match_coords`; pairs come out sorted
-    by (center, neighbor).
-    """
-    points = np.asarray(points, dtype=np.float64)
-    cells = np.floor(points / radius).astype(np.int64)
-    probes = (cells[:, None, :] + np.asarray(CONV_OFFSETS)).reshape(-1, 2)  # center-major
-    probe, cand = match_coords(cells, probes)
-    centers = probe // len(CONV_OFFSETS)
-    d = points[cand] - points[centers]
-    keep = (d * d).sum(axis=1) <= radius * radius
-    centers, cand = centers[keep], cand[keep]
-    by_center_then_neighbor = np.lexsort((cand, centers))
-    return centers[by_center_then_neighbor], cand[by_center_then_neighbor]
+# radius_pairs lives beside the other lookups that plan_scene calls; it is
+# re-exported so callers and span tracers keep finding it as spatial.radius_pairs
+from .indexing import CENTER_TAP, ScenePlan, radius_pairs  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +40,6 @@ class BottleneckParams:
 
 @dataclass
 class SpatialParams:
-    radii: tuple
     radius_mlps: list            # one MLP per radius
     pointwise_out: list          # fuses per-radius outputs
     blocks: list                 # BottleneckParams stack
@@ -132,50 +95,30 @@ def init_spatial(reg, name, c_in, cfg, rng) -> SpatialParams:
         reg, f"{name}/fuse", [cfg.pointwise_width + cfg.voxel_width, cfg.spatial_width],
         rng, final_norm=True, final_act=True,
     )
-    return SpatialParams(tuple(cfg.radii), radius_mlps, pointwise_out, blocks, interp_mlp, fuse)
+    return SpatialParams(radius_mlps, pointwise_out, blocks, interp_mlp, fuse)
 
 
 # ---------------------------------------------------------------------------
 # forward ops
 
 
-def pointwise_learning(ps: IndexedPointSet, feats: Tensor, params: SpatialParams) -> Tensor:
+def pointwise_learning(plan: ScenePlan, feats: Tensor, params: SpatialParams) -> Tensor:
     """Multi-radius neighborhood feature learning; keeps all N points."""
-    if not params.radii:
+    if not plan.neighborhoods:
         raise ValueError("pointwise_learning: empty radius list")
+    if len(plan.neighborhoods) != len(params.radius_mlps):
+        raise ValueError("pointwise_learning: plan and params have different radius counts")
     per_radius = []
-    for radius, mlp in zip(params.radii, params.radius_mlps):
-        centers, nbrs = radius_pairs(ps.points, radius)
-        rel = ps.points[nbrs] - ps.points[centers]
+    for (nbrs, rel, by_center), mlp in zip(plan.neighborhoods, params.radius_mlps):
         pair_feats = ad.concat_cols(ad.gather_rows(feats, nbrs), ad.constant(rel))
         h = nn.apply_mlp(mlp, pair_feats)
-        # every point pairs with itself, so group ids are point indices
-        per_radius.append(ad.scatter_max(h, GroupTable.from_group_of(centers, len(ps))))
+        per_radius.append(ad.scatter_max(h, by_center))
     return nn.apply_mlp(params.pointwise_out, ad.concat_cols_all(per_radius))
 
 
-def ftp_point_to_voxel(ps: IndexedPointSet, feats: Tensor, groups: GroupTable | None = None) -> SparseGrid:
-    """Scatter pointwise features into their voxels, reducing by mean."""
-    if groups is None:
-        groups = build_groups_by_voxel(ps)
-    coords = ps.voxels[groups.order[groups.offsets[:-1]]]
-    return SparseGrid(coords=coords, feats=ad.scatter_mean(feats, groups), grid_size=ps.grid_size)
-
-
-def _conv_pairs(grid: SparseGrid):
-    """Per-tap (out_row, in_row) lists for the 3x3 submanifold convolution.
-
-    This is the kernel map: tap k pairs each occupied voxel with the occupied
-    voxel at its coordinate plus ``CONV_OFFSETS[k]``, out rows ascending. The
-    center tap is the identity pairing and is given as None.
-    """
-    taps = np.asarray(CONV_OFFSETS)
-    probe, ins = match_coords(grid.coords, (grid.coords + taps[:, None, :]).reshape(-1, 2))
-    tap, outs = np.divmod(probe, len(grid.coords))  # probes are tap-major
-    bounds = np.searchsorted(tap, np.arange(len(taps) + 1))
-    pairs = [(outs[lo:hi], ins[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    pairs[CENTER_TAP] = None
-    return pairs
+def ftp_point_to_voxel(plan: ScenePlan, feats: Tensor) -> Tensor:
+    """Scatter pointwise features into their voxels (``plan.voxel_coords`` rows) by mean."""
+    return ad.scatter_mean(feats, plan.by_voxel)
 
 
 def _submanifold_conv(x: Tensor, pairs, block: BottleneckParams) -> Tensor:
@@ -193,13 +136,12 @@ def _submanifold_conv(x: Tensor, pairs, block: BottleneckParams) -> Tensor:
     return out
 
 
-def sparse_bottleneck(grid: SparseGrid, params: SpatialParams) -> SparseGrid:
-    """Stacked submanifold bottleneck blocks; occupancy is preserved."""
-    pairs = _conv_pairs(grid)
+def sparse_bottleneck(kernel_map, feats: Tensor, params: SpatialParams) -> Tensor:
+    """Stacked submanifold bottleneck blocks over voxel rows; occupancy is preserved."""
+    x = feats
     for block in params.blocks:
-        x = grid.feats
         h = nn.apply_mlp([block.reduce], x)
-        h = _submanifold_conv(h, pairs, block)
+        h = _submanifold_conv(h, kernel_map, block)
         h = ad.relu(ad.layer_norm(h, block.conv_norm.gain, block.conv_norm.bias))
         h = ad.linear(h, block.expand.w, block.expand.b)
         h = ad.layer_norm(h, block.expand_norm.gain, block.expand_norm.bias)
@@ -208,11 +150,11 @@ def sparse_bottleneck(grid: SparseGrid, params: SpatialParams) -> SparseGrid:
             s = ad.layer_norm(s, block.skip_norm.gain, block.skip_norm.bias)
         else:
             s = x
-        grid = SparseGrid(grid.coords, ad.relu(ad.add(h, s)), grid.grid_size)
-    return grid
+        x = ad.relu(ad.add(h, s))
+    return x
 
 
-def interp_voxel_to_point(grid: SparseGrid, ps: IndexedPointSet, params: SpatialParams) -> Tensor:
+def interp_voxel_to_point(plan: ScenePlan, voxel_feats: Tensor, params: SpatialParams) -> Tensor:
     """Learnable interpolation from the <=4 nearest occupied voxels per point.
 
     Candidates are the 2x2 cell neighborhood whose centers surround the
@@ -220,13 +162,11 @@ def interp_voxel_to_point(grid: SparseGrid, ps: IndexedPointSet, params: Spatial
     voxel is always occupied and always among the four. An MLP on
     [offset-to-center, voxel feature] produces logits, softmaxed per point.
     """
-    cand_point, cand_row = _interp_candidates(grid, ps.points)
-    centers = (grid.coords[cand_row] + 0.5) * grid.grid_size
-    delta = ps.points[cand_point] - centers
-    vox_feats = ad.gather_rows(grid.feats, cand_row)
-    logits = nn.apply_mlp(params.interp_mlp, ad.concat_cols(ad.constant(delta), vox_feats))
+    vox_feats = ad.gather_rows(voxel_feats, plan.interp_rows)
+    delta = ad.constant(plan.interp_delta)
+    logits = nn.apply_mlp(params.interp_mlp, ad.concat_cols(delta, vox_feats))
 
-    groups = GroupTable.from_group_of(cand_point, len(ps))
+    groups = plan.by_point
     counts = ad.constant(groups.counts().astype(np.float64)[:, None])
     m = ad.scatter_max(logits, groups)
     z = ad.exp(ad.sub(logits, ad.gather_rows(m, groups.group_of)))
@@ -236,21 +176,13 @@ def interp_voxel_to_point(grid: SparseGrid, ps: IndexedPointSet, params: Spatial
     return ad.mul(ad.scatter_mean(weighted, groups), _tile_cols(counts, weighted.data.shape[1]))
 
 
-def _interp_candidates(grid: SparseGrid, points):
-    """(point, voxel row) pairs over the occupied 2x2 cells around each point, point-major."""
-    base = np.floor(points / grid.grid_size - 0.5).astype(np.int64)
-    probes = (base[:, None, :] + np.asarray(INTERP_CORNERS)).reshape(-1, 2)
-    probe, cand_row = match_coords(grid.coords, probes)
-    return probe // len(INTERP_CORNERS), cand_row
-
-
 def _tile_cols(col: Tensor, n_cols: int) -> Tensor:
     return ad.constant(np.repeat(col.data, n_cols, axis=1))
 
 
-def spatial_block(ps: IndexedPointSet, feats: Tensor, params: SpatialParams) -> Tensor:
+def spatial_block(plan: ScenePlan, feats: Tensor, params: SpatialParams) -> Tensor:
     """Pointwise and voxelwise branches over the block input, fused by concat."""
-    p = pointwise_learning(ps, feats, params)
-    grid = sparse_bottleneck(ftp_point_to_voxel(ps, feats), params)
-    v = interp_voxel_to_point(grid, ps, params)
+    p = pointwise_learning(plan, feats, params)
+    v = sparse_bottleneck(plan.kernel_map, ftp_point_to_voxel(plan, feats), params)
+    v = interp_voxel_to_point(plan, v, params)
     return nn.apply_mlp(params.fuse, ad.concat_cols(p, v))

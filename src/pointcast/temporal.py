@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .indexing import IndexedPointSet, build_groups_by_instance, regroup_by_interval
+from .indexing import ScenePlan
 
 
 @dataclass
 class TemporalParams:
-    intervals: tuple
     interval_mlps: list  # one MLP per interval
     pool_mlp: list       # pre-pooling transform
     pool_proj: list      # projection after concat with the pooled feature
@@ -39,22 +38,23 @@ def init_temporal(reg, name, c_in, cfg, rng) -> TemporalParams:
                             rng, final_norm=True, final_act=True)
     out_proj = nn.init_mlp(reg, f"{name}/out", [cfg.temporal_width, cfg.temporal_width],
                            rng, final_norm=True, final_act=True)
-    return TemporalParams(tuple(cfg.intervals), interval_mlps, pool_mlp, pool_proj, out_proj)
+    return TemporalParams(interval_mlps, pool_mlp, pool_proj, out_proj)
 
 
-def multi_interval(ps: IndexedPointSet, feats: Tensor, intervals, interval_mlps) -> Tensor:
-    """Progressive group-transform-pool-slice-concat over the interval ladder.
+def multi_interval(plan: ScenePlan, feats: Tensor, interval_mlps) -> Tensor:
+    """Progressive group-transform-pool-slice-concat over the plan's interval ladder.
 
     For each interval t: points regroup by (instance, floor(time / t)); the
     per-point features pass through that interval's MLP; group means propagate
     back to points by slicing, and concatenate with the transformed features
     as input to the next interval.
     """
-    if not intervals:
+    if not plan.by_interval:
         raise ValueError("multi_interval: empty interval list")
+    if len(plan.by_interval) != len(interval_mlps):
+        raise ValueError("multi_interval: plan and params have different interval counts")
     o_p = feats
-    for interval, mlp in zip(intervals, interval_mlps):
-        groups = regroup_by_interval(ps, interval)
+    for groups, mlp in zip(plan.by_interval, interval_mlps):
         f_t = nn.apply_mlp(mlp, o_p)
         o = ad.scatter_mean(f_t, groups)
         o_p = ad.gather_rows(o, groups.group_of)
@@ -62,15 +62,15 @@ def multi_interval(ps: IndexedPointSet, feats: Tensor, intervals, interval_mlps)
     return o_p
 
 
-def instance_pool(ps: IndexedPointSet, feats: Tensor, pool_mlp, pool_proj) -> Tensor:
+def instance_pool(plan: ScenePlan, feats: Tensor, pool_mlp, pool_proj) -> Tensor:
     """Max-pool transformed features per instance and concat back to each point."""
-    groups = build_groups_by_instance(ps)
+    groups = plan.by_instance
     pooled = ad.scatter_max(nn.apply_mlp(pool_mlp, feats), groups)
     per_point = ad.gather_rows(pooled, groups.group_of)
     return nn.apply_mlp(pool_proj, ad.concat_cols(feats, per_point))
 
 
-def temporal_block(ps: IndexedPointSet, feats: Tensor, params: TemporalParams) -> Tensor:
-    x = multi_interval(ps, feats, params.intervals, params.interval_mlps)
-    x = instance_pool(ps, x, params.pool_mlp, params.pool_proj)
+def temporal_block(plan: ScenePlan, feats: Tensor, params: TemporalParams) -> Tensor:
+    x = multi_interval(plan, feats, params.interval_mlps)
+    x = instance_pool(plan, x, params.pool_mlp, params.pool_proj)
     return nn.apply_mlp(params.out_proj, x)

@@ -38,7 +38,9 @@ from pointcast.indexing import (
     build_groups_by_instance,
     build_groups_by_voxel,
     group_by_keys,
+    kernel_map,
     pack_pair,
+    plan_scene,
     regroup_by_interval,
     voxelize,
 )
@@ -53,7 +55,6 @@ from pointcast.network import (
 )
 from pointcast.scenes import AgentTrack, MapElement, RawScene
 from pointcast.spatial import (
-    SparseGrid,
     init_spatial,
     radius_pairs,
     sparse_bottleneck,
@@ -198,7 +199,7 @@ def test_criterion_01_gradient_suite():
     # relu kinks at these frozen seeds)
     for seed in range(100):
         rng = np.random.default_rng([2, seed])
-        ps = tiny_ps(rng)
+        plan = plan_scene(tiny_ps(rng), TINY.radii, TINY.intervals)
         reg = {}
         params = init_spatial(reg, "s", 4, TINY, rng)
         jitter_params(reg, rng)
@@ -206,7 +207,7 @@ def test_criterion_01_gradient_suite():
         r = ad.constant(rng.normal(size=(6, TINY.spatial_width)))
 
         def sp_loss():
-            return ad.sum_all(ad.mul(spatial_block(ps, feats, params), r))
+            return ad.sum_all(ad.mul(spatial_block(plan, feats, params), r))
 
         names = sorted(reg)
         leaves = [feats] + [reg[names[int(i)]] for i in rng.choice(len(names), 2, replace=False)]
@@ -217,7 +218,7 @@ def test_criterion_01_gradient_suite():
     # temporal block
     for seed in range(100):
         rng = np.random.default_rng([3, seed])
-        ps = tiny_ps(rng)
+        plan = plan_scene(tiny_ps(rng), TINY.radii, TINY.intervals)
         reg = {}
         params = init_temporal(reg, "t", 4, TINY, rng)
         jitter_params(reg, rng)
@@ -225,7 +226,7 @@ def test_criterion_01_gradient_suite():
         r = ad.constant(rng.normal(size=(6, TINY.temporal_width)))
 
         def tp_loss():
-            return ad.sum_all(ad.mul(temporal_block(ps, feats, params), r))
+            return ad.sum_all(ad.mul(temporal_block(plan, feats, params), r))
 
         names = sorted(reg)
         leaves = [feats] + [reg[names[int(i)]] for i in rng.choice(len(names), 2, replace=False)]
@@ -356,9 +357,9 @@ def test_criterion_03_ftp_conservation():
             instance_ids=["0"], target_instance=0,
         )
         feats = ad.parameter(rng.normal(size=(n, 5)))
-        grid = ftp_point_to_voxel(ps, feats)
+        vox = ftp_point_to_voxel(plan_scene(ps, TINY.radii, TINY.intervals), feats)
         counts = build_groups_by_voxel(ps).counts()[:, None]
-        residual = np.abs((grid.feats.data * counts).sum(0) - feats.data.sum(0)).max()
+        residual = np.abs((vox.data * counts).sum(0) - feats.data.sum(0)).max()
         assert residual <= 1e-9, residual
     report("criterion 3: voxel mean-propagation conservation", "200 fixtures, <=1e-9")
 
@@ -405,13 +406,10 @@ def test_criterion_05_dense_equivalence():
         params = init_spatial(reg, "d", 4, TINY, np.random.default_rng([5, side]))
         coords = np.array([[i, j] for i in range(side) for j in range(side)], dtype=np.int64)
         feats = rng.normal(size=(side * side, 4))
-        grid = SparseGrid(
-            coords=coords, feats=ad.constant(feats), grid_size=0.5,
-        )
-        out = sparse_bottleneck(grid, params)
+        out = sparse_bottleneck(kernel_map(coords), ad.constant(feats), params)
         ref = dense_bottleneck_oracle(feats.reshape(side, side, 4), params)
-        assert np.abs(out.feats.data - ref.reshape(side * side, -1)).max() <= 1e-9
-        assert np.array_equal(out.coords, coords)
+        assert np.abs(out.data - ref.reshape(side * side, -1)).max() <= 1e-9
+        assert out.data.shape[0] == len(coords)
     report("criterion 5: submanifold bottleneck matches dense oracle", "grids 1x1..8x8")
 
 
@@ -463,13 +461,14 @@ def test_criterion_07_dynamic_lengths():
     for trial in range(10):
         trng = np.random.default_rng([7, trial])
         ps = tiny_ps(trng, n=12, n_instances=3)
+        plan = plan_scene(ps, TINY.radii, TINY.intervals)
         reg = {}
         params = init_temporal(reg, "t", 4, TINY, trng)
         feats = trng.normal(size=(12, 4))
-        base = temporal_block(ps, ad.constant(feats), params).data
+        base = temporal_block(plan, ad.constant(feats), params).data
         bumped = feats.copy()
         bumped[ps.instance == 0] += trng.normal(size=bumped[ps.instance == 0].shape)
-        out = temporal_block(ps, ad.constant(bumped), params).data
+        out = temporal_block(plan, ad.constant(bumped), params).data
         others = ps.instance != 0
         assert np.array_equal(out[others], base[others])
     report("criterion 7: dynamic lengths {1,3,7,20} + exact instance isolation")

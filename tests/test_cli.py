@@ -260,6 +260,35 @@ def test_predict_truncated_checkpoint_exit3(tmp_path, trained, capsys, cut_bytes
     assert "model.bin" in capsys.readouterr().err
 
 
+def _nan_checkpoint(ckpt, out_dir):
+    """A copy of ``ckpt`` with one NaN written into the regression head's bias."""
+    out_dir.mkdir()
+    manifest = json.loads(ckpt.read_text())
+    values = np.frombuffer(ckpt.with_suffix(".bin").read_bytes(), dtype="<f8").copy()
+    entry = next(e for e in manifest["arrays"] if e["name"] == "params/head/reg/l1/b")
+    values[entry["offset"]] = np.nan
+    (out_dir / "model.json").write_text(ckpt.read_text())
+    (out_dir / "model.bin").write_bytes(values.tobytes())
+    return out_dir / "model.json"
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "train"])
+def test_non_finite_checkpoint_exit3(tmp_path, trained, capsys, command):
+    tmp, data, ckpt = trained
+    bad = str(_nan_checkpoint(ckpt, tmp_path / "bad"))
+    argv = {
+        "predict": ["predict", "--ckpt", bad, "--scene", str(sorted(data.glob("syn-*.json"))[0]),
+                    "--out", str(tmp_path / "pred.json")],
+        "eval": ["eval", "--config", str(tmp / "c.json"), "--ckpt", bad, "--data", str(data)],
+        "train": ["train", "--config", str(tmp / "c.json"), "--resume", bad, "--epochs", "2",
+                  "--out", str(tmp_path / "resumed")],
+    }[command]
+    assert cli.main(argv) == 3
+    assert "params/head/reg/l1/b" in capsys.readouterr().err
+    assert not (tmp_path / "pred.json").exists()
+    assert not (tmp_path / "resumed" / "model.json").exists()
+
+
 def _corrupt_nontarget_point(doc):
     other = next(a for a in doc["agents"] if a["id"] != doc["target_id"])
     other["points"][0][1] = float("nan")

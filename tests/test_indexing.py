@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import brute_csr, brute_group_by_keys
+from conftest import (
+    brute_conv_pairs,
+    brute_csr,
+    brute_group_by_keys,
+    brute_radius_pairs,
+    dict_interp_candidates,
+)
 
 from pointcast import gen_synthetic, index_scene, normalize, voxelize
 from pointcast.indexing import (
+    CENTER_TAP,
+    CONV_OFFSETS,
     KIND_MAP,
     KIND_OTHER,
     KIND_TARGET,
@@ -13,6 +21,7 @@ from pointcast.indexing import (
     build_groups_by_voxel,
     group_by_keys,
     pack_pair,
+    plan_scene,
     regroup_by_interval,
 )
 from pointcast.scenes import AgentTrack, MapElement, NormalizedScene, Frame
@@ -274,3 +283,51 @@ def test_index_scene_on_synthetic():
     n_map_pts = sum(len(m.xy) for m in scene.map_elements)
     assert len(ps) == n_agent_pts + n_map_pts
     assert np.all(ps.time[ps.kind == KIND_MAP] == 0)
+
+
+# ---------------------------------------------------------------------------
+# scene plan
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scene_plan_matches_bruteforce(seed):
+    # normalized synthetic scenes span negative and positive coordinates
+    ps = index_scene(normalize(gen_synthetic(1, seed=seed)[0]), 0.2)
+    assert ps.voxels.min() < 0 < ps.voxels.max()
+    radii, intervals = (0.4, 1.6), (2, 4, 8)
+    plan = plan_scene(ps, radii, intervals)
+
+    assert len(plan.neighborhoods) == len(radii)
+    for radius, (rows, rel, by_center) in zip(radii, plan.neighborhoods):
+        centers, nbrs = brute_radius_pairs(ps.points, radius)
+        np.testing.assert_array_equal(by_center.group_of, centers)
+        np.testing.assert_array_equal(rows, nbrs)
+        np.testing.assert_array_equal(rel, ps.points[nbrs] - ps.points[centers])
+        assert by_center.n_groups == len(ps)
+
+    ref_vox, ref_members = brute_group_by_keys(pack_pair(ps.voxels[:, 0], ps.voxels[:, 1]))
+    np.testing.assert_array_equal(plan.by_voxel.group_of, ref_vox)
+    for g, members in enumerate(ref_members):
+        np.testing.assert_array_equal(plan.voxel_coords[g], ps.voxels[members[0]])
+
+    ref_map = brute_conv_pairs(plan.voxel_coords, CONV_OFFSETS)
+    for k, (pair, (outs, ins)) in enumerate(zip(plan.kernel_map, ref_map)):
+        if k == CENTER_TAP:
+            assert pair is None
+        else:
+            np.testing.assert_array_equal(pair[0], outs)
+            np.testing.assert_array_equal(pair[1], ins)
+
+    cand_point, cand_row = dict_interp_candidates(plan.voxel_coords, ps.points, ps.grid_size)
+    np.testing.assert_array_equal(plan.by_point.group_of, cand_point)
+    np.testing.assert_array_equal(plan.interp_rows, cand_row)
+    centers = (plan.voxel_coords[cand_row] + 0.5) * ps.grid_size
+    np.testing.assert_array_equal(plan.interp_delta, ps.points[cand_point] - centers)
+
+    assert len(plan.by_interval) == len(intervals)
+    for interval, table in zip(intervals, plan.by_interval):
+        ref, _ = brute_group_by_keys(
+            [(int(i), int(t) // interval) for i, t in zip(ps.instance, ps.time)]
+        )
+        np.testing.assert_array_equal(table.group_of, ref)
+    np.testing.assert_array_equal(plan.by_instance.group_of, brute_group_by_keys(ps.instance)[0])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from pointcast import (
     rank_trajectories,
     select_best,
 )
-from pointcast import network
+from pointcast import indexing, network, spatial
 from pointcast.indexing import KIND_MAP, index_scene
 from pointcast.scenes import MapElement
 from pointcast.network import (
@@ -379,3 +381,31 @@ def test_train_logs_metrics(tmp_path):
     for key in ("epoch", "lr", "train_loss", "minADE6", "minFDE6", "MR6",
                 "minADE1", "minFDE1", "MR1", "wall_seconds"):
         assert key in entry
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap ``fn`` at every pointcast module attribute bound to it; returns the call list."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pointcast" or name.startswith("pointcast."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n_stages", [1, 4])
+def test_forward_builds_topology_once_per_scene(monkeypatch, n_stages):
+    cfg = ModelConfig(n_stages=n_stages)  # the default recipe at 1 and 4 stages
+    model = init_model(cfg, seed=0)
+    scene = normalize(gen_synthetic(1, seed=3, future_steps=cfg.future_steps)[0])
+    radius_calls = _count_calls(monkeypatch, spatial.radius_pairs)
+    group_calls = _count_calls(monkeypatch, indexing.group_by_keys)
+    forward_graph(model, scene)
+    assert len(radius_calls) == len(cfg.radii)
+    assert len(group_calls) == len(cfg.intervals) + 2  # voxels, each interval, instances

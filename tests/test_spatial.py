@@ -10,13 +10,18 @@ from conftest import (
 )
 
 from pointcast import ModelConfig, autodiff as ad
-from pointcast.indexing import IndexedPointSet, build_groups_by_voxel, match_coords, voxelize
-from pointcast.spatial import (
+from pointcast.indexing import (
     CENTER_TAP,
     CONV_OFFSETS,
-    SparseGrid,
-    _conv_pairs,
-    _interp_candidates,
+    IndexedPointSet,
+    build_groups_by_voxel,
+    interp_candidates,
+    kernel_map,
+    match_coords,
+    plan_scene,
+    voxelize,
+)
+from pointcast.spatial import (
     ftp_point_to_voxel,
     init_spatial,
     interp_voxel_to_point,
@@ -55,6 +60,10 @@ def make_ps(points, grid_size=0.5):
         instance_ids=["0"],
         target_instance=0,
     )
+
+
+def plan_of(ps, radii=TINY.radii):
+    return plan_scene(ps, radii, TINY.intervals)
 
 
 def permute_ps(ps, perm):
@@ -115,8 +124,8 @@ def test_pointwise_isolated_point_depends_only_on_self(rng):
     pts_b = np.array([[0.0, 0.0], [40.0, -40.0], [41.0, -41.0]])
     feats_b = feats.copy()
     feats_b[1:] = rng.normal(size=(2, 4))
-    out_a = pointwise_learning(make_ps(pts_a), ad.constant(feats), params)
-    out_b = pointwise_learning(make_ps(pts_b), ad.constant(feats_b), params)
+    out_a = pointwise_learning(plan_of(make_ps(pts_a)), ad.constant(feats), params)
+    out_b = pointwise_learning(plan_of(make_ps(pts_b)), ad.constant(feats_b), params)
     np.testing.assert_allclose(out_a.data[0], out_b.data[0], atol=1e-12)
 
 
@@ -125,7 +134,7 @@ def test_pointwise_identical_points_identical_rows(rng):
     pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.5, 2.5]])
     feats = rng.normal(size=(3, 4))
     feats[1] = feats[0]
-    out = pointwise_learning(make_ps(pts), ad.constant(feats), params)
+    out = pointwise_learning(plan_of(make_ps(pts)), ad.constant(feats), params)
     np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-12)
 
 
@@ -134,17 +143,24 @@ def test_pointwise_permutation_equivariance(rng):
     pts = rng.uniform(-2, 2, size=(12, 2))
     feats = rng.normal(size=(12, 4))
     ps = make_ps(pts)
-    out = pointwise_learning(ps, ad.constant(feats), params).data
+    out = pointwise_learning(plan_of(ps), ad.constant(feats), params).data
     perm = rng.permutation(12)
-    out_p = pointwise_learning(permute_ps(ps, perm), ad.constant(feats[perm]), params).data
+    out_p = pointwise_learning(plan_of(permute_ps(ps, perm)), ad.constant(feats[perm]), params).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
 def test_pointwise_empty_radii_rejected(rng):
     params, _ = tiny_params()
-    params.radii = ()
     with pytest.raises(ValueError):
-        pointwise_learning(make_ps(np.zeros((1, 2))), ad.constant(np.zeros((1, 4))), params)
+        pointwise_learning(plan_of(make_ps(np.zeros((1, 2))), radii=()),
+                           ad.constant(np.zeros((1, 4))), params)
+
+
+def test_pointwise_rejects_plan_of_other_radius_count():
+    params, _ = tiny_params()
+    with pytest.raises(ValueError):
+        pointwise_learning(plan_of(make_ps(np.zeros((1, 2))), radii=(0.6, 1.2, 2.4)),
+                           ad.constant(np.zeros((1, 4))), params)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +170,17 @@ def test_pointwise_empty_radii_rejected(rng):
 def test_ftp_mean_of_shared_voxel():
     ps = make_ps(np.array([[0.1, 0.1], [0.2, 0.2]]))  # same cell at grid 0.5
     feats = ad.constant(np.array([[1.0, 3.0], [3.0, 5.0]]))
-    grid = ftp_point_to_voxel(ps, feats)
-    assert grid.coords.shape == (1, 2)
-    np.testing.assert_array_equal(grid.feats.data, [[2.0, 4.0]])
+    plan = plan_of(ps)
+    vox = ftp_point_to_voxel(plan, feats)
+    assert plan.voxel_coords.shape == (1, 2)
+    np.testing.assert_array_equal(vox.data, [[2.0, 4.0]])
 
 
 def test_ftp_identity_when_distinct(rng):
     pts = np.arange(12, dtype=np.float64).reshape(6, 2) * 3.0
     feats = rng.normal(size=(6, 3))
-    grid = ftp_point_to_voxel(make_ps(pts), ad.constant(feats))
-    np.testing.assert_array_equal(grid.feats.data, feats)
+    vox = ftp_point_to_voxel(plan_of(make_ps(pts)), ad.constant(feats))
+    np.testing.assert_array_equal(vox.data, feats)
 
 
 def test_ftp_conservation_through_graph(rng):
@@ -172,19 +189,19 @@ def test_ftp_conservation_through_graph(rng):
         pts = rng.uniform(-3, 3, size=(n, 2))
         feats = ad.parameter(rng.normal(size=(n, 4)))
         ps = make_ps(pts)
-        grid = ftp_point_to_voxel(ps, feats)
+        vox = ftp_point_to_voxel(plan_of(ps), feats)
         counts = build_groups_by_voxel(ps).counts()[:, None]
         np.testing.assert_allclose(
-            (grid.feats.data * counts).sum(axis=0), feats.data.sum(axis=0), atol=1e-9
+            (vox.data * counts).sum(axis=0), feats.data.sum(axis=0), atol=1e-9
         )
 
 
 def test_ftp_coords_match_hash():
     ps = make_ps(np.array([[0.1, 0.1], [5.0, 5.0], [0.3, 0.3]]))
-    grid = ftp_point_to_voxel(ps, ad.constant(np.zeros((3, 2))))
-    probe, rows = match_coords(grid.coords, grid.coords)
-    np.testing.assert_array_equal(probe, np.arange(len(grid.coords)))
-    np.testing.assert_array_equal(rows, np.arange(len(grid.coords)))
+    coords = plan_of(ps).voxel_coords
+    probe, rows = match_coords(coords, coords)
+    np.testing.assert_array_equal(probe, np.arange(len(coords)))
+    np.testing.assert_array_equal(rows, np.arange(len(coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,31 +229,26 @@ def test_bottleneck_zero_kernels_identity_skip(rng):
     zero_block_params(params)
     ps = make_ps(rng.uniform(-2, 2, size=(7, 2)))
     feats = ad.constant(rng.normal(size=(7, TINY.voxel_width)))
-    grid = ftp_point_to_voxel(ps, feats)
-    out = sparse_bottleneck(grid, params)
-    np.testing.assert_allclose(out.feats.data, np.maximum(grid.feats.data, 0.0), atol=1e-12)
+    plan = plan_of(ps)
+    vox = ftp_point_to_voxel(plan, feats)
+    out = sparse_bottleneck(plan.kernel_map, vox, params)
+    np.testing.assert_allclose(out.data, np.maximum(vox.data, 0.0), atol=1e-12)
 
 
 def test_bottleneck_single_voxel_is_center_tap(rng):
-    from pointcast.spatial import CENTER_TAP, _conv_pairs, _submanifold_conv
+    from pointcast.spatial import _submanifold_conv
 
     params, _ = tiny_params(c_in=4)
     blk = params.blocks[0]
-    grid = SparseGrid(
-        coords=np.array([[3, -2]]),
-        feats=ad.constant(rng.normal(size=(1, 4))),
-        grid_size=0.5,
-    )
     x = ad.constant(rng.normal(size=(1, 4)))
-    got = _submanifold_conv(x, _conv_pairs(grid), blk)
+    got = _submanifold_conv(x, kernel_map(np.array([[3, -2]])), blk)
     want = ad.linear(x, blk.conv_w[CENTER_TAP], blk.conv_b)
     np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
 
 def assert_conv_pairs_match_bruteforce(coords):
     coords = np.asarray(coords, dtype=np.int64)
-    grid = SparseGrid(coords=coords, feats=ad.constant(np.zeros((len(coords), 1))), grid_size=0.5)
-    got = _conv_pairs(grid)
+    got = kernel_map(coords)
     ref = brute_conv_pairs(coords, CONV_OFFSETS)
     assert len(got) == len(CONV_OFFSETS) and got[CENTER_TAP] is None
     for k, (pair, (outs, ins)) in enumerate(zip(got, ref)):
@@ -315,15 +327,10 @@ def test_bottleneck_dense_equivalence(side, rng):
     params, _ = tiny_params(c_in=4, seed=3)
     coords = np.array([[i, j] for i in range(side) for j in range(side)], dtype=np.int64)
     feats = rng.normal(size=(side * side, 4))
-    grid = SparseGrid(
-        coords=coords,
-        feats=ad.constant(feats),
-        grid_size=0.5,
-    )
-    out = sparse_bottleneck(grid, params)
+    out = sparse_bottleneck(kernel_map(coords), ad.constant(feats), params)
     ref = dense_bottleneck_oracle(feats.reshape(side, side, 4), params)
-    np.testing.assert_allclose(out.feats.data, ref.reshape(side * side, -1), atol=1e-9)
-    np.testing.assert_array_equal(out.coords, grid.coords)  # occupancy preserved
+    np.testing.assert_allclose(out.data, ref.reshape(side * side, -1), atol=1e-9)
+    assert out.data.shape[0] == len(coords)  # occupancy preserved
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +339,10 @@ def test_bottleneck_dense_equivalence(side, rng):
 
 def test_interp_single_voxel_weight_one(rng):
     params, _ = tiny_params()
-    ps = make_ps(np.array([[0.2, 0.2]]))
-    grid = ftp_point_to_voxel(ps, ad.constant(rng.normal(size=(1, 4))))
-    out = interp_voxel_to_point(grid, ps, params)
-    np.testing.assert_allclose(out.data, grid.feats.data, atol=1e-12)
+    plan = plan_of(make_ps(np.array([[0.2, 0.2]])))
+    vox = ftp_point_to_voxel(plan, ad.constant(rng.normal(size=(1, 4))))
+    out = interp_voxel_to_point(plan, vox, params)
+    np.testing.assert_allclose(out.data, vox.data, atol=1e-12)
 
 
 def test_interp_zero_mlp_uniform_weights(rng):
@@ -347,10 +354,9 @@ def test_interp_zero_mlp_uniform_weights(rng):
             layer.norm.bias.data[:] = 0
     # point at a voxel center with all four 2x2 candidates occupied
     pts = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
-    ps = make_ps(pts)
+    plan = plan_of(make_ps(pts))
     feats = rng.normal(size=(4, 4))
-    grid = ftp_point_to_voxel(ps, ad.constant(feats))
-    out = interp_voxel_to_point(grid, ps, params)
+    out = interp_voxel_to_point(plan, ftp_point_to_voxel(plan, ad.constant(feats)), params)
     np.testing.assert_allclose(out.data[0], feats.mean(axis=0), atol=1e-12)
 
 
@@ -358,10 +364,10 @@ def test_interp_candidates_match_dict_loop(rng):
     for _ in range(30):
         n = int(rng.integers(1, 60))
         pts = rng.uniform(-3, 3, size=(n, 2))
-        # the grid holds only some of the points, so some probes miss
-        grid = ftp_point_to_voxel(make_ps(pts[: n // 2 + 1]), ad.constant(np.zeros((n // 2 + 1, 1))))
-        got = _interp_candidates(grid, pts)
-        ref = dict_interp_candidates(grid.coords, pts, grid.grid_size)
+        # the voxels hold only some of the points, so some probes miss
+        coords = plan_of(make_ps(pts[: n // 2 + 1])).voxel_coords
+        got = interp_candidates(coords, pts, 0.5)
+        ref = dict_interp_candidates(coords, pts, 0.5)
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
 
@@ -369,14 +375,14 @@ def test_interp_candidates_match_dict_loop(rng):
 def test_interp_gradient_wrt_mlp(rng):
     params, reg = tiny_params(seed=5)
     pts = rng.uniform(-1, 1, size=(6, 2))
-    ps = make_ps(pts)
+    plan = plan_of(make_ps(pts))
     feats = ad.constant(rng.normal(size=(6, 4)))
     target = rng.normal(size=(6, 4))
     leaves = [t for name, t in reg.items() if name.startswith("sp/interp")]
 
     def make_loss():
-        grid = ftp_point_to_voxel(ps, feats)
-        return ad.smooth_l1(interp_voxel_to_point(grid, ps, params), target)
+        vox = ftp_point_to_voxel(plan, feats)
+        return ad.smooth_l1(interp_voxel_to_point(plan, vox, params), target)
 
     check_grads(make_loss, leaves)
 
@@ -390,17 +396,17 @@ def test_spatial_block_shape_and_permutation(rng):
     pts = rng.uniform(-2, 2, size=(10, 2))
     feats = rng.normal(size=(10, 4))
     ps = make_ps(pts)
-    out = spatial_block(ps, ad.constant(feats), params).data
+    out = spatial_block(plan_of(ps), ad.constant(feats), params).data
     assert out.shape == (10, TINY.spatial_width)
     perm = rng.permutation(10)
-    out_p = spatial_block(permute_ps(ps, perm), ad.constant(feats[perm]), params).data
+    out_p = spatial_block(plan_of(permute_ps(ps, perm)), ad.constant(feats[perm]), params).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
 def test_spatial_block_single_point(rng):
     params, _ = tiny_params(seed=8)
-    ps = make_ps(np.array([[0.3, -0.4]]))
-    out = spatial_block(ps, ad.constant(rng.normal(size=(1, 4))), params).data
+    plan = plan_of(make_ps(np.array([[0.3, -0.4]])))
+    out = spatial_block(plan, ad.constant(rng.normal(size=(1, 4))), params).data
     assert out.shape == (1, TINY.spatial_width)
     assert np.all(np.isfinite(out))
 
@@ -408,12 +414,12 @@ def test_spatial_block_single_point(rng):
 def test_spatial_block_end_to_end_gradient(rng):
     params, reg = tiny_params(seed=9)
     pts = spread_values(np.random.default_rng(3), (6, 2), gap=0.3)
-    ps = make_ps(pts)
+    plan = plan_of(make_ps(pts))
     feats = ad.parameter(spread_values(np.random.default_rng(4), (6, 4)))
     target = np.random.default_rng(5).normal(size=(6, TINY.spatial_width))
 
     def make_loss():
-        return ad.smooth_l1(spatial_block(ps, feats, params), target)
+        return ad.smooth_l1(spatial_block(plan, feats, params), target)
 
     sampled = [feats] + [reg[k] for k in sorted(reg)[::5]]
     check_grads(make_loss, sampled)

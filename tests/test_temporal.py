@@ -8,6 +8,7 @@ from pointcast.indexing import (
     KIND_MAP,
     IndexedPointSet,
     build_groups_by_instance,
+    plan_scene,
     voxelize,
 )
 from pointcast.nn import Linear, MLPLayer
@@ -44,6 +45,10 @@ def make_ps(instance, time, kind=None, points=None):
     )
 
 
+def plan_of(ps, intervals=TINY.intervals):
+    return plan_scene(ps, TINY.radii, intervals)
+
+
 def identity_mlp(c):
     return [MLPLayer(Linear(ad.constant(np.eye(c)), ad.constant(np.zeros((1, c)))), None, False)]
 
@@ -73,7 +78,7 @@ def test_mil_single_group_slices_mean(rng):
     # the sliced half equals the per-instance mean of F_t repeated per point
     feats = rng.normal(size=(5, 3))
     ps = make_ps([0] * 5, range(5))
-    out = multi_interval(ps, ad.constant(feats), [8], [identity_mlp(3)]).data
+    out = multi_interval(plan_of(ps, [8]), ad.constant(feats), [identity_mlp(3)]).data
     assert out.shape == (5, 6)
     np.testing.assert_allclose(out[:, :3], np.tile(feats.mean(axis=0), (5, 1)), atol=1e-12)
     np.testing.assert_allclose(out[:, 3:], feats, atol=1e-12)
@@ -83,7 +88,7 @@ def test_mil_output_width_doubles_last_mlp(rng):
     params, _ = tiny_params()
     feats = rng.normal(size=(9, 4))
     ps = make_ps([0] * 9, range(9))
-    out = multi_interval(ps, ad.constant(feats), params.intervals, params.interval_mlps)
+    out = multi_interval(plan_of(ps), ad.constant(feats), params.interval_mlps)
     assert out.data.shape == (9, 2 * TINY.interval_width)
 
 
@@ -93,10 +98,10 @@ def test_mil_no_cross_instance_mixing(rng):
     time = list(range(20)) + list(range(3))
     ps = make_ps(inst, time)
     feats = rng.normal(size=(23, 4))
-    out_a = multi_interval(ps, ad.constant(feats), params.intervals, params.interval_mlps).data
+    out_a = multi_interval(plan_of(ps), ad.constant(feats), params.interval_mlps).data
     zeroed = feats.copy()
     zeroed[20:] = 0.0
-    out_b = multi_interval(ps, ad.constant(zeroed), params.intervals, params.interval_mlps).data
+    out_b = multi_interval(plan_of(ps), ad.constant(zeroed), params.interval_mlps).data
     np.testing.assert_array_equal(out_a[:20], out_b[:20])
 
 
@@ -105,7 +110,7 @@ def test_mil_interval_h_matches_mean_pool_oracle(rng):
     feats = rng.normal(size=(12, 3))
     inst = [0] * 7 + [1] * 5
     ps = make_ps(inst, list(range(7)) + list(range(5)))
-    out = multi_interval(ps, ad.constant(feats), [20], [identity_mlp(3)]).data
+    out = multi_interval(plan_of(ps, [20]), ad.constant(feats), [identity_mlp(3)]).data
     for i in range(12):
         ref = feats[np.asarray(inst) == inst[i]].mean(axis=0)
         np.testing.assert_allclose(out[i, :3], ref, atol=1e-12)
@@ -114,7 +119,14 @@ def test_mil_interval_h_matches_mean_pool_oracle(rng):
 def test_mil_rejects_empty_intervals(rng):
     ps = make_ps([0], [0])
     with pytest.raises(ValueError):
-        multi_interval(ps, ad.constant(np.zeros((1, 4))), [], [])
+        multi_interval(plan_of(ps, []), ad.constant(np.zeros((1, 4))), [])
+
+
+@pytest.mark.parametrize("intervals", [[2], [2, 4, 8]])
+def test_temporal_block_rejects_plan_of_other_interval_count(intervals):
+    params, _ = tiny_params()
+    with pytest.raises(ValueError):
+        temporal_block(plan_of(make_ps([0], [0]), intervals), ad.constant(np.zeros((1, 4))), params)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +149,10 @@ def test_instance_pool_duplicate_point_invariant(rng):
     pool_mlp, pool_proj = pool_params(4)
     feats = rng.normal(size=(3, 4))
     ps = make_ps([0, 0, 0], [0, 1, 2])
-    out = instance_pool(ps, ad.constant(feats), pool_mlp, pool_proj).data
+    out = instance_pool(plan_of(ps), ad.constant(feats), pool_mlp, pool_proj).data
     dup = np.vstack([feats, feats[1]])
     ps_dup = make_ps([0, 0, 0, 0], [0, 1, 2, 3])
-    out_dup = instance_pool(ps_dup, ad.constant(dup), pool_mlp, pool_proj).data
+    out_dup = instance_pool(plan_of(ps_dup), ad.constant(dup), pool_mlp, pool_proj).data
     np.testing.assert_allclose(out_dup[:3], out, atol=1e-12)
 
 
@@ -148,10 +160,10 @@ def test_instance_pool_permutation_within_instance(rng):
     pool_mlp, pool_proj = pool_params(4)
     feats = rng.normal(size=(6, 4))
     ps = make_ps([0] * 6, range(6))
-    out = instance_pool(ps, ad.constant(feats), pool_mlp, pool_proj).data
+    out = instance_pool(plan_of(ps), ad.constant(feats), pool_mlp, pool_proj).data
     perm = rng.permutation(6)
     ps_p = make_ps([0] * 6, np.arange(6)[perm])
-    out_p = instance_pool(ps_p, ad.constant(feats[perm]), pool_mlp, pool_proj).data
+    out_p = instance_pool(plan_of(ps_p), ad.constant(feats[perm]), pool_mlp, pool_proj).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 
@@ -162,7 +174,7 @@ def test_instance_pool_permutation_within_instance(rng):
 def test_temporal_block_shape(rng):
     params, _ = tiny_params()
     ps = make_ps([0] * 5 + [1] * 4, list(range(5)) + list(range(4)))
-    out = temporal_block(ps, ad.constant(rng.normal(size=(9, 4))), params)
+    out = temporal_block(plan_of(ps), ad.constant(rng.normal(size=(9, 4))), params)
     assert out.data.shape == (9, TINY.temporal_width)
 
 
@@ -173,7 +185,7 @@ def test_temporal_block_gradient(rng):
     target = np.random.default_rng(8).normal(size=(6, TINY.temporal_width))
 
     def make_loss():
-        return ad.smooth_l1(temporal_block(ps, feats, params), target)
+        return ad.smooth_l1(temporal_block(plan_of(ps), feats, params), target)
 
     sampled = [feats] + [reg[k] for k in sorted(reg)[::4]]
     check_grads(make_loss, sampled)
@@ -185,7 +197,7 @@ def test_temporal_block_variable_lengths_no_padding(rng):
     inst = np.concatenate([[i] * n for i, n in enumerate(lengths)])
     time = np.concatenate([np.arange(n) for n in lengths])
     ps = make_ps(inst, time)
-    out = temporal_block(ps, ad.constant(rng.normal(size=(28, 4))), params).data
+    out = temporal_block(plan_of(ps), ad.constant(rng.normal(size=(28, 4))), params).data
     assert out.shape == (28, TINY.temporal_width)
     assert np.all(np.isfinite(out))
 
@@ -197,10 +209,10 @@ def test_temporal_instance_isolation_exact(rng):
     time = list(range(6)) + list(range(9))
     ps = make_ps(inst, time)
     feats = rng.normal(size=(15, 4))
-    out = temporal_block(ps, ad.constant(feats), params).data
+    out = temporal_block(plan_of(ps), ad.constant(feats), params).data
     bumped = feats.copy()
     bumped[:6] += rng.normal(size=(6, 4))
-    out_b = temporal_block(ps, ad.constant(bumped), params).data
+    out_b = temporal_block(plan_of(ps), ad.constant(bumped), params).data
     np.testing.assert_array_equal(out_b[6:], out[6:])
 
 
@@ -208,10 +220,10 @@ def test_temporal_new_instance_does_not_disturb(rng):
     params, _ = tiny_params()
     ps = make_ps([0] * 5, range(5))
     feats = rng.normal(size=(5, 4))
-    out = temporal_block(ps, ad.constant(feats), params).data
+    out = temporal_block(plan_of(ps), ad.constant(feats), params).data
     ps2 = make_ps([0] * 5 + [1] * 3, list(range(5)) + list(range(3)))
     feats2 = np.vstack([feats, rng.normal(size=(3, 4))])
-    out2 = temporal_block(ps2, ad.constant(feats2), params).data
+    out2 = temporal_block(plan_of(ps2), ad.constant(feats2), params).data
     np.testing.assert_array_equal(out2[:5], out)
 
 
@@ -221,5 +233,5 @@ def test_map_points_flow_through_mil(rng):
     time = list(range(4)) + [0] * 6
     kind = [0] * 4 + [KIND_MAP] * 6
     ps = make_ps(inst, time, kind=kind)
-    out = temporal_block(ps, ad.constant(rng.normal(size=(10, 4))), params).data
+    out = temporal_block(plan_of(ps), ad.constant(rng.normal(size=(10, 4))), params).data
     assert np.all(np.isfinite(out))
