@@ -2,9 +2,11 @@
 
 Every value in the network is a 2D matrix; scalars are (1, 1). Ops build a
 graph through parent links and each node stores a vector-Jacobian closure.
-:func:`backward` runs one reverse-topological sweep and accumulates into
-``Tensor.grad``, so per-sample gradients can be summed across a batch before
-an optimizer step.
+Node ids count up as nodes are built, so every parent has a smaller id than
+its children. :func:`backward` is therefore one sweep in descending node id,
+which is a reverse topological order: it runs each reachable node's closure
+once and accumulates into ``Tensor.grad``, so per-sample gradients can be
+summed across a batch before an optimizer step.
 
 There is deliberately no general broadcasting: the only shape-bending ops are
 the named primitives below (``scale_rows``, ``mean_rows``, the scatters).
@@ -12,6 +14,7 @@ the named primitives below (``scale_rows``, ``mean_rows``, the scatters).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
@@ -33,7 +36,7 @@ class Tensor:
         elif arr.ndim != 2:
             raise ValueError(f"Tensor data must be at most 2D, got shape {arr.shape}")
         self.data = arr
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        self.requires_grad = bool(requires_grad)
         self.grad = None
         self.node_id = next(_ids)
         self._parents = _parents
@@ -74,7 +77,7 @@ def parameter(data) -> Tensor:
 
 def _op(out_data, parents, vjp) -> Tensor:
     if any(p.requires_grad for p in parents):
-        return Tensor(out_data, _parents=tuple(parents), _vjp=vjp)
+        return Tensor(out_data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Tensor(out_data)
 
 
@@ -279,6 +282,25 @@ def scatter_max(x: Tensor, groups: GroupTable) -> Tensor:
     return _op(out, (x,), vjp)
 
 
+def _segment_sum(v: np.ndarray, groups: GroupTable) -> np.ndarray:
+    """Per-group column sums over the CSR order, members ascending."""
+    return np.add.reduceat(v[groups.order], groups.offsets[:-1], axis=0)
+
+
+def segment_softmax(x: Tensor, groups: GroupTable) -> Tensor:
+    """Per-group, per-column softmax over member rows, shifted by the group max."""
+    if len(groups.group_of) != x.data.shape[0]:
+        raise ValueError("segment_softmax: group table does not match row count")
+    m = np.maximum.reduceat(x.data[groups.order], groups.offsets[:-1], axis=0)
+    z = np.exp(x.data - m[groups.group_of])
+    w = z / _segment_sum(z, groups)[groups.group_of]
+
+    def vjp(g):
+        return (w * (g - _segment_sum(g * w, groups)[groups.group_of]),)
+
+    return _op(w, (x,), vjp)
+
+
 def scatter_add_rows(x: Tensor, index, n_rows: int) -> Tensor:
     """out[r] = sum of x rows i with index[i] == r; rows with no hits stay zero."""
     index = np.asarray(index, dtype=np.int64)
@@ -319,23 +341,6 @@ def smooth_l1(pred: Tensor, target, beta: float = 1.0) -> Tensor:
 # reverse sweep
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order, visited, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node.node_id in visited:
-            continue
-        visited.add(node.node_id)
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad:
-                stack.append((p, False))
-    return order
-
-
 def backward(loss: Tensor, leaves=None) -> dict:
     """Accumulate d(loss)/d(tensor) into ``.grad`` of every reachable tensor.
 
@@ -346,23 +351,25 @@ def backward(loss: Tensor, leaves=None) -> dict:
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward: loss must be scalar (1, 1), got {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {loss.node_id: np.ones((1, 1))}
-    for node in reversed(_toposort(loss)):
-        g = grads.pop(node.node_id, None)
-        if g is None:
-            continue
+    # pending gradients, and a max-heap of their nodes keyed by -node_id: the
+    # largest id pending has no pending child left, so its gradient is complete
+    grads = {loss.node_id: np.ones((1, 1))}
+    heap = [(-loss.node_id, loss)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        g = grads.pop(node.node_id)
         if node._vjp is None:
             # leaf: keep the accumulated gradient across backward calls
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node._parents, parent_grads):
+        for p, pg in zip(node._parents, node._vjp(g)):
             if not p.requires_grad:
                 continue
             if p.node_id in grads:
                 grads[p.node_id] = grads[p.node_id] + pg
             else:
                 grads[p.node_id] = pg
+                heapq.heappush(heap, (-p.node_id, p))
     if leaves is None:
         return {}
     return {t: (t.grad if t.grad is not None else np.zeros_like(t.data)) for t in leaves}

@@ -53,7 +53,7 @@ def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config
         "config": config,
         "arrays": entries,
     }
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False) + "\n")
     return manifest_path
 
 

@@ -129,7 +129,7 @@ def cmd_gen_synthetic(args) -> int:
         save_scene(sc, out_dir / name)
         names.append(name)
     manifest = {"n": args.n, "seed": seed, "profile": args.profile, "scenes": names}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, allow_nan=False) + "\n")
     print(f"wrote {len(names)} scenes to {out_dir}")
     return 0
 
@@ -186,7 +186,7 @@ def cmd_train(args) -> int:
         config_doc=_config_doc(run, cfg),
     )
     last = result.history[-1] if result.history else {}
-    print(json.dumps({"checkpoint": str(result.checkpoint_path), **last}))
+    print(json.dumps({"checkpoint": str(result.checkpoint_path), **last}, allow_nan=False))
     return 0
 
 
@@ -203,6 +203,12 @@ def _restore_model(ckpt_path, model_cfg: ModelConfig | None = None):
     return model
 
 
+def _require_finite(ckpt_path, *arrays):
+    """Scenes are validated finite, so a non-finite output can only come from the weights."""
+    if not all(np.isfinite(np.asarray(a, dtype=np.float64)).all() for a in arrays):
+        raise CheckpointMismatchError(f"{ckpt_path}: the model predicts non-finite values")
+
+
 def cmd_eval(args) -> int:
     run = _load_config_file(args.config)
     model = _restore_model(args.ckpt, run["model"])
@@ -216,6 +222,9 @@ def cmd_eval(args) -> int:
     preds = [forward(model, s) for s in scenes]
     gts = [s.future for s in scenes]
     report = metrics_mod.evaluate_report(preds, gts)
+    # a finite but huge prediction can still overflow a metric
+    _require_finite(args.ckpt, dataclasses.astuple(report),
+                    *(p.trajectories for p in preds), *(p.displacements for p in preds))
     if args.per_scene_csv:
         metrics_mod.write_scene_csv(args.per_scene_csv, [s.scene_id for s in scenes], preds, gts)
     print(report.to_json())
@@ -236,7 +245,8 @@ def cmd_predict(args) -> int:
         "trajectories": trajs,
         "displacements": [float(pred.displacements[i]) for i in order],
     }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    _require_finite(args.ckpt, trajs, doc["displacements"])
+    Path(args.out).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
     print(f"wrote {args.out}")
     return 0
 

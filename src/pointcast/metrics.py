@@ -40,14 +40,18 @@ class EvalReport:
     n_scenes: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
+        return json.dumps(asdict(self), indent=1, allow_nan=False)
 
 
 def _scene_topk_errors(pred, gt, k: int, miss_threshold: float):
-    """(min ADE, min FDE, miss) over the top-k trajectories by predicted displacement."""
+    """(min ADE, min FDE, miss) over the top-k trajectories by predicted displacement.
+
+    A non-finite trajectory makes both minima NaN whatever its rank, and the
+    scene counts as a miss unless its best endpoint error is a finite hit.
+    """
     top = np.asarray(pred.trajectories)[np.argsort(pred.displacements, kind="stable")[:k]]
-    best_fde = min(fde(t, gt) for t in top)
-    return min(ade(t, gt) for t in top), best_fde, best_fde > miss_threshold
+    best_fde = float(np.min([fde(t, gt) for t in top]))
+    return float(np.min([ade(t, gt) for t in top])), best_fde, not best_fde <= miss_threshold
 
 
 def evaluate(preds, gts, k: int, miss_threshold: float = MISS_THRESHOLD) -> dict:

@@ -298,7 +298,8 @@ def train(
             epoch_loss, n_seen = 0.0, 0
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo : lo + config.batch_size]
-                accum = {k: np.zeros_like(t.data) for k, t in model.params.items()}
+                for t in model.params.values():
+                    t.zero_grad()
                 for si in batch:
                     sc = normalized[si]
                     if config.augment is not None:
@@ -311,13 +312,11 @@ def train(
                         )
                     epoch_loss += value
                     n_seen += 1
-                    for t in model.params.values():
-                        t.zero_grad()
-                    ad.backward(loss)
-                    for k, t in model.params.items():
-                        if t.grad is not None:
-                            accum[k] += t.grad
-                grads = {k: g / len(batch) for k, g in accum.items()}
+                    ad.backward(loss)  # sums into .grad across the batch
+                grads = {
+                    k: (t.grad if t.grad is not None else np.zeros_like(t.data)) / len(batch)
+                    for k, t in model.params.items()
+                }
                 adam_step(model.params, grads, state, lr)
 
             entry = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_seen, 1)}
@@ -326,7 +325,7 @@ def train(
             entry["wall_seconds"] = time.monotonic() - t0
             history.append(entry)
             if log_fh:
-                log_fh.write(json.dumps(entry) + "\n")
+                log_fh.write(json.dumps(entry, allow_nan=False) + "\n")
                 log_fh.flush()
             if checkpoint_path is not None:
                 save_train_checkpoint(

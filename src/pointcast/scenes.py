@@ -383,7 +383,7 @@ def scene_from_dict(doc: dict, scene_id: str = "") -> RawScene:
 
 
 def save_scene(scene: RawScene, path) -> None:
-    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=1) + "\n")
+    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=1, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

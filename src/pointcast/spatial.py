@@ -167,17 +167,8 @@ def interp_voxel_to_point(plan: ScenePlan, voxel_feats: Tensor, params: SpatialP
     logits = nn.apply_mlp(params.interp_mlp, ad.concat_cols(delta, vox_feats))
 
     groups = plan.by_point
-    counts = ad.constant(groups.counts().astype(np.float64)[:, None])
-    m = ad.scatter_max(logits, groups)
-    z = ad.exp(ad.sub(logits, ad.gather_rows(m, groups.group_of)))
-    denom = ad.mul(ad.scatter_mean(z, groups), counts)  # segment sum
-    w = ad.div(z, ad.gather_rows(denom, groups.group_of))
-    weighted = ad.scale_rows(vox_feats, w)
-    return ad.mul(ad.scatter_mean(weighted, groups), _tile_cols(counts, weighted.data.shape[1]))
-
-
-def _tile_cols(col: Tensor, n_cols: int) -> Tensor:
-    return ad.constant(np.repeat(col.data, n_cols, axis=1))
+    weighted = ad.scale_rows(vox_feats, ad.segment_softmax(logits, groups))
+    return ad.scatter_add_rows(weighted, groups.group_of, groups.n_groups)
 
 
 def spatial_block(plan: ScenePlan, feats: Tensor, params: SpatialParams) -> Tensor:

@@ -106,6 +106,21 @@ def brute_scatter_max_routing(x, group_of, n_groups, g):
     return gx
 
 
+def softmax_chain(x, groups):
+    """Per-group, per-column softmax composed from general primitives.
+
+    This is how voxel-to-point interpolation computed its weights before
+    ``segment_softmax``: max shift, exp, and a segment sum taken as
+    ``scatter_mean`` times the group sizes.
+    """
+    counts = groups.counts().astype(np.float64)[:, None]
+    counts = ad.constant(np.repeat(counts, x.data.shape[1], axis=1))
+    m = ad.scatter_max(x, groups)
+    z = ad.exp(ad.sub(x, ad.gather_rows(m, groups.group_of)))
+    denom = ad.mul(ad.scatter_mean(z, groups), counts)
+    return ad.div(z, ad.gather_rows(denom, groups.group_of))
+
+
 def brute_csr(group_of, n_groups):
     """CSR (order, offsets) of a dense group assignment, built one row at a time."""
     members = [[] for _ in range(n_groups)]

@@ -486,6 +486,7 @@ OVERFIT_MODEL = ModelConfig(
 )
 
 
+@pytest.mark.slow
 def test_criterion_08_overfit():
     t0 = time.monotonic()
     data = gen_synthetic(8, seed=808)
@@ -520,6 +521,7 @@ def constant_velocity_fde(scenes, dt=0.1):
     return float(np.mean(errs))
 
 
+@pytest.mark.slow
 def test_criterion_09_generalization():
     # augmentation off: the held-out scenes come from the same noise-free
     # generator, and the 240-step budget is spent on fitting, not robustness

@@ -1,7 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import brute_scatter_max, brute_scatter_max_routing, check_grads, spread_values
+from conftest import (
+    brute_scatter_max,
+    brute_scatter_max_routing,
+    check_grads,
+    softmax_chain,
+    spread_values,
+)
 
 from pointcast import autodiff as ad
 from pointcast.indexing import group_by_keys
@@ -151,6 +159,31 @@ def test_scatter_max_tie_heavy_matches_bruteforce(rng):
         )
 
 
+def test_segment_softmax_matches_primitive_chain(rng):
+    # the table always holds a single-member group; odd trials draw logits
+    # from {0, 1, 2}, so most column maxima are ties
+    for trial in range(30):
+        n = int(rng.integers(2, 80))
+        keys = np.concatenate([[-1], rng.integers(0, int(rng.integers(1, 30)), size=n - 1)])
+        table = group_by_keys(keys)
+        if trial % 2:
+            data = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+        else:
+            data = rng.normal(scale=3.0, size=(n, 3))
+        g = rng.normal(size=(n, 3))
+        x, x_ref = ad.parameter(data), ad.parameter(data.copy())
+        w, w_ref = ad.segment_softmax(x, table), softmax_chain(x_ref, table)
+        np.testing.assert_allclose(w.data, w_ref.data, rtol=1e-14, atol=0)
+        sums = ad.scatter_add_rows(w, table.group_of, table.n_groups).data
+        np.testing.assert_allclose(sums, 1.0, rtol=1e-14)
+        ad.backward(ad.sum_all(ad.mul(w, ad.constant(g))))
+        ad.backward(ad.sum_all(ad.mul(w_ref, ad.constant(g))))
+        np.testing.assert_allclose(x.grad, x_ref.grad, rtol=0, atol=1e-14 * np.abs(g).max())
+        # the single-member group (row 0) has weight 1 and no gradient
+        np.testing.assert_array_equal(w.data[0], 1.0)
+        np.testing.assert_array_equal(x.grad[0], 0.0)
+
+
 def test_scatter_add_rows_semantics():
     x = ad.constant(np.array([[1.0], [2.0], [4.0]]))
     y = ad.scatter_add_rows(x, np.array([1, 1, 0]), n_rows=3)
@@ -227,6 +260,33 @@ def test_backward_accumulates_shared_subgraph(rng):
     np.testing.assert_array_equal(x.grad, 2.0 * np.ones((3, 3)))
 
 
+def test_backward_runs_each_reachable_vjp_once(rng):
+    x = ad.parameter(rng.normal(size=(3, 2)))
+    a, b, c = ad.relu(x), ad.exp(x), ad.scale(x, 2.0)  # x feeds three ops
+    ab = ad.mul(a, b)
+    d = ad.add(ad.add(ab, c), a)  # a feeds two ops
+    unreachable = ad.scale(b, 3.0)  # built from the graph, not on the loss's path
+    loss = ad.sum_all(d)
+    calls = Counter()
+
+    def counted(name, vjp):
+        def wrapper(g):
+            calls[name] += 1
+            return vjp(g)
+
+        return wrapper
+
+    nodes = {"a": a, "b": b, "c": c, "ab": ab, "abc": d._parents[0], "d": d,
+             "loss": loss, "unreachable": unreachable}
+    for name, node in nodes.items():
+        node._vjp = counted(name, node._vjp)
+    ad.backward(loss)
+    assert calls == Counter({name: 1 for name in nodes if name != "unreachable"})
+    mask = (x.data > 0).astype(np.float64)
+    np.testing.assert_allclose(x.grad, mask * np.exp(x.data) * (1.0 + x.data) + 2.0 + mask,
+                               rtol=1e-14)
+
+
 def test_backward_composite_finite_differences(rng):
     x = ad.parameter(rng.normal(size=(3, 4)))
     w = ad.parameter(rng.normal(size=(4, 2)))
@@ -284,6 +344,7 @@ def _primitive_cases(rng, n, c):
     w_rows = ad.parameter(rng.normal(size=(n, 1)))
     x_sl1 = fresh(True)  # spread grid keeps |x| clear of the 0.77 kink
     x_sum = fresh()
+    x_ssm = fresh()
 
     lo, hi = sorted(rng.choice(c + 1, size=2, replace=False).tolist()) if c > 1 else (0, 1)
     p_nc = probe((n, c))
@@ -313,6 +374,7 @@ def _primitive_cases(rng, n, c):
         ("scale_rows", lambda: p_nc(ad.scale_rows(x_srows, w_rows)), [x_srows, w_rows]),
         ("smooth_l1", lambda: ad.smooth_l1(x_sl1, np.zeros((n, c)), beta=0.77), [x_sl1]),
         ("sum_all", lambda: ad.scale(ad.sum_all(x_sum), 1.0 / x_sum.data.size), [x_sum]),
+        ("segment_softmax", lambda: p_nc(ad.segment_softmax(x_ssm, table)), [x_ssm]),
     ]
 
 

@@ -260,13 +260,14 @@ def test_predict_truncated_checkpoint_exit3(tmp_path, trained, capsys, cut_bytes
     assert "model.bin" in capsys.readouterr().err
 
 
-def _nan_checkpoint(ckpt, out_dir):
-    """A copy of ``ckpt`` with one NaN written into the regression head's bias."""
+def _patched_checkpoint(ckpt, out_dir, name, value, whole=False):
+    """A copy of ``ckpt`` with ``value`` in the first (or every) entry of array ``name``."""
     out_dir.mkdir()
     manifest = json.loads(ckpt.read_text())
     values = np.frombuffer(ckpt.with_suffix(".bin").read_bytes(), dtype="<f8").copy()
-    entry = next(e for e in manifest["arrays"] if e["name"] == "params/head/reg/l1/b")
-    values[entry["offset"]] = np.nan
+    entry = next(e for e in manifest["arrays"] if e["name"] == name)
+    count = int(np.prod(entry["shape"])) if whole else 1
+    values[entry["offset"] : entry["offset"] + count] = value
     (out_dir / "model.json").write_text(ckpt.read_text())
     (out_dir / "model.bin").write_bytes(values.tobytes())
     return out_dir / "model.json"
@@ -275,7 +276,7 @@ def _nan_checkpoint(ckpt, out_dir):
 @pytest.mark.parametrize("command", ["predict", "eval", "train"])
 def test_non_finite_checkpoint_exit3(tmp_path, trained, capsys, command):
     tmp, data, ckpt = trained
-    bad = str(_nan_checkpoint(ckpt, tmp_path / "bad"))
+    bad = str(_patched_checkpoint(ckpt, tmp_path / "bad", "params/head/reg/l1/b", np.nan))
     argv = {
         "predict": ["predict", "--ckpt", bad, "--scene", str(sorted(data.glob("syn-*.json"))[0]),
                     "--out", str(tmp_path / "pred.json")],
@@ -287,6 +288,27 @@ def test_non_finite_checkpoint_exit3(tmp_path, trained, capsys, command):
     assert "params/head/reg/l1/b" in capsys.readouterr().err
     assert not (tmp_path / "pred.json").exists()
     assert not (tmp_path / "resumed" / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_overflowing_checkpoint_exit3(tmp_path, trained, capsys, command):
+    # every stored value is finite, but 1e308 weights drive the prediction past float range
+    tmp, data, ckpt = trained
+    bad = str(_patched_checkpoint(ckpt, tmp_path / "bad", "params/head/reg/l1/w", 1e308,
+                                  whole=True))
+    argv = {
+        "predict": ["predict", "--ckpt", bad, "--scene", str(sorted(data.glob("syn-*.json"))[0]),
+                    "--out", str(tmp_path / "pred.json")],
+        "eval": ["eval", "--config", str(tmp / "c.json"), "--ckpt", bad, "--data", str(data),
+                 "--per-scene-csv", str(tmp_path / "scenes.csv")],
+    }[command]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "NaN" not in captured.out + captured.err
+    assert "Infinity" not in captured.out + captured.err
+    assert not (tmp_path / "pred.json").exists()
+    assert not (tmp_path / "scenes.csv").exists()
 
 
 def _corrupt_nontarget_point(doc):

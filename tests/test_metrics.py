@@ -92,6 +92,15 @@ def test_evaluate_boundary_two_meters_is_hit():
     assert evaluate([pred], [gt], k=1)["miss_rate"] == 0.0
 
 
+@pytest.mark.parametrize("disp", [[0.1, 0.2, 0.3], [0.2, 0.1, 0.3]])
+def test_evaluate_nan_mode_is_nan_and_miss_at_any_rank(disp):
+    # mode 0 is all NaN and ranks first, then second; finite modes are 1.414 and 2.83 off
+    trajs = np.stack([np.full((5, 2), np.nan), np.ones((5, 2)), 2.0 * np.ones((5, 2))])
+    r = evaluate([PredictionSet(trajs, np.array(disp))], [np.zeros((5, 2))], k=3)
+    assert np.isnan(r["min_ade"]) and np.isnan(r["min_fde"])
+    assert r["miss_rate"] == 1.0
+
+
 def test_evaluate_ranked_fourth_exact_match(rng):
     gt = rng.normal(size=(30, 2))
     trajs = rng.normal(size=(6, 30, 2))

@@ -355,6 +355,55 @@ def test_train_divergence_names_scene(monkeypatch):
         train(data, train_cfg(epochs=1))
 
 
+def test_train_steps_with_batch_mean_of_scene_gradients(monkeypatch):
+    # 3 scenes at batch size 2 give two Adam steps; each must see the mean of
+    # its scenes' backward gradients, and zeros for a parameter none reaches
+    real_init, real_loss = network.init_model, network.scene_forward_loss
+    real_step = network.adam_step
+    scenes, steps = [], []
+
+    def init_with_unused(config, seed):
+        model = real_init(config, seed)
+        model.params["unused"] = ad.parameter(np.ones((2, 3)))
+        return model
+
+    def recording_loss(model, sc):
+        scenes.append(sc)
+        return real_loss(model, sc)
+
+    def recording_step(params, grads, state, lr):
+        before = {k: t.data.copy() for k, t in params.items()}
+        steps.append((before, len(scenes), {k: g.copy() for k, g in grads.items()}))
+        return real_step(params, grads, state, lr)
+
+    monkeypatch.setattr(network, "init_model", init_with_unused)
+    monkeypatch.setattr(network, "scene_forward_loss", recording_loss)
+    monkeypatch.setattr(network, "adam_step", recording_step)
+    cfg = TrainConfig(model=SMALL, epochs=1, batch_size=2, lr=1e-2, lr_decay_epochs=(),
+                      augment=None, eval_every=0, seed=5)
+    train(gen_small(3, seed=35), cfg)
+    assert [n_seen for _, n_seen, _ in steps] == [2, 3]
+
+    ref = init_with_unused(SMALL, cfg.seed)
+    names = list(ref.params)
+    lo = 0
+    for before, hi, grads in steps:
+        for k in names:
+            ref.params[k].data = before[k].copy()
+        total = None
+        for sc in scenes[lo:hi]:
+            for t in ref.params.values():
+                t.zero_grad()
+            per_scene = ad.backward(real_loss(ref, sc), leaves=[ref.params[k] for k in names])
+            g = {k: per_scene[ref.params[k]] for k in names}
+            total = g if total is None else {k: total[k] + g[k] for k in names}
+        assert sorted(grads) == sorted(names)
+        for k in names:
+            assert np.array_equal(grads[k], total[k] / (hi - lo)), k
+        assert np.array_equal(grads["unused"], np.zeros((2, 3)))
+        lo = hi
+
+
 def test_train_overfits_single_scene():
     # one scene, 150 steps (constant lr): loss collapses below 5% of step 0
     data = gen_small(1, seed=555)
