@@ -225,6 +225,11 @@ def mean_rows(x: Tensor) -> Tensor:
 # gather / scatter primitives
 
 
+def _segment_sum(v: np.ndarray, groups: GroupTable) -> np.ndarray:
+    """Per-group column sums over the CSR order, members ascending."""
+    return np.add.reduceat(v[groups.order], groups.offsets[:-1], axis=0)
+
+
 def gather_rows(x: Tensor, index) -> Tensor:
     """out[i] = x[index[i]]; the backward pass scatter-adds into source rows."""
     index = np.asarray(index, dtype=np.int64)
@@ -241,14 +246,38 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return _op(x.data[index], (x,), vjp)
 
 
+def pair_linear(x: Tensor, by_neighbor: GroupTable, rel, w: Tensor, b: Tensor) -> Tensor:
+    """``linear(concat_cols(gather_rows(x, nbrs), rel), w, b)`` with the product per point.
+
+    ``nbrs`` is ``by_neighbor.group_of``, one source row of ``x`` per pair, and
+    ``rel`` is a constant (P, R) block. A linear map distributes over a row
+    gather and a column concat, so ``x @ w[:C]`` runs on the N rows of ``x``
+    and is gathered per pair; no (P, C) copy is made. The VJP sums the pair
+    gradients per source row through the CSR table before the products.
+    """
+    c = x.data.shape[1]
+    rel = np.asarray(rel, dtype=np.float64)
+    if len(by_neighbor.group_of) != len(rel) or by_neighbor.n_groups != x.data.shape[0]:
+        raise ValueError("pair_linear: neighbor table does not match x and rel rows")
+    if w.data.shape[0] != c + rel.shape[1] or b.data.shape != (1, w.data.shape[1]):
+        raise ValueError(f"pair_linear: {x.data.shape} and {rel.shape} by {w.data.shape}")
+    nbrs = by_neighbor.group_of
+    y = (x.data @ w.data[:c])[nbrs] + (rel @ w.data[c:] + b.data)
+
+    def vjp(g):
+        gp = _segment_sum(g, by_neighbor)
+        gw = np.vstack([x.data.T @ gp, rel.T @ g])
+        return gp @ w.data[:c].T, gw, g.sum(axis=0, keepdims=True)
+
+    return _op(y, (x, w, b), vjp)
+
+
 def scatter_mean(x: Tensor, groups: GroupTable) -> Tensor:
     """out[g] = mean of member rows of group g."""
     if len(groups.group_of) != x.data.shape[0]:
         raise ValueError("scatter_mean: group table does not match row count")
     counts = groups.counts().astype(np.float64)
-    sums = np.zeros((groups.n_groups, x.data.shape[1]))
-    np.add.at(sums, groups.group_of, x.data)
-    out = sums / counts[:, None]
+    out = _segment_sum(x.data, groups) / counts[:, None]
 
     def vjp(g):
         return (g[groups.group_of] / counts[groups.group_of, None],)
@@ -280,11 +309,6 @@ def scatter_max(x: Tensor, groups: GroupTable) -> Tensor:
         return (gx,)
 
     return _op(out, (x,), vjp)
-
-
-def _segment_sum(v: np.ndarray, groups: GroupTable) -> np.ndarray:
-    """Per-group column sums over the CSR order, members ascending."""
-    return np.add.reduceat(v[groups.order], groups.offsets[:-1], axis=0)
 
 
 def segment_softmax(x: Tensor, groups: GroupTable) -> Tensor:

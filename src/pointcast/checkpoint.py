@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -23,27 +24,25 @@ class CheckpointMismatchError(Exception):
 
 def _paths(path):
     path = Path(path)
-    if path.suffix == ".json":
-        stem = path.with_suffix("")
-    elif path.suffix == ".bin":
-        stem = path.with_suffix("")
-    else:
-        stem = path
+    stem = path.with_suffix("") if path.suffix in (".json", ".bin") else path
     return stem.with_suffix(".json"), stem.with_suffix(".bin")
 
 
 def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config=None) -> Path:
-    """Write ``arrays`` (name -> ndarray) and metadata; returns the manifest path."""
+    """Write ``arrays`` (name -> ndarray) and metadata; returns the manifest path.
+
+    Both files are written to temporaries first and then renamed over the old
+    ones, data file first and manifest last, so a failure while saving leaves
+    the previous checkpoint in place.
+    """
     manifest_path, data_path = _paths(path)
     names = sorted(arrays)
+    flat = [np.ascontiguousarray(arrays[name], dtype="<f8") for name in names]
     entries = []
     offset = 0
-    with open(data_path, "wb") as fh:
-        for name in names:
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-            entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            fh.write(arr.tobytes())
-            offset += arr.size
+    for name, arr in zip(names, flat):
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.size
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -53,7 +52,18 @@ def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config
         "config": config,
         "arrays": entries,
     }
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    tmp_data, tmp_manifest = (p.with_name(f".{p.name}.tmp") for p in (data_path, manifest_path))
+    try:
+        with open(tmp_data, "wb") as fh:
+            for arr in flat:
+                fh.write(arr.tobytes())
+        tmp_manifest.write_text(text)
+        os.replace(tmp_data, data_path)
+        os.replace(tmp_manifest, manifest_path)
+    finally:
+        tmp_data.unlink(missing_ok=True)
+        tmp_manifest.unlink(missing_ok=True)
     return manifest_path
 
 

@@ -253,7 +253,8 @@ class ScenePlan:
     of submanifold sparse convolution) belongs to the scene, not the layer.
     """
 
-    neighborhoods: tuple      # per radius: (neighbor rows, offsets from center, by-center table)
+    neighborhoods: tuple      # per radius: (neighbor rows, offsets from center,
+                              #   by-center table, by-neighbor table)
     by_voxel: GroupTable
     voxel_coords: np.ndarray  # (G, 2) int64, voxel of each group, distinct
     kernel_map: list          # per 3x3 tap: (out_row, in_row) voxel pairs; None at the center tap
@@ -269,9 +270,10 @@ def plan_scene(ps: IndexedPointSet, radii, intervals) -> ScenePlan:
     neighborhoods = []
     for radius in radii:
         centers, rows = radius_pairs(ps.points, radius)
-        # every point pairs with itself, so group ids are point indices
+        # every point pairs with itself, so both tables' group ids are point indices
         by_center = GroupTable.from_group_of(centers, len(ps))
-        neighborhoods.append((rows, ps.points[rows] - ps.points[centers], by_center))
+        by_neighbor = GroupTable.from_group_of(rows, len(ps))
+        neighborhoods.append((rows, ps.points[rows] - ps.points[centers], by_center, by_neighbor))
     by_voxel = build_groups_by_voxel(ps)
     coords = ps.voxels[by_voxel.order[by_voxel.offsets[:-1]]]
     cand_point, cand_row = interp_candidates(coords, ps.points, ps.grid_size)

@@ -79,11 +79,16 @@ def init_mlp(
     return layers
 
 
+def apply_norm_act(layer: MLPLayer, x: Tensor) -> Tensor:
+    """The part of ``layer`` after its linear map: optional layer norm, then optional relu."""
+    if layer.norm is not None:
+        x = ad.layer_norm(x, layer.norm.gain, layer.norm.bias)
+    if layer.act:
+        x = ad.relu(x)
+    return x
+
+
 def apply_mlp(layers, x: Tensor) -> Tensor:
     for layer in layers:
-        x = ad.linear(x, layer.lin.w, layer.lin.b)
-        if layer.norm is not None:
-            x = ad.layer_norm(x, layer.norm.gain, layer.norm.bias)
-        if layer.act:
-            x = ad.relu(x)
+        x = apply_norm_act(layer, ad.linear(x, layer.lin.w, layer.lin.b))
     return x

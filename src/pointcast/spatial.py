@@ -109,9 +109,11 @@ def pointwise_learning(plan: ScenePlan, feats: Tensor, params: SpatialParams) ->
     if len(plan.neighborhoods) != len(params.radius_mlps):
         raise ValueError("pointwise_learning: plan and params have different radius counts")
     per_radius = []
-    for (nbrs, rel, by_center), mlp in zip(plan.neighborhoods, params.radius_mlps):
-        pair_feats = ad.concat_cols(ad.gather_rows(feats, nbrs), ad.constant(rel))
-        h = nn.apply_mlp(mlp, pair_feats)
+    for (_, rel, by_center, by_neighbor), mlp in zip(plan.neighborhoods, params.radius_mlps):
+        # the first layer on concat(feats[nbrs], rel), run per point and gathered per pair
+        first, rest = mlp[0], mlp[1:]
+        h = ad.pair_linear(feats, by_neighbor, rel, first.lin.w, first.lin.b)
+        h = nn.apply_mlp(rest, nn.apply_norm_act(first, h))
         per_radius.append(ad.scatter_max(h, by_center))
     return nn.apply_mlp(params.pointwise_out, ad.concat_cols_all(per_radius))
 

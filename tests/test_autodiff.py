@@ -6,18 +6,25 @@ import pytest
 from conftest import (
     brute_scatter_max,
     brute_scatter_max_routing,
+    brute_scatter_mean,
     check_grads,
     softmax_chain,
     spread_values,
 )
 
 from pointcast import autodiff as ad
-from pointcast.indexing import group_by_keys
+from pointcast.indexing import GroupTable, group_by_keys
 from pointcast.optim import adam_init, adam_step, lr_at_epoch
 
 
 def rand_table(rng, n, n_keys=4):
     return group_by_keys(rng.integers(0, n_keys, size=n))
+
+
+def rand_neighbor_table(rng, n, n_extra):
+    """Pairs that name every one of n rows once, plus ``n_extra`` repeats, shuffled."""
+    nbrs = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, size=n_extra)]))
+    return GroupTable.from_group_of(nbrs, n)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +124,17 @@ def test_scatter_mean_gather_idempotent(rng):
     np.testing.assert_allclose(once.data, twice.data, atol=1e-12)
 
 
+def test_scatter_mean_matches_bruteforce(rng):
+    # the CSR sum adds members in another order than a per-group mean: last bits only
+    for _ in range(30):
+        n = int(rng.integers(1, 200))
+        x = rng.normal(size=(n, 4))
+        table = rand_table(rng, n, n_keys=int(rng.integers(1, 40)))
+        got = ad.scatter_mean(ad.constant(x), table).data
+        ref = brute_scatter_mean(x, table.group_of, table.n_groups)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(x).max())
+
+
 def test_scatter_max_values():
     table = group_by_keys(np.array([0, 0]))
     x = ad.constant(np.array([[1.0, 5.0], [3.0, 2.0]]))
@@ -182,6 +200,35 @@ def test_segment_softmax_matches_primitive_chain(rng):
         # the single-member group (row 0) has weight 1 and no gradient
         np.testing.assert_array_equal(w.data[0], 1.0)
         np.testing.assert_array_equal(x.grad[0], 0.0)
+
+
+def test_pair_linear_matches_gather_concat_linear(rng):
+    # every row is some pair's neighbor and most rows are several pairs' neighbor
+    for _ in range(20):
+        n, c, d = int(rng.integers(1, 30)), int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        table = rand_neighbor_table(rng, n, n_extra=int(rng.integers(0, 4 * n)))
+        rel = rng.normal(size=(len(table.group_of), 2))
+        g = rng.normal(size=(len(rel), d))
+        data = [rng.normal(size=(n, c)), rng.normal(size=(c + 2, d)), rng.normal(size=(1, d))]
+        x, w, b = (ad.parameter(a) for a in data)
+        x_ref, w_ref, b_ref = (ad.parameter(a.copy()) for a in data)
+        y = ad.pair_linear(x, table, rel, w, b)
+        pair_in = ad.concat_cols(ad.gather_rows(x_ref, table.group_of), ad.constant(rel))
+        y_ref = ad.linear(pair_in, w_ref, b_ref)
+        np.testing.assert_allclose(y.data, y_ref.data, rtol=1e-12, atol=0)
+        ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))))
+        ad.backward(ad.sum_all(ad.mul(y_ref, ad.constant(g))))
+        for t, t_ref in ((x, x_ref), (w, w_ref), (b, b_ref)):
+            np.testing.assert_allclose(t.grad, t_ref.grad, rtol=1e-12, atol=0)
+
+
+def test_pair_linear_shape_mismatch(rng):
+    table = rand_neighbor_table(rng, 4, n_extra=3)
+    x, b = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        ad.pair_linear(x, table, np.zeros((7, 2)), ad.parameter(np.zeros((3, 2))), b)
+    with pytest.raises(ValueError):
+        ad.pair_linear(x, table, np.zeros((6, 2)), ad.parameter(np.zeros((5, 2))), b)
 
 
 def test_scatter_add_rows_semantics():
@@ -345,6 +392,10 @@ def _primitive_cases(rng, n, c):
     x_sl1 = fresh(True)  # spread grid keeps |x| clear of the 0.77 kink
     x_sum = fresh()
     x_ssm = fresh()
+    x_pair = fresh()
+    pair_table = rand_neighbor_table(rng, n, n_extra=3)
+    rel = rng.normal(size=(n + 3, 2))
+    w_pair = ad.parameter(rng.normal(size=(c + 2, c)) * 0.5)
 
     lo, hi = sorted(rng.choice(c + 1, size=2, replace=False).tolist()) if c > 1 else (0, 1)
     p_nc = probe((n, c))
@@ -353,6 +404,7 @@ def _primitive_cases(rng, n, c):
     p_cat = probe((n, 2 * c))
     p_slice = probe((n, hi - lo))
     p_row = probe((1, c))
+    p_pairs = probe((n + 3, c))
 
     return [
         ("linear", lambda: p_nc(ad.linear(x_lin, w, b)), [x_lin, w, b]),
@@ -375,6 +427,8 @@ def _primitive_cases(rng, n, c):
         ("smooth_l1", lambda: ad.smooth_l1(x_sl1, np.zeros((n, c)), beta=0.77), [x_sl1]),
         ("sum_all", lambda: ad.scale(ad.sum_all(x_sum), 1.0 / x_sum.data.size), [x_sum]),
         ("segment_softmax", lambda: p_nc(ad.segment_softmax(x_ssm, table)), [x_ssm]),
+        ("pair_linear", lambda: p_pairs(ad.pair_linear(x_pair, pair_table, rel, w_pair, b)),
+         [x_pair, w_pair, b]),
     ]
 
 

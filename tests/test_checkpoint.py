@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from pointcast import autodiff as ad
+from pointcast import checkpoint
 from pointcast.checkpoint import (
     CheckpointMismatchError,
     load_checkpoint,
@@ -60,3 +63,58 @@ def test_load_rejects_foreign_file(tmp_path):
     (tmp_path / "x.json").write_text('{"format": "something-else"}')
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(tmp_path / "x.json")
+
+
+class _FailingFile:
+    """A binary file that accepts one write and then fails, like a full disk."""
+
+    def __init__(self, path):
+        self._fh = open(path, "wb")
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("no space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _fail_data_write(monkeypatch):
+    monkeypatch.setattr(checkpoint, "open", lambda path, mode: _FailingFile(path), raising=False)
+    return {}
+
+
+def _fail_manifest(monkeypatch):
+    return {"config": {"bad": object()}}  # the manifest cannot be serialized
+
+
+def _fail_rename(monkeypatch):
+    def replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+    return {}
+
+
+@pytest.mark.parametrize("inject", [_fail_data_write, _fail_manifest, _fail_rename])
+def test_failed_save_keeps_previous_checkpoint(tmp_path, rng, monkeypatch, inject):
+    old = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(2, 2))}
+    save_checkpoint(tmp_path / "ck", old, step=1, epoch=1, config={"lr": 0.1})
+    before = {name: (tmp_path / name).read_bytes() for name in ("ck.json", "ck.bin")}
+    new = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(2, 2))}
+    kwargs = inject(monkeypatch)
+    with pytest.raises((OSError, TypeError)):
+        save_checkpoint(tmp_path / "ck", new, step=2, epoch=2, **kwargs)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["ck.bin", "ck.json"]  # no temporary left
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    loaded, manifest = load_checkpoint(tmp_path / "ck.json")
+    assert manifest["global_step"] == 1
+    for name, arr in old.items():
+        np.testing.assert_array_equal(loaded[name], arr)

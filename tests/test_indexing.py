@@ -298,12 +298,15 @@ def test_scene_plan_matches_bruteforce(seed):
     plan = plan_scene(ps, radii, intervals)
 
     assert len(plan.neighborhoods) == len(radii)
-    for radius, (rows, rel, by_center) in zip(radii, plan.neighborhoods):
+    for radius, (rows, rel, by_center, by_neighbor) in zip(radii, plan.neighborhoods):
         centers, nbrs = brute_radius_pairs(ps.points, radius)
         np.testing.assert_array_equal(by_center.group_of, centers)
         np.testing.assert_array_equal(rows, nbrs)
         np.testing.assert_array_equal(rel, ps.points[nbrs] - ps.points[centers])
         assert by_center.n_groups == len(ps)
+        np.testing.assert_array_equal(by_neighbor.group_of, nbrs)
+        assert by_neighbor.n_groups == len(ps)
+        assert by_neighbor.counts().min() >= 1  # every point is its own neighbor
 
     ref_vox, ref_members = brute_group_by_keys(pack_pair(ps.voxels[:, 0], ps.voxels[:, 1]))
     np.testing.assert_array_equal(plan.by_voxel.group_of, ref_vox)

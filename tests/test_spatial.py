@@ -9,12 +9,13 @@ from conftest import (
     spread_values,
 )
 
-from pointcast import ModelConfig, autodiff as ad
+from pointcast import ModelConfig, autodiff as ad, gen_synthetic, normalize
 from pointcast.indexing import (
     CENTER_TAP,
     CONV_OFFSETS,
     IndexedPointSet,
     build_groups_by_voxel,
+    index_scene,
     interp_candidates,
     kernel_map,
     match_coords,
@@ -154,6 +155,31 @@ def test_pointwise_empty_radii_rejected(rng):
     with pytest.raises(ValueError):
         pointwise_learning(plan_of(make_ps(np.zeros((1, 2))), radii=()),
                            ad.constant(np.zeros((1, 4))), params)
+
+
+def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
+    # slow traffic packs points, so every radius has far more pairs than points;
+    # only radius_width-wide pair rows may enter the graph (no per-pair gather or concat)
+    cfg = ModelConfig()
+    ps = index_scene(normalize(gen_synthetic(1, seed=0, speed_range=(1.0, 3.0))[0]),
+                     cfg.grid_size)
+    plan = plan_scene(ps, cfg.radii, cfg.intervals)
+    pair_counts = {len(nbhd[0]) for nbhd in plan.neighborhoods}
+    assert min(pair_counts) > len(ps)
+    params = init_spatial({}, "sp", cfg.embed_width, cfg, np.random.default_rng(0))
+    feats = ad.parameter(np.random.default_rng(1).normal(size=(len(ps), cfg.embed_width)))
+    shapes = []
+    op = ad._op
+
+    def recording_op(out_data, parents, vjp):
+        shapes.append(out_data.shape)
+        return op(out_data, parents, vjp)
+
+    monkeypatch.setattr(ad, "_op", recording_op)
+    pointwise_learning(plan, feats, params)
+    assert any(rows in pair_counts for rows, _ in shapes)
+    wide = [(r, c) for r, c in shapes if r in pair_counts and c > cfg.radius_width]
+    assert wide == []
 
 
 def test_pointwise_rejects_plan_of_other_radius_count():
