@@ -19,8 +19,8 @@ w = ad.parameter(rng.normal(size=(4, 3)) * 0.5)
 groups = group_by_keys(np.array([0, 0, 1, 1, 1, 2]))
 
 h = ad.relu(ad.linear(x, w))
-pooled = ad.scatter_mean(h, groups)          # group features
-spread = ad.gather_rows(pooled, groups.group_of)  # back to points
+pooled = ad.scatter_mean(h, groups)  # group features
+spread = ad.gather_rows(pooled, groups)  # back to points
 loss = ad.smooth_l1(ad.concat_cols(h, spread), np.zeros((6, 6)))
 print(f"loss = {loss.item():.6f}")
 
@@ -35,7 +35,7 @@ orig = w.data[0, 0]
 def loss_value():
     hh = ad.relu(ad.linear(x, w))
     pp = ad.scatter_mean(hh, groups)
-    ss = ad.gather_rows(pp, groups.group_of)
+    ss = ad.gather_rows(pp, groups)
     return ad.smooth_l1(ad.concat_cols(hh, ss), np.zeros((6, 6))).item()
 
 

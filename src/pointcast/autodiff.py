@@ -9,7 +9,10 @@ once and accumulates into ``Tensor.grad``, so per-sample gradients can be
 summed across a batch before an optimizer step.
 
 There is deliberately no general broadcasting: the only shape-bending ops are
-the named primitives below (``scale_rows``, ``mean_rows``, the scatters).
+the named primitives below (``scale_rows``, ``mean_rows``, ``pair_linear``,
+``submanifold_conv``, the gathers and the scatters). Every index-taking
+primitive reads a CSR :class:`~pointcast.indexing.GroupTable` or distinct
+rows, so each backward sum is a segment sum or a plain fancy-index add.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .indexing import GroupTable
+from .indexing import CENTER_TAP, GroupTable
 
 _ids = itertools.count()
 
@@ -54,17 +57,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    __rmul__ = __mul__
 
 
 def constant(data) -> Tensor:
@@ -212,13 +204,18 @@ def sum_all(x: Tensor) -> Tensor:
     )
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    n = x.data.shape[0]
-    return _op(
-        x.data.mean(axis=0, keepdims=True),
-        (x,),
-        lambda g: (np.repeat(g / n, n, axis=0),),
-    )
+def mean_rows(x: Tensor, rows) -> Tensor:
+    """The (1, C) mean of the distinct rows ``rows`` of x; each gets ``g / n`` back."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0 or len(np.unique(rows)) != len(rows):
+        raise ValueError("mean_rows: rows must be distinct and non-empty")
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[rows] = g / len(rows)
+        return (gx,)
+
+    return _op(x.data[rows].mean(axis=0, keepdims=True), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +227,11 @@ def _segment_sum(v: np.ndarray, groups: GroupTable) -> np.ndarray:
     return np.add.reduceat(v[groups.order], groups.offsets[:-1], axis=0)
 
 
-def gather_rows(x: Tensor, index) -> Tensor:
-    """out[i] = x[index[i]]; the backward pass scatter-adds into source rows."""
-    index = np.asarray(index, dtype=np.int64)
-    if index.ndim != 1:
-        raise ValueError("gather_rows: index must be 1D")
-    if len(index) and (index.min() < 0 or index.max() >= x.data.shape[0]):
-        raise IndexError("gather_rows: index out of range")
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, index, g)
-        return (gx,)
-
-    return _op(x.data[index], (x,), vjp)
+def gather_rows(x: Tensor, groups: GroupTable) -> Tensor:
+    """out[i] = x[groups.group_of[i]]; the backward pass is a CSR segment sum per row of x."""
+    if groups.n_groups != x.data.shape[0]:
+        raise ValueError("gather_rows: group table does not match row count")
+    return _op(x.data[groups.group_of], (x,), lambda g: (_segment_sum(g, groups),))
 
 
 def pair_linear(x: Tensor, by_neighbor: GroupTable, rel, w: Tensor, b: Tensor) -> Tensor:
@@ -325,16 +313,44 @@ def segment_softmax(x: Tensor, groups: GroupTable) -> Tensor:
     return _op(w, (x,), vjp)
 
 
-def scatter_add_rows(x: Tensor, index, n_rows: int) -> Tensor:
-    """out[r] = sum of x rows i with index[i] == r; rows with no hits stay zero."""
-    index = np.asarray(index, dtype=np.int64)
-    if len(index) != x.data.shape[0]:
-        raise ValueError("scatter_add_rows: index length mismatch")
-    if len(index) and (index.min() < 0 or index.max() >= n_rows):
-        raise IndexError("scatter_add_rows: index out of range")
-    out = np.zeros((n_rows, x.data.shape[1]))
-    np.add.at(out, index, x.data)
-    return _op(out, (x,), lambda g: (g[index],))
+def scatter_add_rows(x: Tensor, groups: GroupTable) -> Tensor:
+    """out[g] = sum of the member rows of group g."""
+    if len(groups.group_of) != x.data.shape[0]:
+        raise ValueError("scatter_add_rows: group table does not match row count")
+    return _op(_segment_sum(x.data, groups), (x,), lambda g: (g[groups.group_of],))
+
+
+def submanifold_conv(x: Tensor, kernel_map, taps, b: Tensor) -> Tensor:
+    """3x3 submanifold sparse convolution over the voxel rows of x, as one node.
+
+    ``kernel_map[k]`` holds tap k's (out rows, in rows) pairs and ``taps[k]``
+    its (C, D) weight. The center tap pairs every row with itself, so its
+    entry is None; its product is dense and carries the bias ``b``. The rows
+    are distinct voxels, so within one tap the out rows are distinct and so
+    are the in rows: each fancy ``+=`` below touches a row at most once and is
+    exact without an unbuffered add. Taps with no pairs are not parents.
+    """
+    if len(taps) != len(kernel_map) or kernel_map[CENTER_TAP] is not None:
+        raise ValueError("submanifold_conv: need one weight per tap and no center pairs")
+    wc = taps[CENTER_TAP]
+    if x.data.shape[1] != wc.data.shape[0] or b.data.shape != (1, wc.data.shape[1]):
+        raise ValueError(f"submanifold_conv: {x.data.shape} by {wc.data.shape}")
+    live = [(w, *pair) for w, pair in zip(taps, kernel_map)
+            if pair is not None and len(pair[0])]
+    out = x.data @ wc.data + b.data
+    for w, outs, ins in live:
+        out[outs] += x.data[ins] @ w.data
+
+    def vjp(g):
+        gx = g @ wc.data.T
+        gw = []
+        for w, outs, ins in live:
+            go = g[outs]
+            gx[ins] += go @ w.data.T
+            gw.append(x.data[ins].T @ go)
+        return (gx, x.data.T @ g, g.sum(axis=0, keepdims=True), *gw)
+
+    return _op(out, (x, wc, b, *(w for w, _, _ in live)), vjp)
 
 
 # ---------------------------------------------------------------------------

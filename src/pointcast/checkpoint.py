@@ -103,7 +103,7 @@ def restore_into(params: dict, arrays: dict, prefix: str = "params/") -> None:
     for name, tensor in params.items():
         key = prefix + name
         if key not in arrays:
-            raise CheckpointMismatchError(f"checkpoint is missing parameter {name!r}")
+            raise CheckpointMismatchError(f"checkpoint is missing array {key!r}")
         arr = arrays[key]
         if arr.shape != tensor.data.shape:
             raise CheckpointMismatchError(

@@ -17,17 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .checkpoint import CheckpointMismatchError, load_checkpoint
-from .network import (
-    ModelConfig,
-    TrainConfig,
-    forward,
-    init_model,
-    rank_trajectories,
-    restore_train_checkpoint,
-    train,
-)
-from .optim import adam_init
+from .checkpoint import CheckpointMismatchError, load_checkpoint, restore_into
+from .network import ModelConfig, TrainConfig, forward, init_model, rank_trajectories, train
 from .plotting import scene_svg, write_svg
 from .scenes import (
     AugConfig,
@@ -198,8 +189,7 @@ def _restore_model(ckpt_path, model_cfg: ModelConfig | None = None):
             raise CheckpointMismatchError(f"{ckpt_path}: manifest carries no model config")
         model_cfg = parse_model_config(doc)
     model = init_model(model_cfg, seed=0)
-    state = adam_init(model.params)
-    restore_train_checkpoint(ckpt_path, model, state)
+    restore_into(model.params, arrays)  # inference needs no optimizer moments
     return model
 
 

@@ -258,7 +258,7 @@ class ScenePlan:
     by_voxel: GroupTable
     voxel_coords: np.ndarray  # (G, 2) int64, voxel of each group, distinct
     kernel_map: list          # per 3x3 tap: (out_row, in_row) voxel pairs; None at the center tap
-    interp_rows: np.ndarray   # (Q,) voxel row of each (point, voxel) interpolation candidate
+    interp_rows: GroupTable   # the (point, voxel) interpolation candidates grouped by voxel row
     interp_delta: np.ndarray  # (Q, 2) candidate point minus its voxel's center
     by_point: GroupTable      # the candidates grouped by point
     by_interval: tuple        # GroupTable per interval
@@ -282,7 +282,8 @@ def plan_scene(ps: IndexedPointSet, radii, intervals) -> ScenePlan:
         by_voxel=by_voxel,
         voxel_coords=coords,
         kernel_map=kernel_map(coords),
-        interp_rows=cand_row,
+        # every voxel is a candidate of its own points, so no group is empty
+        interp_rows=GroupTable.from_group_of(cand_row, len(coords)),
         interp_delta=ps.points[cand_point] - (coords[cand_row] + 0.5) * ps.grid_size,
         by_point=GroupTable.from_group_of(cand_point, len(ps)),
         by_interval=tuple(regroup_by_interval(ps, t) for t in intervals),

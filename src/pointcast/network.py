@@ -117,7 +117,7 @@ def forward_graph(model: Model, scene: NormalizedScene):
         x = temporal_block(plan, x, tp)
     # drop map rows, pool the target agent's rows into one vector
     target_rows = np.flatnonzero(ps.kind == KIND_TARGET)
-    pooled = ad.mean_rows(ad.gather_rows(x, target_rows))
+    pooled = ad.mean_rows(x, target_rows)
     reg = nn.apply_mlp(model.head_reg, pooled)
     disp = nn.apply_mlp(model.head_disp, pooled)
     return ps, reg, disp
@@ -224,9 +224,10 @@ def save_train_checkpoint(path, model: Model, state: AdamState, *, epoch: int, c
 def restore_train_checkpoint(path, model: Model, state: AdamState) -> dict:
     arrays, manifest = load_checkpoint(path)
     restore_into(model.params, arrays, prefix="params/")
-    for k in state.m:
-        state.m[k] = arrays[f"optim/m/{k}"].copy()
-        state.v[k] = arrays[f"optim/v/{k}"].copy()
+    for kind, moments in (("m", state.m), ("v", state.v)):
+        slots = {k: Tensor(v) for k, v in moments.items()}
+        restore_into(slots, arrays, prefix=f"optim/{kind}/")
+        moments.update((k, t.data) for k, t in slots.items())
     state.step = int(manifest["global_step"])
     return manifest
 
@@ -317,6 +318,9 @@ def train(
                     k: (t.grad if t.grad is not None else np.zeros_like(t.data)) / len(batch)
                     for k, t in model.params.items()
                 }
+                bad = [k for k, g in grads.items() if not np.isfinite(g).all()]
+                if bad:
+                    raise TrainingDiverged(f"non-finite gradient of {bad[0]!r} at epoch {epoch}")
                 adam_step(model.params, grads, state, lr)
 
             entry = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_seen, 1)}

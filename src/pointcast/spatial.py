@@ -19,7 +19,7 @@ from . import nn
 from .autodiff import Tensor
 # radius_pairs lives beside the other lookups that plan_scene calls; it is
 # re-exported so callers and span tracers keep finding it as spatial.radius_pairs
-from .indexing import CENTER_TAP, ScenePlan, radius_pairs  # noqa: F401
+from .indexing import ScenePlan, radius_pairs  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +123,12 @@ def ftp_point_to_voxel(plan: ScenePlan, feats: Tensor) -> Tensor:
     return ad.scatter_mean(feats, plan.by_voxel)
 
 
-def _submanifold_conv(x: Tensor, pairs, block: BottleneckParams) -> Tensor:
-    n_rows = x.data.shape[0]
-    # the center tap touches every occupied voxel, so it carries the bias
-    out = ad.linear(x, block.conv_w[CENTER_TAP], block.conv_b)
-    for tap, pair in zip(block.conv_w, pairs):
-        if pair is None:
-            continue
-        outs, ins = pair
-        if len(outs) == 0:
-            continue
-        contrib = ad.linear(ad.gather_rows(x, ins), tap)
-        out = ad.add(out, ad.scatter_add_rows(contrib, outs, n_rows))
-    return out
-
-
 def sparse_bottleneck(kernel_map, feats: Tensor, params: SpatialParams) -> Tensor:
     """Stacked submanifold bottleneck blocks over voxel rows; occupancy is preserved."""
     x = feats
     for block in params.blocks:
         h = nn.apply_mlp([block.reduce], x)
-        h = _submanifold_conv(h, kernel_map, block)
+        h = ad.submanifold_conv(h, kernel_map, block.conv_w, block.conv_b)
         h = ad.relu(ad.layer_norm(h, block.conv_norm.gain, block.conv_norm.bias))
         h = ad.linear(h, block.expand.w, block.expand.b)
         h = ad.layer_norm(h, block.expand_norm.gain, block.expand_norm.bias)
@@ -168,9 +153,8 @@ def interp_voxel_to_point(plan: ScenePlan, voxel_feats: Tensor, params: SpatialP
     delta = ad.constant(plan.interp_delta)
     logits = nn.apply_mlp(params.interp_mlp, ad.concat_cols(delta, vox_feats))
 
-    groups = plan.by_point
-    weighted = ad.scale_rows(vox_feats, ad.segment_softmax(logits, groups))
-    return ad.scatter_add_rows(weighted, groups.group_of, groups.n_groups)
+    weighted = ad.scale_rows(vox_feats, ad.segment_softmax(logits, plan.by_point))
+    return ad.scatter_add_rows(weighted, plan.by_point)
 
 
 def spatial_block(plan: ScenePlan, feats: Tensor, params: SpatialParams) -> Tensor:

@@ -57,7 +57,7 @@ def multi_interval(plan: ScenePlan, feats: Tensor, interval_mlps) -> Tensor:
     for groups, mlp in zip(plan.by_interval, interval_mlps):
         f_t = nn.apply_mlp(mlp, o_p)
         o = ad.scatter_mean(f_t, groups)
-        o_p = ad.gather_rows(o, groups.group_of)
+        o_p = ad.gather_rows(o, groups)
         o_p = ad.concat_cols(o_p, f_t)
     return o_p
 
@@ -66,7 +66,7 @@ def instance_pool(plan: ScenePlan, feats: Tensor, pool_mlp, pool_proj) -> Tensor
     """Max-pool transformed features per instance and concat back to each point."""
     groups = plan.by_instance
     pooled = ad.scatter_max(nn.apply_mlp(pool_mlp, feats), groups)
-    per_point = ad.gather_rows(pooled, groups.group_of)
+    per_point = ad.gather_rows(pooled, groups)
     return nn.apply_mlp(pool_proj, ad.concat_cols(feats, per_point))
 
 

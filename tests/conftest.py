@@ -116,9 +116,34 @@ def softmax_chain(x, groups):
     counts = groups.counts().astype(np.float64)[:, None]
     counts = ad.constant(np.repeat(counts, x.data.shape[1], axis=1))
     m = ad.scatter_max(x, groups)
-    z = ad.exp(ad.sub(x, ad.gather_rows(m, groups.group_of)))
+    z = ad.exp(ad.sub(x, ad.gather_rows(m, groups)))
     denom = ad.mul(ad.scatter_mean(z, groups), counts)
-    return ad.div(z, ad.gather_rows(denom, groups.group_of))
+    return ad.div(z, ad.gather_rows(denom, groups))
+
+
+def conv_chain(x, kernel_map, taps, b):
+    """Submanifold convolution composed from general primitives, a node chain per tap.
+
+    This is how the bottleneck computed its convolution before
+    ``submanifold_conv``: a ``linear`` with the bias for the center tap (the
+    None entry of ``kernel_map``), then per live tap a row gather, a
+    ``linear`` by the tap weight, a row scatter and an ``add``. The gather and
+    the scatter are products with constant one-hot selection matrices.
+    """
+    n = x.data.shape[0]
+    center = next(k for k, pair in enumerate(kernel_map) if pair is None)
+    out = ad.linear(x, taps[center], b)
+    for tap, pair in zip(taps, kernel_map):
+        if pair is None or len(pair[0]) == 0:
+            continue
+        outs, ins = pair
+        take = np.zeros((len(ins), n))
+        take[np.arange(len(ins)), ins] = 1.0
+        put = np.zeros((n, len(outs)))
+        put[outs, np.arange(len(outs))] = 1.0
+        contrib = ad.linear(ad.linear(ad.constant(take), x), tap)
+        out = ad.add(out, ad.linear(ad.constant(put), contrib))
+    return out
 
 
 def brute_csr(group_of, n_groups):

@@ -8,12 +8,13 @@ from conftest import (
     brute_scatter_max_routing,
     brute_scatter_mean,
     check_grads,
+    conv_chain,
     softmax_chain,
     spread_values,
 )
 
 from pointcast import autodiff as ad
-from pointcast.indexing import GroupTable, group_by_keys
+from pointcast.indexing import CONV_OFFSETS, GroupTable, group_by_keys, kernel_map
 from pointcast.optim import adam_init, adam_step, lr_at_epoch
 
 
@@ -25,6 +26,17 @@ def rand_neighbor_table(rng, n, n_extra):
     """Pairs that name every one of n rows once, plus ``n_extra`` repeats, shuffled."""
     nbrs = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, size=n_extra)]))
     return GroupTable.from_group_of(nbrs, n)
+
+
+def rand_voxels(rng, n):
+    """n distinct voxel coordinates around the origin, filling about half of a square."""
+    side = int(np.ceil(np.sqrt(2 * n)))
+    cells = rng.choice(side * side, size=n, replace=False)
+    return np.stack(np.divmod(cells, side), axis=1) - side // 2
+
+
+def grad_of(t):
+    return t.grad if t.grad is not None else np.zeros_like(t.data)
 
 
 # ---------------------------------------------------------------------------
@@ -76,21 +88,76 @@ def test_layer_norm_row_statistics(rng):
 
 def test_gather_rows_identity(rng):
     x = ad.constant(rng.normal(size=(5, 3)))
-    np.testing.assert_array_equal(ad.gather_rows(x, np.arange(5)).data, x.data)
+    table = GroupTable.from_group_of(np.arange(5), 5)
+    np.testing.assert_array_equal(ad.gather_rows(x, table).data, x.data)
 
 
 def test_gather_rows_fanout_backward():
     x = ad.parameter(np.array([[1.0, 2.0]]))
-    y = ad.gather_rows(x, np.array([0, 0, 0]))
+    y = ad.gather_rows(x, GroupTable.from_group_of(np.array([0, 0, 0]), 1))
     assert y.data.shape == (3, 2)
     ad.backward(ad.sum_all(y))
     np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
 
 
 def test_gather_rows_out_of_range():
+    # a table with a group past x's last row does not fit x
     x = ad.constant(np.zeros((2, 2)))
-    with pytest.raises(IndexError):
-        ad.gather_rows(x, np.array([2]))
+    with pytest.raises(ValueError):
+        ad.gather_rows(x, GroupTable.from_group_of(np.array([0, 1, 2]), 3))
+
+
+def test_gather_and_scatter_add_rows_match_bruteforce(rng):
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        table = rand_neighbor_table(rng, n, n_extra=int(rng.integers(0, 3 * n)))
+        m = len(table.group_of)
+        x, z = ad.parameter(rng.normal(size=(n, 3))), ad.parameter(rng.normal(size=(m, 3)))
+        gy, gs = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
+        y, s = ad.gather_rows(x, table), ad.scatter_add_rows(z, table)
+        ad.backward(ad.sum_all(ad.mul(y, ad.constant(gy))))
+        ad.backward(ad.sum_all(ad.mul(s, ad.constant(gs))))
+        ref_y, ref_gx = np.zeros((m, 3)), np.zeros((n, 3))
+        ref_s, ref_gz = np.zeros((n, 3)), np.zeros((m, 3))
+        for i, grp in enumerate(table.group_of):
+            ref_y[i] = x.data[grp]
+            ref_gx[grp] += gy[i]
+            ref_s[grp] += z.data[i]
+            ref_gz[i] = gs[grp]
+        np.testing.assert_array_equal(y.data, ref_y)
+        np.testing.assert_allclose(x.grad, ref_gx, rtol=1e-13, atol=1e-13 * np.abs(gy).max())
+        np.testing.assert_allclose(s.data, ref_s, rtol=1e-13, atol=1e-13 * np.abs(z.data).max())
+        np.testing.assert_array_equal(z.grad, ref_gz)
+
+
+@pytest.mark.parametrize("coords", [
+    [[3, -2]],                                      # a single voxel: the center tap alone
+    [[-7, -7], [0, 0], [5, -3], [-2, 4]],           # isolated voxels: no off-center pairs
+    [[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)],  # a 3x3 block: all nine taps present
+    [[-1, -1], [-1, 0], [0, -1], [0, 0], [-2, 1], [1, -2], [-3, -3]],
+    "random",
+])
+def test_submanifold_conv_matches_tap_chain(rng, coords):
+    coord_sets = ([rand_voxels(rng, int(rng.integers(1, 40))) for _ in range(30)]
+                  if coords == "random" else [np.asarray(coords, dtype=np.int64)])
+    for coords in coord_sets:
+        pairs = kernel_map(coords)
+        c, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        data = [rng.normal(size=(len(coords), c)),
+                *(rng.normal(size=(c, d)) for _ in CONV_OFFSETS), rng.normal(size=(1, d))]
+        tensors = [ad.parameter(a) for a in data]
+        tensors_ref = [ad.parameter(a.copy()) for a in data]
+        y = ad.submanifold_conv(tensors[0], pairs, tensors[1:-1], tensors[-1])
+        y_ref = conv_chain(tensors_ref[0], pairs, tensors_ref[1:-1], tensors_ref[-1])
+        np.testing.assert_allclose(y.data, y_ref.data, rtol=1e-13,
+                                   atol=1e-13 * np.abs(y_ref.data).max())
+        g = ad.constant(rng.normal(size=y.data.shape))
+        ad.backward(ad.sum_all(ad.mul(y, g)))
+        ad.backward(ad.sum_all(ad.mul(y_ref, g)))
+        for t, t_ref in zip(tensors, tensors_ref):
+            ref = grad_of(t_ref)
+            np.testing.assert_allclose(grad_of(t), ref, rtol=1e-13,
+                                       atol=1e-13 * max(np.abs(ref).max(), 1.0))
 
 
 def test_scatter_mean_pairs():
@@ -119,7 +186,7 @@ def test_scatter_mean_gather_idempotent(rng):
     x = ad.constant(rng.normal(size=(12, 3)))
     table = rand_table(rng, 12)
     once = ad.scatter_mean(x, table)
-    spread = ad.gather_rows(once, table.group_of)
+    spread = ad.gather_rows(once, table)
     twice = ad.scatter_mean(spread, table)
     np.testing.assert_allclose(once.data, twice.data, atol=1e-12)
 
@@ -192,7 +259,7 @@ def test_segment_softmax_matches_primitive_chain(rng):
         x, x_ref = ad.parameter(data), ad.parameter(data.copy())
         w, w_ref = ad.segment_softmax(x, table), softmax_chain(x_ref, table)
         np.testing.assert_allclose(w.data, w_ref.data, rtol=1e-14, atol=0)
-        sums = ad.scatter_add_rows(w, table.group_of, table.n_groups).data
+        sums = ad.scatter_add_rows(w, table).data
         np.testing.assert_allclose(sums, 1.0, rtol=1e-14)
         ad.backward(ad.sum_all(ad.mul(w, ad.constant(g))))
         ad.backward(ad.sum_all(ad.mul(w_ref, ad.constant(g))))
@@ -213,7 +280,7 @@ def test_pair_linear_matches_gather_concat_linear(rng):
         x, w, b = (ad.parameter(a) for a in data)
         x_ref, w_ref, b_ref = (ad.parameter(a.copy()) for a in data)
         y = ad.pair_linear(x, table, rel, w, b)
-        pair_in = ad.concat_cols(ad.gather_rows(x_ref, table.group_of), ad.constant(rel))
+        pair_in = ad.concat_cols(ad.gather_rows(x_ref, table), ad.constant(rel))
         y_ref = ad.linear(pair_in, w_ref, b_ref)
         np.testing.assert_allclose(y.data, y_ref.data, rtol=1e-12, atol=0)
         ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))))
@@ -233,8 +300,8 @@ def test_pair_linear_shape_mismatch(rng):
 
 def test_scatter_add_rows_semantics():
     x = ad.constant(np.array([[1.0], [2.0], [4.0]]))
-    y = ad.scatter_add_rows(x, np.array([1, 1, 0]), n_rows=3)
-    np.testing.assert_array_equal(y.data, [[4.0], [3.0], [0.0]])
+    y = ad.scatter_add_rows(x, GroupTable.from_group_of(np.array([1, 1, 0]), 2))
+    np.testing.assert_array_equal(y.data, [[4.0], [3.0]])
 
 
 def test_smooth_l1_zero_at_match(rng):
@@ -362,8 +429,8 @@ def _primitive_cases(rng, n, c):
     own (and those get inputs sampled away from them).
     """
     table = rand_table(rng, n, n_keys=3)
-    idx = rng.integers(0, n, size=n + 2)
-    add_idx = rng.integers(0, n, size=n)
+    gather_table = rand_neighbor_table(rng, n, n_extra=2)
+    mean_idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
     w = ad.parameter(rng.normal(size=(c, c)) * 0.5)
     b = ad.parameter(rng.normal(size=(1, c)))
     gain = ad.parameter(rng.uniform(0.5, 1.5, size=(1, c)))
@@ -396,6 +463,9 @@ def _primitive_cases(rng, n, c):
     pair_table = rand_neighbor_table(rng, n, n_extra=3)
     rel = rng.normal(size=(n + 3, 2))
     w_pair = ad.parameter(rng.normal(size=(c + 2, c)) * 0.5)
+    x_conv = fresh()
+    conv_map = kernel_map(rand_voxels(rng, n))
+    conv_taps = [ad.parameter(rng.normal(size=(c, c)) * 0.5) for _ in CONV_OFFSETS]
 
     lo, hi = sorted(rng.choice(c + 1, size=2, replace=False).tolist()) if c > 1 else (0, 1)
     p_nc = probe((n, c))
@@ -412,11 +482,11 @@ def _primitive_cases(rng, n, c):
         ("layer_norm", lambda: p_nc(ad.layer_norm(x_ln, gain, bias)), [x_ln, gain, bias]),
         ("concat_cols", lambda: p_cat(ad.concat_cols(x_cat_a, x_cat_b)), [x_cat_a, x_cat_b]),
         ("slice_cols", lambda: p_slice(ad.slice_cols(x_slice, lo, hi)), [x_slice]),
-        ("gather_rows", lambda: p_gather(ad.gather_rows(x_gather, idx)), [x_gather]),
+        ("gather_rows", lambda: p_gather(ad.gather_rows(x_gather, gather_table)), [x_gather]),
         ("scatter_mean", lambda: p_groups(ad.scatter_mean(x_smean, table)), [x_smean]),
         ("scatter_max", lambda: p_groups(ad.scatter_max(x_smax, table)), [x_smax]),
-        ("scatter_add_rows", lambda: p_nc(ad.scatter_add_rows(x_sadd, add_idx, n)), [x_sadd]),
-        ("mean_rows", lambda: p_row(ad.mean_rows(x_mean)), [x_mean]),
+        ("scatter_add_rows", lambda: p_groups(ad.scatter_add_rows(x_sadd, table)), [x_sadd]),
+        ("mean_rows", lambda: p_row(ad.mean_rows(x_mean, mean_idx)), [x_mean]),
         ("add", lambda: p_nc(ad.add(x_add_a, x_add_b)), [x_add_a, x_add_b]),
         ("sub", lambda: p_nc(ad.sub(x_sub_a, x_sub_b)), [x_sub_a, x_sub_b]),
         ("mul", lambda: p_nc(ad.mul(x_mul_a, x_mul_b)), [x_mul_a, x_mul_b]),
@@ -429,6 +499,8 @@ def _primitive_cases(rng, n, c):
         ("segment_softmax", lambda: p_nc(ad.segment_softmax(x_ssm, table)), [x_ssm]),
         ("pair_linear", lambda: p_pairs(ad.pair_linear(x_pair, pair_table, rel, w_pair, b)),
          [x_pair, w_pair, b]),
+        ("submanifold_conv", lambda: p_nc(ad.submanifold_conv(x_conv, conv_map, conv_taps, b)),
+         [x_conv, *conv_taps, b]),
     ]
 
 

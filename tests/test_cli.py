@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pointcast import cli, load_scene, normalize
-from pointcast.checkpoint import load_checkpoint
+from pointcast.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_MODEL = {
     "n_stages": 1,
@@ -258,6 +258,39 @@ def test_predict_truncated_checkpoint_exit3(tmp_path, trained, capsys, cut_bytes
     assert cli.main(["predict", "--ckpt", str(copy), "--scene", str(scene_file),
                      "--out", str(tmp_path / "pred.json")]) == 3
     assert "model.bin" in capsys.readouterr().err
+
+
+def _params_only_checkpoint(ckpt, out_dir):
+    """A copy of ``ckpt`` without the optimizer moments, as an inference export would hold."""
+    arrays, manifest = load_checkpoint(ckpt)
+    out_dir.mkdir()
+    params = {k: v for k, v in arrays.items() if k.startswith("params/")}
+    return save_checkpoint(out_dir / "model", params, step=manifest["global_step"],
+                           epoch=manifest["epoch"], config=manifest["config"])
+
+
+def test_params_only_checkpoint_predicts_and_evals(tmp_path, trained, capsys):
+    tmp, data, ckpt = trained
+    lean = str(_params_only_checkpoint(ckpt, tmp_path / "lean"))
+    scene_file = str(sorted(data.glob("syn-*.json"))[0])
+    outputs = []
+    for path in (str(ckpt), lean):
+        out = tmp_path / "pred.json"
+        assert cli.main(["predict", "--ckpt", path, "--scene", scene_file,
+                         "--out", str(out)]) == 0
+        assert cli.main(["eval", "--config", str(tmp / "c.json"), "--ckpt", path,
+                         "--data", str(data)]) == 0
+        outputs.append((out.read_text(), capsys.readouterr().out.splitlines()[-1]))
+    assert outputs[0] == outputs[1]
+
+
+def test_params_only_checkpoint_resume_exit3(tmp_path, trained, capsys):
+    tmp, _, ckpt = trained
+    lean = str(_params_only_checkpoint(ckpt, tmp_path / "lean"))
+    assert cli.main(["train", "--config", str(tmp / "c.json"), "--resume", lean,
+                     "--epochs", "2", "--out", str(tmp_path / "resumed")]) == 3
+    assert "optim/m/" in capsys.readouterr().err
+    assert not (tmp_path / "resumed" / "model.json").exists()
 
 
 def _patched_checkpoint(ckpt, out_dir, name, value, whole=False):

@@ -323,7 +323,9 @@ def test_scene_plan_matches_bruteforce(seed):
 
     cand_point, cand_row = dict_interp_candidates(plan.voxel_coords, ps.points, ps.grid_size)
     np.testing.assert_array_equal(plan.by_point.group_of, cand_point)
-    np.testing.assert_array_equal(plan.interp_rows, cand_row)
+    np.testing.assert_array_equal(plan.interp_rows.group_of, cand_row)
+    assert plan.interp_rows.n_groups == len(plan.voxel_coords)
+    assert plan.interp_rows.counts().min() >= 1  # every voxel is its own points' candidate
     centers = (plan.voxel_coords[cand_row] + 0.5) * ps.grid_size
     np.testing.assert_array_equal(plan.interp_delta, ps.points[cand_point] - centers)
 

@@ -458,3 +458,48 @@ def test_forward_builds_topology_once_per_scene(monkeypatch, n_stages):
     forward_graph(model, scene)
     assert len(radius_calls) == len(cfg.radii)
     assert len(group_calls) == len(cfg.intervals) + 2  # voxels, each interval, instances
+
+
+def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
+    cfg = ModelConfig()
+    model = init_model(cfg, seed=0)
+    scene = normalize(gen_synthetic(1, seed=3, future_steps=cfg.future_steps)[0])
+    convs = _count_calls(monkeypatch, ad.submanifold_conv)
+    forward_graph(model, scene)
+    assert len(convs) == cfg.n_stages * cfg.bottleneck_blocks
+
+    plan = indexing.plan_scene(index_scene(scene, cfg.grid_size), cfg.radii, cfg.intervals)
+    assert sum(len(pair[0]) for pair in plan.kernel_map if pair is not None) > 0
+    feats = ad.constant(np.random.default_rng(0).normal(size=(len(plan.voxel_coords),
+                                                               cfg.embed_width)))
+    calls = {fn.__name__: _count_calls(monkeypatch, fn)
+             for fn in (ad.gather_rows, ad.scatter_add_rows, ad.add)}
+    spatial.sparse_bottleneck(plan.kernel_map, feats, model.spatial[0])
+    # the taps add no nodes of their own; the only add is each block's residual
+    assert {k: len(v) for k, v in calls.items()} == {
+        "gather_rows": 0, "scatter_add_rows": 0, "add": cfg.bottleneck_blocks,
+    }
+
+
+def test_train_names_first_non_finite_gradient(monkeypatch):
+    models, steps = [], []
+    init, backward, step = network.init_model, ad.backward, network.adam_step
+
+    def keep_model(*args, **kwargs):
+        models.append(init(*args, **kwargs))
+        return models[-1]
+
+    def plant_nan(loss, leaves=None):
+        out = backward(loss, leaves)
+        for name in ("head/disp/l1/b", "head/reg/l1/b"):
+            models[0].params[name].grad[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(network, "init_model", keep_model)
+    monkeypatch.setattr(ad, "backward", plant_nan)
+    monkeypatch.setattr(network, "adam_step", lambda *a: steps.append(a) or step(*a))
+    cfg = TrainConfig(model=SMALL, epochs=1, batch_size=2, lr=1e-3, lr_decay_epochs=(),
+                      augment=None, eval_every=0, seed=0)
+    with pytest.raises(TrainingDiverged, match="'head/reg/l1/b'"):
+        train(gen_small(2, seed=0), cfg)
+    assert steps == []  # the NaN never reached Adam

@@ -262,12 +262,10 @@ def test_bottleneck_zero_kernels_identity_skip(rng):
 
 
 def test_bottleneck_single_voxel_is_center_tap(rng):
-    from pointcast.spatial import _submanifold_conv
-
     params, _ = tiny_params(c_in=4)
     blk = params.blocks[0]
     x = ad.constant(rng.normal(size=(1, 4)))
-    got = _submanifold_conv(x, kernel_map(np.array([[3, -2]])), blk)
+    got = ad.submanifold_conv(x, kernel_map(np.array([[3, -2]])), blk.conv_w, blk.conv_b)
     want = ad.linear(x, blk.conv_w[CENTER_TAP], blk.conv_b)
     np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
