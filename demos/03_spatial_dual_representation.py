@@ -28,7 +28,7 @@ cfg = ModelConfig(
 scene = normalize(gen_synthetic(1, seed=3, profile="lane-change")[0])
 ps = index_scene(scene, cfg.grid_size)
 plan = plan_scene(ps, cfg.radii, cfg.intervals)
-pairs = {r: len(rows) for r, (rows, _, _, _) in zip(cfg.radii, plan.neighborhoods)}
+pairs = {r: len(rel) for r, (rel, _, _) in zip(cfg.radii, plan.neighborhoods)}
 print(f"plan: radius pairs {pairs}, {len(plan.voxel_coords)} voxels, "
       f"{sum(len(p[0]) for p in plan.kernel_map if p is not None)} off-center kernel pairs")
 feats = ad.constant(np.random.default_rng(1).normal(size=(len(ps), cfg.embed_width)))
@@ -57,7 +57,6 @@ from pointcast.indexing import IndexedPointSet
 ps_perm = IndexedPointSet(
     points=ps.points[perm], instance=ps.instance[perm], time=ps.time[perm],
     voxels=ps.voxels[perm], kind=ps.kind[perm], grid_size=ps.grid_size,
-    instance_ids=ps.instance_ids, target_instance=ps.target_instance,
 )
 plan_perm = plan_scene(ps_perm, cfg.radii, cfg.intervals)
 fused_perm = spatial_block(plan_perm, ad.constant(feats.data[perm]), params)

@@ -26,7 +26,6 @@ points = np.zeros((len(instance), 2))
 ps = IndexedPointSet(
     points=points, instance=instance, time=time, voxels=voxelize(points, 0.5),
     kind=np.zeros(len(instance), dtype=np.int64), grid_size=0.5,
-    instance_ids=[str(i) for i in range(3)], target_instance=0,
 )
 print(f"agent history lengths: {lengths} -> {len(ps)} points, zero padding anywhere")
 plan = plan_scene(ps, cfg.radii, cfg.intervals)
@@ -52,7 +51,6 @@ points2 = np.zeros((len(instance2), 2))
 ps2 = IndexedPointSet(
     points=points2, instance=instance2, time=time2, voxels=voxelize(points2, 0.5),
     kind=np.zeros(len(instance2), dtype=np.int64), grid_size=0.5,
-    instance_ids=[str(i) for i in range(4)], target_instance=0,
 )
 feats2 = np.vstack([feats, np.random.default_rng(2).normal(size=(5, cfg.spatial_width))])
 out2 = temporal_block(plan_scene(ps2, cfg.radii, cfg.intervals), ad.constant(feats2), params)

@@ -2,12 +2,15 @@
 
 The manifest (``<stem>.json``) lists array names, shapes, and offsets into the
 data file (``<stem>.bin``) together with the global step, epoch, and the run
-config. Arrays are written sorted by name so identical states produce
-byte-identical files.
+config. It also records the data file's byte length and SHA-256 digest, so
+the manifest is the one commit point of a save: data that is not the data it
+was written with fails to load. Arrays are written sorted by name so
+identical states produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -33,20 +36,25 @@ def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config
 
     Both files are written to temporaries first and then renamed over the old
     ones, data file first and manifest last, so a failure while saving leaves
-    the previous checkpoint in place.
+    the previous checkpoint in place. A failure between the two renames
+    leaves new data under the old manifest, whose digest then rejects it.
     """
     manifest_path, data_path = _paths(path)
     names = sorted(arrays)
     flat = [np.ascontiguousarray(arrays[name], dtype="<f8") for name in names]
     entries = []
     offset = 0
+    digest = hashlib.sha256()
     for name, arr in zip(names, flat):
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size
+        digest.update(arr)
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "data_file": data_path.name,
+        "data_bytes": 8 * offset,
+        "data_sha256": digest.hexdigest(),
         "global_step": int(step),
         "epoch": int(epoch),
         "config": config,
@@ -68,7 +76,11 @@ def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (arrays dict, manifest dict)."""
+    """Read a checkpoint; returns (arrays dict, manifest dict).
+
+    The data file's length and digest are verified when the manifest records
+    them (manifests written before they were recorded load unverified).
+    """
     manifest_path, data_path = _paths(path)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
@@ -77,6 +89,13 @@ def load_checkpoint(path):
         raise CheckpointMismatchError(f"{manifest_path}: not a {FORMAT_NAME} file")
     data_path = manifest_path.parent / manifest["data_file"]
     data = data_path.read_bytes()
+    n_bytes, digest = manifest.get("data_bytes"), manifest.get("data_sha256")
+    if n_bytes is not None and len(data) != n_bytes:
+        raise CheckpointMismatchError(f"{data_path}: {len(data)} bytes, manifest records {n_bytes}")
+    if digest is not None and hashlib.sha256(data).hexdigest() != digest:
+        raise CheckpointMismatchError(
+            f"{data_path}: SHA-256 digest differs from the one its manifest records"
+        )
     sizes = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
     if len(data) != 8 * sum(sizes):
         raise CheckpointMismatchError(

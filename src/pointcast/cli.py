@@ -1,8 +1,16 @@
 """Command-line entry point: scene generation, training, evaluation, prediction, plots.
 
-Exit codes: 0 success, 2 input/config error, 3 checkpoint incompatibility,
-1 internal error. The env var TPCN_SEED supplies the seed when neither a
-flag nor the config file does.
+Exit codes:
+  0  success;
+  2  input or config error: a malformed scene, a run-config value of the
+     wrong JSON type or out of range, or a training run that diverged;
+  3  checkpoint fault: missing or misshapen arrays, non-finite values, or a
+     data file that does not match its manifest's length and SHA-256 digest;
+  1  internal error.
+
+A run config (``run.json``) parses straight into a ``TrainConfig``; only the
+deployment paths in PATH_KEYS stay outside it. The env var TPCN_SEED
+supplies the seed when neither a flag nor the config file does.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .checkpoint import CheckpointMismatchError, load_checkpoint, restore_into
-from .network import ModelConfig, TrainConfig, forward, init_model, rank_trajectories, train
+from .network import (ModelConfig, TrainConfig, TrainingDiverged, forward, init_model,
+                      rank_trajectories, train)
 from .plotting import scene_svg, write_svg
 from .scenes import (
     AugConfig,
@@ -36,54 +45,70 @@ class ConfigError(ValueError):
     pass
 
 
-_MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)}
-_AUG_KEYS = {"enabled"} | {f.name for f in dataclasses.fields(AugConfig)}
-_RUN_KEYS = {
-    "seed", "data_dir", "checkpoint_dir", "log_path",
-    "epochs", "batch_size", "lr", "lr_decay_epochs", "lr_decay_factor",
-    "eval_every", "model", "augment",
-}
+# deployment settings, kept out of TrainConfig and the checkpoint so that
+# identical runs in different directories save byte-identical manifests
+PATH_KEYS = ("data_dir", "checkpoint_dir", "log_path")
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
-def _reject_unknown(doc: dict, allowed: set, where: str):
-    for key in doc:
-        if key not in allowed:
+def _parse_value(default, value, key: str):
+    """``value`` checked against, and parsed as, the type of field default ``default``."""
+    if dataclasses.is_dataclass(default):
+        return _from_doc(type(default), value, key + ".")
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {json.dumps(value)}")
+        return tuple(_parse_value(default[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    kind = type(default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not np.isfinite(value)):
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _from_doc(cls, doc, where: str = ""):
+    """Parse the JSON object ``doc`` into dataclass ``cls``; ``_to_doc`` is the inverse.
+
+    Each value must have the JSON type of its field's default (an int field
+    takes no bool or float); ``cls`` checks the ranges. An AugConfig document
+    may add ``"enabled"``: false parses to None. Any fault raises ConfigError
+    naming the key, prefixed with ``where``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'config'} must be a JSON object, "
+                          f"got {json.dumps(doc)}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    if cls is AugConfig:
+        defaults["enabled"] = True
+    values = {}
+    for key, value in doc.items():
+        if key not in defaults:
             raise ConfigError(f"unknown config key {where}{key!r}")
+        values[key] = _parse_value(defaults[key], value, where + key)
+    enabled = values.pop("enabled", True)
+    try:
+        parsed = cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
+    return parsed if enabled else None
 
 
-def parse_model_config(doc: dict) -> ModelConfig:
-    _reject_unknown(doc, _MODEL_KEYS, "model.")
-    kwargs = dict(doc)
-    for k in ("intervals", "radii"):
-        if k in kwargs:
-            kwargs[k] = tuple(kwargs[k])
-    return ModelConfig(**kwargs)
+def _to_doc(value):
+    """The JSON document that ``_from_doc`` parses back into ``value``."""
+    if value is None:  # the one optional field: a disabled augmentation
+        return {"enabled": False}
+    if dataclasses.is_dataclass(value):
+        doc = {f.name: _to_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {"enabled": True, **doc} if isinstance(value, AugConfig) else doc
+    if isinstance(value, tuple):
+        return [_to_doc(v) for v in value]
+    return value
 
 
-def parse_aug_config(doc: dict) -> AugConfig | None:
-    _reject_unknown(doc, _AUG_KEYS, "augment.")
-    doc = dict(doc)
-    if not doc.pop("enabled", True):
-        return None
-    if "scale_range" in doc:
-        doc["scale_range"] = tuple(doc["scale_range"])
-    return AugConfig(**doc)
-
-
-def parse_run_config(doc: dict) -> dict:
-    """Validate a run-config document and fill defaults; returns a plain dict."""
-    _reject_unknown(doc, _RUN_KEYS, "")
-    out = dict(doc)
-    out["model"] = parse_model_config(doc.get("model", {}))
-    out["augment"] = parse_aug_config(doc.get("augment", {}))
-    defaults = TrainConfig()
-    for key in ("epochs", "batch_size", "lr", "lr_decay_epochs", "lr_decay_factor", "eval_every"):
-        out.setdefault(key, getattr(defaults, key))
-    out["lr_decay_epochs"] = tuple(out["lr_decay_epochs"])
-    return out
-
-
-def _load_config_file(path) -> dict:
+def _load_run_config(path) -> tuple[dict, dict]:
+    """The run config at ``path``, split into its TrainConfig document and its PATH_KEYS."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -93,16 +118,16 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return parse_run_config(doc)
+    # a str default: each path must be a JSON string
+    paths = {k: _parse_value("", doc.pop(k), k) for k in PATH_KEYS if k in doc}
+    return doc, paths
 
 
-def _resolve_seed(flag_seed, config_seed=None) -> int:
-    if flag_seed is not None:
-        return int(flag_seed)
-    if config_seed is not None:
-        return int(config_seed)
-    env = os.environ.get("TPCN_SEED")
-    return int(env) if env else 0
+def _env_seed() -> int:
+    env = os.environ.get("TPCN_SEED") or "0"
+    if not env.isdecimal():
+        raise ConfigError(f"TPCN_SEED must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +137,7 @@ def _resolve_seed(flag_seed, config_seed=None) -> int:
 def cmd_gen_synthetic(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _resolve_seed(args.seed)
+    seed = args.seed if args.seed is not None else _env_seed()
     scenes = gen_synthetic(args.n, seed, args.profile)
     names = []
     for sc in scenes:
@@ -125,56 +150,36 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _train_config(run: dict, args) -> TrainConfig:
-    seed = _resolve_seed(getattr(args, "seed", None), run.get("seed"))
-    epochs = getattr(args, "epochs", None) or run["epochs"]
-    return TrainConfig(
-        model=run["model"],
-        epochs=int(epochs),
-        batch_size=int(run["batch_size"]),
-        lr=float(run["lr"]),
-        lr_decay_epochs=run["lr_decay_epochs"],
-        lr_decay_factor=float(run["lr_decay_factor"]),
-        augment=run["augment"],
-        eval_every=int(run["eval_every"]),
-        seed=seed,
-    )
-
-
-def _config_doc(run: dict, cfg: TrainConfig) -> dict:
-    # run-environment paths stay out of the checkpoint so identical training
-    # runs in different directories produce byte-identical manifests
-    skip = ("model", "augment", "data_dir", "checkpoint_dir", "log_path")
-    doc = {k: v for k, v in run.items() if k not in skip}
-    doc["seed"] = cfg.seed
-    doc["epochs"] = cfg.epochs
-    doc["model"] = dataclasses.asdict(cfg.model)
-    doc["augment"] = (
-        {"enabled": False} if cfg.augment is None
-        else {"enabled": True, **dataclasses.asdict(cfg.augment)}
-    )
-    return doc
-
-
 def cmd_train(args) -> int:
-    run = _load_config_file(args.config)
-    data_dir = Path(args.data or run.get("data_dir", ""))
+    doc, paths = _load_run_config(args.config)
+    if "seed" not in doc and args.seed is None:
+        doc["seed"] = _env_seed()
+    cfg = _from_doc(TrainConfig, doc)
+    overrides = {k: v for k, v in (("seed", args.seed), ("epochs", args.epochs)) if v is not None}
+    try:
+        cfg = dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"command line: {exc}") from exc
+    data_dir = Path(args.data or paths.get("data_dir", ""))
     if not data_dir.is_dir():
         raise ConfigError(f"data directory {data_dir} does not exist")
     dataset = load_scene_dir(data_dir)
     if not dataset:
         raise ConfigError(f"no scene files in {data_dir}")
-    cfg = _train_config(run, args)
-    ckpt_dir = Path(args.out or run.get("checkpoint_dir", "checkpoints"))
+    steps = cfg.model.future_steps
+    bad = [sc.scene_id for sc in dataset if sc.future is None or len(sc.future) != steps]
+    if bad:
+        raise SceneValidationError(f"scene {bad[0]!r} needs a future of model.future_steps={steps}")
+    ckpt_dir = Path(args.out or paths.get("checkpoint_dir", "checkpoints"))
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    log_path = args.log or run.get("log_path") or (ckpt_dir / "train_log.jsonl")
+    log_path = args.log or paths.get("log_path") or (ckpt_dir / "train_log.jsonl")
     result = train(
         dataset,
         cfg,
         checkpoint_path=ckpt_dir / "model",
         log_path=log_path,
         resume=args.resume,
-        config_doc=_config_doc(run, cfg),
+        config_doc=_to_doc(cfg),
     )
     last = result.history[-1] if result.history else {}
     print(json.dumps({"checkpoint": str(result.checkpoint_path), **last}, allow_nan=False))
@@ -185,9 +190,10 @@ def _restore_model(ckpt_path, model_cfg: ModelConfig | None = None):
     arrays, manifest = load_checkpoint(ckpt_path)
     if model_cfg is None:
         doc = (manifest.get("config") or {}).get("model")
-        if doc is None:
-            raise CheckpointMismatchError(f"{ckpt_path}: manifest carries no model config")
-        model_cfg = parse_model_config(doc)
+        try:
+            model_cfg = _from_doc(ModelConfig, doc, "model.")
+        except ConfigError as exc:
+            raise CheckpointMismatchError(f"{ckpt_path}: manifest config: {exc}") from exc
     model = init_model(model_cfg, seed=0)
     restore_into(model.params, arrays)  # inference needs no optimizer moments
     return model
@@ -200,8 +206,8 @@ def _require_finite(ckpt_path, *arrays):
 
 
 def cmd_eval(args) -> int:
-    run = _load_config_file(args.config)
-    model = _restore_model(args.ckpt, run["model"])
+    cfg = _from_doc(TrainConfig, _load_run_config(args.config)[0])
+    model = _restore_model(args.ckpt, cfg.model)
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise ConfigError(f"data directory {data_dir} does not exist")
@@ -309,6 +315,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, SceneFormatError, SceneValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except TrainingDiverged as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
         return 2
     except CheckpointMismatchError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)

@@ -60,8 +60,6 @@ class IndexedPointSet:
     voxels: np.ndarray    # (N, 2) int64
     kind: np.ndarray      # (N,) int64, KIND_* codes
     grid_size: float
-    instance_ids: list[str]  # dense id -> original track/element id
-    target_instance: int
 
     def __len__(self):
         return len(self.points)
@@ -201,32 +199,24 @@ def index_scene(scene: NormalizedScene, grid_size: float) -> IndexedPointSet:
     agent points carry their history step as the time index, map points time 0.
     """
     pts, ins, tim, kind = [], [], [], []
-    instance_ids = []
-    target_instance = -1
     for a in scene.agents:
-        dense = len(instance_ids)
-        instance_ids.append(a.track_id)
-        if a.track_id == scene.target_id:
-            target_instance = dense
+        ins.append(np.full(len(a.xy), len(pts), dtype=np.int64))
         pts.append(a.xy)
-        ins.append(np.full(len(a.xy), dense, dtype=np.int64))
         tim.append(a.steps.astype(np.int64))
         k = KIND_TARGET if a.track_id == scene.target_id else KIND_OTHER
         kind.append(np.full(len(a.xy), k, dtype=np.int64))
     for m in scene.map_elements:
-        dense = len(instance_ids)
-        instance_ids.append(m.element_id)
+        ins.append(np.full(len(m.xy), len(pts), dtype=np.int64))
         pts.append(m.xy)
-        ins.append(np.full(len(m.xy), dense, dtype=np.int64))
         tim.append(np.zeros(len(m.xy), dtype=np.int64))
         kind.append(np.full(len(m.xy), KIND_MAP, dtype=np.int64))
-    if target_instance < 0:
+    kinds = np.concatenate(kind)
+    if not np.any(kinds == KIND_TARGET):
         raise ValueError(f"target agent {scene.target_id!r} not present")
 
     points = np.concatenate(pts, axis=0)
     instance = np.concatenate(ins)
     time = np.concatenate(tim)
-    kinds = np.concatenate(kind)
 
     agent_mask = kinds != KIND_MAP
     it_keys = pack_pair(instance[agent_mask], time[agent_mask])
@@ -240,8 +230,6 @@ def index_scene(scene: NormalizedScene, grid_size: float) -> IndexedPointSet:
         voxels=voxelize(points, grid_size),
         kind=kinds,
         grid_size=grid_size,
-        instance_ids=instance_ids,
-        target_instance=target_instance,
     )
 
 
@@ -253,8 +241,8 @@ class ScenePlan:
     of submanifold sparse convolution) belongs to the scene, not the layer.
     """
 
-    neighborhoods: tuple      # per radius: (neighbor rows, offsets from center,
-                              #   by-center table, by-neighbor table)
+    neighborhoods: tuple      # per radius: (offsets from center, by-center table,
+                              #   by-neighbor table)
     by_voxel: GroupTable
     voxel_coords: np.ndarray  # (G, 2) int64, voxel of each group, distinct
     kernel_map: list          # per 3x3 tap: (out_row, in_row) voxel pairs; None at the center tap
@@ -273,7 +261,7 @@ def plan_scene(ps: IndexedPointSet, radii, intervals) -> ScenePlan:
         # every point pairs with itself, so both tables' group ids are point indices
         by_center = GroupTable.from_group_of(centers, len(ps))
         by_neighbor = GroupTable.from_group_of(rows, len(ps))
-        neighborhoods.append((rows, ps.points[rows] - ps.points[centers], by_center, by_neighbor))
+        neighborhoods.append((ps.points[rows] - ps.points[centers], by_center, by_neighbor))
     by_voxel = build_groups_by_voxel(ps)
     coords = ps.voxels[by_voxel.order[by_voxel.offsets[:-1]]]
     cand_point, cand_row = interp_candidates(coords, ps.points, ps.grid_size)

@@ -53,10 +53,19 @@ class ModelConfig:
     loss_weight_disp: float = 1.0
 
     def __post_init__(self):
-        if self.n_modes < 1 or self.future_steps < 1:
-            raise ValueError("n_modes and future_steps must be >= 1")
-        if self.grid_size <= 0:
-            raise ValueError("grid_size must be positive")
+        for name in ("n_stages", "n_modes", "future_steps", "history_steps", "embed_width",
+                     "radius_width", "pointwise_width", "voxel_width", "bottleneck_blocks",
+                     "spatial_width", "interval_width", "temporal_width", "head_width"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.intervals or not all(t >= 1 for t in self.intervals):
+            raise ValueError(f"intervals must be non-empty and >= 1, got {list(self.intervals)}")
+        if not self.radii or not all(r > 0 for r in self.radii):
+            raise ValueError(f"radii must be non-empty and positive, got {list(self.radii)}")
+        if not self.grid_size > 0:
+            raise ValueError(f"grid_size must be positive, got {self.grid_size}")
+        if not self.loss_weight_disp >= 0:
+            raise ValueError(f"loss_weight_disp must be >= 0, got {self.loss_weight_disp}")
 
 
 @dataclass
@@ -192,8 +201,18 @@ class TrainConfig:
     lr_decay_epochs: tuple = (10, 20, 30)
     lr_decay_factor: float = 0.1
     augment: AugConfig | None = AugConfig()
-    eval_every: int = 1
+    eval_every: int = 1  # 0: never
     seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("eval_every", 0), ("seed", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not all(e >= 0 for e in self.lr_decay_epochs):
+            raise ValueError(f"lr_decay_epochs must be >= 0, got {list(self.lr_decay_epochs)}")
+        for name in ("lr", "lr_decay_factor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -326,6 +345,9 @@ def train(
             entry = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_seen, 1)}
             if config.eval_every and (epoch + 1) % config.eval_every == 0:
                 entry.update(evaluate_model(model, normalized))
+            bad = [k for k, v in entry.items() if not np.isfinite(v)]
+            if bad:
+                raise TrainingDiverged(f"non-finite {bad[0]} at epoch {epoch}")
             entry["wall_seconds"] = time.monotonic() - t0
             history.append(entry)
             if log_fh:

@@ -272,6 +272,15 @@ class AugConfig:
     keep_prob: float = 0.9
     noise_sigma: float = 0.2  # meters
 
+    def __post_init__(self):
+        if len(self.scale_range) != 2 or not 0 < self.scale_range[0] <= self.scale_range[1]:
+            raise ValueError(f"scale_range must be [lo, hi] with 0 < lo <= hi, "
+                             f"got {list(self.scale_range)}")
+        if not 0 < self.keep_prob <= 1:
+            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+
 
 def augment(scene: NormalizedScene, seed, config: AugConfig = AugConfig()) -> NormalizedScene:
     """Global random scaling, point dropout, and location perturbation.

@@ -109,7 +109,7 @@ def pointwise_learning(plan: ScenePlan, feats: Tensor, params: SpatialParams) ->
     if len(plan.neighborhoods) != len(params.radius_mlps):
         raise ValueError("pointwise_learning: plan and params have different radius counts")
     per_radius = []
-    for (_, rel, by_center, by_neighbor), mlp in zip(plan.neighborhoods, params.radius_mlps):
+    for (rel, by_center, by_neighbor), mlp in zip(plan.neighborhoods, params.radius_mlps):
         # the first layer on concat(feats[nbrs], rel), run per point and gathered per pair
         first, rest = mlp[0], mlp[1:]
         h = ad.pair_linear(feats, by_neighbor, rel, first.lin.w, first.lin.b)

@@ -103,8 +103,6 @@ def tiny_ps(rng, n=6, n_instances=2):
         voxels=voxelize(pts, 0.5),
         kind=np.zeros(n, dtype=np.int64),
         grid_size=0.5,
-        instance_ids=[str(i) for i in range(n_instances)],
-        target_instance=0,
     )
 
 
@@ -313,8 +311,6 @@ def test_criterion_02_scatter_group_oracles():
             voxels=voxelize(pts, 0.5),
             kind=np.zeros(n, dtype=np.int64),
             grid_size=0.5,
-            instance_ids=[str(i) for i in range(4)],
-            target_instance=0,
         )
         vox_keys = pack_pair(ps.voxels[:, 0], ps.voxels[:, 1])
         ref_vox, _ = brute_group_by_keys(vox_keys)
@@ -354,7 +350,6 @@ def test_criterion_03_ftp_conservation():
             points=pts, instance=np.zeros(n, dtype=np.int64),
             time=np.arange(n, dtype=np.int64), voxels=voxelize(pts, 0.5),
             kind=np.zeros(n, dtype=np.int64), grid_size=0.5,
-            instance_ids=["0"], target_instance=0,
         )
         feats = ad.parameter(rng.normal(size=(n, 5)))
         vox = ftp_point_to_voxel(plan_scene(ps, TINY.radii, TINY.intervals), feats)
@@ -384,7 +379,6 @@ def test_criterion_04_interval_identities():
             points=pts, instance=np.asarray(inst, dtype=np.int64),
             time=np.asarray(times, dtype=np.int64), voxels=voxelize(pts, 0.5),
             kind=np.zeros(n, dtype=np.int64), grid_size=0.5,
-            instance_ids=[str(i) for i in range(n_inst)], target_instance=0,
         )
         by_h = regroup_by_interval(ps, h)
         by_inst = build_groups_by_instance(ps)

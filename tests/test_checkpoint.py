@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -118,3 +120,35 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, rng, monkeypatch, injec
     assert manifest["global_step"] == 1
     for name, arr in old.items():
         np.testing.assert_array_equal(loaded[name], arr)
+
+
+def test_manifest_records_data_length_and_digest(tmp_path, rng):
+    save_checkpoint(tmp_path / "ck", {"w": rng.normal(size=(2, 3))}, step=0)
+    data = (tmp_path / "ck.bin").read_bytes()
+    manifest = json.loads((tmp_path / "ck.json").read_text())
+    assert manifest["data_bytes"] == len(data) == 48
+    assert manifest["data_sha256"] == hashlib.sha256(data).hexdigest()
+    # a manifest written before these keys existed still loads
+    del manifest["data_bytes"], manifest["data_sha256"]
+    (tmp_path / "ck.json").write_text(json.dumps(manifest))
+    loaded, _ = load_checkpoint(tmp_path / "ck.json")
+    np.testing.assert_array_equal(loaded["w"], np.frombuffer(data, dtype="<f8").reshape(2, 3))
+
+
+def test_failed_manifest_rename_rejects_new_data(tmp_path, rng, monkeypatch):
+    # new data renamed into place under the old manifest: same length, other bytes
+    save_checkpoint(tmp_path / "ck", {"a": rng.normal(size=(3, 4))}, step=1, epoch=1)
+    rename = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(".json"):
+            raise OSError("rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "ck", {"a": rng.normal(size=(3, 4))}, step=2, epoch=2)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["ck.bin", "ck.json"]
+    with pytest.raises(CheckpointMismatchError, match="digest"):
+        load_checkpoint(tmp_path / "ck.json")

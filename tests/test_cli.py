@@ -1,10 +1,11 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pointcast import cli, load_scene, normalize
+from pointcast import TrainConfig, cli, load_scene, normalize
 from pointcast.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_MODEL = {
@@ -111,6 +112,69 @@ def test_train_unknown_config_key_exit2(tmp_path, capsys):
     assert "bogus_width" in capsys.readouterr().err
 
 
+# (config overrides, command-line flags, environment, the key the error must name);
+# an override of None drops the key, so that TPCN_SEED is the only seed
+MALFORMED_RUNS = {
+    "epochs-string": ({"epochs": "abc"}, [], {}, "epochs"),
+    "model-not-object": ({"model": 5}, [], {}, "model"),
+    "n-modes-float": ({"model": dict(TINY_MODEL, n_modes=6.0)}, [], {}, "model.n_modes"),
+    "batch-size-zero": ({"batch_size": 0}, [], {}, "batch_size"),
+    "radii-empty": ({"model": dict(TINY_MODEL, radii=[])}, [], {}, "model.radii"),
+    "interval-zero": ({"model": dict(TINY_MODEL, intervals=[0])}, [], {}, "model.intervals"),
+    "no-bottleneck": ({"model": dict(TINY_MODEL, bottleneck_blocks=0)}, [], {},
+                      "model.bottleneck_blocks"),
+    "augment-not-object": ({"augment": 3}, [], {}, "augment"),
+    "scale-range-reversed": ({"augment": {"scale_range": [2.0, 1.0]}}, [], {},
+                             "augment.scale_range"),
+    "decay-not-list": ({"lr_decay_epochs": 5}, [], {}, "lr_decay_epochs"),
+    "epochs-fraction": ({"epochs": 1.5}, [], {}, "epochs"),
+    "radius-negative": ({"model": dict(TINY_MODEL, radii=[-0.5])}, [], {}, "model.radii"),
+    "epochs-negative": ({"epochs": -1}, [], {}, "epochs"),
+    "epochs-flag-zero": ({}, ["--epochs", "0"], {}, "epochs"),
+    "env-seed": ({"seed": None}, [], {"TPCN_SEED": "abc"}, "TPCN_SEED"),
+    "future-length": ({"model": dict(TINY_MODEL, future_steps=20)}, [], {},
+                      "model.future_steps"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RUNS)
+def test_train_malformed_config_exit2(tmp_path, trained, capsys, monkeypatch, case):
+    overrides, flags, env, key = MALFORMED_RUNS[case]
+    cfg = write_config(tmp_path / "c.json", trained[1], tmp_path / "ck", **overrides)
+    doc = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(["train", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "ck" / "model.json").exists()
+
+
+@pytest.mark.parametrize("overrides, term", [
+    ({"batch_size": 2, "eval_every": 0}, "non-finite loss"),  # the second batch's loss
+    ({"batch_size": 4, "eval_every": 1}, "non-finite minADE1"),  # the end-of-epoch evaluation
+])
+def test_train_diverged_exit2(tmp_path, trained, capsys, overrides, term):
+    cfg = write_config(tmp_path / "c.json", trained[1], tmp_path / "ck", epochs=1, lr=1e300,
+                       **overrides)
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged:") and term in err
+    assert not (tmp_path / "ck" / "model.json").exists()
+
+
+def test_readme_run_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## CLI", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.json").write_text(example)
+    doc, paths = cli._load_run_config(tmp_path / "run.json")
+    assert paths == {"data_dir": "data", "checkpoint_dir": "ckpt"}
+    cfg = cli._from_doc(TrainConfig, doc)
+    assert cfg.model.intervals == (2, 4, 6, 8, 16) and cfg.augment is not None
+    assert cli._from_doc(TrainConfig, cli._to_doc(cfg)) == cfg
+
+
 def test_train_and_eval_roundtrip(tmp_path, capsys):
     data = gen_data(tmp_path)
     cfg = write_config(tmp_path / "c.json", data, tmp_path / "ck")
@@ -136,6 +200,8 @@ def test_train_single_interval_override(tmp_path):
     assert cli.main(["train", "--config", str(cfg)]) == 0
     _, manifest = load_checkpoint(tmp_path / "ck" / "model.json")
     assert manifest["config"]["model"]["intervals"] == [2]
+    doc, _ = cli._load_run_config(cfg)
+    assert cli._from_doc(TrainConfig, manifest["config"]) == cli._from_doc(TrainConfig, doc)
 
 
 def test_train_byte_identical_checkpoints(tmp_path):
@@ -294,16 +360,16 @@ def test_params_only_checkpoint_resume_exit3(tmp_path, trained, capsys):
 
 
 def _patched_checkpoint(ckpt, out_dir, name, value, whole=False):
-    """A copy of ``ckpt`` with ``value`` in the first (or every) entry of array ``name``."""
+    """A copy of ``ckpt`` with ``value`` in the first (or every) entry of array ``name``.
+
+    It is saved through ``save_checkpoint``, so its manifest's digest matches
+    the patched data and the load reaches the check under test.
+    """
     out_dir.mkdir()
-    manifest = json.loads(ckpt.read_text())
-    values = np.frombuffer(ckpt.with_suffix(".bin").read_bytes(), dtype="<f8").copy()
-    entry = next(e for e in manifest["arrays"] if e["name"] == name)
-    count = int(np.prod(entry["shape"])) if whole else 1
-    values[entry["offset"] : entry["offset"] + count] = value
-    (out_dir / "model.json").write_text(ckpt.read_text())
-    (out_dir / "model.bin").write_bytes(values.tobytes())
-    return out_dir / "model.json"
+    arrays, manifest = load_checkpoint(ckpt)
+    arrays[name].reshape(-1)[: arrays[name].size if whole else 1] = value
+    return save_checkpoint(out_dir / "model", arrays, step=manifest["global_step"],
+                           epoch=manifest["epoch"], config=manifest["config"])
 
 
 @pytest.mark.parametrize("command", ["predict", "eval", "train"])

@@ -38,8 +38,6 @@ def make_ps(points, instance, time, kind, grid_size=0.2):
         voxels=voxelize(points, grid_size),
         kind=np.asarray(kind, dtype=np.int64),
         grid_size=grid_size,
-        instance_ids=[str(i) for i in range(int(np.max(instance)) + 1)],
-        target_instance=0,
     )
 
 
@@ -265,7 +263,6 @@ def test_index_scene_layout():
     assert ps.kind.tolist() == [KIND_TARGET, KIND_TARGET, KIND_OTHER, KIND_MAP, KIND_MAP]
     assert ps.time.tolist() == [18, 19, 19, 0, 0]
     assert ps.instance.tolist() == [0, 0, 1, 2, 2]
-    assert ps.target_instance == 0
 
 
 def test_index_scene_rejects_duplicate_instance_time():
@@ -298,13 +295,12 @@ def test_scene_plan_matches_bruteforce(seed):
     plan = plan_scene(ps, radii, intervals)
 
     assert len(plan.neighborhoods) == len(radii)
-    for radius, (rows, rel, by_center, by_neighbor) in zip(radii, plan.neighborhoods):
+    for radius, (rel, by_center, by_neighbor) in zip(radii, plan.neighborhoods):
         centers, nbrs = brute_radius_pairs(ps.points, radius)
         np.testing.assert_array_equal(by_center.group_of, centers)
-        np.testing.assert_array_equal(rows, nbrs)
+        np.testing.assert_array_equal(by_neighbor.group_of, nbrs)
         np.testing.assert_array_equal(rel, ps.points[nbrs] - ps.points[centers])
         assert by_center.n_groups == len(ps)
-        np.testing.assert_array_equal(by_neighbor.group_of, nbrs)
         assert by_neighbor.n_groups == len(ps)
         assert by_neighbor.counts().min() >= 1  # every point is its own neighbor
 

@@ -19,7 +19,7 @@ from pointcast import (
 )
 from pointcast import indexing, network, spatial
 from pointcast.indexing import KIND_MAP, index_scene
-from pointcast.scenes import MapElement
+from pointcast.scenes import AugConfig, MapElement
 from pointcast.network import (
     TrainingDiverged,
     forward_graph,
@@ -503,3 +503,23 @@ def test_train_names_first_non_finite_gradient(monkeypatch):
     with pytest.raises(TrainingDiverged, match="'head/reg/l1/b'"):
         train(gen_small(2, seed=0), cfg)
     assert steps == []  # the NaN never reached Adam
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelConfig(radii=()),
+    lambda: ModelConfig(radii=(0.4, 0.0)),
+    lambda: ModelConfig(intervals=(2, 0)),
+    lambda: ModelConfig(bottleneck_blocks=0),
+    lambda: ModelConfig(grid_size=float("nan")),
+    lambda: TrainConfig(epochs=0),
+    lambda: TrainConfig(batch_size=0),
+    lambda: TrainConfig(lr=0.0),
+    lambda: TrainConfig(seed=-1),
+    lambda: AugConfig(scale_range=(1.2, 1.1)),
+    lambda: AugConfig(scale_range=(0.0, 1.0)),
+    lambda: AugConfig(keep_prob=0.0),
+    lambda: AugConfig(keep_prob=1.5),
+])
+def test_configs_reject_out_of_range(make):
+    with pytest.raises(ValueError):
+        make()

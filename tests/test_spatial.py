@@ -58,8 +58,6 @@ def make_ps(points, grid_size=0.5):
         voxels=voxelize(points, grid_size),
         kind=np.zeros(n, dtype=np.int64),
         grid_size=grid_size,
-        instance_ids=["0"],
-        target_instance=0,
     )
 
 
@@ -75,8 +73,6 @@ def permute_ps(ps, perm):
         voxels=ps.voxels[perm],
         kind=ps.kind[perm],
         grid_size=ps.grid_size,
-        instance_ids=ps.instance_ids,
-        target_instance=ps.target_instance,
     )
 
 
@@ -164,7 +160,7 @@ def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
     ps = index_scene(normalize(gen_synthetic(1, seed=0, speed_range=(1.0, 3.0))[0]),
                      cfg.grid_size)
     plan = plan_scene(ps, cfg.radii, cfg.intervals)
-    pair_counts = {len(nbhd[0]) for nbhd in plan.neighborhoods}
+    pair_counts = {len(rel) for rel, _, _ in plan.neighborhoods}
     assert min(pair_counts) > len(ps)
     params = init_spatial({}, "sp", cfg.embed_width, cfg, np.random.default_rng(0))
     feats = ad.parameter(np.random.default_rng(1).normal(size=(len(ps), cfg.embed_width)))

@@ -40,8 +40,6 @@ def make_ps(instance, time, kind=None, points=None):
         voxels=voxelize(points, 0.5),
         kind=kind,
         grid_size=0.5,
-        instance_ids=[str(i) for i in range(int(instance.max()) + 1)],
-        target_instance=0,
     )
 
 
