@@ -8,6 +8,10 @@ which is a reverse topological order: it runs each reachable node's closure
 once and accumulates into ``Tensor.grad``, so per-sample gradients can be
 summed across a batch before an optimizer step.
 
+Inference records no graph: under :func:`no_grad` every op returns a plain
+``Tensor`` with no parents and no closure, so each intermediate is freed as
+soon as its consumers have run.
+
 There is deliberately no general broadcasting: the only shape-bending ops are
 the named primitives below (``scale_rows``, ``mean_rows``, ``pair_linear``,
 ``submanifold_conv``, the gathers and the scatters). Every index-taking
@@ -17,6 +21,7 @@ rows, so each backward sum is a segment sum or a plain fancy-index add.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 
@@ -25,6 +30,7 @@ import numpy as np
 from .indexing import CENTER_TAP, GroupTable
 
 _ids = itertools.count()
+_grad_enabled = True
 
 
 class Tensor:
@@ -67,8 +73,19 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block; the previous state comes back on exit."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _op(out_data, parents, vjp) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(out_data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Tensor(out_data)
 
@@ -391,6 +408,8 @@ def backward(loss: Tensor, leaves=None) -> dict:
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward: loss must be scalar (1, 1), got {loss.data.shape}")
+    if not loss.requires_grad:
+        raise ValueError("backward: loss has no graph (a constant, or built under no_grad)")
     # pending gradients, and a max-heap of their nodes keyed by -node_id: the
     # largest id pending has no pending child left, so its gradient is complete
     grads = {loss.node_id: np.ones((1, 1))}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -75,18 +76,49 @@ def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config
     return manifest_path
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_manifest(manifest, manifest_path) -> None:
+    """Raise CheckpointMismatchError unless ``manifest`` has the layout save_checkpoint writes."""
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
+        raise CheckpointMismatchError(f"{manifest_path}: not a {FORMAT_NAME} file")
+    if not isinstance(manifest.get("data_file"), str):
+        raise CheckpointMismatchError(f"{manifest_path}: data_file must be a string")
+    for key in ("global_step", "epoch"):
+        if not _is_count(manifest.get(key)):
+            raise CheckpointMismatchError(f"{manifest_path}: {key} must be a non-negative integer")
+    if not isinstance(manifest.get("config"), (dict, type(None))):
+        raise CheckpointMismatchError(f"{manifest_path}: config must be null or an object")
+    entries = manifest.get("arrays")
+    if not isinstance(entries, list):
+        raise CheckpointMismatchError(f"{manifest_path}: arrays must be a list")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list) and all(map(_is_count, entry["shape"]))
+                and _is_count(entry.get("offset"))):
+            raise CheckpointMismatchError(
+                f"{manifest_path}: arrays[{i}] needs a string name, a shape of non-negative "
+                f"integers and a non-negative integer offset"
+            )
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (arrays dict, manifest dict).
 
-    The data file's length and digest are verified when the manifest records
+    The manifest's structure is checked before the data file is read, and the
+    data file's length and digest are verified when the manifest records
     them (manifests written before they were recorded load unverified).
     """
     manifest_path, data_path = _paths(path)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != FORMAT_NAME:
-        raise CheckpointMismatchError(f"{manifest_path}: not a {FORMAT_NAME} file")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise CheckpointMismatchError(f"{manifest_path}: not JSON: {exc}") from exc
+    _check_manifest(manifest, manifest_path)
     data_path = manifest_path.parent / manifest["data_file"]
     data = data_path.read_bytes()
     n_bytes, digest = manifest.get("data_bytes"), manifest.get("data_sha256")
@@ -96,7 +128,7 @@ def load_checkpoint(path):
         raise CheckpointMismatchError(
             f"{data_path}: SHA-256 digest differs from the one its manifest records"
         )
-    sizes = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
+    sizes = [math.prod(entry["shape"]) for entry in manifest["arrays"]]  # exact, unlike int64
     if len(data) != 8 * sum(sizes):
         raise CheckpointMismatchError(
             f"{data_path}: {len(data)} bytes, manifest lists {sum(sizes)} float64 values"
@@ -105,7 +137,7 @@ def load_checkpoint(path):
     arrays = {}
     for entry, size in zip(manifest["arrays"], sizes):
         offset = entry["offset"]
-        if not 0 <= offset <= len(raw) - size:
+        if offset > len(raw) - size:
             raise CheckpointMismatchError(
                 f"{data_path}: array {entry['name']!r} at [{offset}, {offset + size}) "
                 f"runs past {len(raw)} values"

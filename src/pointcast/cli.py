@@ -2,10 +2,12 @@
 
 Exit codes:
   0  success;
-  2  input or config error: a malformed scene, a run-config value of the
-     wrong JSON type or out of range, or a training run that diverged;
-  3  checkpoint fault: missing or misshapen arrays, non-finite values, or a
-     data file that does not match its manifest's length and SHA-256 digest;
+  2  input or config error: a malformed scene or prediction document, a
+     run-config value or command-line count of the wrong type or out of
+     range, or a training run that diverged;
+  3  checkpoint fault: a malformed manifest, missing or misshapen arrays,
+     non-finite values, or a data file that does not match its manifest's
+     length and SHA-256 digest;
   1  internal error.
 
 A run config (``run.json``) parses straight into a ``TrainConfig``; only the
@@ -135,9 +137,13 @@ def _env_seed() -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    seed = args.seed if args.seed is not None else _env_seed()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else _env_seed()
     scenes = gen_synthetic(args.n, seed, args.profile)
     names = []
     for sc in scenes:
@@ -247,15 +253,22 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _load_trajectories(path) -> np.ndarray:
+    """The ``trajectories`` of a prediction document: a finite (K, T, 2) array, K, T >= 1."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        trajs = np.asarray(doc["trajectories"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SceneFormatError(f"{path}: not an object with numeric trajectories ({exc})") from exc
+    if trajs.ndim != 3 or trajs.shape[2] != 2 or 0 in trajs.shape or not np.isfinite(trajs).all():
+        raise SceneFormatError(f"{path}: trajectories must be a finite (K, T, 2) array with "
+                               f"K, T >= 1, got shape {trajs.shape}")
+    return trajs
+
+
 def cmd_plot(args) -> int:
     scene = load_scene(args.scene)
-    predictions = None
-    if args.pred:
-        try:
-            pred_doc = json.loads(Path(args.pred).read_text())
-            predictions = np.asarray(pred_doc["trajectories"], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise SceneFormatError(f"{args.pred}: {exc}") from exc
+    predictions = _load_trajectories(args.pred) if args.pred else None
     root = scene_svg(scene, predictions=predictions, gt=scene.future)
     write_svg(root, args.out)
     print(f"wrote {args.out}")

@@ -141,7 +141,8 @@ def prediction_from_heads(reg: Tensor, disp: Tensor, config: ModelConfig) -> Pre
 
 
 def forward(model: Model, scene: NormalizedScene) -> PredictionSet:
-    _, reg, disp = forward_graph(model, scene)
+    with ad.no_grad():
+        _, reg, disp = forward_graph(model, scene)
     return prediction_from_heads(reg, disp, model.config)
 
 

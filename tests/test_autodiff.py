@@ -359,6 +359,34 @@ def test_backward_requires_scalar():
         ad.backward(x)
 
 
+def test_backward_refuses_loss_without_graph(rng):
+    x = ad.parameter(rng.normal(size=(2, 2)))
+    with ad.no_grad():
+        loss = ad.sum_all(x)
+    with pytest.raises(ValueError, match="no graph"):
+        ad.backward(loss)
+    with pytest.raises(ValueError, match="no graph"):
+        ad.backward(ad.constant([[1.0]]))
+    assert x.grad is None
+
+
+def test_no_grad_restores_after_nesting_and_exceptions():
+    assert ad._grad_enabled
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad._grad_enabled
+        assert not ad._grad_enabled
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert not ad._grad_enabled
+    assert ad._grad_enabled
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert ad._grad_enabled
+
+
 def test_backward_disconnected_leaf_zero(rng):
     x = ad.parameter(rng.normal(size=(2, 2)))
     unused = ad.parameter(rng.normal(size=(3, 3)))

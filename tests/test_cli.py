@@ -96,6 +96,19 @@ def test_gen_synthetic_env_seed_fallback(tmp_path, monkeypatch):
         assert fa.read_bytes() == fb.read_bytes()
 
 
+@pytest.mark.parametrize("flags, term", [
+    (["--n", "1", "--seed", "-1"], "--seed"),
+    (["--n", "0"], "--n"),
+    (["--n", "-2"], "--n"),
+])
+def test_gen_synthetic_bad_flag_exit2(tmp_path, capsys, flags, term):
+    out = tmp_path / "g"
+    assert cli.main(["gen-synthetic", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and term in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -299,6 +312,22 @@ def test_plot_svg_structure(tmp_path, trained):
     assert classes.count("history") == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"trajectories": [[1, 2]]},
+    [1],
+    {"trajectories": [[[float("nan"), 1], [2, 3]]]},
+], ids=["not-3d", "not-object", "nan"])
+def test_plot_malformed_predictions_exit2(tmp_path, trained, capsys, doc):
+    scene_file = sorted(trained[1].glob("syn-*.json"))[0]
+    pred_file = tmp_path / "pred.json"
+    pred_file.write_text(json.dumps(doc))
+    svg_path = tmp_path / "scene.svg"
+    assert cli.main(["plot", "--scene", str(scene_file), "--pred", str(pred_file),
+                     "--out", str(svg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not svg_path.exists()
+
+
 def test_plot_without_future_no_red(tmp_path):
     from pointcast import gen_synthetic, save_scene
 
@@ -324,6 +353,60 @@ def test_predict_truncated_checkpoint_exit3(tmp_path, trained, capsys, cut_bytes
     assert cli.main(["predict", "--ckpt", str(copy), "--scene", str(scene_file),
                      "--out", str(tmp_path / "pred.json")]) == 3
     assert "model.bin" in capsys.readouterr().err
+
+
+def _drop(key):
+    return lambda m: {k: v for k, v in m.items() if k != key}
+
+
+def _first_entry(edit):
+    return lambda m: {**m, "arrays": [edit(m["arrays"][0]), *m["arrays"][1:]]}
+
+
+# each case edits an otherwise valid manifest (the text is JSON unless it is a str)
+MALFORMED_MANIFESTS = {
+    "format-only": lambda m: {"format": m["format"]},
+    "no-arrays": _drop("arrays"),
+    "entry-no-shape": _first_entry(_drop("shape")),
+    "entry-no-offset": _first_entry(_drop("offset")),
+    "offset-string": _first_entry(lambda e: {**e, "offset": "0"}),
+    "config-list": lambda m: {**m, "config": [1]},
+    "top-level-list": lambda m: [m],
+    # 2**64 values, which an int64 product wraps to 0
+    "shape-overflow": lambda m: {
+        **m, "arrays": [*m["arrays"], {"name": "x", "shape": [2**32, 2**32], "offset": 0}]},
+    "not-json": lambda m: "{not json",
+}
+
+
+def _malformed_copy(ckpt, out_dir, edit):
+    copy = out_dir / "model.json"
+    copy.with_suffix(".bin").write_bytes(ckpt.with_suffix(".bin").read_bytes())
+    doc = edit(json.loads(ckpt.read_text()))
+    copy.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(copy)
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_predict_malformed_manifest_exit3(tmp_path, trained, capsys, case):
+    _, data, ckpt = trained
+    bad = _malformed_copy(ckpt, tmp_path, MALFORMED_MANIFESTS[case])
+    scene_file = sorted(data.glob("syn-*.json"))[0]
+    assert cli.main(["predict", "--ckpt", bad, "--scene", str(scene_file),
+                     "--out", str(tmp_path / "pred.json")]) == 3
+    assert "checkpoint error:" in capsys.readouterr().err
+    assert not (tmp_path / "pred.json").exists()
+
+
+@pytest.mark.parametrize("edit", [_drop("global_step"), lambda m: {**m, "epoch": "x"}],
+                         ids=["no-global-step", "epoch-string"])
+def test_resume_malformed_manifest_exit3(tmp_path, trained, capsys, edit):
+    tmp, _, ckpt = trained
+    bad = _malformed_copy(ckpt, tmp_path, edit)
+    assert cli.main(["train", "--config", str(tmp / "c.json"), "--resume", bad,
+                     "--epochs", "2", "--out", str(tmp_path / "resumed")]) == 3
+    assert "checkpoint error:" in capsys.readouterr().err
+    assert not (tmp_path / "resumed" / "model.json").exists()
 
 
 def _params_only_checkpoint(ckpt, out_dir):

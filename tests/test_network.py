@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad
+from test_acceptance import OVERFIT_MODEL
 
 from pointcast import (
     ModelConfig,
@@ -22,6 +23,7 @@ from pointcast.indexing import KIND_MAP, index_scene
 from pointcast.scenes import AugConfig, MapElement
 from pointcast.network import (
     TrainingDiverged,
+    evaluate_model,
     forward_graph,
     loss_disp,
     loss_reg,
@@ -523,3 +525,50 @@ def test_train_names_first_non_finite_gradient(monkeypatch):
 def test_configs_reject_out_of_range(make):
     with pytest.raises(ValueError):
         make()
+
+
+# ---------------------------------------------------------------------------
+# inference records no graph
+
+
+def _record_ops(monkeypatch):
+    """Wrap ``ad._op``; returns the list of tensors it builds."""
+    built, op = [], ad._op
+
+    def recording(*args):
+        built.append(op(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ad, "_op", recording)
+    return built
+
+
+def test_forward_builds_no_graph(monkeypatch):
+    cfg = ModelConfig()
+    model = init_model(cfg, seed=0)
+    scene = normalize(gen_synthetic(1, seed=3, future_steps=cfg.future_steps)[0])
+    built = _record_ops(monkeypatch)
+    forward_graph(model, scene)
+    n_graph = len(built)
+    assert any(t._parents for t in built)
+    built.clear()
+    forward(model, scene)
+    assert len(built) == n_graph  # every primitive still goes through _op once
+    assert all(t._parents == () and t._vjp is None and not t.requires_grad for t in built)
+
+
+@pytest.mark.parametrize("cfg", [OVERFIT_MODEL, ModelConfig()], ids=["overfit", "default"])
+def test_forward_matches_forward_graph_heads(cfg):
+    model = init_model(cfg, seed=0)
+    for raw in gen_synthetic(2, seed=4, future_steps=cfg.future_steps):
+        scene = normalize(raw)
+        pred = forward(model, scene)
+        _, reg, disp = forward_graph(model, scene)
+        ref = prediction_from_heads(reg, disp, cfg)
+        assert pred.trajectories.tobytes() == ref.trajectories.tobytes()
+        assert pred.displacements.tobytes() == ref.displacements.tobytes()
+
+
+def test_evaluate_model_leaves_grad_enabled(small_model):
+    evaluate_model(small_model, [normalize(s) for s in gen_small(2, seed=5)])
+    assert ad._grad_enabled
