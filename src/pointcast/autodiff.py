@@ -10,7 +10,13 @@ summed across a batch before an optimizer step.
 
 Inference records no graph: under :func:`no_grad` every op returns a plain
 ``Tensor`` with no parents and no closure, so each intermediate is freed as
-soon as its consumers have run.
+soon as its consumers have run. Work that only the backward pass needs
+belongs in the closure, so inference skips it: ``scatter_max`` finds its
+argmax rows there.
+
+Every layer norm in the network is one :func:`norm_act` node: the row
+statistics, the affine and the optional relu in one forward and one VJP.
+:func:`layer_norm` is ``norm_act`` without the relu.
 
 There is deliberately no general broadcasting: the only shape-bending ops are
 the named primitives below (``scale_rows``, ``mean_rows``, ``pair_linear``,
@@ -84,8 +90,13 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _recording(parents) -> bool:
+    """Whether an op on ``parents`` becomes a graph node (and its VJP can run)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _op(out_data, parents, vjp) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         return Tensor(out_data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Tensor(out_data)
 
@@ -107,7 +118,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         if b.data.shape != (1, w.data.shape[1]):
             raise ValueError(f"linear: bias shape {b.data.shape}")
-        y = y + b.data
+        y += b.data
 
     def vjp(g):
         gb = (g.sum(axis=0, keepdims=True),) if b is not None else ()
@@ -126,26 +137,52 @@ def exp(x: Tensor) -> Tensor:
     return _op(y, (x,), lambda g: (g * y,))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then affine."""
-    if gain.data.shape != (1, x.data.shape[1]) or bias.data.shape != (1, x.data.shape[1]):
-        raise ValueError("layer_norm: gain/bias must be (1, C)")
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+def norm_act(x: Tensor, gain: Tensor, bias: Tensor, act: bool, eps: float = 1e-8) -> Tensor:
+    """Per-row layer norm, then affine, then relu when ``act``, as one node.
+
+    Row means are matvecs with a ones vector, so each reduction is one BLAS
+    pass. The forward makes one centered copy and normalizes it in place
+    into ``xhat``. When the node is recorded it keeps ``xhat`` and a
+    separate output, and the VJP reads the relu mask back from the output;
+    otherwise the output overwrites ``xhat``. NaN rows propagate as in a
+    separate ``layer_norm`` and ``relu``.
+    """
+    c = x.data.shape[1]
+    if gain.data.shape != (1, c) or bias.data.shape != (1, c):
+        raise ValueError("norm_act: gain/bias must be (1, C)")
+    ones = np.ones(c)
+    xhat = x.data - (x.data @ ones / c)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / c + eps)
+    xhat *= inv[:, None]
+    if _recording((x, gain, bias)):
+        y = xhat * gain.data
+    else:
+        y = np.multiply(xhat, gain.data, out=xhat)
+    y += bias.data
+    if act:
+        np.maximum(y, 0.0, out=y)
 
     def vjp(g):
-        gg = g * gain.data
-        gx = inv * (
-            gg
-            - gg.mean(axis=1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=1, keepdims=True)
-        )
-        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+        if act:
+            g = g * (y > 0)
+        ggain = np.einsum("ij,ij->j", g, xhat)[None]
+        gbias = g.sum(axis=0, keepdims=True)
+        # the masked copy is this closure's own, so it can take gg; an
+        # unmasked g may be shared with another parent and is left alone
+        gg = np.multiply(g, gain.data, out=g) if act else g * gain.data
+        m1 = gg @ ones / c
+        m2 = np.einsum("ij,ij->i", gg, xhat) / c
+        gg -= m1[:, None]
+        gg -= xhat * m2[:, None]
+        gg *= inv[:, None]
+        return gg, ggain, gbias
 
-    return _op(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+    return _op(y, (x, gain, bias), vjp)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+    """Per-row normalization to zero mean / unit variance, then affine."""
+    return norm_act(x, gain, bias, act=False, eps=eps)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -267,7 +304,10 @@ def pair_linear(x: Tensor, by_neighbor: GroupTable, rel, w: Tensor, b: Tensor) -
     if w.data.shape[0] != c + rel.shape[1] or b.data.shape != (1, w.data.shape[1]):
         raise ValueError(f"pair_linear: {x.data.shape} and {rel.shape} by {w.data.shape}")
     nbrs = by_neighbor.group_of
-    y = (x.data @ w.data[:c])[nbrs] + (rel @ w.data[c:] + b.data)
+    y = (x.data @ w.data[:c])[nbrs]
+    per_pair = rel @ w.data[c:]
+    per_pair += b.data
+    y += per_pair
 
     def vjp(g):
         gp = _segment_sum(g, by_neighbor)
@@ -294,23 +334,23 @@ def scatter_max(x: Tensor, groups: GroupTable) -> Tensor:
     """Per-group, per-column maximum; gradient routes to the argmax member.
 
     Ties route to the lowest member index, which keeps the backward pass
-    deterministic.
+    deterministic. The argmax rows are found in the VJP, so inference never
+    computes them.
     """
     if len(groups.group_of) != x.data.shape[0]:
         raise ValueError("scatter_max: group table does not match row count")
     starts = groups.offsets[:-1]
-    xs = x.data[groups.order]
-    out = np.maximum.reduceat(xs, starts, axis=0)
-    # members ascend within a segment, so the first position that attains the
-    # max is the lowest member; a NaN max (no ``<``) routes to the first one
-    attains = ~(xs < out[groups.group_of[groups.order]])
-    pos = np.where(attains, np.arange(len(xs))[:, None], len(xs))
-    argrows = groups.order[np.minimum.reduceat(pos, starts, axis=0)]
-    cols = np.arange(x.data.shape[1])
+    out = np.maximum.reduceat(x.data[groups.order], starts, axis=0)
 
     def vjp(g):
+        # members ascend within a segment, so the first position that attains
+        # the max is the lowest member; a NaN max (no ``<``) routes to the first one
+        xs = x.data[groups.order]
+        attains = ~(xs < out[groups.group_of[groups.order]])
+        pos = np.where(attains, np.arange(len(xs))[:, None], len(xs))
+        argrows = groups.order[np.minimum.reduceat(pos, starts, axis=0)]
         gx = np.zeros_like(x.data)
-        gx[argrows, cols] = g
+        gx[argrows, np.arange(x.data.shape[1])] = g
         return (gx,)
 
     return _op(out, (x,), vjp)

@@ -269,7 +269,11 @@ def _load_trajectories(path) -> np.ndarray:
 def cmd_plot(args) -> int:
     scene = load_scene(args.scene)
     predictions = _load_trajectories(args.pred) if args.pred else None
-    root = scene_svg(scene, predictions=predictions, gt=scene.future)
+    try:
+        root = scene_svg(scene, predictions=predictions, gt=scene.future)
+    except ValueError as exc:
+        with_pred = f" with predictions {args.pred}" if args.pred else ""
+        raise SceneFormatError(f"cannot plot {args.scene}{with_pred}: {exc}") from exc
     write_svg(root, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -82,10 +82,8 @@ def init_mlp(
 def apply_norm_act(layer: MLPLayer, x: Tensor) -> Tensor:
     """The part of ``layer`` after its linear map: optional layer norm, then optional relu."""
     if layer.norm is not None:
-        x = ad.layer_norm(x, layer.norm.gain, layer.norm.bias)
-    if layer.act:
-        x = ad.relu(x)
-    return x
+        return ad.norm_act(x, layer.norm.gain, layer.norm.bias, layer.act)
+    return ad.relu(x) if layer.act else x
 
 
 def apply_mlp(layers, x: Tensor) -> Tensor:

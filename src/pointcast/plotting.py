@@ -49,8 +49,12 @@ def scene_svg(scene, predictions=None, gt=None) -> ET.Element:
     allpts = np.concatenate([np.asarray(p).reshape(-1, 2) for p in pts], axis=0)
     lo = allpts.min(axis=0) - 5.0
     hi = allpts.max(axis=0) + 5.0
+    with np.errstate(over="ignore"):
+        size = hi - lo
+    if not np.isfinite(size).all():
+        raise ValueError(f"view extent overflows: x and y span {size[0]} and {size[1]}")
     # y axis is flipped into SVG screen coordinates
-    view = f"{lo[0]:.2f} {-hi[1]:.2f} {hi[0] - lo[0]:.2f} {hi[1] - lo[1]:.2f}"
+    view = f"{lo[0]:.2f} {-hi[1]:.2f} {size[0]:.2f} {size[1]:.2f}"
     root = ET.Element(
         "svg",
         {"xmlns": "http://www.w3.org/2000/svg", "viewBox": view, "width": "640", "height": "640"},

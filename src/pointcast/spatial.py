@@ -129,12 +129,12 @@ def sparse_bottleneck(kernel_map, feats: Tensor, params: SpatialParams) -> Tenso
     for block in params.blocks:
         h = nn.apply_mlp([block.reduce], x)
         h = ad.submanifold_conv(h, kernel_map, block.conv_w, block.conv_b)
-        h = ad.relu(ad.layer_norm(h, block.conv_norm.gain, block.conv_norm.bias))
+        h = ad.norm_act(h, block.conv_norm.gain, block.conv_norm.bias, act=True)
         h = ad.linear(h, block.expand.w, block.expand.b)
-        h = ad.layer_norm(h, block.expand_norm.gain, block.expand_norm.bias)
+        h = ad.norm_act(h, block.expand_norm.gain, block.expand_norm.bias, act=False)
         if block.skip is not None:
             s = ad.linear(x, block.skip.w, block.skip.b)
-            s = ad.layer_norm(s, block.skip_norm.gain, block.skip_norm.bias)
+            s = ad.norm_act(s, block.skip_norm.gain, block.skip_norm.bias, act=False)
         else:
             s = x
         x = ad.relu(ad.add(h, s))

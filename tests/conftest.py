@@ -146,6 +146,35 @@ def conv_chain(x, kernel_map, taps, b):
     return out
 
 
+def norm_act_ref(x, gain, bias, act, eps=1e-8):
+    """Layer norm, then relu when ``act``, in plain numpy; returns ``(y, vjp)``.
+
+    This is the math of the separate ``layer_norm`` and ``relu`` nodes that
+    ``norm_act`` fused: ``ndarray.mean`` row statistics, a relu mask taken on
+    the pre-activation, and ``vjp(g) -> (gx, ggain, gbias)``.
+    """
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    pre = xhat * gain + bias
+    mask = pre > 0
+
+    def vjp(g):
+        if act:
+            g = g * mask
+        gg = g * gain
+        gx = inv * (
+            gg
+            - gg.mean(axis=1, keepdims=True)
+            - xhat * (gg * xhat).mean(axis=1, keepdims=True)
+        )
+        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    return (pre * mask if act else pre), vjp
+
+
 def brute_csr(group_of, n_groups):
     """CSR (order, offsets) of a dense group assignment, built one row at a time."""
     members = [[] for _ in range(n_groups)]

@@ -9,6 +9,7 @@ from conftest import (
     brute_scatter_mean,
     check_grads,
     conv_chain,
+    norm_act_ref,
     softmax_chain,
     spread_values,
 )
@@ -84,6 +85,70 @@ def test_layer_norm_row_statistics(rng):
     y = ad.layer_norm(x, gain, bias).data
     np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-6)
     np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-6)
+
+
+def norm_act_inputs(rng, case):
+    """(x, gain, bias) for one oracle case of ``norm_act``."""
+    x = rng.normal(size=(7, 5))
+    gain = rng.uniform(0.5, 1.5, size=(1, 5))
+    bias = rng.normal(size=(1, 5))
+    if case == "constant-row":
+        x[2] = 0.75  # zero variance: the row normalizes to 0 and leaves the bias
+    elif case == "single-column":
+        x, gain, bias = x[:, :1], gain[:, :1], bias[:, :1]
+    elif case == "zero-pre":
+        # exact-zero pre-activations: a whole column, and a constant row's column
+        gain[0, 1] = bias[0, 1] = 0.0
+        x[3] = -2.0
+        bias[0, 4] = 0.0
+    elif case == "nan-row":
+        x[4, 2] = np.nan
+    return x, gain, bias
+
+
+@pytest.mark.parametrize("act", [True, False], ids=["act", "no-act"])
+@pytest.mark.parametrize("case", ["random", "constant-row", "single-column", "zero-pre",
+                                  "nan-row"])
+def test_norm_act_matches_layer_norm_relu_reference(rng, case, act):
+    x, gain, bias = norm_act_inputs(rng, case)
+    g = rng.normal(size=x.shape)
+    want_y, want_vjp = norm_act_ref(x, gain, bias, act)
+    xt, gt, bt = (ad.parameter(a.copy()) for a in (x, gain, bias))
+    y = ad.norm_act(xt, gt, bt, act)
+    with ad.no_grad():
+        # unrecorded, the output overwrites the normalized copy: same bytes
+        assert ad.norm_act(xt, gt, bt, act).data.tobytes() == y.data.tobytes()
+    ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))))
+    for name, got, want in zip(("y", "gx", "ggain", "gbias"),
+                               (y.data, xt.grad, gt.grad, bt.grad), (want_y, *want_vjp(g))):
+        # NaN positions must match too (assert_allclose's equal_nan)
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(np.nan_to_num(want)).max(),
+                                   err_msg=f"{case}, act={act}: {name}")
+    if case == "nan-row":
+        assert np.isnan(y.data[4]).all() and np.isnan(xt.grad[4]).all()
+        assert np.isfinite(np.delete(y.data, 4, axis=0)).all()
+
+
+@pytest.mark.parametrize("act", [True, False], ids=["act", "no-act"])
+def test_norm_act_leaves_a_shared_upstream_gradient_alone(rng, act):
+    # add hands the same gradient array to both of its parents
+    x, gain, bias = norm_act_inputs(rng, "random")
+    x2 = rng.normal(size=x.shape)
+    g = rng.normal(size=x.shape)
+    xt, x2t = ad.parameter(x.copy()), ad.parameter(x2.copy())
+    gt, bt = ad.constant(gain), ad.constant(bias)
+    y = ad.add(ad.norm_act(xt, gt, bt, act), ad.norm_act(x2t, gt, bt, act))
+    ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))))
+    for got, xs in ((xt.grad, x), (x2t.grad, x2)):
+        want = norm_act_ref(xs, gain, bias, act)[1](g)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_layer_norm_is_norm_act_without_relu(rng):
+    x, gain, bias = (ad.constant(a) for a in norm_act_inputs(rng, "random"))
+    assert ad.layer_norm(x, gain, bias).data.tobytes() == \
+        ad.norm_act(x, gain, bias, act=False).data.tobytes()
 
 
 def test_gather_rows_identity(rng):
@@ -242,6 +307,23 @@ def test_scatter_max_tie_heavy_matches_bruteforce(rng):
         np.testing.assert_array_equal(
             x.grad, brute_scatter_max_routing(x.data, table.group_of, table.n_groups, g)
         )
+
+
+def test_scatter_max_no_grad_then_backward_routes_ties_and_nans():
+    # groups {0, 2, 4} and {1, 3}; column 0 ties, column 1 has a NaN in group 0
+    table = group_by_keys(np.array([7, 3, 7, 3, 7]))
+    x = ad.parameter(np.array([[1.0, 3.0], [2.0, 0.0], [5.0, np.nan], [2.0, 4.0], [5.0, 1.0]]))
+    with ad.no_grad():
+        y0 = ad.scatter_max(x, table)
+    assert y0._parents == () and y0._vjp is None
+    np.testing.assert_array_equal(y0.data, [[5.0, np.nan], [2.0, 4.0]])
+    y = ad.scatter_max(x, table)
+    assert y.data.tobytes() == y0.data.tobytes()
+    ad.backward(ad.sum_all(ad.mul(y, ad.constant([[10.0, 20.0], [30.0, 40.0]]))))
+    # ties go to the lowest member (rows 2 and 1); a NaN max goes to the group's first row
+    np.testing.assert_array_equal(
+        x.grad, [[0.0, 20.0], [30.0, 0.0], [10.0, 0.0], [0.0, 40.0], [0.0, 0.0]]
+    )
 
 
 def test_segment_softmax_matches_primitive_chain(rng):
@@ -448,6 +530,18 @@ def test_backward_composite_finite_differences(rng):
 # per-primitive finite-difference sweep
 
 
+def bias_clear_of_relu_kink(x, gain):
+    """A (1, C) bias that puts every pre-activation of ``norm_act`` half a gap from 0.
+
+    Per column, the bias moves zero to the middle of the widest gap between
+    the sorted values of ``xhat * gain``, so both signs stay in play.
+    """
+    xc = x - x.mean(axis=1, keepdims=True)
+    v = np.sort(xc / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-8) * gain, axis=0)
+    k, cols = np.diff(v, axis=0).argmax(axis=0), np.arange(v.shape[1])
+    return -(v[k, cols] + v[k + 1, cols])[None] / 2
+
+
 def _primitive_cases(rng, n, c):
     """(name, make_loss, tensors) triples covering every differentiable primitive.
 
@@ -473,6 +567,11 @@ def _primitive_cases(rng, n, c):
         return lambda y: ad.sum_all(ad.mul(y, r))
 
     x_lin, x_relu, x_ln = fresh(), fresh(True), fresh()
+    # a child generator does not advance rng, so norm_act's inputs leave every
+    # other case's inputs unchanged; its cases come last for the same reason
+    na_rng = rng.spawn(1)[0]
+    x_na, x_na_act = (ad.parameter(na_rng.normal(size=(n, c))) for _ in range(2))
+    bias_act = ad.parameter(bias_clear_of_relu_kink(x_na_act.data, gain.data))
     x_cat_a, x_cat_b = fresh(), fresh()
     x_slice, x_gather, x_mean = fresh(), fresh(), fresh()
     x_smean, x_smax, x_sadd = fresh(), fresh(True), fresh()
@@ -529,6 +628,9 @@ def _primitive_cases(rng, n, c):
          [x_pair, w_pair, b]),
         ("submanifold_conv", lambda: p_nc(ad.submanifold_conv(x_conv, conv_map, conv_taps, b)),
          [x_conv, *conv_taps, b]),
+        ("norm_act", lambda: p_nc(ad.norm_act(x_na, gain, bias, act=False)), [x_na, gain, bias]),
+        ("norm_act+relu", lambda: p_nc(ad.norm_act(x_na_act, gain, bias_act, act=True)),
+         [x_na_act, gain, bias_act]),
     ]
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -340,6 +341,23 @@ def test_plot_without_future_no_red(tmp_path):
     root = ET.fromstring(svg_path.read_text())
     classes = [p.get("class") for p in root.iter() if p.get("class")]
     assert "gt" not in classes
+
+
+def test_plot_overflowing_extent_exit2(tmp_path, capsys):
+    from pointcast import gen_synthetic, save_scene
+
+    scene_file = tmp_path / "s.json"
+    save_scene(gen_synthetic(1, seed=40)[0], scene_file)
+    pred_file = tmp_path / "pred.json"
+    pred_file.write_text(json.dumps({"trajectories": [[[1e308, 1e308], [-1e308, -1e308]]]}))
+    svg_path = tmp_path / "scene.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["plot", "--scene", str(scene_file), "--pred", str(pred_file),
+                         "--out", str(svg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(pred_file) in err
+    assert not svg_path.exists()
 
 
 @pytest.mark.parametrize("cut_bytes", [8, 3])  # a whole value, or mid-value

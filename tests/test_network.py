@@ -483,6 +483,27 @@ def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 357), (OVERFIT_MODEL, 153)],
+                         ids=["default", "overfit"])
+def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
+    model = init_model(cfg, seed=0)
+    gains = sorted(id(t) for name, t in model.params.items() if name.endswith("/gain"))
+    calls = {fn.__name__: _count_calls(monkeypatch, fn)
+             for fn in (ad.layer_norm, ad.relu, ad.norm_act)}
+    built = _record_ops(monkeypatch)
+    for raw in gen_synthetic(3, seed=0, future_steps=cfg.future_steps):
+        built.clear()
+        for c in calls.values():
+            c.clear()
+        forward_graph(model, normalize(raw))
+        # every layer norm is one norm_act node, its relu included; the only
+        # relu nodes left are the bottleneck residuals
+        assert sorted(id(args[1]) for args in calls["norm_act"]) == gains
+        assert len(calls["layer_norm"]) == 0
+        assert len(calls["relu"]) == cfg.n_stages * cfg.bottleneck_blocks
+        assert len(built) == nodes
+
+
 def test_train_names_first_non_finite_gradient(monkeypatch):
     models, steps = [], []
     init, backward, step = network.init_model, ad.backward, network.adam_step

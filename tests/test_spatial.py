@@ -6,6 +6,7 @@ from conftest import (
     brute_radius_pairs,
     check_grads,
     dict_interp_candidates,
+    norm_act_ref,
     spread_values,
 )
 
@@ -292,12 +293,6 @@ def test_conv_pairs_match_bruteforce_random(rng):
         assert_conv_pairs_match_bruteforce(occupied[rng.permutation(len(occupied))])
 
 
-def _layer_norm_ref(x, gain, bias, eps=1e-8):
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain + bias
-
-
 def dense_bottleneck_oracle(feats_hw, params):
     """Dense re-implementation of the bottleneck stack on a fully occupied grid.
 
@@ -307,12 +302,13 @@ def dense_bottleneck_oracle(feats_hw, params):
     h_dim, w_dim, _ = feats_hw.shape
     x = feats_hw
     for blk in params.blocks:
-        red = _layer_norm_ref(
+        red, _ = norm_act_ref(
             x.reshape(h_dim * w_dim, -1) @ blk.reduce.lin.w.data + blk.reduce.lin.b.data,
             blk.reduce.norm.gain.data,
             blk.reduce.norm.bias.data,
+            act=True,
         )
-        red = np.maximum(red, 0.0).reshape(h_dim, w_dim, -1)
+        red = red.reshape(h_dim, w_dim, -1)
         conv = np.tile(blk.conv_b.data, (h_dim, w_dim, 1)).reshape(h_dim, w_dim, -1)
         for tap_w, (di, dj) in zip(blk.conv_w, CONV_OFFSETS):
             for i in range(h_dim):
@@ -320,21 +316,23 @@ def dense_bottleneck_oracle(feats_hw, params):
                     ni, nj = i + di, j + dj
                     if 0 <= ni < h_dim and 0 <= nj < w_dim:
                         conv[i, j] += red[ni, nj] @ tap_w.data
-        flat = conv.reshape(h_dim * w_dim, -1)
-        flat = np.maximum(
-            _layer_norm_ref(flat, blk.conv_norm.gain.data, blk.conv_norm.bias.data), 0.0
+        flat, _ = norm_act_ref(
+            conv.reshape(h_dim * w_dim, -1), blk.conv_norm.gain.data, blk.conv_norm.bias.data,
+            act=True,
         )
-        flat = _layer_norm_ref(
+        flat, _ = norm_act_ref(
             flat @ blk.expand.w.data + blk.expand.b.data,
             blk.expand_norm.gain.data,
             blk.expand_norm.bias.data,
+            act=False,
         )
         xf = x.reshape(h_dim * w_dim, -1)
         if blk.skip is not None:
-            skip = _layer_norm_ref(
+            skip, _ = norm_act_ref(
                 xf @ blk.skip.w.data + blk.skip.b.data,
                 blk.skip_norm.gain.data,
                 blk.skip_norm.bias.data,
+                act=False,
             )
         else:
             skip = xf
