@@ -6,7 +6,10 @@ Node ids count up as nodes are built, so every parent has a smaller id than
 its children. :func:`backward` is therefore one sweep in descending node id,
 which is a reverse topological order: it runs each reachable node's closure
 once and accumulates into ``Tensor.grad``, so per-sample gradients can be
-summed across a batch before an optimizer step.
+summed across a batch before an optimizer step. The sweep frees the graph as
+it goes: once a node's VJP has run, its closure and parent links are dropped,
+so each intermediate is released after its last consumer, and a graph can be
+swept only once.
 
 Inference records no graph: under :func:`no_grad` every op returns a plain
 ``Tensor`` with no parents and no closure, so each intermediate is freed as
@@ -18,11 +21,17 @@ Every layer norm in the network is one :func:`norm_act` node: the row
 statistics, the affine and the optional relu in one forward and one VJP.
 :func:`layer_norm` is ``norm_act`` without the relu.
 
+:func:`linear` takes its input as column blocks (Tensors, constant arrays,
+and ``(Tensor, GroupTable)`` pairs that stand for gathered rows), so the
+network's concat-then-linear fusions copy no concatenated or gathered input:
+each block is multiplied on its own rows and a gathered block is gathered
+after its product.
+
 There is deliberately no general broadcasting: the only shape-bending ops are
-the named primitives below (``scale_rows``, ``mean_rows``, ``pair_linear``,
-``submanifold_conv``, the gathers and the scatters). Every index-taking
-primitive reads a CSR :class:`~pointcast.indexing.GroupTable` or distinct
-rows, so each backward sum is a segment sum or a plain fancy-index add.
+the named primitives below (``scale_rows``, ``mean_rows``, the block
+``linear``, ``submanifold_conv``, the gathers and the scatters). Every
+index-taking primitive reads a CSR :class:`~pointcast.indexing.GroupTable` or
+distinct rows, so each backward sum is a segment sum or a plain fancy-index add.
 """
 
 from __future__ import annotations
@@ -110,21 +119,92 @@ def _check_same_shape(a: Tensor, b: Tensor, name: str):
 # dense primitives
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w (+ b). ``b`` is a (1, D) row broadcast over rows."""
-    if x.data.shape[1] != w.data.shape[0]:
-        raise ValueError(f"linear: {x.data.shape} @ {w.data.shape}")
-    y = x.data @ w.data
+def _column_blocks(x):
+    """``(data, table, tensor)`` per block of a ``linear`` input.
+
+    ``tensor`` is the block's Tensor when it needs a gradient, else None, and
+    ``table`` is the block's GroupTable when its rows are gathered.
+    """
+    if isinstance(x, Tensor):
+        x = [x]
+    out = []
+    for blk in x:
+        t, table = blk if isinstance(blk, tuple) else (blk, None)
+        if isinstance(t, Tensor):
+            data, t = t.data, (t if t.requires_grad else None)
+        else:
+            data, t = np.asarray(t, dtype=np.float64), None
+        if data.ndim != 2:
+            raise ValueError(f"linear: block of shape {data.shape} is not 2D")
+        if table is not None and table.n_groups != data.shape[0]:
+            raise ValueError("linear: group table does not match its block's rows")
+        out.append((data, table, t))
+    return out
+
+
+def _group_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for the rows of a gathered block, rounded the same at any row count.
+
+    A gathered block's rows are groups, and how many there are depends on the
+    rest of the scene. numpy sends a one-row product to gemv, which rounds
+    differently from gemm, so a lone group is multiplied as two rows: a
+    row's value, and its gradient, then never depend on what other
+    instances the scene holds.
+    """
+    if a.shape[0] == 1:
+        return (np.vstack([a, a]) @ w)[:1]
+    return a @ w
+
+
+def linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """y = x @ w (+ b). ``b`` is a (1, D) row broadcast over rows.
+
+    ``x`` is a Tensor or a list of column blocks standing for their column
+    concatenation. A block is a Tensor, a constant array, or a
+    ``(Tensor, GroupTable)`` pair meaning ``tensor[table.group_of]``. A linear
+    map distributes over a column concat and a row gather, so each block's
+    product runs on its own rows with its own rows of ``w``, and a gathered
+    block is gathered after its product: no concatenated or gathered copy of
+    an input is made. The VJP segment-sums a gathered block's gradient before
+    its products and computes no gradient for constants.
+    """
+    blocks = _column_blocks(x)
+    widths = [data.shape[1] for data, _, _ in blocks]
+    rows = {len(table.group_of) if table is not None else data.shape[0]
+            for data, table, _ in blocks}
+    if len(rows) != 1 or sum(widths) != w.data.shape[0]:
+        raise ValueError(f"linear: blocks {[d.shape for d, _, _ in blocks]} @ {w.data.shape}")
+    if b is not None and b.data.shape != (1, w.data.shape[1]):
+        raise ValueError(f"linear: bias shape {b.data.shape}")
+    edges = [0, *itertools.accumulate(widths)]
+    y = None
+    for (data, table, _), lo, hi in zip(blocks, edges[:-1], edges[1:]):
+        if table is None:
+            part = data @ w.data[lo:hi]
+        else:
+            part = _group_product(data, w.data[lo:hi])[table.group_of]
+        if y is None:
+            y = part
+        else:
+            y += part
     if b is not None:
-        if b.data.shape != (1, w.data.shape[1]):
-            raise ValueError(f"linear: bias shape {b.data.shape}")
         y += b.data
+    inputs = [t for _, _, t in blocks if t is not None]
 
     def vjp(g):
+        gx, gw = [], []
+        for (data, table, t), lo, hi in zip(blocks, edges[:-1], edges[1:]):
+            gp = _segment_sum(g, table) if table is not None else g
+            if w.requires_grad:
+                gw.append(data.T @ gp)
+            if t is not None:
+                gx.append(gp @ w.data[lo:hi].T if table is None
+                          else _group_product(gp, w.data[lo:hi].T))
+        gw = (gw[0] if len(gw) == 1 else np.vstack(gw)) if gw else None
         gb = (g.sum(axis=0, keepdims=True),) if b is not None else ()
-        return (g @ w.data.T, x.data.T @ g) + gb
+        return (*gx, gw) + gb
 
-    return _op(y, (x, w) + ((b,) if b is not None else ()), vjp)
+    return _op(y, (*inputs, w) + ((b,) if b is not None else ()), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -223,7 +303,12 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
 
 
 def concat_cols(*tensors: Tensor) -> Tensor:
-    """Column concatenation of tensors with equal row counts, as one op."""
+    """Column concatenation of tensors with equal row counts, as one op.
+
+    The network makes no concatenated copy: where a concat feeds a linear
+    map, :func:`linear` takes the parts as column blocks. This op stays for
+    tests and demos, and because ``bench/spans.py`` wraps it by name.
+    """
     if len({t.data.shape[0] for t in tensors}) != 1:
         raise ValueError(f"concat_cols: row mismatch {[t.data.shape for t in tensors]}")
     edges = np.cumsum([0] + [t.data.shape[1] for t in tensors])
@@ -286,35 +371,6 @@ def gather_rows(x: Tensor, groups: GroupTable) -> Tensor:
     if groups.n_groups != x.data.shape[0]:
         raise ValueError("gather_rows: group table does not match row count")
     return _op(x.data[groups.group_of], (x,), lambda g: (_segment_sum(g, groups),))
-
-
-def pair_linear(x: Tensor, by_neighbor: GroupTable, rel, w: Tensor, b: Tensor) -> Tensor:
-    """``linear(concat_cols(gather_rows(x, nbrs), rel), w, b)`` with the product per point.
-
-    ``nbrs`` is ``by_neighbor.group_of``, one source row of ``x`` per pair, and
-    ``rel`` is a constant (P, R) block. A linear map distributes over a row
-    gather and a column concat, so ``x @ w[:C]`` runs on the N rows of ``x``
-    and is gathered per pair; no (P, C) copy is made. The VJP sums the pair
-    gradients per source row through the CSR table before the products.
-    """
-    c = x.data.shape[1]
-    rel = np.asarray(rel, dtype=np.float64)
-    if len(by_neighbor.group_of) != len(rel) or by_neighbor.n_groups != x.data.shape[0]:
-        raise ValueError("pair_linear: neighbor table does not match x and rel rows")
-    if w.data.shape[0] != c + rel.shape[1] or b.data.shape != (1, w.data.shape[1]):
-        raise ValueError(f"pair_linear: {x.data.shape} and {rel.shape} by {w.data.shape}")
-    nbrs = by_neighbor.group_of
-    y = (x.data @ w.data[:c])[nbrs]
-    per_pair = rel @ w.data[c:]
-    per_pair += b.data
-    y += per_pair
-
-    def vjp(g):
-        gp = _segment_sum(g, by_neighbor)
-        gw = np.vstack([x.data.T @ gp, rel.T @ g])
-        return gp @ w.data[:c].T, gw, g.sum(axis=0, keepdims=True)
-
-    return _op(y, (x, w, b), vjp)
 
 
 def scatter_mean(x: Tensor, groups: GroupTable) -> Tensor:
@@ -438,13 +494,20 @@ def smooth_l1(pred: Tensor, target, beta: float = 1.0) -> Tensor:
 # reverse sweep
 
 
+def _freed_vjp(g):
+    raise RuntimeError("backward: this graph was already swept; build it again")
+
+
 def backward(loss: Tensor, leaves=None) -> dict:
     """Accumulate d(loss)/d(tensor) into ``.grad`` of every reachable tensor.
 
     ``loss`` must be a (1, 1) scalar. Gradients add onto any existing
-    ``.grad`` so repeated calls accumulate (use ``zero_grad`` between steps).
-    When ``leaves`` is given, returns {tensor: gradient} with zeros for
-    leaves the loss does not depend on.
+    ``.grad`` of a leaf, so calls on freshly built graphs accumulate (use
+    ``zero_grad`` between steps). The sweep frees the graph as it goes: once
+    an interior node's VJP has run, its closure and parent links are dropped
+    and its ``.data`` stays readable, so a second ``backward`` through the
+    same node raises ``RuntimeError``. When ``leaves`` is given, returns
+    {tensor: gradient} with zeros for leaves the loss does not depend on.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward: loss must be scalar (1, 1), got {loss.data.shape}")
@@ -469,6 +532,9 @@ def backward(loss: Tensor, leaves=None) -> dict:
             else:
                 grads[p.node_id] = pg
                 heapq.heappush(heap, (-p.node_id, p))
+        # the closure and the parent links are spent: drop them, so each
+        # intermediate is freed once its last consumer's VJP has run
+        node._parents, node._vjp = (), _freed_vjp
     if leaves is None:
         return {}
     return {t: (t.grad if t.grad is not None else np.zeros_like(t.data)) for t in leaves}

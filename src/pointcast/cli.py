@@ -4,7 +4,8 @@ Exit codes:
   0  success;
   2  input or config error: a malformed scene or prediction document, a
      run-config value or command-line count of the wrong type or out of
-     range, or a training run that diverged;
+     range, a resumed checkpoint that already reached the last epoch, or a
+     training run that diverged;
   3  checkpoint fault: a malformed manifest, missing or misshapen arrays,
      non-finite values, or a data file that does not match its manifest's
      length and SHA-256 digest;
@@ -28,8 +29,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .checkpoint import CheckpointMismatchError, load_checkpoint, restore_into
-from .network import (ModelConfig, TrainConfig, TrainingDiverged, forward, init_model,
-                      rank_trajectories, train)
+from .network import (ModelConfig, NothingToResume, TrainConfig, TrainingDiverged, forward,
+                      init_model, rank_trajectories, train)
 from .plotting import scene_svg, write_svg
 from .scenes import (
     AugConfig,
@@ -330,7 +331,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SceneFormatError, SceneValidationError, FileNotFoundError) as exc:
+    except (ConfigError, SceneFormatError, SceneValidationError, FileNotFoundError,
+            NothingToResume) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

@@ -32,6 +32,10 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+class NothingToResume(ValueError):
+    """A resumed checkpoint has already trained every epoch the config asks for."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_stages: int = 4
@@ -308,6 +312,11 @@ def train(
     if resume is not None:
         manifest = restore_train_checkpoint(resume, model, state)
         start_epoch = int(manifest["epoch"]) + 1
+        if start_epoch >= config.epochs:
+            raise NothingToResume(
+                f"checkpoint {resume} already holds epoch {start_epoch - 1} (epochs count "
+                f"from 0), so epochs={config.epochs} leaves nothing to train"
+            )
 
     history = []
     log_fh = open(log_path, "a") if log_path else None

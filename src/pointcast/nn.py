@@ -86,7 +86,8 @@ def apply_norm_act(layer: MLPLayer, x: Tensor) -> Tensor:
     return ad.relu(x) if layer.act else x
 
 
-def apply_mlp(layers, x: Tensor) -> Tensor:
+def apply_mlp(layers, x) -> Tensor:
+    """Run ``layers`` on ``x``: a Tensor, or column blocks for the first linear map."""
     for layer in layers:
         x = apply_norm_act(layer, ad.linear(x, layer.lin.w, layer.lin.b))
     return x

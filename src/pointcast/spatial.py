@@ -5,7 +5,7 @@ a pointwise branch (multi-radius neighborhood MLPs with max pooling, no
 point downsampling) and a voxel branch (point-to-voxel mean propagation,
 a stack of submanifold sparse bottleneck blocks, and learnable
 voxel-to-point interpolation). The branches fuse by column concatenation
-through a final MLP.
+through a final MLP, whose first linear map takes the two as column blocks.
 """
 
 from __future__ import annotations
@@ -110,12 +110,10 @@ def pointwise_learning(plan: ScenePlan, feats: Tensor, params: SpatialParams) ->
         raise ValueError("pointwise_learning: plan and params have different radius counts")
     per_radius = []
     for (rel, by_center, by_neighbor), mlp in zip(plan.neighborhoods, params.radius_mlps):
-        # the first layer on concat(feats[nbrs], rel), run per point and gathered per pair
-        first, rest = mlp[0], mlp[1:]
-        h = ad.pair_linear(feats, by_neighbor, rel, first.lin.w, first.lin.b)
-        h = nn.apply_mlp(rest, nn.apply_norm_act(first, h))
+        # the first layer on [feats[nbrs], rel] runs per point and is gathered per pair
+        h = nn.apply_mlp(mlp, [(feats, by_neighbor), rel])
         per_radius.append(ad.scatter_max(h, by_center))
-    return nn.apply_mlp(params.pointwise_out, ad.concat_cols_all(per_radius))
+    return nn.apply_mlp(params.pointwise_out, per_radius)
 
 
 def ftp_point_to_voxel(plan: ScenePlan, feats: Tensor) -> Tensor:
@@ -150,8 +148,7 @@ def interp_voxel_to_point(plan: ScenePlan, voxel_feats: Tensor, params: SpatialP
     [offset-to-center, voxel feature] produces logits, softmaxed per point.
     """
     vox_feats = ad.gather_rows(voxel_feats, plan.interp_rows)
-    delta = ad.constant(plan.interp_delta)
-    logits = nn.apply_mlp(params.interp_mlp, ad.concat_cols(delta, vox_feats))
+    logits = nn.apply_mlp(params.interp_mlp, [plan.interp_delta, vox_feats])
 
     weighted = ad.scale_rows(vox_feats, ad.segment_softmax(logits, plan.by_point))
     return ad.scatter_add_rows(weighted, plan.by_point)
@@ -162,4 +159,4 @@ def spatial_block(plan: ScenePlan, feats: Tensor, params: SpatialParams) -> Tens
     p = pointwise_learning(plan, feats, params)
     v = sparse_bottleneck(plan.kernel_map, ftp_point_to_voxel(plan, feats), params)
     v = interp_voxel_to_point(plan, v, params)
-    return nn.apply_mlp(params.fuse, ad.concat_cols(p, v))
+    return nn.apply_mlp(params.fuse, [p, v])

@@ -41,13 +41,15 @@ def init_temporal(reg, name, c_in, cfg, rng) -> TemporalParams:
     return TemporalParams(interval_mlps, pool_mlp, pool_proj, out_proj)
 
 
-def multi_interval(plan: ScenePlan, feats: Tensor, interval_mlps) -> Tensor:
+def multi_interval(plan: ScenePlan, feats: Tensor, interval_mlps) -> list:
     """Progressive group-transform-pool-slice-concat over the plan's interval ladder.
 
     For each interval t: points regroup by (instance, floor(time / t)); the
     per-point features pass through that interval's MLP; group means propagate
     back to points by slicing, and concatenate with the transformed features
-    as input to the next interval.
+    as input to the next interval. The slice and the concat are never
+    materialized: the result is the column blocks ``[(group means, groups),
+    F_t]`` of the last interval, which the next linear map takes as they are.
     """
     if not plan.by_interval:
         raise ValueError("multi_interval: empty interval list")
@@ -56,18 +58,20 @@ def multi_interval(plan: ScenePlan, feats: Tensor, interval_mlps) -> Tensor:
     o_p = feats
     for groups, mlp in zip(plan.by_interval, interval_mlps):
         f_t = nn.apply_mlp(mlp, o_p)
-        o = ad.scatter_mean(f_t, groups)
-        o_p = ad.gather_rows(o, groups)
-        o_p = ad.concat_cols(o_p, f_t)
+        o_p = [(ad.scatter_mean(f_t, groups), groups), f_t]
     return o_p
 
 
-def instance_pool(plan: ScenePlan, feats: Tensor, pool_mlp, pool_proj) -> Tensor:
-    """Max-pool transformed features per instance and concat back to each point."""
+def instance_pool(plan: ScenePlan, blocks: list, pool_mlp, pool_proj) -> Tensor:
+    """Max-pool transformed features per instance and concat back to each point.
+
+    ``blocks`` are the per-point features as column blocks of
+    :func:`~pointcast.autodiff.linear`; the pooled feature joins them as one
+    more block, gathered per point.
+    """
     groups = plan.by_instance
-    pooled = ad.scatter_max(nn.apply_mlp(pool_mlp, feats), groups)
-    per_point = ad.gather_rows(pooled, groups)
-    return nn.apply_mlp(pool_proj, ad.concat_cols(feats, per_point))
+    pooled = ad.scatter_max(nn.apply_mlp(pool_mlp, blocks), groups)
+    return nn.apply_mlp(pool_proj, [*blocks, (pooled, groups)])
 
 
 def temporal_block(plan: ScenePlan, feats: Tensor, params: TemporalParams) -> Tensor:

@@ -59,6 +59,22 @@ def spread_values(rng, shape, gap: float = 0.05):
     return (sign * base + jitter).reshape(shape)
 
 
+def materialize(x):
+    """The (rows, C) array that a Tensor or a list of ``linear`` column blocks stands for.
+
+    A block is a Tensor, a constant array, or a ``(Tensor, GroupTable)`` pair
+    meaning ``tensor[table.group_of]``; the blocks join column-wise.
+    """
+    if isinstance(x, ad.Tensor):
+        return x.data
+    cols = []
+    for blk in x:
+        t, table = blk if isinstance(blk, tuple) else (blk, None)
+        data = t.data if isinstance(t, ad.Tensor) else np.asarray(t, dtype=np.float64)
+        cols.append(data if table is None else data[table.group_of])
+    return np.hstack(cols)
+
+
 # ---------------------------------------------------------------------------
 # brute-force references
 

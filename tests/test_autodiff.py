@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -103,12 +104,17 @@ def norm_act_inputs(rng, case):
         bias[0, 4] = 0.0
     elif case == "nan-row":
         x[4, 2] = np.nan
+    elif case == "steep-c2":
+        # at C = 2 a row this close to constant makes the norm steep: central
+        # differences at h = 1e-4 are 0.18% off on it, so no FD case covers it
+        x, gain, bias = x[:, :2], gain[:, :2], bias[:, :2]
+        x[5] = [0.25, 0.25 + 3.3e-3]
     return x, gain, bias
 
 
 @pytest.mark.parametrize("act", [True, False], ids=["act", "no-act"])
 @pytest.mark.parametrize("case", ["random", "constant-row", "single-column", "zero-pre",
-                                  "nan-row"])
+                                  "nan-row", "steep-c2"])
 def test_norm_act_matches_layer_norm_relu_reference(rng, case, act):
     x, gain, bias = norm_act_inputs(rng, case)
     g = rng.normal(size=x.shape)
@@ -351,33 +357,84 @@ def test_segment_softmax_matches_primitive_chain(rng):
         np.testing.assert_array_equal(x.grad[0], 0.0)
 
 
-def test_pair_linear_matches_gather_concat_linear(rng):
-    # every row is some pair's neighbor and most rows are several pairs' neighbor
-    for _ in range(20):
-        n, c, d = int(rng.integers(1, 30)), int(rng.integers(1, 9)), int(rng.integers(1, 7))
-        table = rand_neighbor_table(rng, n, n_extra=int(rng.integers(0, 4 * n)))
-        rel = rng.normal(size=(len(table.group_of), 2))
-        g = rng.normal(size=(len(rel), d))
-        data = [rng.normal(size=(n, c)), rng.normal(size=(c + 2, d)), rng.normal(size=(1, d))]
-        x, w, b = (ad.parameter(a) for a in data)
-        x_ref, w_ref, b_ref = (ad.parameter(a.copy()) for a in data)
-        y = ad.pair_linear(x, table, rel, w, b)
-        pair_in = ad.concat_cols(ad.gather_rows(x_ref, table), ad.constant(rel))
-        y_ref = ad.linear(pair_in, w_ref, b_ref)
-        np.testing.assert_allclose(y.data, y_ref.data, rtol=1e-12, atol=0)
+def test_block_linear_matches_gather_concat_linear(rng):
+    # plain, gathered and constant blocks, a constant Tensor, and one tensor in
+    # two blocks (x under two tables, a twice), against the concatenated copies
+    for trial in range(20):
+        n, extra = int(rng.integers(1, 30)), int(rng.integers(0, 60))
+        t1, t2 = (rand_neighbor_table(rng, n, n_extra=extra) for _ in range(2))
+        p, d = n + extra, int(rng.integers(1, 7))
+        ca, cx, cr, cc = (int(rng.integers(1, 6)) for _ in range(4))
+        rel, const = rng.normal(size=(p, cr)), rng.normal(size=(p, cc))
+        g = rng.normal(size=(p, d))
+        data = [rng.normal(size=(p, ca)), rng.normal(size=(n, cx)),
+                rng.normal(size=(ca + 2 * cx + cr + cc + ca, d)), rng.normal(size=(1, d))]
+        a, x, w, b = (ad.parameter(v) for v in data)
+        a_ref, x_ref, w_ref, b_ref = (ad.parameter(v.copy()) for v in data)
+        if trial % 2:
+            b, b_ref = None, None
+        y = ad.linear([a, (x, t1), rel, (x, t2), ad.constant(const), a], w, b)
+        cat = ad.concat_cols(a_ref, ad.gather_rows(x_ref, t1), ad.constant(rel),
+                             ad.gather_rows(x_ref, t2), ad.constant(const), a_ref)
+        y_ref = ad.linear(cat, w_ref, b_ref)
+        np.testing.assert_allclose(y.data, y_ref.data, rtol=1e-13,
+                                   atol=1e-13 * np.abs(y_ref.data).max())
         ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))))
         ad.backward(ad.sum_all(ad.mul(y_ref, ad.constant(g))))
-        for t, t_ref in ((x, x_ref), (w, w_ref), (b, b_ref)):
-            np.testing.assert_allclose(t.grad, t_ref.grad, rtol=1e-12, atol=0)
+        pairs = [(a, a_ref), (x, x_ref), (w, w_ref)] + ([(b, b_ref)] if b is not None else [])
+        for t, t_ref in pairs:
+            np.testing.assert_allclose(t.grad, t_ref.grad, rtol=1e-13,
+                                       atol=1e-13 * np.abs(t_ref.grad).max())
 
 
-def test_pair_linear_shape_mismatch(rng):
+def test_block_linear_one_tensor_is_plain_linear(rng):
+    x, w, b = (ad.parameter(rng.normal(size=s)) for s in ((6, 4), (4, 3), (1, 3)))
+    y1, y2 = ad.linear(x, w, b), ad.linear([x], w, b)
+    assert y1.data.tobytes() == y2.data.tobytes()
+    g = ad.constant(rng.normal(size=(6, 3)))
+    grads = [ad.backward(ad.sum_all(ad.mul(y, g)), leaves=[x, w, b]) for y in (y1, y2)]
+    for t in (x, w, b):
+        # the second backward added the same gradient onto the first
+        np.testing.assert_array_equal(grads[1][t], 2.0 * grads[0][t])
+
+
+def test_block_linear_constant_blocks_get_no_gradient_work(rng):
+    # only tensors that need a gradient are parents; the VJP returns one per parent
+    x, w = ad.parameter(rng.normal(size=(5, 2))), ad.parameter(rng.normal(size=(6, 3)))
+    y = ad.linear([ad.constant(rng.normal(size=(5, 2))), x, rng.normal(size=(5, 2))], w)
+    assert y._parents == (x, w)
+    assert [v.shape for v in y._vjp(np.ones((5, 3)))] == [(5, 2), (6, 3)]
+
+
+def test_block_linear_gathered_rows_do_not_depend_on_other_groups(rng):
+    # a lone group goes through gemm like many do, so adding groups (another
+    # instance in the scene) leaves the first group's rows and gradient
+    # bit-identical
+    w = ad.constant(rng.normal(size=(24, 24)))
+    o, g = rng.normal(size=(3, 24)), rng.normal(size=(4, 24))
+    seen = []
+    for k in (1, 2, 3):
+        table = GroupTable.from_group_of(np.repeat(np.arange(k), 4), k)
+        x = ad.parameter(o[:k])
+        y = ad.linear([(x, table)], w)
+        probe = np.zeros(y.shape)
+        probe[:4] = g
+        ad.backward(ad.sum_all(ad.mul(y, ad.constant(probe))))
+        seen.append((y.data[:4].tobytes(), x.grad[0].tobytes()))
+    assert seen[0] == seen[1] == seen[2]
+
+
+def test_block_linear_shape_mismatch(rng):
     table = rand_neighbor_table(rng, 4, n_extra=3)
     x, b = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        ad.pair_linear(x, table, np.zeros((7, 2)), ad.parameter(np.zeros((3, 2))), b)
-    with pytest.raises(ValueError):
-        ad.pair_linear(x, table, np.zeros((6, 2)), ad.parameter(np.zeros((5, 2))), b)
+    with pytest.raises(ValueError):  # rel has 7 rows, the table 7 pairs, but w 3 rows
+        ad.linear([(x, table), np.zeros((7, 2))], ad.parameter(np.zeros((3, 2))), b)
+    with pytest.raises(ValueError):  # 6 rows of rel against 7 pairs
+        ad.linear([(x, table), np.zeros((6, 2))], ad.parameter(np.zeros((5, 2))), b)
+    with pytest.raises(ValueError):  # the table's 4 groups against 3 rows
+        ad.linear([(ad.parameter(np.zeros((3, 3))), table)], ad.parameter(np.zeros((3, 2))), b)
+    with pytest.raises(ValueError):  # bias width
+        ad.linear([x], ad.parameter(np.zeros((3, 2))), ad.parameter(np.zeros((1, 3))))
 
 
 def test_scatter_add_rows_semantics():
@@ -511,6 +568,38 @@ def test_backward_runs_each_reachable_vjp_once(rng):
                                rtol=1e-14)
 
 
+def test_backward_frees_each_node_once_its_vjp_has_run(rng):
+    x, w = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(rng.normal(size=(3, 3)))
+    table = GroupTable.from_group_of(np.array([0, 0, 1, 1]), 2)
+    h = ad.relu(ad.linear([x, (ad.scatter_max(x, table), table)], ad.parameter(
+        rng.normal(size=(6, 3)))))
+    loss = ad.sum_all(ad.linear(h, w))
+    interior, stack = [], [loss]
+    while stack:
+        node = stack.pop()
+        if node._vjp is not None:
+            interior.append(node)
+            stack.extend(node._parents)
+    assert len(interior) == 5
+    h_data = weakref.ref(h.data)
+    ad.backward(loss)
+    grad = x.grad.copy()
+    for node in interior:
+        # no parent links and no closure left; the value stays readable
+        assert node._parents == () and node._vjp is ad._freed_vjp
+        assert node.data is not None
+    assert h_data() is not None  # h is still referenced here
+    # a second sweep through a spent node raises instead of treating it as a leaf
+    with pytest.raises(RuntimeError, match="already swept"):
+        ad.backward(loss)
+    with pytest.raises(RuntimeError, match="already swept"):
+        ad.backward(ad.sum_all(h))
+    np.testing.assert_array_equal(x.grad, grad)
+    del h, interior, node, stack
+    assert h_data() is None  # loss no longer holds the graph
+    assert loss.item() == loss.data[0, 0]
+
+
 def test_backward_composite_finite_differences(rng):
     x = ad.parameter(rng.normal(size=(3, 4)))
     w = ad.parameter(rng.normal(size=(4, 2)))
@@ -534,12 +623,27 @@ def bias_clear_of_relu_kink(x, gain):
     """A (1, C) bias that puts every pre-activation of ``norm_act`` half a gap from 0.
 
     Per column, the bias moves zero to the middle of the widest gap between
-    the sorted values of ``xhat * gain``, so both signs stay in play.
+    the sorted values of ``xhat * gain``, so both signs stay in play. Two gaps
+    of width 0.25 just past the smallest and the largest value count too, so
+    a column whose values (nearly) coincide still gets a real gap: at C = 2
+    every row normalizes to about (-1, 1), and a column can hold one sign.
     """
     xc = x - x.mean(axis=1, keepdims=True)
     v = np.sort(xc / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-8) * gain, axis=0)
+    v = np.vstack([v[:1] - 0.25, v, v[-1:] + 0.25])
     k, cols = np.diff(v, axis=0).argmax(axis=0), np.arange(v.shape[1])
     return -(v[k, cols] + v[k + 1, cols])[None] / 2
+
+
+def norm_act_fd_inputs(rng, n, c, gain):
+    """Inputs of the two ``norm_act`` FD cases: ``x``, ``x_act`` and a bias for ``x_act``.
+
+    Entries are pairwise at least 0.05 apart, so every row's spread is far
+    above the FD step: a nearly constant row makes the norm too steep for
+    central differences at h = 1e-4 (see the "steep-c2" oracle case).
+    """
+    x, x_act = (spread_values(rng, (n, c)) for _ in range(2))
+    return x, x_act, bias_clear_of_relu_kink(x_act, gain)
 
 
 def _primitive_cases(rng, n, c):
@@ -569,9 +673,8 @@ def _primitive_cases(rng, n, c):
     x_lin, x_relu, x_ln = fresh(), fresh(True), fresh()
     # a child generator does not advance rng, so norm_act's inputs leave every
     # other case's inputs unchanged; its cases come last for the same reason
-    na_rng = rng.spawn(1)[0]
-    x_na, x_na_act = (ad.parameter(na_rng.normal(size=(n, c))) for _ in range(2))
-    bias_act = ad.parameter(bias_clear_of_relu_kink(x_na_act.data, gain.data))
+    x_na, x_na_act, bias_act = (
+        ad.parameter(v) for v in norm_act_fd_inputs(rng.spawn(1)[0], n, c, gain.data))
     x_cat_a, x_cat_b = fresh(), fresh()
     x_slice, x_gather, x_mean = fresh(), fresh(), fresh()
     x_smean, x_smax, x_sadd = fresh(), fresh(True), fresh()
@@ -624,7 +727,7 @@ def _primitive_cases(rng, n, c):
         ("smooth_l1", lambda: ad.smooth_l1(x_sl1, np.zeros((n, c)), beta=0.77), [x_sl1]),
         ("sum_all", lambda: ad.scale(ad.sum_all(x_sum), 1.0 / x_sum.data.size), [x_sum]),
         ("segment_softmax", lambda: p_nc(ad.segment_softmax(x_ssm, table)), [x_ssm]),
-        ("pair_linear", lambda: p_pairs(ad.pair_linear(x_pair, pair_table, rel, w_pair, b)),
+        ("linear_blocks", lambda: p_pairs(ad.linear([(x_pair, pair_table), rel], w_pair, b)),
          [x_pair, w_pair, b]),
         ("submanifold_conv", lambda: p_nc(ad.submanifold_conv(x_conv, conv_map, conv_taps, b)),
          [x_conv, *conv_taps, b]),
@@ -632,6 +735,26 @@ def _primitive_cases(rng, n, c):
         ("norm_act+relu", lambda: p_nc(ad.norm_act(x_na_act, gain, bias_act, act=True)),
          [x_na_act, gain, bias_act]),
     ]
+
+
+@pytest.mark.parametrize("size", ["sweep", "15x2"])
+def test_norm_act_fd_cases_hold_on_every_draw(size):
+    # the sweep's (n, c) draws and criterion 1's 15 x 2, both act settings
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, c = (int(rng.integers(2, 9)), int(rng.integers(2, 6))) if size == "sweep" else (15, 2)
+        gain = ad.parameter(rng.uniform(0.5, 1.5, size=(1, c)))
+        bias = ad.parameter(rng.normal(size=(1, c)))
+        x, x_act, bias_act = (ad.parameter(v) for v in norm_act_fd_inputs(rng, n, c, gain.data))
+        pre = ad.norm_act(ad.constant(x_act.data), gain, bias_act, act=False).data
+        assert np.abs(pre).min() > 0.05, f"seed {seed}: a pre-activation sits on the kink"
+        probe = ad.constant(rng.normal(size=(n, c)))
+        for xt, b, act in ((x, bias, False), (x_act, bias_act, True)):
+            try:
+                check_grads(lambda: ad.sum_all(ad.mul(ad.norm_act(xt, gain, b, act), probe)),
+                            [xt, gain, b])
+            except AssertionError as exc:
+                raise AssertionError(f"seed {seed}, {n} x {c}, act={act}") from exc
 
 
 def test_every_primitive_matches_finite_differences():

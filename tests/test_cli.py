@@ -427,6 +427,25 @@ def test_resume_malformed_manifest_exit3(tmp_path, trained, capsys, edit):
     assert not (tmp_path / "resumed" / "model.json").exists()
 
 
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_resume_past_last_epoch_exit2(tmp_path, trained, capsys, epochs):
+    # the checkpoint holds epoch 0; with --epochs 1 there is nothing left, and a
+    # second resume from the epoch-1 checkpoint of --epochs 2 is the same case
+    tmp, _, ckpt = trained
+    if epochs == 2:
+        assert cli.main(["train", "--config", str(tmp / "c.json"), "--resume", str(ckpt),
+                         "--epochs", "2", "--out", str(tmp_path / "two")]) == 0
+        ckpt = tmp_path / "two" / "model.json"
+        capsys.readouterr()
+    out = tmp_path / "resumed"
+    assert cli.main(["train", "--config", str(tmp / "c.json"), "--resume", str(ckpt),
+                     "--epochs", str(epochs), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"epoch {epochs - 1} " in captured.err and f"epochs={epochs} " in captured.err
+    assert captured.out == ""  # no {"checkpoint": ...} line naming a file never written
+    assert not (out / "model.json").exists() and not (out / "train_log.jsonl").exists()
+
+
 def _params_only_checkpoint(ckpt, out_dir):
     """A copy of ``ckpt`` without the optimizer moments, as an inference export would hold."""
     arrays, manifest = load_checkpoint(ckpt)

@@ -1,4 +1,5 @@
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -483,13 +484,14 @@ def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 357), (OVERFIT_MODEL, 153)],
+@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 297), (OVERFIT_MODEL, 131)],
                          ids=["default", "overfit"])
 def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
     model = init_model(cfg, seed=0)
     gains = sorted(id(t) for name, t in model.params.items() if name.endswith("/gain"))
     calls = {fn.__name__: _count_calls(monkeypatch, fn)
-             for fn in (ad.layer_norm, ad.relu, ad.norm_act)}
+             for fn in (ad.layer_norm, ad.relu, ad.norm_act, ad.concat_cols,
+                        ad.concat_cols_all, ad.gather_rows)}
     built = _record_ops(monkeypatch)
     for raw in gen_synthetic(3, seed=0, future_steps=cfg.future_steps):
         built.clear()
@@ -501,7 +503,32 @@ def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
         assert sorted(id(args[1]) for args in calls["norm_act"]) == gains
         assert len(calls["layer_norm"]) == 0
         assert len(calls["relu"]) == cfg.n_stages * cfg.bottleneck_blocks
+        # every concat and every slice-back is a column block of a linear map;
+        # the only gathered copy left is each stage's interpolation candidates,
+        # which the softmax weights scale
+        assert len(calls["concat_cols"]) == len(calls["concat_cols_all"]) == 0
+        assert len(calls["gather_rows"]) == cfg.n_stages
         assert len(built) == nodes
+
+
+def test_backward_frees_the_training_graph(monkeypatch):
+    model = init_model(OVERFIT_MODEL, seed=0)
+    scene = normalize(gen_synthetic(1, seed=3, future_steps=OVERFIT_MODEL.future_steps)[0])
+    values, op = [], ad._op
+
+    def recording(*args):
+        t = op(*args)
+        values.append(weakref.ref(t.data))
+        return t
+
+    monkeypatch.setattr(ad, "_op", recording)
+    loss = network.scene_forward_loss(model, scene)
+    assert all(v() is not None for v in values)
+    ad.backward(loss)
+    # the loss is still referenced, and it no longer holds the graph
+    assert values[-1]() is loss.data and loss._parents == ()
+    assert [v for v in values[:-1] if v() is not None] == []
+    assert all(t.grad is not None for t in model.params.values())
 
 
 def test_train_names_first_non_finite_gradient(monkeypatch):

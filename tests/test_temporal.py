@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_grads, spread_values
+from conftest import check_grads, materialize, spread_values
 
 from pointcast import ModelConfig, autodiff as ad
 from pointcast.indexing import (
@@ -76,7 +76,7 @@ def test_mil_single_group_slices_mean(rng):
     # the sliced half equals the per-instance mean of F_t repeated per point
     feats = rng.normal(size=(5, 3))
     ps = make_ps([0] * 5, range(5))
-    out = multi_interval(plan_of(ps, [8]), ad.constant(feats), [identity_mlp(3)]).data
+    out = materialize(multi_interval(plan_of(ps, [8]), ad.constant(feats), [identity_mlp(3)]))
     assert out.shape == (5, 6)
     np.testing.assert_allclose(out[:, :3], np.tile(feats.mean(axis=0), (5, 1)), atol=1e-12)
     np.testing.assert_allclose(out[:, 3:], feats, atol=1e-12)
@@ -86,8 +86,8 @@ def test_mil_output_width_doubles_last_mlp(rng):
     params, _ = tiny_params()
     feats = rng.normal(size=(9, 4))
     ps = make_ps([0] * 9, range(9))
-    out = multi_interval(plan_of(ps), ad.constant(feats), params.interval_mlps)
-    assert out.data.shape == (9, 2 * TINY.interval_width)
+    out = materialize(multi_interval(plan_of(ps), ad.constant(feats), params.interval_mlps))
+    assert out.shape == (9, 2 * TINY.interval_width)
 
 
 def test_mil_no_cross_instance_mixing(rng):
@@ -96,10 +96,10 @@ def test_mil_no_cross_instance_mixing(rng):
     time = list(range(20)) + list(range(3))
     ps = make_ps(inst, time)
     feats = rng.normal(size=(23, 4))
-    out_a = multi_interval(plan_of(ps), ad.constant(feats), params.interval_mlps).data
+    out_a = materialize(multi_interval(plan_of(ps), ad.constant(feats), params.interval_mlps))
     zeroed = feats.copy()
     zeroed[20:] = 0.0
-    out_b = multi_interval(plan_of(ps), ad.constant(zeroed), params.interval_mlps).data
+    out_b = materialize(multi_interval(plan_of(ps), ad.constant(zeroed), params.interval_mlps))
     np.testing.assert_array_equal(out_a[:20], out_b[:20])
 
 
@@ -108,7 +108,7 @@ def test_mil_interval_h_matches_mean_pool_oracle(rng):
     feats = rng.normal(size=(12, 3))
     inst = [0] * 7 + [1] * 5
     ps = make_ps(inst, list(range(7)) + list(range(5)))
-    out = multi_interval(plan_of(ps, [20]), ad.constant(feats), [identity_mlp(3)]).data
+    out = materialize(multi_interval(plan_of(ps, [20]), ad.constant(feats), [identity_mlp(3)]))
     for i in range(12):
         ref = feats[np.asarray(inst) == inst[i]].mean(axis=0)
         np.testing.assert_allclose(out[i, :3], ref, atol=1e-12)
@@ -147,10 +147,10 @@ def test_instance_pool_duplicate_point_invariant(rng):
     pool_mlp, pool_proj = pool_params(4)
     feats = rng.normal(size=(3, 4))
     ps = make_ps([0, 0, 0], [0, 1, 2])
-    out = instance_pool(plan_of(ps), ad.constant(feats), pool_mlp, pool_proj).data
+    out = materialize(instance_pool(plan_of(ps), [ad.constant(feats)], pool_mlp, pool_proj))
     dup = np.vstack([feats, feats[1]])
     ps_dup = make_ps([0, 0, 0, 0], [0, 1, 2, 3])
-    out_dup = instance_pool(plan_of(ps_dup), ad.constant(dup), pool_mlp, pool_proj).data
+    out_dup = materialize(instance_pool(plan_of(ps_dup), [ad.constant(dup)], pool_mlp, pool_proj))
     np.testing.assert_allclose(out_dup[:3], out, atol=1e-12)
 
 
@@ -158,10 +158,11 @@ def test_instance_pool_permutation_within_instance(rng):
     pool_mlp, pool_proj = pool_params(4)
     feats = rng.normal(size=(6, 4))
     ps = make_ps([0] * 6, range(6))
-    out = instance_pool(plan_of(ps), ad.constant(feats), pool_mlp, pool_proj).data
+    out = materialize(instance_pool(plan_of(ps), [ad.constant(feats)], pool_mlp, pool_proj))
     perm = rng.permutation(6)
     ps_p = make_ps([0] * 6, np.arange(6)[perm])
-    out_p = instance_pool(plan_of(ps_p), ad.constant(feats[perm]), pool_mlp, pool_proj).data
+    out_p = materialize(instance_pool(plan_of(ps_p), [ad.constant(feats[perm])], pool_mlp,
+                                      pool_proj))
     np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 
@@ -223,6 +224,24 @@ def test_temporal_new_instance_does_not_disturb(rng):
     feats2 = np.vstack([feats, rng.normal(size=(3, 4))])
     out2 = temporal_block(plan_of(ps2), ad.constant(feats2), params).data
     np.testing.assert_array_equal(out2[:5], out)
+
+
+def test_temporal_new_instance_does_not_disturb_gradient(rng):
+    # the gradient into an instance's rows is bit-identical with another
+    # instance in the scene, when only the first instance's outputs are scored
+    params, _ = tiny_params()
+    feats = rng.normal(size=(5, 4))
+    grads = []
+    for ps, data in ((make_ps([0] * 5, range(5)), feats),
+                     (make_ps([0] * 5 + [1] * 3, list(range(5)) + list(range(3))),
+                      np.vstack([feats, rng.normal(size=(3, 4))]))):
+        x = ad.parameter(data)
+        out = temporal_block(plan_of(ps), x, params)
+        probe = np.zeros(out.shape)
+        probe[:5] = 1.0
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(probe))))
+        grads.append(x.grad[:5])
+    np.testing.assert_array_equal(grads[1], grads[0])
 
 
 def test_map_points_flow_through_mil(rng):
