@@ -27,7 +27,7 @@ cfg = ModelConfig(
 )
 scene = normalize(gen_synthetic(1, seed=3, profile="lane-change")[0])
 ps = index_scene(scene, cfg.grid_size)
-plan = plan_scene(ps, cfg.radii, cfg.intervals)
+plan = plan_scene(ps, cfg)
 pairs = {r: len(rel) for r, (rel, _, _) in zip(cfg.radii, plan.neighborhoods)}
 print(f"plan: radius pairs {pairs}, {len(plan.voxel_coords)} voxels, "
       f"{sum(len(p[0]) for p in plan.kernel_map if p is not None)} off-center kernel pairs")
@@ -58,6 +58,6 @@ ps_perm = IndexedPointSet(
     points=ps.points[perm], instance=ps.instance[perm], time=ps.time[perm],
     voxels=ps.voxels[perm], kind=ps.kind[perm], grid_size=ps.grid_size,
 )
-plan_perm = plan_scene(ps_perm, cfg.radii, cfg.intervals)
+plan_perm = plan_scene(ps_perm, cfg)
 fused_perm = spatial_block(plan_perm, ad.constant(feats.data[perm]), params)
 print("equivariance residual:", np.abs(fused_perm.data - fused.data[perm]).max())

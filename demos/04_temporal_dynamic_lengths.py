@@ -28,7 +28,7 @@ ps = IndexedPointSet(
     kind=np.zeros(len(instance), dtype=np.int64), grid_size=0.5,
 )
 print(f"agent history lengths: {lengths} -> {len(ps)} points, zero padding anywhere")
-plan = plan_scene(ps, cfg.radii, cfg.intervals)
+plan = plan_scene(ps, cfg)
 print("groups per interval:", {t: g.n_groups for t, g in zip(cfg.intervals, plan.by_interval)},
       f"instances: {plan.by_instance.n_groups}")
 
@@ -53,6 +53,6 @@ ps2 = IndexedPointSet(
     kind=np.zeros(len(instance2), dtype=np.int64), grid_size=0.5,
 )
 feats2 = np.vstack([feats, np.random.default_rng(2).normal(size=(5, cfg.spatial_width))])
-out2 = temporal_block(plan_scene(ps2, cfg.radii, cfg.intervals), ad.constant(feats2), params)
+out2 = temporal_block(plan_scene(ps2, cfg), ad.constant(feats2), params)
 print("existing rows identical after adding an instance:",
       np.array_equal(out2.data[: len(ps)], out.data))

@@ -4,19 +4,33 @@ Both index systems reduce to 64-bit hash keys (two signed 32-bit halves).
 Every grouping operation materializes as a :class:`GroupTable`, a CSR
 partition of the point set with dense, first-appearance-ordered group ids,
 and every coordinate lookup goes through :func:`match_coords`, one sorted
-key array probed by searchsorted. :func:`plan_scene` builds all of a scene's
-topology once into a :class:`ScenePlan` that every network stage reads.
+key array probed by searchsorted.
+
+:func:`index_scene` flattens a normalized scene into an
+:class:`IndexedPointSet`, and :func:`plan_scene` turns that into a
+:class:`ScenePlan`: the point embedding, the target rows, the ground-truth
+future and every index structure of the scene, in read-only arrays. The plan
+is the network's whole per-scene input. It depends on the points alone, so a
+training run without augmentation plans each scene once and reuses the plan
+at every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .scenes import NormalizedScene
 
+if TYPE_CHECKING:
+    from .network import ModelConfig
+
 KIND_TARGET, KIND_OTHER, KIND_MAP = 0, 1, 2
+
+# input embedding: [x, y, one-hot kind (3), time / history_steps]
+EMBED_IN = 6
 
 # 3x3 kernel tap order is fixed; the center tap is index 4
 CONV_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
@@ -60,6 +74,8 @@ class IndexedPointSet:
     voxels: np.ndarray    # (N, 2) int64
     kind: np.ndarray      # (N,) int64, KIND_* codes
     grid_size: float
+    scene_id: str = ""
+    future: np.ndarray | None = None  # (T, 2) ground truth, when the scene has one
 
     def __len__(self):
         return len(self.points)
@@ -230,33 +246,62 @@ def index_scene(scene: NormalizedScene, grid_size: float) -> IndexedPointSet:
         voxels=voxelize(points, grid_size),
         kind=kinds,
         grid_size=grid_size,
+        scene_id=scene.scene_id,
+        future=scene.future,
     )
+
+
+def point_embedding(ps: IndexedPointSet, history_steps: int) -> np.ndarray:
+    """The (N, EMBED_IN) network input: position, one-hot kind and normalized time."""
+    onehot = np.zeros((len(ps), 3))
+    onehot[np.arange(len(ps)), ps.kind] = 1.0
+    t_norm = ps.time.astype(np.float64)[:, None] / float(history_steps)
+    return np.hstack([ps.points, onehot, t_norm])
 
 
 @dataclass(frozen=True)
 class ScenePlan:
-    """Every index structure of one scene, built once and read by every stage.
+    """Everything the network reads of one scene, built once and read-only.
 
     The point set never changes between stages, so its topology (the rulebook
     of submanifold sparse convolution) belongs to the scene, not the layer.
     """
 
-    neighborhoods: tuple      # per radius: (offsets from center, by-center table,
-                              #   by-neighbor table)
+    scene_id: str
+    future: np.ndarray | None  # (T, 2) ground truth, or None
+    embedding: np.ndarray      # (N, EMBED_IN) network input, see point_embedding
+    target_rows: np.ndarray    # rows of the target agent, pooled by the heads
+    neighborhoods: tuple       # per radius: (offsets from center, by-center table,
+                               #   by-neighbor table)
     by_voxel: GroupTable
-    voxel_coords: np.ndarray  # (G, 2) int64, voxel of each group, distinct
-    kernel_map: list          # per 3x3 tap: (out_row, in_row) voxel pairs; None at the center tap
-    interp_rows: GroupTable   # the (point, voxel) interpolation candidates grouped by voxel row
-    interp_delta: np.ndarray  # (Q, 2) candidate point minus its voxel's center
-    by_point: GroupTable      # the candidates grouped by point
-    by_interval: tuple        # GroupTable per interval
+    voxel_coords: np.ndarray   # (G, 2) int64, voxel of each group, distinct
+    kernel_map: list           # per 3x3 tap: (out_row, in_row) voxel pairs; None at the center tap
+    interp_rows: GroupTable    # the (point, voxel) interpolation candidates grouped by voxel row
+    interp_delta: np.ndarray   # (Q, 2) candidate point minus its voxel's center
+    by_point: GroupTable       # the candidates grouped by point
+    by_interval: tuple         # GroupTable per interval
     by_instance: GroupTable
 
 
-def plan_scene(ps: IndexedPointSet, radii, intervals) -> ScenePlan:
-    """Build the ScenePlan of ``ps`` for the given radius and interval ladders."""
+def _read_only(x):
+    """Mark every array in ``x``, its items and its dataclass fields non-writeable."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, (tuple, list)):
+        for item in x:
+            _read_only(item)
+    elif is_dataclass(x):
+        _read_only(list(vars(x).values()))
+
+
+def plan_scene(ps: IndexedPointSet, cfg: ModelConfig) -> ScenePlan:
+    """Build the ScenePlan of ``ps`` for the radii, intervals and history length of ``cfg``.
+
+    Every array of the plan is read-only, so a plan can be shared between
+    training steps.
+    """
     neighborhoods = []
-    for radius in radii:
+    for radius in cfg.radii:
         centers, rows = radius_pairs(ps.points, radius)
         # every point pairs with itself, so both tables' group ids are point indices
         by_center = GroupTable.from_group_of(centers, len(ps))
@@ -265,7 +310,12 @@ def plan_scene(ps: IndexedPointSet, radii, intervals) -> ScenePlan:
     by_voxel = build_groups_by_voxel(ps)
     coords = ps.voxels[by_voxel.order[by_voxel.offsets[:-1]]]
     cand_point, cand_row = interp_candidates(coords, ps.points, ps.grid_size)
-    return ScenePlan(
+    plan = ScenePlan(
+        scene_id=ps.scene_id,
+        # a copy, so that marking it read-only leaves the scene's own array alone
+        future=None if ps.future is None else np.array(ps.future, dtype=np.float64),
+        embedding=point_embedding(ps, cfg.history_steps),
+        target_rows=np.flatnonzero(ps.kind == KIND_TARGET),
         neighborhoods=tuple(neighborhoods),
         by_voxel=by_voxel,
         voxel_coords=coords,
@@ -274,6 +324,8 @@ def plan_scene(ps: IndexedPointSet, radii, intervals) -> ScenePlan:
         interp_rows=GroupTable.from_group_of(cand_row, len(coords)),
         interp_delta=ps.points[cand_point] - (coords[cand_row] + 0.5) * ps.grid_size,
         by_point=GroupTable.from_group_of(cand_point, len(ps)),
-        by_interval=tuple(regroup_by_interval(ps, t) for t in intervals),
+        by_interval=tuple(regroup_by_interval(ps, t) for t in cfg.intervals),
         by_instance=build_groups_by_instance(ps),
     )
+    _read_only(plan)
+    return plan

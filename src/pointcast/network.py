@@ -1,10 +1,11 @@
 """Full model assembly, displacement-regression losses, and the training loop.
 
-The network alternates spatial and temporal blocks (each stage consuming the
-previous stage's pointwise output), drops map rows at the head, mean-pools
-the target agent's rows, and regresses K trajectories plus K predicted
-endpoint displacement errors. At inference the trajectories are ranked by
-predicted displacement, ascending.
+The network reads one :class:`~pointcast.indexing.ScenePlan` per scene. It
+alternates spatial and temporal blocks (each stage consuming the previous
+stage's pointwise output), drops map rows at the head, mean-pools the target
+agent's rows, and regresses K trajectories plus K predicted endpoint
+displacement errors. At inference the trajectories are ranked by predicted
+displacement, ascending.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import metrics as metrics_mod
 from . import nn
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
-from .indexing import KIND_TARGET, IndexedPointSet, index_scene, plan_scene
+from .indexing import EMBED_IN, ScenePlan, index_scene, plan_scene
 from .optim import AdamState, adam_init, adam_step, lr_at_epoch
 from .scenes import AugConfig, NormalizedScene, RawScene, augment, normalize
 from .spatial import init_spatial, spatial_block
@@ -91,15 +92,10 @@ class Model:
     params: dict = field(default_factory=dict)  # flat name -> Tensor
 
 
-# input embedding: [x, y, one-hot kind (3), time / history_steps]
-EMBED_IN = 6
-
-
 def init_model(config: ModelConfig, seed) -> Model:
     rng = np.random.default_rng(seed)
     reg: dict[str, Tensor] = {}
-    embed = nn.init_mlp(reg, "embed", [EMBED_IN, config.embed_width], rng,
-                        final_norm=True, final_act=True)
+    embed = nn.init_mlp(reg, "embed", [EMBED_IN, config.embed_width], rng, final_norm_act=True)
     spatial, temporal = [], []
     c = config.embed_width
     for s in range(config.n_stages):
@@ -112,28 +108,22 @@ def init_model(config: ModelConfig, seed) -> Model:
     return Model(config, embed, spatial, temporal, head_reg, head_disp, reg)
 
 
-def point_embedding(ps: IndexedPointSet, history_steps: int) -> np.ndarray:
-    onehot = np.zeros((len(ps), 3))
-    onehot[np.arange(len(ps)), ps.kind] = 1.0
-    t_norm = ps.time.astype(np.float64)[:, None] / float(history_steps)
-    return np.hstack([ps.points, onehot, t_norm])
+def scene_plan(scene: NormalizedScene, config: ModelConfig) -> ScenePlan:
+    """Index ``scene`` and plan it for ``config``: the network's whole input for one scene."""
+    return plan_scene(index_scene(scene, config.grid_size), config)
 
 
-def forward_graph(model: Model, scene: NormalizedScene):
-    """Run the network, returning (point set, reg head (1, K*T*2), disp head (1, K))."""
-    cfg = model.config
-    ps = index_scene(scene, cfg.grid_size)
-    plan = plan_scene(ps, cfg.radii, cfg.intervals)  # every stage shares one topology
-    x = nn.apply_mlp(model.embed, ad.constant(point_embedding(ps, cfg.history_steps)))
+def forward_graph(model: Model, plan: ScenePlan):
+    """Run the network on one scene's plan, returning (reg head (1, K*T*2), disp head (1, K))."""
+    x = nn.apply_mlp(model.embed, ad.constant(plan.embedding))
     for sp, tp in zip(model.spatial, model.temporal):
         x = spatial_block(plan, x, sp)
         x = temporal_block(plan, x, tp)
     # drop map rows, pool the target agent's rows into one vector
-    target_rows = np.flatnonzero(ps.kind == KIND_TARGET)
-    pooled = ad.mean_rows(x, target_rows)
+    pooled = ad.mean_rows(x, plan.target_rows)
     reg = nn.apply_mlp(model.head_reg, pooled)
     disp = nn.apply_mlp(model.head_disp, pooled)
-    return ps, reg, disp
+    return reg, disp
 
 
 def prediction_from_heads(reg: Tensor, disp: Tensor, config: ModelConfig) -> PredictionSet:
@@ -146,7 +136,7 @@ def prediction_from_heads(reg: Tensor, disp: Tensor, config: ModelConfig) -> Pre
 
 def forward(model: Model, scene: NormalizedScene) -> PredictionSet:
     with ad.no_grad():
-        _, reg, disp = forward_graph(model, scene)
+        reg, disp = forward_graph(model, scene_plan(scene, model.config))
     return prediction_from_heads(reg, disp, model.config)
 
 
@@ -256,16 +246,16 @@ def restore_train_checkpoint(path, model: Model, state: AdamState) -> dict:
     return manifest
 
 
-def scene_forward_loss(model: Model, scene: NormalizedScene):
-    if scene.future is None:
-        raise ValueError(f"scene {scene.scene_id!r} has no ground-truth future")
-    if len(scene.future) != model.config.future_steps:
+def scene_forward_loss(model: Model, plan: ScenePlan):
+    if plan.future is None:
+        raise ValueError(f"scene {plan.scene_id!r} has no ground-truth future")
+    if len(plan.future) != model.config.future_steps:
         raise ValueError(
-            f"scene {scene.scene_id!r} future has {len(scene.future)} steps, "
+            f"scene {plan.scene_id!r} future has {len(plan.future)} steps, "
             f"model regresses {model.config.future_steps}"
         )
-    _, reg, disp = forward_graph(model, scene)
-    return total_loss(reg, disp, scene.future, model.config)
+    reg, disp = forward_graph(model, plan)
+    return total_loss(reg, disp, plan.future, model.config)
 
 
 def evaluate_model(model: Model, scenes, ks=(1, 6)) -> dict:
@@ -297,7 +287,9 @@ def train(
 
     Deterministic for a fixed seed: shuffling and augmentation RNG streams
     derive from (seed, epoch) and (seed, epoch, scene), so resuming from an
-    epoch-boundary checkpoint replays the identical sequence.
+    epoch-boundary checkpoint replays the identical sequence. Without
+    augmentation every scene is planned once per call; with it, each step
+    plans the augmented scene it trains on.
     """
     if not dataset:
         raise ValueError("train: empty dataset")
@@ -318,6 +310,7 @@ def train(
                 f"from 0), so epochs={config.epochs} leaves nothing to train"
             )
 
+    plans = [scene_plan(sc, config.model) for sc in normalized] if config.augment is None else None
     history = []
     log_fh = open(log_path, "a") if log_path else None
     try:
@@ -331,14 +324,16 @@ def train(
                 for t in model.params.values():
                     t.zero_grad()
                 for si in batch:
-                    sc = normalized[si]
-                    if config.augment is not None:
-                        sc = augment(sc, [config.seed, epoch, int(si)], config.augment)
-                    loss = scene_forward_loss(model, sc)
+                    if plans is not None:
+                        plan = plans[si]
+                    else:
+                        sc = augment(normalized[si], [config.seed, epoch, int(si)], config.augment)
+                        plan = scene_plan(sc, config.model)
+                    loss = scene_forward_loss(model, plan)
                     value = loss.item()
                     if not np.isfinite(value):
                         raise TrainingDiverged(
-                            f"non-finite loss at epoch {epoch} on scene {sc.scene_id!r}"
+                            f"non-finite loss at epoch {epoch} on scene {plan.scene_id!r}"
                         )
                     epoch_loss += value
                     n_seen += 1

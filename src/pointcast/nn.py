@@ -31,8 +31,7 @@ class Norm:
 @dataclass
 class MLPLayer:
     lin: Linear
-    norm: Norm | None
-    act: bool
+    norm: Norm | None  # layer norm then relu after the linear map; None: plain linear
 
 
 def init_linear(reg: dict, name: str, fan_in: int, fan_out: int, rng) -> Linear:
@@ -58,13 +57,12 @@ def init_mlp(
     widths,
     rng,
     *,
-    final_norm: bool = False,
-    final_act: bool = False,
+    final_norm_act: bool = False,
 ) -> list[MLPLayer]:
     """Build an MLP given a width chain [in, h1, ..., out].
 
     Hidden layers are linear -> layer norm -> relu; the final layer is plain
-    linear unless the flags say otherwise.
+    linear unless ``final_norm_act`` gives it the norm and relu too.
     """
     if len(widths) < 2:
         raise ValueError("init_mlp: need at least [in, out] widths")
@@ -72,18 +70,16 @@ def init_mlp(
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         last = i == len(widths) - 2
         lin = init_linear(reg, f"{name}/l{i}", fan_in, fan_out, rng)
-        use_norm = final_norm if last else True
-        use_act = final_act if last else True
-        norm = init_norm(reg, f"{name}/l{i}", fan_out) if use_norm else None
-        layers.append(MLPLayer(lin, norm, use_act))
+        norm = init_norm(reg, f"{name}/l{i}", fan_out) if final_norm_act or not last else None
+        layers.append(MLPLayer(lin, norm))
     return layers
 
 
 def apply_norm_act(layer: MLPLayer, x: Tensor) -> Tensor:
-    """The part of ``layer`` after its linear map: optional layer norm, then optional relu."""
-    if layer.norm is not None:
-        return ad.norm_act(x, layer.norm.gain, layer.norm.bias, layer.act)
-    return ad.relu(x) if layer.act else x
+    """The part of ``layer`` after its linear map: layer norm and relu, if it has a norm."""
+    if layer.norm is None:
+        return x
+    return ad.norm_act(x, layer.norm.gain, layer.norm.bias, act=True)
 
 
 def apply_mlp(layers, x) -> Tensor:

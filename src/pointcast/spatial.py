@@ -51,7 +51,6 @@ def init_bottleneck(reg, name, c_in, c_mid, c_out, rng) -> BottleneckParams:
     reduce = nn.MLPLayer(
         nn.init_linear(reg, f"{name}/reduce", c_in, c_mid, rng),
         nn.init_norm(reg, f"{name}/reduce", c_mid),
-        act=True,
     )
     bound = np.sqrt(6.0 / (9 * c_mid))
     conv_w = []
@@ -75,12 +74,12 @@ def init_bottleneck(reg, name, c_in, c_mid, c_out, rng) -> BottleneckParams:
 def init_spatial(reg, name, c_in, cfg, rng) -> SpatialParams:
     radius_mlps = [
         nn.init_mlp(reg, f"{name}/pw/r{i}", [c_in + 2, cfg.radius_width, cfg.radius_width],
-                    rng, final_norm=True, final_act=True)
+                    rng, final_norm_act=True)
         for i in range(len(cfg.radii))
     ]
     pointwise_out = nn.init_mlp(
         reg, f"{name}/pw/out", [cfg.radius_width * len(cfg.radii), cfg.pointwise_width],
-        rng, final_norm=True, final_act=True,
+        rng, final_norm_act=True,
     )
     mid = max(cfg.voxel_width // 2, 4)
     blocks = []
@@ -93,7 +92,7 @@ def init_spatial(reg, name, c_in, cfg, rng) -> SpatialParams:
     )
     fuse = nn.init_mlp(
         reg, f"{name}/fuse", [cfg.pointwise_width + cfg.voxel_width, cfg.spatial_width],
-        rng, final_norm=True, final_act=True,
+        rng, final_norm_act=True,
     )
     return SpatialParams(radius_mlps, pointwise_out, blocks, interp_mlp, fuse)
 

@@ -28,16 +28,14 @@ def init_temporal(reg, name, c_in, cfg, rng) -> TemporalParams:
     c = c_in
     for i in range(len(cfg.intervals)):
         interval_mlps.append(
-            nn.init_mlp(reg, f"{name}/mil/i{i}", [c, cfg.interval_width], rng,
-                        final_norm=True, final_act=True)
+            nn.init_mlp(reg, f"{name}/mil/i{i}", [c, cfg.interval_width], rng, final_norm_act=True)
         )
         c = 2 * cfg.interval_width  # sliced group feature concat F_t
-    pool_mlp = nn.init_mlp(reg, f"{name}/pool", [c, cfg.temporal_width], rng,
-                           final_norm=True, final_act=True)
+    pool_mlp = nn.init_mlp(reg, f"{name}/pool", [c, cfg.temporal_width], rng, final_norm_act=True)
     pool_proj = nn.init_mlp(reg, f"{name}/proj", [c + cfg.temporal_width, cfg.temporal_width],
-                            rng, final_norm=True, final_act=True)
+                            rng, final_norm_act=True)
     out_proj = nn.init_mlp(reg, f"{name}/out", [cfg.temporal_width, cfg.temporal_width],
-                           rng, final_norm=True, final_act=True)
+                           rng, final_norm_act=True)
     return TemporalParams(interval_mlps, pool_mlp, pool_proj, out_proj)
 
 

@@ -52,6 +52,7 @@ from pointcast.network import (
     loss_reg,
     prediction_from_heads,
     rank_trajectories,
+    scene_plan,
 )
 from pointcast.scenes import AgentTrack, MapElement, RawScene
 from pointcast.spatial import (
@@ -197,7 +198,7 @@ def test_criterion_01_gradient_suite():
     # relu kinks at these frozen seeds)
     for seed in range(100):
         rng = np.random.default_rng([2, seed])
-        plan = plan_scene(tiny_ps(rng), TINY.radii, TINY.intervals)
+        plan = plan_scene(tiny_ps(rng), TINY)
         reg = {}
         params = init_spatial(reg, "s", 4, TINY, rng)
         jitter_params(reg, rng)
@@ -216,7 +217,7 @@ def test_criterion_01_gradient_suite():
     # temporal block
     for seed in range(100):
         rng = np.random.default_rng([3, seed])
-        plan = plan_scene(tiny_ps(rng), TINY.radii, TINY.intervals)
+        plan = plan_scene(tiny_ps(rng), TINY)
         reg = {}
         params = init_temporal(reg, "t", 4, TINY, rng)
         jitter_params(reg, rng)
@@ -259,8 +260,10 @@ def test_criterion_01_gradient_suite():
         # k* and the displacement targets are detached constants in the
         # training gradient; freezing them makes the FD'd function identical
         # to the one backward() differentiates
+        plan = scene_plan(scene, TINY)
+
         def full_loss():
-            _, reg_t, disp_t = forward_graph(model, scene)
+            reg_t, disp_t = forward_graph(model, plan)
             l_reg = loss_reg(reg_t, scene.future, k_star, TINY)
             l_disp = ad.smooth_l1(disp_t, d_star.reshape(1, -1))
             return ad.add(l_reg, ad.scale(l_disp, TINY.loss_weight_disp))
@@ -352,7 +355,7 @@ def test_criterion_03_ftp_conservation():
             kind=np.zeros(n, dtype=np.int64), grid_size=0.5,
         )
         feats = ad.parameter(rng.normal(size=(n, 5)))
-        vox = ftp_point_to_voxel(plan_scene(ps, TINY.radii, TINY.intervals), feats)
+        vox = ftp_point_to_voxel(plan_scene(ps, TINY), feats)
         counts = build_groups_by_voxel(ps).counts()[:, None]
         residual = np.abs((vox.data * counts).sum(0) - feats.data.sum(0)).max()
         assert residual <= 1e-9, residual
@@ -455,7 +458,7 @@ def test_criterion_07_dynamic_lengths():
     for trial in range(10):
         trng = np.random.default_rng([7, trial])
         ps = tiny_ps(trng, n=12, n_instances=3)
-        plan = plan_scene(ps, TINY.radii, TINY.intervals)
+        plan = plan_scene(ps, TINY)
         reg = {}
         params = init_temporal(reg, "t", 4, TINY, trng)
         feats = trng.normal(size=(12, 4))
@@ -561,7 +564,7 @@ def test_criterion_10_loss_design():
     # regression loss flows only through the selected mode
     model = init_model(TINY, seed=10)
     scene = ten_point_scene(np.random.default_rng(11))
-    _, reg, disp = forward_graph(model, scene)
+    reg, disp = forward_graph(model, scene_plan(scene, TINY))
     pred = prediction_from_heads(reg, disp, TINY)
     from pointcast.network import loss_disp as loss_disp_fn
 

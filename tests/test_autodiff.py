@@ -670,11 +670,16 @@ def _primitive_cases(rng, n, c):
         r = ad.constant(rng.normal(size=shape))
         return lambda y: ad.sum_all(ad.mul(y, r))
 
-    x_lin, x_relu, x_ln = fresh(), fresh(True), fresh()
-    # a child generator does not advance rng, so norm_act's inputs leave every
-    # other case's inputs unchanged; its cases come last for the same reason
+    # the third draw is unused; it keeps every later draw, and criterion 1's stream, in place
+    x_lin, x_relu, _ = fresh(), fresh(True), fresh()
+    # a child generator does not advance rng, so the norm cases' inputs leave
+    # every other case's inputs unchanged; norm_act's cases come last for the
+    # same reason. Their rows are spread: a nearly constant row makes the norm
+    # too steep for central differences
+    child = rng.spawn(1)[0]
     x_na, x_na_act, bias_act = (
-        ad.parameter(v) for v in norm_act_fd_inputs(rng.spawn(1)[0], n, c, gain.data))
+        ad.parameter(v) for v in norm_act_fd_inputs(child, n, c, gain.data))
+    x_ln = ad.parameter(spread_values(child, (n, c)))
     x_cat_a, x_cat_b = fresh(), fresh()
     x_slice, x_gather, x_mean = fresh(), fresh(), fresh()
     x_smean, x_smax, x_sadd = fresh(), fresh(True), fresh()

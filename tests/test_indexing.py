@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,11 @@ from conftest import (
     dict_interp_candidates,
 )
 
-from pointcast import gen_synthetic, index_scene, normalize, voxelize
+from pointcast import ModelConfig, gen_synthetic, index_scene, normalize, voxelize
 from pointcast.indexing import (
     CENTER_TAP,
     CONV_OFFSETS,
+    EMBED_IN,
     KIND_MAP,
     KIND_OTHER,
     KIND_TARGET,
@@ -292,7 +295,7 @@ def test_scene_plan_matches_bruteforce(seed):
     ps = index_scene(normalize(gen_synthetic(1, seed=seed)[0]), 0.2)
     assert ps.voxels.min() < 0 < ps.voxels.max()
     radii, intervals = (0.4, 1.6), (2, 4, 8)
-    plan = plan_scene(ps, radii, intervals)
+    plan = plan_scene(ps, ModelConfig(radii=radii, intervals=intervals))
 
     assert len(plan.neighborhoods) == len(radii)
     for radius, (rel, by_center, by_neighbor) in zip(radii, plan.neighborhoods):
@@ -332,3 +335,47 @@ def test_scene_plan_matches_bruteforce(seed):
         )
         np.testing.assert_array_equal(table.group_of, ref)
     np.testing.assert_array_equal(plan.by_instance.group_of, brute_group_by_keys(ps.instance)[0])
+
+
+def _arrays(x):
+    """Every array reachable from ``x`` through dataclass fields, tuples and lists."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if dataclasses.is_dataclass(x):
+        x = list(vars(x).values())
+    if isinstance(x, (tuple, list)):
+        return [a for item in x for a in _arrays(item)]
+    return []
+
+
+def test_scene_plan_carries_the_network_input():
+    scene = normalize(gen_synthetic(1, seed=4)[0])
+    cfg = ModelConfig(history_steps=16)
+    ps = index_scene(scene, cfg.grid_size)
+    assert ps.scene_id == scene.scene_id and ps.future is scene.future
+    plan = plan_scene(ps, cfg)
+    assert plan.scene_id == scene.scene_id
+    np.testing.assert_array_equal(plan.future, scene.future)
+    onehot = np.eye(3)[ps.kind]
+    np.testing.assert_array_equal(
+        plan.embedding, np.hstack([ps.points, onehot, ps.time[:, None] / 16.0]))
+    assert plan.embedding.shape == (len(ps), EMBED_IN)
+    np.testing.assert_array_equal(plan.target_rows, np.flatnonzero(ps.kind == KIND_TARGET))
+    # a hand-built point set has no scene id and no future
+    bare = plan_scene(dataclasses.replace(ps, scene_id="", future=None), cfg)
+    assert bare.scene_id == "" and bare.future is None
+
+
+def test_scene_plan_is_read_only():
+    scene = normalize(gen_synthetic(1, seed=4)[0])
+    ps = index_scene(scene, 0.2)
+    plan = plan_scene(ps, ModelConfig())
+    with pytest.raises(ValueError, match="read-only"):
+        plan.embedding[0, 0] = 1.0
+    # every array, the tables' and the kernel map's included
+    arrays = _arrays(plan)
+    assert len(arrays) > 20
+    assert [a.shape for a in arrays if a.flags.writeable] == []
+    # the point set and the scene it came from stay writeable
+    assert all(a.flags.writeable for a in _arrays(ps))
+    assert scene.future.flags.writeable

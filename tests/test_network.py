@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import weakref
 
@@ -29,6 +30,7 @@ from pointcast.network import (
     loss_disp,
     loss_reg,
     prediction_from_heads,
+    scene_plan,
     total_loss,
     train,
 )
@@ -219,7 +221,7 @@ def test_loss_disp_linear_region_value():
 
 def test_loss_disp_detached_from_regression(small_model, scene):
     # d* targets are constants: L_disp contributes no gradient to the reg head
-    _, reg, disp = forward_graph(small_model, scene)
+    reg, disp = forward_graph(small_model, scene_plan(scene, SMALL))
     pred = prediction_from_heads(reg, disp, small_model.config)
     ldisp = loss_disp(disp, pred, scene.future)
     for t in small_model.params.values():
@@ -233,7 +235,7 @@ def test_loss_disp_detached_from_regression(small_model, scene):
 
 
 def test_total_loss_sum_and_gradient(small_model, scene):
-    _, reg, disp = forward_graph(small_model, scene)
+    reg, disp = forward_graph(small_model, scene_plan(scene, SMALL))
     pred = prediction_from_heads(reg, disp, small_model.config)
     k_star = select_best(pred, scene.future)
     l_r = loss_reg(reg, scene.future, k_star, small_model.config).item()
@@ -252,8 +254,10 @@ def test_total_loss_finite_differences_on_heads(small_model, scene):
     k_star = select_best(base, scene.future)
     d_star = network.displacement_targets(base, scene.future)
 
+    plan = scene_plan(scene, SMALL)
+
     def make_loss():
-        _, reg, disp = forward_graph(small_model, scene)
+        reg, disp = forward_graph(small_model, plan)
         l_r = loss_reg(reg, scene.future, k_star, small_model.config)
         l_d = ad.smooth_l1(disp, d_star.reshape(1, -1))
         return ad.add(l_r, ad.scale(l_d, small_model.config.loss_weight_disp))
@@ -407,6 +411,30 @@ def test_train_steps_with_batch_mean_of_scene_gradients(monkeypatch):
         lo = hi
 
 
+def test_scene_forward_loss_reads_the_future_from_the_plan(small_model, scene):
+    plan = scene_plan(scene, SMALL)
+    with pytest.raises(ValueError, match=f"{scene.scene_id!r} has no ground-truth future"):
+        network.scene_forward_loss(small_model, dataclasses.replace(plan, future=None))
+    with pytest.raises(ValueError, match="future has 4 steps, model regresses 5"):
+        network.scene_forward_loss(small_model, dataclasses.replace(plan, future=plan.future[:4]))
+
+
+def test_train_with_cached_plans_matches_planning_every_step():
+    # augment=None plans each scene once per call; the identity augmentation
+    # plans an unchanged copy of the scene at every step
+    data = gen_synthetic(3, seed=41, future_steps=OVERFIT_MODEL.future_steps)
+    cached, planned = (
+        train(data, TrainConfig(model=OVERFIT_MODEL, epochs=3, batch_size=2, lr=1e-2,
+                                augment=augment, eval_every=0, seed=4))
+        for augment in (None, AugConfig((1.0, 1.0), 1.0, 0.0))
+    )
+    losses = [h["train_loss"] for h in cached.history]
+    assert len(losses) == 3
+    assert losses == [h["train_loss"] for h in planned.history]
+    for name, t in cached.model.params.items():
+        assert t.data.tobytes() == planned.model.params[name].data.tobytes(), name
+
+
 def test_train_overfits_single_scene():
     # one scene, 150 steps (constant lr): loss collapses below 5% of step 0
     data = gen_small(1, seed=555)
@@ -455,23 +483,30 @@ def _count_calls(monkeypatch, fn):
 def test_forward_builds_topology_once_per_scene(monkeypatch, n_stages):
     cfg = ModelConfig(n_stages=n_stages)  # the default recipe at 1 and 4 stages
     model = init_model(cfg, seed=0)
-    scene = normalize(gen_synthetic(1, seed=3, future_steps=cfg.future_steps)[0])
+    data = gen_synthetic(2, seed=3, future_steps=cfg.future_steps)
     radius_calls = _count_calls(monkeypatch, spatial.radius_pairs)
     group_calls = _count_calls(monkeypatch, indexing.group_by_keys)
-    forward_graph(model, scene)
+    forward(model, normalize(data[0]))
     assert len(radius_calls) == len(cfg.radii)
     assert len(group_calls) == len(cfg.intervals) + 2  # voxels, each interval, instances
+
+    # training plans each scene once per call without augmentation, and the
+    # augmented scene at each of its 2 x 2 steps with it
+    for augment, plans in ((None, len(data)), (AugConfig(), 2 * len(data))):
+        radius_calls.clear()
+        train(data, TrainConfig(model=cfg, epochs=2, batch_size=1, augment=augment, eval_every=0))
+        assert len(radius_calls) == len(cfg.radii) * plans
 
 
 def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
     cfg = ModelConfig()
     model = init_model(cfg, seed=0)
     scene = normalize(gen_synthetic(1, seed=3, future_steps=cfg.future_steps)[0])
+    plan = scene_plan(scene, cfg)
     convs = _count_calls(monkeypatch, ad.submanifold_conv)
-    forward_graph(model, scene)
+    forward_graph(model, plan)
     assert len(convs) == cfg.n_stages * cfg.bottleneck_blocks
 
-    plan = indexing.plan_scene(index_scene(scene, cfg.grid_size), cfg.radii, cfg.intervals)
     assert sum(len(pair[0]) for pair in plan.kernel_map if pair is not None) > 0
     feats = ad.constant(np.random.default_rng(0).normal(size=(len(plan.voxel_coords),
                                                                cfg.embed_width)))
@@ -497,7 +532,7 @@ def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
         built.clear()
         for c in calls.values():
             c.clear()
-        forward_graph(model, normalize(raw))
+        forward_graph(model, scene_plan(normalize(raw), cfg))
         # every layer norm is one norm_act node, its relu included; the only
         # relu nodes left are the bottleneck residuals
         assert sorted(id(args[1]) for args in calls["norm_act"]) == gains
@@ -522,7 +557,7 @@ def test_backward_frees_the_training_graph(monkeypatch):
         return t
 
     monkeypatch.setattr(ad, "_op", recording)
-    loss = network.scene_forward_loss(model, scene)
+    loss = network.scene_forward_loss(model, scene_plan(scene, OVERFIT_MODEL))
     assert all(v() is not None for v in values)
     ad.backward(loss)
     # the loss is still referenced, and it no longer holds the graph
@@ -596,7 +631,7 @@ def test_forward_builds_no_graph(monkeypatch):
     model = init_model(cfg, seed=0)
     scene = normalize(gen_synthetic(1, seed=3, future_steps=cfg.future_steps)[0])
     built = _record_ops(monkeypatch)
-    forward_graph(model, scene)
+    forward_graph(model, scene_plan(scene, cfg))
     n_graph = len(built)
     assert any(t._parents for t in built)
     built.clear()
@@ -611,7 +646,7 @@ def test_forward_matches_forward_graph_heads(cfg):
     for raw in gen_synthetic(2, seed=4, future_steps=cfg.future_steps):
         scene = normalize(raw)
         pred = forward(model, scene)
-        _, reg, disp = forward_graph(model, scene)
+        reg, disp = forward_graph(model, scene_plan(scene, cfg))
         ref = prediction_from_heads(reg, disp, cfg)
         assert pred.trajectories.tobytes() == ref.trajectories.tobytes()
         assert pred.displacements.tobytes() == ref.displacements.tobytes()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ def make_ps(points, grid_size=0.5):
 
 
 def plan_of(ps, radii=TINY.radii):
-    return plan_scene(ps, radii, TINY.intervals)
+    return plan_scene(ps, dataclasses.replace(TINY, radii=tuple(radii)))
 
 
 def permute_ps(ps, perm):
@@ -150,8 +152,8 @@ def test_pointwise_permutation_equivariance(rng):
 def test_pointwise_empty_radii_rejected(rng):
     params, _ = tiny_params()
     with pytest.raises(ValueError):
-        pointwise_learning(plan_of(make_ps(np.zeros((1, 2))), radii=()),
-                           ad.constant(np.zeros((1, 4))), params)
+        plan = dataclasses.replace(plan_of(make_ps(np.zeros((1, 2)))), neighborhoods=())
+        pointwise_learning(plan, ad.constant(np.zeros((1, 4))), params)
 
 
 def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
@@ -160,7 +162,7 @@ def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
     cfg = ModelConfig()
     ps = index_scene(normalize(gen_synthetic(1, seed=0, speed_range=(1.0, 3.0))[0]),
                      cfg.grid_size)
-    plan = plan_scene(ps, cfg.radii, cfg.intervals)
+    plan = plan_scene(ps, cfg)
     pair_counts = {len(rel) for rel, _, _ in plan.neighborhoods}
     assert min(pair_counts) > len(ps)
     params = init_spatial({}, "sp", cfg.embed_width, cfg, np.random.default_rng(0))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,11 +46,11 @@ def make_ps(instance, time, kind=None, points=None):
 
 
 def plan_of(ps, intervals=TINY.intervals):
-    return plan_scene(ps, TINY.radii, intervals)
+    return plan_scene(ps, dataclasses.replace(TINY, intervals=tuple(intervals)))
 
 
 def identity_mlp(c):
-    return [MLPLayer(Linear(ad.constant(np.eye(c)), ad.constant(np.zeros((1, c)))), None, False)]
+    return [MLPLayer(Linear(ad.constant(np.eye(c)), ad.constant(np.zeros((1, c)))), None)]
 
 
 def tiny_params(c_in=4, seed=0):
@@ -62,8 +64,8 @@ def pool_params(c_in, seed=0):
 
     reg = {}
     rng = np.random.default_rng(seed)
-    pool_mlp = nn.init_mlp(reg, "pool", [c_in, 6], rng, final_norm=True, final_act=True)
-    pool_proj = nn.init_mlp(reg, "proj", [c_in + 6, 6], rng, final_norm=True, final_act=True)
+    pool_mlp = nn.init_mlp(reg, "pool", [c_in, 6], rng, final_norm_act=True)
+    pool_proj = nn.init_mlp(reg, "proj", [c_in + 6, 6], rng, final_norm_act=True)
     return pool_mlp, pool_proj
 
 
@@ -117,7 +119,8 @@ def test_mil_interval_h_matches_mean_pool_oracle(rng):
 def test_mil_rejects_empty_intervals(rng):
     ps = make_ps([0], [0])
     with pytest.raises(ValueError):
-        multi_interval(plan_of(ps, []), ad.constant(np.zeros((1, 4))), [])
+        plan = dataclasses.replace(plan_of(ps), by_interval=())
+        multi_interval(plan, ad.constant(np.zeros((1, 4))), [])
 
 
 @pytest.mark.parametrize("intervals", [[2], [2, 4, 8]])

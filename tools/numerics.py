@@ -56,7 +56,7 @@ def _losses_and_grads(cfg):
     for raw in synth.gen_synthetic(N_TRAIN_SCENES, seed=0, future_steps=cfg.future_steps):
         for t in model.params.values():
             t.zero_grad()
-        loss = network.scene_forward_loss(model, scenes.normalize(raw))
+        loss = network.scene_forward_loss(model, network.scene_plan(scenes.normalize(raw), cfg))
         losses.append(loss.item())
         ad.backward(loss)
         grads.append(np.concatenate([
