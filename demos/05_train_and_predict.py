@@ -13,13 +13,12 @@ import numpy as np
 from pointcast import (
     ModelConfig,
     TrainConfig,
-    forward,
     gen_synthetic,
     normalize,
     rank_trajectories,
     train,
 )
-from pointcast.metrics import evaluate_report
+from pointcast.network import evaluate_model, scene_plan
 from pointcast.plotting import scene_svg, write_svg
 
 out_dir = Path(__file__).parent
@@ -39,8 +38,7 @@ losses = [h["train_loss"] for h in result.history]
 print(f"loss: {losses[0]:.2f} -> {losses[-1]:.3f}")
 
 norm_scenes = [normalize(s) for s in scenes]
-preds = [forward(result.model, s) for s in norm_scenes]
-report = evaluate_report(preds, [s.future for s in norm_scenes])
+preds, report = evaluate_model(result.model, [scene_plan(s, model_cfg) for s in norm_scenes])
 print(json.dumps(json.loads(report.to_json()), indent=1))
 
 # render the first scene with its ranked predictions in the world frame

@@ -3,8 +3,9 @@
 Exit codes:
   0  success;
   2  input or config error: a malformed scene or prediction document, a
-     run-config value or command-line count of the wrong type or out of
-     range, a resumed checkpoint that already reached the last epoch, or a
+     scene to train on or evaluate whose future is not ``model.future_steps``
+     long, a run-config value or command-line count of the wrong type or out
+     of range, a resumed checkpoint that already reached the last epoch, or a
      training run that diverged;
   3  checkpoint fault: a malformed manifest, missing or misshapen arrays,
      non-finite values, or a data file that does not match its manifest's
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .checkpoint import CheckpointMismatchError, load_checkpoint, restore_into
-from .network import (ModelConfig, NothingToResume, TrainConfig, TrainingDiverged, forward,
-                      init_model, rank_trajectories, train)
+from .network import (ModelConfig, NothingToResume, TrainConfig, TrainingDiverged,
+                      evaluate_model, forward, init_model, rank_trajectories, scene_plan, train)
 from .plotting import scene_svg, write_svg
 from .scenes import (
     AugConfig,
@@ -173,10 +174,6 @@ def cmd_train(args) -> int:
     dataset = load_scene_dir(data_dir)
     if not dataset:
         raise ConfigError(f"no scene files in {data_dir}")
-    steps = cfg.model.future_steps
-    bad = [sc.scene_id for sc in dataset if sc.future is None or len(sc.future) != steps]
-    if bad:
-        raise SceneValidationError(f"scene {bad[0]!r} needs a future of model.future_steps={steps}")
     ckpt_dir = Path(args.out or paths.get("checkpoint_dir", "checkpoints"))
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     log_path = args.log or paths.get("log_path") or (ckpt_dir / "train_log.jsonl")
@@ -219,17 +216,16 @@ def cmd_eval(args) -> int:
     if not data_dir.is_dir():
         raise ConfigError(f"data directory {data_dir} does not exist")
     scenes = [normalize(s) for s in load_scene_dir(data_dir)]
-    scenes = [s for s in scenes if s.future is not None]
-    if not scenes:
+    plans = [scene_plan(s, model.config) for s in scenes if s.future is not None]
+    if not plans:
         raise ConfigError(f"no evaluable scenes (with ground-truth future) in {data_dir}")
-    preds = [forward(model, s) for s in scenes]
-    gts = [s.future for s in scenes]
-    report = metrics_mod.evaluate_report(preds, gts)
+    preds, report = evaluate_model(model, plans)
     # a finite but huge prediction can still overflow a metric
     _require_finite(args.ckpt, dataclasses.astuple(report),
                     *(p.trajectories for p in preds), *(p.displacements for p in preds))
     if args.per_scene_csv:
-        metrics_mod.write_scene_csv(args.per_scene_csv, [s.scene_id for s in scenes], preds, gts)
+        metrics_mod.write_scene_csv(args.per_scene_csv, [p.scene_id for p in plans], preds,
+                                    [p.future for p in plans])
     print(report.to_json())
     return 0
 

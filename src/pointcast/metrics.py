@@ -1,4 +1,8 @@
-"""Displacement-error metrics: ADE, FDE, and top-K minima with miss rate."""
+"""Displacement-error metrics: ADE, FDE, and top-K minima with miss rate.
+
+``evaluate_report`` scores a model's predictions at k=1 and k=min(6, K) under
+the names that ``pointcast eval`` prints and the training log records.
+"""
 
 from __future__ import annotations
 
@@ -43,65 +47,55 @@ class EvalReport:
         return json.dumps(asdict(self), indent=1, allow_nan=False)
 
 
-def _scene_topk_errors(pred, gt, k: int, miss_threshold: float):
+def _scene_topk_errors(pred, gt, k: int):
     """(min ADE, min FDE, miss) over the top-k trajectories by predicted displacement.
 
     A non-finite trajectory makes both minima NaN whatever its rank, and the
     scene counts as a miss unless its best endpoint error is a finite hit.
     """
+    if k > len(pred.displacements):
+        raise ValueError(f"evaluate: k={k} exceeds {len(pred.displacements)} trajectories")
     top = np.asarray(pred.trajectories)[np.argsort(pred.displacements, kind="stable")[:k]]
     best_fde = float(np.min([fde(t, gt) for t in top]))
-    return float(np.min([ade(t, gt) for t in top])), best_fde, not best_fde <= miss_threshold
+    return float(np.min([ade(t, gt) for t in top])), best_fde, not best_fde <= MISS_THRESHOLD
 
 
-def evaluate(preds, gts, k: int, miss_threshold: float = MISS_THRESHOLD) -> dict:
+def evaluate(preds, gts, k: int) -> dict:
     """Per-scene min-over-top-K ADE/FDE and miss rate, averaged over scenes.
 
     A scene is a miss iff the best (smallest) top-K endpoint error strictly
-    exceeds the threshold; an error of exactly ``miss_threshold`` is a hit.
+    exceeds ``MISS_THRESHOLD``; an error of exactly the threshold is a hit.
     """
     if len(preds) == 0:
         raise ValueError("evaluate: empty scene set")
     if len(preds) != len(gts):
         raise ValueError("evaluate: preds/gts length mismatch")
-    ades, fdes, misses = [], [], []
-    for pred, gt in zip(preds, gts):
-        if k > len(pred.displacements):
-            raise ValueError(f"evaluate: k={k} exceeds {len(pred.displacements)} trajectories")
-        a, f, miss = _scene_topk_errors(pred, gt, k, miss_threshold)
-        ades.append(a)
-        fdes.append(f)
-        misses.append(float(miss))
-    return {
-        "min_ade": float(np.mean(ades)),
-        "min_fde": float(np.mean(fdes)),
-        "miss_rate": float(np.mean(misses)),
-    }
+    ades, fdes, misses = zip(*(_scene_topk_errors(pred, gt, k) for pred, gt in zip(preds, gts)))
+    return {"min_ade": float(np.mean(ades)), "min_fde": float(np.mean(fdes)),
+            "miss_rate": float(np.mean(misses))}
 
 
-def evaluate_report(preds, gts, miss_threshold: float = MISS_THRESHOLD) -> EvalReport:
-    r1 = evaluate(preds, gts, k=1, miss_threshold=miss_threshold)
-    k6 = min(6, min(len(p.displacements) for p in preds))
-    r6 = evaluate(preds, gts, k=k6, miss_threshold=miss_threshold)
-    return EvalReport(
-        minADE_1=r1["min_ade"],
-        minFDE_1=r1["min_fde"],
-        MR_1=r1["miss_rate"],
-        minADE_6=r6["min_ade"],
-        minFDE_6=r6["min_fde"],
-        MR_6=r6["miss_rate"],
-        n_scenes=len(preds),
-    )
+def _report_ks(preds) -> tuple[int, int]:
+    """The report's two cut-offs: k=1 and k=min(6, K), K the fewest modes of any scene."""
+    return 1, min([6] + [len(p.displacements) for p in preds])
 
 
-def write_scene_csv(path, scene_ids, preds, gts, miss_threshold: float = MISS_THRESHOLD):
-    """Per-scene metric rows for debugging."""
+def evaluate_report(preds, gts) -> EvalReport:
+    """The k=1 and k=min(6, K) metrics of ``evaluate`` as one report."""
+    r1, r6 = (evaluate(preds, gts, k) for k in _report_ks(preds))
+    return EvalReport(r1["min_ade"], r1["min_fde"], r1["miss_rate"],
+                      r6["min_ade"], r6["min_fde"], r6["miss_rate"], len(preds))
+
+
+def write_scene_csv(path, scene_ids, preds, gts):
+    """Per-scene metric rows at the report's cut-offs, for debugging."""
+    ks = _report_ks(preds)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scene_id", "ade_1", "fde_1", "miss_1", "ade_6", "fde_6", "miss_6"])
         for sid, pred, gt in zip(scene_ids, preds, gts):
             row = [sid]
-            for k in (1, min(6, len(pred.displacements))):
-                a, f, miss = _scene_topk_errors(pred, gt, k, miss_threshold)
+            for k in ks:
+                a, f, miss = _scene_topk_errors(pred, gt, k)
                 row.extend([f"{a:.6f}", f"{f:.6f}", int(miss)])
             writer.writerow(row)

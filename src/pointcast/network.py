@@ -5,14 +5,14 @@ alternates spatial and temporal blocks (each stage consuming the previous
 stage's pointwise output), drops map rows at the head, mean-pools the target
 agent's rows, and regresses K trajectories plus K predicted endpoint
 displacement errors. At inference the trajectories are ranked by predicted
-displacement, ascending.
+displacement, ascending. Every evaluation scores through ``evaluate_model``.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,8 @@ from .autodiff import Tensor
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .indexing import EMBED_IN, ScenePlan, index_scene, plan_scene
 from .optim import AdamState, adam_init, adam_step, lr_at_epoch
-from .scenes import AugConfig, NormalizedScene, RawScene, augment, normalize
+from .scenes import (AugConfig, NormalizedScene, RawScene, SceneValidationError, augment,
+                     normalize)
 from .spatial import init_spatial, spatial_block
 from .temporal import init_temporal, temporal_block
 
@@ -246,32 +247,30 @@ def restore_train_checkpoint(path, model: Model, state: AdamState) -> dict:
     return manifest
 
 
-def scene_forward_loss(model: Model, plan: ScenePlan):
-    if plan.future is None:
-        raise ValueError(f"scene {plan.scene_id!r} has no ground-truth future")
-    if len(plan.future) != model.config.future_steps:
-        raise ValueError(
-            f"scene {plan.scene_id!r} future has {len(plan.future)} steps, "
-            f"model regresses {model.config.future_steps}"
+def check_future(item, config: ModelConfig) -> None:
+    """Raise SceneValidationError unless scene or plan ``item`` has a future of future_steps."""
+    if item.future is None:
+        raise SceneValidationError(f"scene {item.scene_id!r} has no ground-truth future")
+    if len(item.future) != config.future_steps:
+        raise SceneValidationError(
+            f"scene {item.scene_id!r} future has {len(item.future)} steps, "
+            f"model regresses {config.future_steps} (model.future_steps)"
         )
+
+
+def scene_forward_loss(model: Model, plan: ScenePlan):
+    check_future(plan, model.config)
     reg, disp = forward_graph(model, plan)
     return total_loss(reg, disp, plan.future, model.config)
 
 
-def evaluate_model(model: Model, scenes, ks=(1, 6)) -> dict:
-    preds, gts = [], []
-    for sc in scenes:
-        if sc.future is None:
-            continue
-        preds.append(forward(model, sc))
-        gts.append(sc.future)
-    out = {}
-    for k in ks:
-        r = metrics_mod.evaluate(preds, gts, k=min(k, model.config.n_modes))
-        out[f"minADE{k}"] = r["min_ade"]
-        out[f"minFDE{k}"] = r["min_fde"]
-        out[f"MR{k}"] = r["miss_rate"]
-    return out
+def evaluate_model(model: Model, plans: list[ScenePlan]):
+    """Predict each plan under no_grad and score it: ``(preds, metrics.EvalReport)``."""
+    for plan in plans:
+        check_future(plan, model.config)
+    with ad.no_grad():
+        preds = [prediction_from_heads(*forward_graph(model, plan), model.config) for plan in plans]
+    return preds, metrics_mod.evaluate_report(preds, [plan.future for plan in plans])
 
 
 def train(
@@ -289,14 +288,14 @@ def train(
     derive from (seed, epoch) and (seed, epoch, scene), so resuming from an
     epoch-boundary checkpoint replays the identical sequence. Without
     augmentation every scene is planned once per call; with it, each step
-    plans the augmented scene it trains on.
+    plans the augmented scene it trains on. The eval pass (``eval_every``)
+    scores the un-augmented plans, which are then built once per call too.
     """
     if not dataset:
         raise ValueError("train: empty dataset")
     normalized = [normalize(s) for s in dataset]
     for sc in normalized:
-        if sc.future is None:
-            raise ValueError(f"scene {sc.scene_id!r} has no ground-truth future")
+        check_future(sc, config.model)
 
     model = init_model(config.model, config.seed)
     state = adam_init(model.params)
@@ -310,7 +309,8 @@ def train(
                 f"from 0), so epochs={config.epochs} leaves nothing to train"
             )
 
-    plans = [scene_plan(sc, config.model) for sc in normalized] if config.augment is None else None
+    plans = ([scene_plan(sc, config.model) for sc in normalized]
+             if config.augment is None or config.eval_every else None)
     history = []
     log_fh = open(log_path, "a") if log_path else None
     try:
@@ -324,7 +324,7 @@ def train(
                 for t in model.params.values():
                     t.zero_grad()
                 for si in batch:
-                    if plans is not None:
+                    if config.augment is None:
                         plan = plans[si]
                     else:
                         sc = augment(normalized[si], [config.seed, epoch, int(si)], config.augment)
@@ -349,7 +349,7 @@ def train(
 
             entry = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_seen, 1)}
             if config.eval_every and (epoch + 1) % config.eval_every == 0:
-                entry.update(evaluate_model(model, normalized))
+                entry.update(asdict(evaluate_model(model, plans)[1]))
             bad = [k for k, v in entry.items() if not np.isfinite(v)]
             if bad:
                 raise TrainingDiverged(f"non-finite {bad[0]} at epoch {epoch}")

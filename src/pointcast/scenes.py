@@ -348,6 +348,8 @@ def scene_to_dict(scene: RawScene) -> dict:
         if scene.future is None
         else [[float(x), float(y)] for x, y in scene.future.tolist()],
         "city": scene.city,
+        "history_steps": scene.history_steps,
+        "future_steps": scene.future_steps,
     }
 
 
@@ -370,6 +372,11 @@ def scene_from_dict(doc: dict, scene_id: str = "") -> RawScene:
             )
             for m in doc["map"]
         ]
+        horizons = {k: doc.get(k, v) for k, v in (("history_steps", HISTORY_STEPS),
+                                                   ("future_steps", FUTURE_STEPS))}
+        for k, v in horizons.items():
+            if type(v) is not int or v < 1:
+                raise SceneFormatError(f"{k} must be a positive integer, got {json.dumps(v)}")
         future = doc.get("future")
         future_arr = (
             None
@@ -384,6 +391,7 @@ def scene_from_dict(doc: dict, scene_id: str = "") -> RawScene:
             future=future_arr,
             city=str(doc.get("city", "")),
             scene_id=scene_id,
+            **horizons,
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise SceneFormatError(f"malformed scene document: {exc}") from exc

@@ -493,15 +493,16 @@ def test_criterion_08_overfit():
     result = train(data, cfg)  # 400 optimizer steps (one batch per epoch)
     losses = [h["train_loss"] for h in result.history]
     ratio = losses[-1] / losses[0]
-    metrics = evaluate_model(result.model, [normalize(s) for s in data], ks=(1,))
+    _, metrics = evaluate_model(result.model,
+                                [scene_plan(normalize(s), OVERFIT_MODEL) for s in data])
     elapsed = time.monotonic() - t0
     assert ratio < 0.05, f"loss ratio {ratio:.4f}"
-    assert metrics["minADE1"] < 0.5, metrics
-    assert metrics["minFDE1"] < 1.0, metrics
+    assert metrics.minADE_1 < 0.5, metrics
+    assert metrics.minFDE_1 < 1.0, metrics
     assert elapsed < 600.0, f"{elapsed:.0f}s"
     report("criterion 8: overfit 8 scenes in 400 steps",
-           f"loss ratio {ratio:.3%}, minADE1 {metrics['minADE1']:.3f}, "
-           f"minFDE1 {metrics['minFDE1']:.3f}, {elapsed:.0f}s")
+           f"loss ratio {ratio:.3%}, minADE_1 {metrics.minADE_1:.3f}, "
+           f"minFDE_1 {metrics.minFDE_1:.3f}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -529,19 +530,16 @@ def test_criterion_09_generalization():
                       lr_decay_epochs=(25,), lr_decay_factor=0.1,
                       augment=None, eval_every=0, seed=2)
     result = train(train_scenes, cfg)
-    preds = [forward(result.model, s) for s in heldout]
-    gts = [s.future for s in heldout]
-    r1 = evaluate(preds, gts, k=1)
-    r6 = evaluate(preds, gts, k=6)
+    _, r = evaluate_model(result.model, [scene_plan(s, OVERFIT_MODEL) for s in heldout])
     cv_fde = constant_velocity_fde(heldout)
     elapsed = time.monotonic() - t0
-    assert r6["min_ade"] < r1["min_ade"], (r6, r1)
-    assert r6["miss_rate"] <= r1["miss_rate"], (r6, r1)
-    assert r6["min_fde"] < cv_fde, (r6["min_fde"], cv_fde)
+    assert r.minADE_6 < r.minADE_1, r
+    assert r.MR_6 <= r.MR_1, r
+    assert r.minFDE_6 < cv_fde, (r.minFDE_6, cv_fde)
     assert elapsed < 1800.0, f"{elapsed:.0f}s"
     report("criterion 9: generalization on 64 held-out scenes",
-           f"minADE6 {r6['min_ade']:.3f} < minADE1 {r1['min_ade']:.3f}, "
-           f"minFDE6 {r6['min_fde']:.3f} < CV {cv_fde:.3f}, {elapsed:.0f}s")
+           f"minADE_6 {r.minADE_6:.3f} < minADE_1 {r.minADE_1:.3f}, "
+           f"minFDE_6 {r.minFDE_6:.3f} < CV {cv_fde:.3f}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointcast import TrainConfig, cli, load_scene, normalize
+from pointcast import TrainConfig, cli, gen_synthetic, load_scene, normalize, train
 from pointcast.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_MODEL = {
@@ -167,7 +167,7 @@ def test_train_malformed_config_exit2(tmp_path, trained, capsys, monkeypatch, ca
 
 @pytest.mark.parametrize("overrides, term", [
     ({"batch_size": 2, "eval_every": 0}, "non-finite loss"),  # the second batch's loss
-    ({"batch_size": 4, "eval_every": 1}, "non-finite minADE1"),  # the end-of-epoch evaluation
+    ({"batch_size": 4, "eval_every": 1}, "non-finite minADE_1"),  # the end-of-epoch evaluation
 ])
 def test_train_diverged_exit2(tmp_path, trained, capsys, overrides, term):
     cfg = write_config(tmp_path / "c.json", trained[1], tmp_path / "ck", epochs=1, lr=1e300,
@@ -237,6 +237,21 @@ def test_eval_empty_data_dir_exit2(tmp_path):
     empty.mkdir()
     assert cli.main(["eval", "--config", str(cfg), "--ckpt",
                      str(tmp_path / "ck" / "model.json"), "--data", str(empty)]) == 2
+
+
+def test_eval_future_length_mismatch_exit2(tmp_path, capsys):
+    # a model that regresses 12 steps, scored on gen-synthetic's 30-step futures
+    cfg = write_config(tmp_path / "c.json", tmp_path, tmp_path / "ck", epochs=1,
+                       model=dict(TINY_MODEL, future_steps=12))
+    train_cfg = cli._from_doc(TrainConfig, cli._load_run_config(cfg)[0])
+    train(gen_synthetic(2, seed=3, future_steps=12), train_cfg,
+          checkpoint_path=tmp_path / "model", config_doc=cli._to_doc(train_cfg))
+    data = gen_data(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(cfg), "--ckpt", str(tmp_path / "model.json"),
+                     "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "future has 30 steps, model regresses 12" in err
 
 
 def test_eval_checkpoint_shape_mismatch_exit3(tmp_path, capsys):

@@ -20,9 +20,9 @@ from pointcast import (
     rank_trajectories,
     select_best,
 )
-from pointcast import indexing, network, spatial
+from pointcast import indexing, metrics, network, spatial
 from pointcast.indexing import KIND_MAP, index_scene
-from pointcast.scenes import AugConfig, MapElement
+from pointcast.scenes import AugConfig, MapElement, SceneValidationError
 from pointcast.network import (
     TrainingDiverged,
     evaluate_model,
@@ -446,21 +446,26 @@ def test_train_overfits_single_scene():
 
 
 def test_train_logs_metrics(tmp_path):
+    # the eval pass scores the trained model on the un-augmented plans, so the
+    # last log line holds evaluate_model's report bit for bit
     data = gen_small(2, seed=34)
     cfg = TrainConfig(
-        model=SMALL, epochs=1, batch_size=2, lr=1e-3, lr_decay_epochs=(),
-        augment=None, eval_every=1, seed=0,
+        model=SMALL, epochs=2, batch_size=2, lr=1e-3, lr_decay_epochs=(),
+        augment=AugConfig(), eval_every=1, seed=0,
     )
     log = tmp_path / "log.jsonl"
-    train(data, cfg, log_path=log)
+    result = train(data, cfg, log_path=log)
     import json
 
     lines = [json.loads(l) for l in log.read_text().splitlines()]
-    assert len(lines) == 1
-    entry = lines[0]
-    for key in ("epoch", "lr", "train_loss", "minADE6", "minFDE6", "MR6",
-                "minADE1", "minFDE1", "MR1", "wall_seconds"):
+    assert len(lines) == 2
+    entry = lines[-1]
+    for key in ("epoch", "lr", "train_loss", "minADE_6", "minFDE_6", "MR_6",
+                "minADE_1", "minFDE_1", "MR_1", "n_scenes", "wall_seconds"):
         assert key in entry
+    _, report = evaluate_model(result.model, [scene_plan(normalize(s), SMALL) for s in data])
+    for key, value in dataclasses.asdict(report).items():
+        assert np.float64(entry[key]).tobytes() == np.float64(value).tobytes(), key
 
 
 def _count_calls(monkeypatch, fn):
@@ -491,11 +496,16 @@ def test_forward_builds_topology_once_per_scene(monkeypatch, n_stages):
     assert len(group_calls) == len(cfg.intervals) + 2  # voxels, each interval, instances
 
     # training plans each scene once per call without augmentation, and the
-    # augmented scene at each of its 2 x 2 steps with it
-    for augment, plans in ((None, len(data)), (AugConfig(), 2 * len(data))):
+    # augmented scene at each of its 2 x 2 steps with it; the eval pass reads
+    # the un-augmented plans, so it adds one plan per scene per call with
+    # augmentation and none without
+    for augment, eval_every, plans in ((None, 0, len(data)), (None, 1, len(data)),
+                                       (AugConfig(), 0, 2 * len(data)),
+                                       (AugConfig(), 1, 3 * len(data))):
         radius_calls.clear()
-        train(data, TrainConfig(model=cfg, epochs=2, batch_size=1, augment=augment, eval_every=0))
-        assert len(radius_calls) == len(cfg.radii) * plans
+        train(data, TrainConfig(model=cfg, epochs=2, batch_size=1, augment=augment,
+                                eval_every=eval_every))
+        assert len(radius_calls) == len(cfg.radii) * plans, (augment, eval_every)
 
 
 def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
@@ -653,5 +663,26 @@ def test_forward_matches_forward_graph_heads(cfg):
 
 
 def test_evaluate_model_leaves_grad_enabled(small_model):
-    evaluate_model(small_model, [normalize(s) for s in gen_small(2, seed=5)])
+    evaluate_model(small_model, [scene_plan(normalize(s), SMALL) for s in gen_small(2, seed=5)])
     assert ad._grad_enabled
+
+
+def test_evaluate_model_matches_report_over_forward(small_model):
+    scenes = [normalize(s) for s in gen_small(4, seed=6)]
+    preds, report = evaluate_model(small_model, [scene_plan(s, SMALL) for s in scenes])
+    ref = [forward(small_model, s) for s in scenes]
+    for got, want in zip(preds, ref):
+        assert got.trajectories.tobytes() == want.trajectories.tobytes()
+        assert got.displacements.tobytes() == want.displacements.tobytes()
+    ref_report = metrics.evaluate_report(ref, [s.future for s in scenes])
+    assert np.array(dataclasses.astuple(report)).tobytes() == \
+        np.array(dataclasses.astuple(ref_report)).tobytes()
+    assert report.n_scenes == 4
+
+
+def test_evaluate_model_checks_every_future(small_model, scene):
+    plan = scene_plan(scene, SMALL)
+    with pytest.raises(SceneValidationError, match="has no ground-truth future"):
+        evaluate_model(small_model, [plan, dataclasses.replace(plan, future=None)])
+    with pytest.raises(SceneValidationError, match="future has 4 steps, model regresses 5"):
+        evaluate_model(small_model, [dataclasses.replace(plan, future=plan.future[:4])])

@@ -34,12 +34,13 @@ def test_dump_holds_every_group(dump):
     assert shapes["overfit/grad"][0] == shapes["default/grad"][0] == 12
     assert shapes["predict/trajectories"] == (8, 6, 30, 2)
     assert shapes["predict/displacements"] == (8, 6)
+    assert shapes["eval/report"] == (7,)
 
 
 def test_dump_compared_with_itself_is_bit_identical(tool, dump, capsys):
     assert tool.main(["compare", str(dump), str(dump)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6 and all(line.endswith(": bit-identical") for line in lines)
+    assert len(lines) == 7 and all(line.endswith(": bit-identical") for line in lines)
 
 
 def test_perturbed_dump_is_reported(tool, dump, tmp_path, capsys):

@@ -9,6 +9,7 @@ from pointcast import (
     MapElement,
     RawScene,
     augment,
+    cli,
     gen_synthetic,
     load_scene,
     normalize,
@@ -20,6 +21,8 @@ from pointcast.scenes import (
     SceneFormatError,
     SceneValidationError,
     load_scene_dir,
+    scene_from_dict,
+    scene_to_dict,
     validate_normalized,
     validate_raw,
 )
@@ -63,6 +66,38 @@ def test_json_roundtrip_equality(tmp_path):
     second = load_scene(tmp_path / "s2.json")
     first.scene_id = second.scene_id = ""
     assert first == second
+
+
+@pytest.mark.parametrize("horizons", [{"future_steps": 12}, {"history_steps": 8},
+                                      {"history_steps": 5, "future_steps": 3}])
+def test_json_roundtrip_keeps_horizons(tmp_path, horizons):
+    scene = gen_synthetic(1, seed=0, **horizons)[0]
+    save_scene(scene, tmp_path / "s.json")
+    loaded = load_scene(tmp_path / "s.json")
+    loaded.scene_id = scene.scene_id
+    assert loaded == scene
+    assert (loaded.history_steps, loaded.future_steps) == (
+        horizons.get("history_steps", HISTORY_STEPS), horizons.get("future_steps", FUTURE_STEPS))
+
+
+def test_json_without_horizons_reads_defaults():
+    doc = scene_to_dict(straight_scene())
+    del doc["history_steps"], doc["future_steps"]
+    loaded = scene_from_dict(doc)
+    assert (loaded.history_steps, loaded.future_steps) == (HISTORY_STEPS, FUTURE_STEPS)
+
+
+@pytest.mark.parametrize("key, value", [("future_steps", 0), ("history_steps", -3),
+                                        ("future_steps", 12.0), ("history_steps", True),
+                                        ("future_steps", "30"), ("history_steps", None)])
+def test_json_bad_horizon_rejected(tmp_path, key, value):
+    doc = scene_to_dict(straight_scene())
+    doc[key] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SceneFormatError, match=f"{key} must be a positive integer"):
+        load_scene(path)
+    assert cli.main(["plot", "--scene", str(path), "--out", str(tmp_path / "s.svg")]) == 2
 
 
 def test_json_parse_error_carries_line(tmp_path):

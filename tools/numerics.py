@@ -12,7 +12,9 @@
   ``ModelConfig``;
 - ``predict/trajectories`` and ``predict/displacements``: ``network.forward``
   at the default config on 8 congested scenes (the benchmark's
-  ``CONGESTED_SPEED``, seed 0).
+  ``CONGESTED_SPEED``, seed 0);
+- ``eval/report``: the ``EvalReport`` fields, in order, of
+  ``network.evaluate_model`` on the plans of the same 8 scenes.
 
 ``compare`` prints one line per group: ``bit-identical``, or the largest
 relative difference over scenes, where a scene's difference is its max
@@ -23,6 +25,7 @@ numpy and BLAS, then compare the two files.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -75,11 +78,14 @@ def collect() -> dict:
         out[f"{name}/loss"], out[f"{name}/grad"] = _losses_and_grads(cfg)
     cfg = network.ModelConfig()
     model = network.init_model(cfg, seed=0)
-    preds = [network.forward(model, scenes.normalize(raw)) for raw in synth.gen_synthetic(
+    normalized = [scenes.normalize(raw) for raw in synth.gen_synthetic(
         N_PREDICT_SCENES, seed=0, speed_range=bench.CONGESTED_SPEED,
         future_steps=cfg.future_steps)]
+    preds = [network.forward(model, sc) for sc in normalized]
     out["predict/trajectories"] = np.stack([p.trajectories for p in preds])
     out["predict/displacements"] = np.stack([p.displacements for p in preds])
+    _, report = network.evaluate_model(model, [network.scene_plan(sc, cfg) for sc in normalized])
+    out["eval/report"] = np.array(dataclasses.astuple(report), dtype=np.float64)
     return out
 
 
