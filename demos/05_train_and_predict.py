@@ -38,7 +38,7 @@ losses = [h["train_loss"] for h in result.history]
 print(f"loss: {losses[0]:.2f} -> {losses[-1]:.3f}")
 
 norm_scenes = [normalize(s) for s in scenes]
-preds, report = evaluate_model(result.model, [scene_plan(s, model_cfg) for s in norm_scenes])
+preds, report, _ = evaluate_model(result.model, [scene_plan(s, model_cfg) for s in norm_scenes])
 print(json.dumps(json.loads(report.to_json()), indent=1))
 
 # render the first scene with its ranked predictions in the world frame

@@ -11,7 +11,7 @@ from .indexing import (
     regroup_by_interval,
     voxelize,
 )
-from .metrics import EvalReport, ade, evaluate, evaluate_report, fde
+from .metrics import EvalReport, ade, evaluate, evaluate_report, fde, scene_errors
 from .network import (
     Model,
     ModelConfig,
@@ -75,6 +75,7 @@ __all__ = [
     "rank_trajectories",
     "regroup_by_interval",
     "save_scene",
+    "scene_errors",
     "select_best",
     "total_loss",
     "train",

@@ -17,9 +17,14 @@ soon as its consumers have run. Work that only the backward pass needs
 belongs in the closure, so inference skips it: ``scatter_max`` finds its
 argmax rows there.
 
-Every layer norm in the network is one :func:`norm_act` node: the row
-statistics, the affine and the optional relu in one forward and one VJP.
-:func:`layer_norm` is ``norm_act`` without the relu.
+Every normed layer in the network is one :func:`dense` node: the linear
+map, the row statistics, the affine and the optional relu in one forward and
+one VJP. The node normalizes its own fresh pre-activation in place, so the
+graph keeps two (rows, C) arrays per normed layer, ``xhat`` and the output.
+:func:`norm_act` is the same norm on an input it does not own; it follows
+only the submanifold convolutions. :func:`layer_norm` is ``norm_act``
+without the relu. ``linear``, ``norm_act`` and ``dense`` share one block
+product and one norm, forward and VJP.
 
 :func:`linear` takes its input as column blocks (Tensors, constant arrays,
 and ``(Tensor, GroupTable)`` pairs that stand for gathered rows), so the
@@ -156,17 +161,11 @@ def _group_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a @ w
 
 
-def linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w (+ b). ``b`` is a (1, D) row broadcast over rows.
+def _linear_blocks(x, w: Tensor, b: Tensor | None):
+    """``(blocks, edges, parents)`` of a checked ``linear`` input.
 
-    ``x`` is a Tensor or a list of column blocks standing for their column
-    concatenation. A block is a Tensor, a constant array, or a
-    ``(Tensor, GroupTable)`` pair meaning ``tensor[table.group_of]``. A linear
-    map distributes over a column concat and a row gather, so each block's
-    product runs on its own rows with its own rows of ``w``, and a gathered
-    block is gathered after its product: no concatenated or gathered copy of
-    an input is made. The VJP segment-sums a gathered block's gradient before
-    its products and computes no gradient for constants.
+    ``edges`` bound each block's rows of ``w``; ``parents`` are the input
+    Tensors that need a gradient, then ``w``, then ``b`` when given.
     """
     blocks = _column_blocks(x)
     widths = [data.shape[1] for data, _, _ in blocks]
@@ -176,7 +175,12 @@ def linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ValueError(f"linear: blocks {[d.shape for d, _, _ in blocks]} @ {w.data.shape}")
     if b is not None and b.data.shape != (1, w.data.shape[1]):
         raise ValueError(f"linear: bias shape {b.data.shape}")
-    edges = [0, *itertools.accumulate(widths)]
+    parents = (*(t for _, _, t in blocks if t is not None), w) + ((b,) if b is not None else ())
+    return blocks, [0, *itertools.accumulate(widths)], parents
+
+
+def _linear_forward(blocks, edges, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """The block product plus bias, as a fresh array the caller owns."""
     y = None
     for (data, table, _), lo, hi in zip(blocks, edges[:-1], edges[1:]):
         if table is None:
@@ -189,22 +193,39 @@ def linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
             y += part
     if b is not None:
         y += b.data
-    inputs = [t for _, _, t in blocks if t is not None]
+    return y
 
-    def vjp(g):
-        gx, gw = [], []
-        for (data, table, t), lo, hi in zip(blocks, edges[:-1], edges[1:]):
-            gp = _segment_sum(g, table) if table is not None else g
-            if w.requires_grad:
-                gw.append(data.T @ gp)
-            if t is not None:
-                gx.append(gp @ w.data[lo:hi].T if table is None
-                          else _group_product(gp, w.data[lo:hi].T))
-        gw = (gw[0] if len(gw) == 1 else np.vstack(gw)) if gw else None
-        gb = (g.sum(axis=0, keepdims=True),) if b is not None else ()
-        return (*gx, gw) + gb
 
-    return _op(y, (*inputs, w) + ((b,) if b is not None else ()), vjp)
+def _linear_vjp(blocks, edges, w: Tensor, b: Tensor | None, g: np.ndarray) -> tuple:
+    """Gradients of the block product: one per input Tensor, then ``w``'s, then ``b``'s."""
+    gx, gw = [], []
+    for (data, table, t), lo, hi in zip(blocks, edges[:-1], edges[1:]):
+        gp = _segment_sum(g, table) if table is not None else g
+        if w.requires_grad:
+            gw.append(data.T @ gp)
+        if t is not None:
+            gx.append(gp @ w.data[lo:hi].T if table is None
+                      else _group_product(gp, w.data[lo:hi].T))
+    gw = (gw[0] if len(gw) == 1 else np.vstack(gw)) if gw else None
+    gb = (g.sum(axis=0, keepdims=True),) if b is not None else ()
+    return (*gx, gw) + gb
+
+
+def linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """y = x @ w (+ b). ``b`` is a (1, D) row broadcast over rows.
+
+    ``x`` is a Tensor or a list of column blocks standing for their column
+    concatenation. A block is a Tensor, a constant array, or a
+    ``(Tensor, GroupTable)`` pair meaning ``tensor[table.group_of]``. A linear
+    map distributes over a column concat and a row gather, so each block's
+    product runs on its own rows with its own rows of ``w``, and a gathered
+    block is gathered after its product: no concatenated or gathered copy of
+    an input is made. The VJP segment-sums a gathered block's gradient before
+    its products and computes no gradient for constants.
+    """
+    blocks, edges, parents = _linear_blocks(x, w, b)
+    return _op(_linear_forward(blocks, edges, w, b), parents,
+               lambda g: _linear_vjp(blocks, edges, w, b, g))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -217,47 +238,86 @@ def exp(x: Tensor) -> Tensor:
     return _op(y, (x,), lambda g: (g * y,))
 
 
-def norm_act(x: Tensor, gain: Tensor, bias: Tensor, act: bool, eps: float = 1e-8) -> Tensor:
-    """Per-row layer norm, then affine, then relu when ``act``, as one node.
+def _check_norm(gain: Tensor, bias: Tensor, c: int, name: str) -> None:
+    if gain.data.shape != (1, c) or bias.data.shape != (1, c):
+        raise ValueError(f"{name}: gain/bias must be (1, C)")
+
+
+def _norm_forward(x: np.ndarray, gain: Tensor, bias: Tensor, act: bool, eps: float,
+                  keep: bool, out: np.ndarray | None = None):
+    """``(y, xhat, inv)``: layer norm, affine and the optional relu of the rows of ``x``.
 
     Row means are matvecs with a ones vector, so each reduction is one BLAS
-    pass. The forward makes one centered copy and normalizes it in place
-    into ``xhat``. When the node is recorded it keeps ``xhat`` and a
-    separate output, and the VJP reads the relu mask back from the output;
-    otherwise the output overwrites ``xhat``. NaN rows propagate as in a
-    separate ``layer_norm`` and ``relu``.
+    pass. The centered rows go to ``out`` (``x`` itself when the caller owns
+    it, else a fresh copy) and are normalized in place into ``xhat``. When
+    ``keep``, the output is a separate array and ``xhat`` stays for the VJP;
+    otherwise the output overwrites ``xhat``.
     """
-    c = x.data.shape[1]
-    if gain.data.shape != (1, c) or bias.data.shape != (1, c):
-        raise ValueError("norm_act: gain/bias must be (1, C)")
-    ones = np.ones(c)
-    xhat = x.data - (x.data @ ones / c)[:, None]
+    c = x.shape[1]
+    xhat = np.subtract(x, (x @ np.ones(c) / c)[:, None], out=out)
     inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / c + eps)
     xhat *= inv[:, None]
-    if _recording((x, gain, bias)):
-        y = xhat * gain.data
-    else:
-        y = np.multiply(xhat, gain.data, out=xhat)
+    y = xhat * gain.data if keep else np.multiply(xhat, gain.data, out=xhat)
     y += bias.data
     if act:
         np.maximum(y, 0.0, out=y)
+    return y, xhat, inv
+
+
+def _norm_vjp(g, y, xhat, inv, gain: Tensor, act: bool) -> tuple:
+    """``(gx, ggain, gbias)`` of :func:`_norm_forward`; the relu mask is read back from ``y``."""
+    c = xhat.shape[1]
+    if act:
+        g = g * (y > 0)
+    ggain = np.einsum("ij,ij->j", g, xhat)[None]
+    gbias = g.sum(axis=0, keepdims=True)
+    # the masked copy is this closure's own, so it can take gg; an
+    # unmasked g may be shared with another parent and is left alone
+    gg = np.multiply(g, gain.data, out=g) if act else g * gain.data
+    m1 = gg @ np.ones(c) / c
+    m2 = np.einsum("ij,ij->i", gg, xhat) / c
+    gg -= m1[:, None]
+    gg -= xhat * m2[:, None]
+    gg *= inv[:, None]
+    return gg, ggain, gbias
+
+
+def norm_act(x: Tensor, gain: Tensor, bias: Tensor, act: bool, eps: float = 1e-8) -> Tensor:
+    """Per-row layer norm, then affine, then relu when ``act``, as one node.
+
+    The forward makes one centered copy of ``x`` and normalizes it in place
+    into ``xhat``. When the node is recorded it keeps ``xhat`` and a separate
+    output, and the VJP reads the relu mask back from the output; otherwise
+    the output overwrites ``xhat``. NaN rows propagate as in a separate
+    ``layer_norm`` and ``relu``.
+    """
+    _check_norm(gain, bias, x.data.shape[1], "norm_act")
+    parents = (x, gain, bias)
+    y, xhat, inv = _norm_forward(x.data, gain, bias, act, eps, _recording(parents))
+    return _op(y, parents, lambda g: _norm_vjp(g, y, xhat, inv, gain, act))
+
+
+def dense(x, w: Tensor, b: Tensor | None, gain: Tensor, bias: Tensor, act: bool,
+          eps: float = 1e-8) -> Tensor:
+    """``norm_act(linear(x, w, b), gain, bias, act)`` as one node, bit for bit.
+
+    ``x`` takes the column blocks of :func:`linear`. The pre-activation is
+    this node's own fresh array, so it is normalized in place into ``xhat``:
+    a recorded node keeps ``xhat`` and its output, two (rows, D) arrays
+    where the separate nodes keep three. The VJP runs the norm VJP straight
+    into the linear VJP.
+    """
+    blocks, edges, linear_parents = _linear_blocks(x, w, b)
+    _check_norm(gain, bias, w.data.shape[1], "dense")
+    parents = (*linear_parents, gain, bias)
+    pre = _linear_forward(blocks, edges, w, b)
+    y, xhat, inv = _norm_forward(pre, gain, bias, act, eps, _recording(parents), out=pre)
 
     def vjp(g):
-        if act:
-            g = g * (y > 0)
-        ggain = np.einsum("ij,ij->j", g, xhat)[None]
-        gbias = g.sum(axis=0, keepdims=True)
-        # the masked copy is this closure's own, so it can take gg; an
-        # unmasked g may be shared with another parent and is left alone
-        gg = np.multiply(g, gain.data, out=g) if act else g * gain.data
-        m1 = gg @ ones / c
-        m2 = np.einsum("ij,ij->i", gg, xhat) / c
-        gg -= m1[:, None]
-        gg -= xhat * m2[:, None]
-        gg *= inv[:, None]
-        return gg, ggain, gbias
+        gpre, ggain, gbias = _norm_vjp(g, y, xhat, inv, gain, act)
+        return (*_linear_vjp(blocks, edges, w, b, gpre), ggain, gbias)
 
-    return _op(y, (x, gain, bias), vjp)
+    return _op(y, parents, vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:

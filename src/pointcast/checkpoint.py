@@ -6,6 +6,11 @@ config. It also records the data file's byte length and SHA-256 digest, so
 the manifest is the one commit point of a save: data that is not the data it
 was written with fails to load. Arrays are written sorted by name so
 identical states produce byte-identical files.
+
+The listed arrays tile the data file in list order: each starts where the
+one before it ends, and no name repeats. A load reads each array once,
+straight into its own buffer in offset order, and feeds that buffer to the
+digest, so it holds no whole-file copy and no second copy of any array.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config
     """
     manifest_path, data_path = _paths(path)
     names = sorted(arrays)
-    flat = [np.ascontiguousarray(arrays[name], dtype="<f8") for name in names]
+    flat = [np.asarray(arrays[name], dtype="<f8", order="C") for name in names]
     entries = []
     offset = 0
     digest = hashlib.sha256()
@@ -66,7 +71,7 @@ def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config
     try:
         with open(tmp_data, "wb") as fh:
             for arr in flat:
-                fh.write(arr.tobytes())
+                fh.write(arr)
         tmp_manifest.write_text(text)
         os.replace(tmp_data, data_path)
         os.replace(tmp_manifest, manifest_path)
@@ -80,8 +85,12 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _check_manifest(manifest, manifest_path) -> None:
-    """Raise CheckpointMismatchError unless ``manifest`` has the layout save_checkpoint writes."""
+def _check_manifest(manifest, manifest_path) -> list[int]:
+    """Each array's value count, unless ``manifest`` breaks the layout save_checkpoint writes.
+
+    Raises CheckpointMismatchError for a bad structure, a repeated array name,
+    or arrays that do not tile the data file in list order.
+    """
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise CheckpointMismatchError(f"{manifest_path}: not a {FORMAT_NAME} file")
     if not isinstance(manifest.get("data_file"), str):
@@ -94,6 +103,7 @@ def _check_manifest(manifest, manifest_path) -> None:
     entries = manifest.get("arrays")
     if not isinstance(entries, list):
         raise CheckpointMismatchError(f"{manifest_path}: arrays must be a list")
+    sizes, names, end = [], set(), 0
     for i, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list) and all(map(_is_count, entry["shape"]))
@@ -102,14 +112,28 @@ def _check_manifest(manifest, manifest_path) -> None:
                 f"{manifest_path}: arrays[{i}] needs a string name, a shape of non-negative "
                 f"integers and a non-negative integer offset"
             )
+        name = entry["name"]
+        if name in names:
+            raise CheckpointMismatchError(f"{manifest_path}: array {name!r} is listed twice")
+        if entry["offset"] != end:
+            raise CheckpointMismatchError(
+                f"{manifest_path}: array {name!r} starts at value {entry['offset']}, not at "
+                f"{end} where the array before it ends"
+            )
+        names.add(name)
+        sizes.append(math.prod(entry["shape"]))  # exact, unlike int64
+        end += sizes[-1]
+    return sizes
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (arrays dict, manifest dict).
 
-    The manifest's structure is checked before the data file is read, and the
-    data file's length and digest are verified when the manifest records
-    them (manifests written before they were recorded load unverified).
+    The manifest's structure and layout are checked before the data file is
+    read, and the data file's length and digest are verified when the
+    manifest records them (manifests written before they were recorded load
+    unverified). Each array is read into its own buffer, which is also what
+    the digest reads, so a load holds one copy of the data.
     """
     manifest_path, data_path = _paths(path)
     if not manifest_path.exists():
@@ -118,34 +142,34 @@ def load_checkpoint(path):
         manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise CheckpointMismatchError(f"{manifest_path}: not JSON: {exc}") from exc
-    _check_manifest(manifest, manifest_path)
+    sizes = _check_manifest(manifest, manifest_path)
     data_path = manifest_path.parent / manifest["data_file"]
-    data = data_path.read_bytes()
     n_bytes, digest = manifest.get("data_bytes"), manifest.get("data_sha256")
-    if n_bytes is not None and len(data) != n_bytes:
-        raise CheckpointMismatchError(f"{data_path}: {len(data)} bytes, manifest records {n_bytes}")
-    if digest is not None and hashlib.sha256(data).hexdigest() != digest:
+    arrays = {}
+    sha = hashlib.sha256()
+    with open(data_path, "rb") as fh:
+        length = os.fstat(fh.fileno()).st_size
+        if n_bytes is not None and length != n_bytes:
+            raise CheckpointMismatchError(
+                f"{data_path}: {length} bytes, manifest records {n_bytes}")
+        if length != 8 * sum(sizes):
+            raise CheckpointMismatchError(
+                f"{data_path}: {length} bytes, manifest lists {sum(sizes)} float64 values"
+            )
+        for entry, size in zip(manifest["arrays"], sizes):
+            arr = np.empty(entry["shape"], dtype="<f8")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != 8 * size:
+                raise CheckpointMismatchError(f"{data_path}: shorter than when it was opened")
+            sha.update(arr)
+            arrays[entry["name"]] = arr
+    if digest is not None and sha.hexdigest() != digest:
         raise CheckpointMismatchError(
             f"{data_path}: SHA-256 digest differs from the one its manifest records"
         )
-    sizes = [math.prod(entry["shape"]) for entry in manifest["arrays"]]  # exact, unlike int64
-    if len(data) != 8 * sum(sizes):
-        raise CheckpointMismatchError(
-            f"{data_path}: {len(data)} bytes, manifest lists {sum(sizes)} float64 values"
-        )
-    raw = np.frombuffer(data, dtype="<f8")
-    arrays = {}
-    for entry, size in zip(manifest["arrays"], sizes):
-        offset = entry["offset"]
-        if offset > len(raw) - size:
-            raise CheckpointMismatchError(
-                f"{data_path}: array {entry['name']!r} at [{offset}, {offset + size}) "
-                f"runs past {len(raw)} values"
-            )
-        arr = raw[offset : offset + size].reshape(entry["shape"]).copy()
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointMismatchError(f"{data_path}: array {entry['name']!r} is not finite")
-        arrays[entry["name"]] = arr
+    for name, arr in arrays.items():
+        # min and max propagate NaN and reach ±inf, and allocate no mask
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise CheckpointMismatchError(f"{data_path}: array {name!r} is not finite")
     return arrays, manifest
 
 
@@ -160,4 +184,4 @@ def restore_into(params: dict, arrays: dict, prefix: str = "params/") -> None:
             raise CheckpointMismatchError(
                 f"parameter {name!r}: checkpoint shape {arr.shape}, model shape {tensor.data.shape}"
             )
-        tensor.data = arr.astype(np.float64).copy()
+        tensor.data = np.array(arr, dtype=np.float64)

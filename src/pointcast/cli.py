@@ -219,13 +219,12 @@ def cmd_eval(args) -> int:
     plans = [scene_plan(s, model.config) for s in scenes if s.future is not None]
     if not plans:
         raise ConfigError(f"no evaluable scenes (with ground-truth future) in {data_dir}")
-    preds, report = evaluate_model(model, plans)
+    preds, report, errors = evaluate_model(model, plans)
     # a finite but huge prediction can still overflow a metric
     _require_finite(args.ckpt, dataclasses.astuple(report),
                     *(p.trajectories for p in preds), *(p.displacements for p in preds))
     if args.per_scene_csv:
-        metrics_mod.write_scene_csv(args.per_scene_csv, [p.scene_id for p in plans], preds,
-                                    [p.future for p in plans])
+        metrics_mod.write_scene_csv(args.per_scene_csv, [p.scene_id for p in plans], errors)
     print(report.to_json())
     return 0
 

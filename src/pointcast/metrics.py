@@ -1,7 +1,9 @@
 """Displacement-error metrics: ADE, FDE, and top-K minima with miss rate.
 
-``evaluate_report`` scores a model's predictions at k=1 and k=min(6, K) under
-the names that ``pointcast eval`` prints and the training log records.
+``scene_errors`` scores each scene once at k=1 and k=min(6, K);
+``evaluate_report`` averages those rows under the names that ``pointcast
+eval`` prints and the training log records, and ``write_scene_csv`` writes
+them.
 """
 
 from __future__ import annotations
@@ -60,19 +62,28 @@ def _scene_topk_errors(pred, gt, k: int):
     return float(np.min([ade(t, gt) for t in top])), best_fde, not best_fde <= MISS_THRESHOLD
 
 
+def _check_scenes(preds, gts) -> None:
+    if len(preds) == 0:
+        raise ValueError("evaluate: empty scene set")
+    if len(preds) != len(gts):
+        raise ValueError("evaluate: preds/gts length mismatch")
+
+
+def _mean_errors(errors) -> dict:
+    """Scene-averaged ``min_ade``, ``min_fde`` and ``miss_rate`` of (ADE, FDE, miss) triples."""
+    ades, fdes, misses = zip(*errors)
+    return {"min_ade": float(np.mean(ades)), "min_fde": float(np.mean(fdes)),
+            "miss_rate": float(np.mean(misses))}
+
+
 def evaluate(preds, gts, k: int) -> dict:
     """Per-scene min-over-top-K ADE/FDE and miss rate, averaged over scenes.
 
     A scene is a miss iff the best (smallest) top-K endpoint error strictly
     exceeds ``MISS_THRESHOLD``; an error of exactly the threshold is a hit.
     """
-    if len(preds) == 0:
-        raise ValueError("evaluate: empty scene set")
-    if len(preds) != len(gts):
-        raise ValueError("evaluate: preds/gts length mismatch")
-    ades, fdes, misses = zip(*(_scene_topk_errors(pred, gt, k) for pred, gt in zip(preds, gts)))
-    return {"min_ade": float(np.mean(ades)), "min_fde": float(np.mean(fdes)),
-            "miss_rate": float(np.mean(misses))}
+    _check_scenes(preds, gts)
+    return _mean_errors([_scene_topk_errors(pred, gt, k) for pred, gt in zip(preds, gts)])
 
 
 def _report_ks(preds) -> tuple[int, int]:
@@ -80,22 +91,31 @@ def _report_ks(preds) -> tuple[int, int]:
     return 1, min([6] + [len(p.displacements) for p in preds])
 
 
-def evaluate_report(preds, gts) -> EvalReport:
-    """The k=1 and k=min(6, K) metrics of ``evaluate`` as one report."""
-    r1, r6 = (evaluate(preds, gts, k) for k in _report_ks(preds))
-    return EvalReport(r1["min_ade"], r1["min_fde"], r1["miss_rate"],
-                      r6["min_ade"], r6["min_fde"], r6["miss_rate"], len(preds))
+def scene_errors(preds, gts) -> list:
+    """Per scene, its (min ADE, min FDE, miss) at each of the report's two cut-offs.
 
-
-def write_scene_csv(path, scene_ids, preds, gts):
-    """Per-scene metric rows at the report's cut-offs, for debugging."""
+    Each scene is scored once here; ``evaluate_report`` averages these rows
+    and ``write_scene_csv`` writes them.
+    """
+    _check_scenes(preds, gts)
     ks = _report_ks(preds)
+    return [[_scene_topk_errors(pred, gt, k) for k in ks] for pred, gt in zip(preds, gts)]
+
+
+def evaluate_report(errors) -> EvalReport:
+    """The k=1 and k=min(6, K) metrics of ``evaluate``, averaged from ``scene_errors`` rows."""
+    r1, r6 = (_mean_errors([row[j] for row in errors]) for j in range(2))
+    return EvalReport(r1["min_ade"], r1["min_fde"], r1["miss_rate"],
+                      r6["min_ade"], r6["min_fde"], r6["miss_rate"], len(errors))
+
+
+def write_scene_csv(path, scene_ids, errors):
+    """The ``scene_errors`` rows, one per scene, for debugging."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scene_id", "ade_1", "fde_1", "miss_1", "ade_6", "fde_6", "miss_6"])
-        for sid, pred, gt in zip(scene_ids, preds, gts):
-            row = [sid]
-            for k in ks:
-                a, f, miss = _scene_topk_errors(pred, gt, k)
-                row.extend([f"{a:.6f}", f"{f:.6f}", int(miss)])
-            writer.writerow(row)
+        for sid, row in zip(scene_ids, errors):
+            cells = [sid]
+            for a, f, miss in row:
+                cells.extend([f"{a:.6f}", f"{f:.6f}", int(miss)])
+            writer.writerow(cells)

@@ -265,12 +265,17 @@ def scene_forward_loss(model: Model, plan: ScenePlan):
 
 
 def evaluate_model(model: Model, plans: list[ScenePlan]):
-    """Predict each plan under no_grad and score it: ``(preds, metrics.EvalReport)``."""
+    """Predict each plan under no_grad and score it once: ``(preds, report, errors)``.
+
+    ``errors`` holds each scene's ``metrics.scene_errors`` row, and the
+    ``metrics.EvalReport`` averages them.
+    """
     for plan in plans:
         check_future(plan, model.config)
     with ad.no_grad():
         preds = [prediction_from_heads(*forward_graph(model, plan), model.config) for plan in plans]
-    return preds, metrics_mod.evaluate_report(preds, [plan.future for plan in plans])
+    errors = metrics_mod.scene_errors(preds, [plan.future for plan in plans])
+    return preds, metrics_mod.evaluate_report(errors), errors
 
 
 def train(

@@ -75,15 +75,14 @@ def init_mlp(
     return layers
 
 
-def apply_norm_act(layer: MLPLayer, x: Tensor) -> Tensor:
-    """The part of ``layer`` after its linear map: layer norm and relu, if it has a norm."""
-    if layer.norm is None:
-        return x
-    return ad.norm_act(x, layer.norm.gain, layer.norm.bias, act=True)
-
-
 def apply_mlp(layers, x) -> Tensor:
-    """Run ``layers`` on ``x``: a Tensor, or column blocks for the first linear map."""
+    """Run ``layers`` on ``x``: a Tensor, or column blocks for the first linear map.
+
+    A layer with a norm is one ``dense`` node; one without is a ``linear``.
+    """
     for layer in layers:
-        x = apply_norm_act(layer, ad.linear(x, layer.lin.w, layer.lin.b))
+        if layer.norm is None:
+            x = ad.linear(x, layer.lin.w, layer.lin.b)
+        else:
+            x = ad.dense(x, layer.lin.w, layer.lin.b, layer.norm.gain, layer.norm.bias, act=True)
     return x

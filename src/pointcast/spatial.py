@@ -127,11 +127,11 @@ def sparse_bottleneck(kernel_map, feats: Tensor, params: SpatialParams) -> Tenso
         h = nn.apply_mlp([block.reduce], x)
         h = ad.submanifold_conv(h, kernel_map, block.conv_w, block.conv_b)
         h = ad.norm_act(h, block.conv_norm.gain, block.conv_norm.bias, act=True)
-        h = ad.linear(h, block.expand.w, block.expand.b)
-        h = ad.norm_act(h, block.expand_norm.gain, block.expand_norm.bias, act=False)
+        h = ad.dense(h, block.expand.w, block.expand.b, block.expand_norm.gain,
+                     block.expand_norm.bias, act=False)
         if block.skip is not None:
-            s = ad.linear(x, block.skip.w, block.skip.b)
-            s = ad.norm_act(s, block.skip_norm.gain, block.skip_norm.bias, act=False)
+            s = ad.dense(x, block.skip.w, block.skip.b, block.skip_norm.gain,
+                         block.skip_norm.bias, act=False)
         else:
             s = x
         x = ad.relu(ad.add(h, s))

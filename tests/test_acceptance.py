@@ -493,7 +493,7 @@ def test_criterion_08_overfit():
     result = train(data, cfg)  # 400 optimizer steps (one batch per epoch)
     losses = [h["train_loss"] for h in result.history]
     ratio = losses[-1] / losses[0]
-    _, metrics = evaluate_model(result.model,
+    _, metrics, _ = evaluate_model(result.model,
                                 [scene_plan(normalize(s), OVERFIT_MODEL) for s in data])
     elapsed = time.monotonic() - t0
     assert ratio < 0.05, f"loss ratio {ratio:.4f}"
@@ -530,7 +530,7 @@ def test_criterion_09_generalization():
                       lr_decay_epochs=(25,), lr_decay_factor=0.1,
                       augment=None, eval_every=0, seed=2)
     result = train(train_scenes, cfg)
-    _, r = evaluate_model(result.model, [scene_plan(s, OVERFIT_MODEL) for s in heldout])
+    _, r, _ = evaluate_model(result.model, [scene_plan(s, OVERFIT_MODEL) for s in heldout])
     cv_fde = constant_velocity_fde(heldout)
     elapsed = time.monotonic() - t0
     assert r.minADE_6 < r.minADE_1, r

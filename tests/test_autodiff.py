@@ -157,6 +157,114 @@ def test_layer_norm_is_norm_act_without_relu(rng):
         ad.norm_act(x, gain, bias, act=False).data.tobytes()
 
 
+def _dense_inputs(rng, blocks):
+    """(x, w, b, gain, bias) data for ``dense``: one (9, 4) input, or four column blocks."""
+    table = rand_neighbor_table(rng, 5, n_extra=4)
+    if blocks:
+        # a Tensor, a gathered Tensor, a constant array and a constant Tensor
+        x = [rng.normal(size=(9, 2)), (rng.normal(size=(5, 3)), table), rng.normal(size=(9, 2)),
+             ad.constant(rng.normal(size=(9, 1)))]
+    else:
+        x = rng.normal(size=(9, 4))
+    c_in = 8 if blocks else 4
+    return x, [rng.normal(size=(c_in, 6)), rng.normal(size=(1, 6)),
+               rng.uniform(0.5, 1.5, size=(1, 6)), rng.normal(size=(1, 6))]
+
+
+def _dense_tensors(x, params):
+    """Fresh parameters for the Tensor blocks of ``x`` and for ``params``; constants stay."""
+    def fresh(blk):
+        if isinstance(blk, tuple):
+            return (ad.parameter(blk[0].copy()), blk[1])
+        if isinstance(blk, np.ndarray):
+            return ad.parameter(blk.copy())
+        return blk
+
+    if isinstance(x, list):
+        x = [fresh(x[0]), fresh(x[1]), x[2], x[3]]
+    else:
+        x = fresh(x)
+    return x, [ad.parameter(v.copy()) for v in params]
+
+
+def _grad_leaves(x, params):
+    blocks = x if isinstance(x, list) else [x]
+    tensors = [b[0] if isinstance(b, tuple) else b for b in blocks]
+    return [t for t in tensors if isinstance(t, ad.Tensor) and t.requires_grad] + params
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("blocks", [False, True], ids=["tensor", "blocks"])
+@pytest.mark.parametrize("act", [True, False], ids=["act", "no-act"])
+def test_dense_is_norm_act_of_linear_bit_for_bit(rng, act, blocks, bias):
+    x_data, param_data = _dense_inputs(rng, blocks)
+    g = rng.normal(size=(9, 6))
+    outs, grads = [], []
+    for fused in (True, False):
+        x, (w, b, gain, beta) = _dense_tensors(x_data, param_data)
+        b = b if bias else None
+        if fused:
+            y = ad.dense(x, w, b, gain, beta, act)
+        else:
+            y = ad.norm_act(ad.linear(x, w, b), gain, beta, act)
+        with ad.no_grad():
+            # unrecorded, the output overwrites the normalized pre-activation: same bytes
+            assert ad.dense(x, w, b, gain, beta, act).data.tobytes() == y.data.tobytes()
+        ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))))
+        outs.append(y.data.tobytes())
+        grads.append([t.grad.tobytes() for t in _grad_leaves(x, [w, gain, beta])
+                      + ([b] if bias else [])])
+    assert outs[0] == outs[1]
+    assert len(grads[0]) == (6 if blocks else 5) - (not bias)
+    assert grads[0] == grads[1]
+
+
+def test_dense_goes_through_op_once_per_call(rng, monkeypatch):
+    x_data, param_data = _dense_inputs(rng, blocks=True)
+    x, (w, b, gain, bias) = _dense_tensors(x_data, param_data)
+    built, op = [], ad._op
+    monkeypatch.setattr(ad, "_op", lambda *args: built.append(op(*args)) or built[-1])
+    y = ad.dense(x, w, b, gain, bias, act=True)
+    # the constant blocks are not parents; the VJP returns one gradient per parent
+    assert built == [y] and y._parents == (x[0], x[1][0], w, b, gain, bias)
+    assert [v.shape for v in y._vjp(np.ones((9, 6)))] == [
+        (9, 2), (5, 3), (8, 6), (1, 6), (1, 6), (1, 6)]
+    with ad.no_grad():
+        y = ad.dense(x, w, b, gain, bias, act=True)
+    assert len(built) == 2 and built[1] is y and y._parents == ()
+
+
+def test_dense_graph_keeps_two_arrays_per_layer(rng):
+    # the linear node's output is the third (rows, D) array a separate
+    # linear and norm_act keep; dense normalizes it in place into xhat
+    import tracemalloc
+
+    x, w = ad.constant(rng.normal(size=(4000, 8))), ad.parameter(rng.normal(size=(8, 32)))
+    b, gain, bias = (ad.parameter(rng.normal(size=(1, 32))) for _ in range(3))
+    layer_bytes = 4000 * 32 * 8
+    held = {}
+    for name, build in (("dense", lambda: ad.dense(x, w, b, gain, bias, act=True)),
+                        ("chain", lambda: ad.norm_act(ad.linear(x, w, b), gain, bias, True))):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = build()
+            held[name] = (tracemalloc.get_traced_memory()[0] - before) / layer_bytes
+        finally:
+            tracemalloc.stop()
+        del y
+    assert 2.0 <= held["dense"] < 2.1 and 3.0 <= held["chain"] < 3.1, held
+
+
+def test_dense_shape_mismatch(rng):
+    x, w, b = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(np.zeros((3, 2))), None
+    with pytest.raises(ValueError, match="gain/bias"):
+        ad.dense(x, w, b, ad.parameter(np.ones((1, 3))), ad.parameter(np.zeros((1, 3))), True)
+    with pytest.raises(ValueError):
+        ad.dense(x, ad.parameter(np.zeros((2, 2))), b, ad.parameter(np.ones((1, 2))),
+                 ad.parameter(np.zeros((1, 2))), True)
+
+
 def test_gather_rows_identity(rng):
     x = ad.constant(rng.normal(size=(5, 3)))
     table = GroupTable.from_group_of(np.arange(5), 5)
@@ -680,6 +788,13 @@ def _primitive_cases(rng, n, c):
     x_na, x_na_act, bias_act = (
         ad.parameter(v) for v in norm_act_fd_inputs(child, n, c, gain.data))
     x_ln = ad.parameter(spread_values(child, (n, c)))
+    # dense draws from the same child, after the norm cases. An orthogonal
+    # weight maps its input onto spread pre-activation rows, and its bias
+    # keeps them clear of the relu kink
+    w_dense = ad.parameter(np.linalg.qr(child.normal(size=(c, c)))[0])
+    pre_dense = spread_values(child, (n, c))
+    x_dense = ad.parameter((pre_dense - b.data) @ w_dense.data.T)
+    bias_dense = ad.parameter(bias_clear_of_relu_kink(pre_dense, gain.data))
     x_cat_a, x_cat_b = fresh(), fresh()
     x_slice, x_gather, x_mean = fresh(), fresh(), fresh()
     x_smean, x_smax, x_sadd = fresh(), fresh(True), fresh()
@@ -739,6 +854,8 @@ def _primitive_cases(rng, n, c):
         ("norm_act", lambda: p_nc(ad.norm_act(x_na, gain, bias, act=False)), [x_na, gain, bias]),
         ("norm_act+relu", lambda: p_nc(ad.norm_act(x_na_act, gain, bias_act, act=True)),
          [x_na_act, gain, bias_act]),
+        ("dense+relu", lambda: p_nc(ad.dense(x_dense, w_dense, b, gain, bias_dense, act=True)),
+         [x_dense, w_dense, b, gain, bias_dense]),
     ]
 
 

@@ -1,9 +1,14 @@
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pointcast import autodiff as ad
 from pointcast import checkpoint
@@ -152,3 +157,120 @@ def test_failed_manifest_rename_rejects_new_data(tmp_path, rng, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["ck.bin", "ck.json"]
     with pytest.raises(CheckpointMismatchError, match="digest"):
         load_checkpoint(tmp_path / "ck.json")
+
+
+def _edit_manifest(manifest_path, edit):
+    doc = json.loads(manifest_path.read_text())
+    edit(doc["arrays"])
+    manifest_path.write_text(json.dumps(doc))
+
+
+def _two_arrays(tmp_path, rng):
+    # a and b have the same shape, so either fault below keeps the data length right
+    return save_checkpoint(tmp_path / "ck", {"a": rng.normal(size=(2, 3)),
+                                             "b": np.zeros((2, 3))}, step=0)
+
+
+def test_load_rejects_a_repeated_array_name(tmp_path, rng):
+    manifest_path = _two_arrays(tmp_path, rng)
+    _edit_manifest(manifest_path, lambda entries: entries[1].update(name="a"))
+    (tmp_path / "ck.bin").unlink()  # rejected before the data file is read
+    with pytest.raises(CheckpointMismatchError, match="'a' is listed twice"):
+        load_checkpoint(manifest_path)
+
+
+def test_load_rejects_offsets_that_do_not_tile_the_data(tmp_path, rng):
+    manifest_path = _two_arrays(tmp_path, rng)
+    _edit_manifest(manifest_path, lambda entries: entries[1].update(offset=0))
+    (tmp_path / "ck.bin").unlink()  # rejected before the data file is read
+    with pytest.raises(CheckpointMismatchError, match="'b' starts at value 0, not at 6"):
+        load_checkpoint(manifest_path)
+
+
+def test_load_peak_memory_is_one_copy_of_the_data(tmp_path, rng):
+    import tracemalloc
+
+    arrays = {f"w{i}": rng.normal(size=(300, 100 + 50 * i)) for i in range(6)}
+    arrays["one"] = rng.normal(size=(1, 1))
+    manifest_path = save_checkpoint(tmp_path / "ck", arrays, step=0)
+    size = (tmp_path / "ck.bin").stat().st_size
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(manifest_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size <= peak <= 1.05 * size, (peak, size)
+    assert all(loaded[k].tobytes() == v.tobytes() for k, v in arrays.items())
+
+
+# ---------------------------------------------------------------------------
+# properties of the loader over random checkpoints
+
+_checkpoint_arrays = st.dictionaries(
+    st.text(min_size=1, max_size=6),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=_checkpoint_arrays)
+def test_save_load_round_trips_bit_for_bit(arrays):
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded, manifest = load_checkpoint(save_checkpoint(Path(tmp) / "ck", arrays, step=3))
+    assert manifest["global_step"] == 3
+    assert sorted(loaded) == sorted(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == np.float64 and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+
+
+def _truncate(data, doc, draw):
+    return data[:draw(st.integers(0, len(data) - 1))], doc
+
+
+def _extend(data, doc, draw):
+    return data + draw(st.binary(min_size=1, max_size=16)), doc
+
+
+def _flip_byte(data, doc, draw):
+    at = draw(st.integers(0, len(data) - 1))
+    flipped = data[at] ^ draw(st.integers(1, 255))
+    return data[:at] + bytes([flipped]) + data[at + 1:], doc
+
+
+def _duplicate_name(data, doc, draw):
+    i, j = draw(st.lists(st.integers(0, len(doc["arrays"]) - 1), min_size=2, max_size=2,
+                         unique=True))
+    doc["arrays"][j]["name"] = doc["arrays"][i]["name"]
+    return data, doc
+
+
+def _shift_offset(data, doc, draw):
+    entry = doc["arrays"][draw(st.integers(0, len(doc["arrays"]) - 1))]
+    entry["offset"] = draw(st.integers(0, len(data) // 8 + 4).filter(
+        lambda v: v != entry["offset"]))
+    return data, doc
+
+
+# each fault, and the fewest arrays and data bytes it needs
+_FAULTS = {_truncate: (1, 8), _extend: (0, 0), _flip_byte: (1, 8), _duplicate_name: (2, 0),
+           _shift_offset: (1, 0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays=_checkpoint_arrays, fault=st.sampled_from(list(_FAULTS)), data=st.data())
+def test_load_rejects_every_corrupted_checkpoint(arrays, fault, data):
+    n_arrays, n_bytes = _FAULTS[fault]
+    assume(len(arrays) >= n_arrays and 8 * sum(a.size for a in arrays.values()) >= n_bytes)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest_path = save_checkpoint(Path(tmp) / "ck", arrays, step=0)
+        data_path = manifest_path.with_suffix(".bin")
+        blob, doc = fault(data_path.read_bytes(), json.loads(manifest_path.read_text()),
+                          data.draw)
+        data_path.write_bytes(blob)
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(manifest_path)

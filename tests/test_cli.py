@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointcast import TrainConfig, cli, gen_synthetic, load_scene, normalize, train
+from pointcast import TrainConfig, cli, gen_synthetic, load_scene, metrics, normalize, train
 from pointcast.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_MODEL = {
@@ -405,10 +405,16 @@ MALFORMED_MANIFESTS = {
     "offset-string": _first_entry(lambda e: {**e, "offset": "0"}),
     "config-list": lambda m: {**m, "config": [1]},
     "top-level-list": lambda m: [m],
-    # 2**64 values, which an int64 product wraps to 0
+    # 2**64 values where the data ends, which an int64 product wraps to 0
     "shape-overflow": lambda m: {
-        **m, "arrays": [*m["arrays"], {"name": "x", "shape": [2**32, 2**32], "offset": 0}]},
+        **m, "arrays": [*m["arrays"], {"name": "x", "shape": [2**32, 2**32],
+                                       "offset": m["data_bytes"] // 8}]},
     "not-json": lambda m: "{not json",
+    # both pass the digest: the data file is the one the manifest was written with
+    "duplicate-name": lambda m: {**m, "arrays": [
+        m["arrays"][0], {**m["arrays"][1], "name": m["arrays"][0]["name"]}, *m["arrays"][2:]]},
+    "offset-overlap": lambda m: {**m, "arrays": [
+        m["arrays"][0], {**m["arrays"][1], "offset": 0}, *m["arrays"][2:]]},
 }
 
 
@@ -429,6 +435,16 @@ def test_predict_malformed_manifest_exit3(tmp_path, trained, capsys, case):
                      "--out", str(tmp_path / "pred.json")]) == 3
     assert "checkpoint error:" in capsys.readouterr().err
     assert not (tmp_path / "pred.json").exists()
+
+
+@pytest.mark.parametrize("case", ["duplicate-name", "offset-overlap"])
+def test_eval_manifest_layout_fault_exit3(tmp_path, trained, capsys, case):
+    tmp, data, ckpt = trained
+    bad = _malformed_copy(ckpt, tmp_path, MALFORMED_MANIFESTS[case])
+    assert cli.main(["eval", "--config", str(tmp / "c.json"), "--ckpt", bad,
+                     "--data", str(data)]) == 3
+    captured = capsys.readouterr()
+    assert "checkpoint error:" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("edit", [_drop("global_step"), lambda m: {**m, "epoch": "x"}],
@@ -459,6 +475,22 @@ def test_resume_past_last_epoch_exit2(tmp_path, trained, capsys, epochs):
     assert f"epoch {epochs - 1} " in captured.err and f"epochs={epochs} " in captured.err
     assert captured.out == ""  # no {"checkpoint": ...} line naming a file never written
     assert not (out / "model.json").exists() and not (out / "train_log.jsonl").exists()
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["report", "report+csv"])
+def test_eval_scores_each_scene_once_per_cut_off(tmp_path, trained, capsys, monkeypatch, csv):
+    tmp, data, ckpt = trained
+    calls, score = [], metrics._scene_topk_errors
+    monkeypatch.setattr(metrics, "_scene_topk_errors", lambda *a: calls.append(a) or score(*a))
+    argv = ["eval", "--config", str(tmp / "c.json"), "--ckpt", str(ckpt), "--data", str(data)]
+    if csv:
+        argv += ["--per-scene-csv", str(tmp_path / "scenes.csv")]
+    assert cli.main(argv) == 0
+    n_scenes = json.loads(capsys.readouterr().out)["n_scenes"]
+    # k=1 and k=6 per scene; the CSV writes the rows the report averaged
+    assert n_scenes > 1 and len(calls) == 2 * n_scenes
+    if csv:
+        assert len((tmp_path / "scenes.csv").read_text().splitlines()) == n_scenes + 1
 
 
 def _params_only_checkpoint(ckpt, out_dir):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pointcast import PredictionSet, ade, evaluate, evaluate_report, fde
-from pointcast.metrics import write_scene_csv
+from pointcast.metrics import scene_errors, write_scene_csv
 
 
 def rand_pred(rng, k=6, t=30):
@@ -158,8 +158,13 @@ def test_evaluate_k_too_large():
 def test_report_fields(rng):
     preds = [rand_pred(rng) for _ in range(5)]
     gts = [rng.normal(size=(30, 2)) for _ in range(5)]
-    report = evaluate_report(preds, gts)
+    report = evaluate_report(scene_errors(preds, gts))
     assert report.n_scenes == 5
+    # the rows average to evaluate's numbers at each cut-off, bit for bit
+    for k in (1, 6):
+        r = evaluate(preds, gts, k=k)
+        assert (getattr(report, f"minADE_{k}"), getattr(report, f"minFDE_{k}"),
+                getattr(report, f"MR_{k}")) == (r["min_ade"], r["min_fde"], r["miss_rate"])
     assert report.minADE_6 <= report.minADE_1
     assert report.minFDE_6 <= report.minFDE_1
     assert report.MR_6 <= report.MR_1
@@ -177,7 +182,7 @@ def test_scene_csv(tmp_path, rng):
     preds = [rand_pred(rng) for _ in range(3)]
     gts = [rng.normal(size=(30, 2)) for _ in range(3)]
     path = tmp_path / "per_scene.csv"
-    write_scene_csv(path, ["a", "b", "c"], preds, gts)
+    write_scene_csv(path, ["a", "b", "c"], scene_errors(preds, gts))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("scene_id,")

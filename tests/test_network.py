@@ -463,7 +463,7 @@ def test_train_logs_metrics(tmp_path):
     for key in ("epoch", "lr", "train_loss", "minADE_6", "minFDE_6", "MR_6",
                 "minADE_1", "minFDE_1", "MR_1", "n_scenes", "wall_seconds"):
         assert key in entry
-    _, report = evaluate_model(result.model, [scene_plan(normalize(s), SMALL) for s in data])
+    _, report, _ = evaluate_model(result.model, [scene_plan(normalize(s), SMALL) for s in data])
     for key, value in dataclasses.asdict(report).items():
         assert np.float64(entry[key]).tobytes() == np.float64(value).tobytes(), key
 
@@ -529,24 +529,30 @@ def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 297), (OVERFIT_MODEL, 131)],
+@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 198), (OVERFIT_MODEL, 88)],
                          ids=["default", "overfit"])
 def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
     model = init_model(cfg, seed=0)
     gains = sorted(id(t) for name, t in model.params.items() if name.endswith("/gain"))
     calls = {fn.__name__: _count_calls(monkeypatch, fn)
-             for fn in (ad.layer_norm, ad.relu, ad.norm_act, ad.concat_cols,
-                        ad.concat_cols_all, ad.gather_rows)}
+             for fn in (ad.layer_norm, ad.relu, ad.norm_act, ad.dense, ad.linear,
+                        ad.concat_cols, ad.concat_cols_all, ad.gather_rows)}
     built = _record_ops(monkeypatch)
     for raw in gen_synthetic(3, seed=0, future_steps=cfg.future_steps):
         built.clear()
         for c in calls.values():
             c.clear()
         forward_graph(model, scene_plan(normalize(raw), cfg))
-        # every layer norm is one norm_act node, its relu included; the only
+        # every layer norm is one node, its relu included: a dense node with
+        # its linear map, or a norm_act after a submanifold conv; the only
         # relu nodes left are the bottleneck residuals
-        assert sorted(id(args[1]) for args in calls["norm_act"]) == gains
+        assert sorted([id(args[3]) for args in calls["dense"]]
+                      + [id(args[1]) for args in calls["norm_act"]]) == gains
+        assert len(calls["norm_act"]) == cfg.n_stages * cfg.bottleneck_blocks
         assert len(calls["layer_norm"]) == 0
+        # the linear maps left are the MLP output layers, which have no norm
+        assert len(calls["linear"]) == sum(
+            name.endswith("/w") for name in model.params) - len(calls["dense"])
         assert len(calls["relu"]) == cfg.n_stages * cfg.bottleneck_blocks
         # every concat and every slice-back is a column block of a linear map;
         # the only gathered copy left is each stage's interpolation candidates,
@@ -646,6 +652,7 @@ def test_forward_builds_no_graph(monkeypatch):
     assert any(t._parents for t in built)
     built.clear()
     forward(model, scene)
+    assert n_graph == 198
     assert len(built) == n_graph  # every primitive still goes through _op once
     assert all(t._parents == () and t._vjp is None and not t.requires_grad for t in built)
 
@@ -669,12 +676,14 @@ def test_evaluate_model_leaves_grad_enabled(small_model):
 
 def test_evaluate_model_matches_report_over_forward(small_model):
     scenes = [normalize(s) for s in gen_small(4, seed=6)]
-    preds, report = evaluate_model(small_model, [scene_plan(s, SMALL) for s in scenes])
+    preds, report, errors = evaluate_model(small_model, [scene_plan(s, SMALL) for s in scenes])
     ref = [forward(small_model, s) for s in scenes]
     for got, want in zip(preds, ref):
         assert got.trajectories.tobytes() == want.trajectories.tobytes()
         assert got.displacements.tobytes() == want.displacements.tobytes()
-    ref_report = metrics.evaluate_report(ref, [s.future for s in scenes])
+    ref_errors = metrics.scene_errors(ref, [s.future for s in scenes])
+    assert errors == ref_errors
+    ref_report = metrics.evaluate_report(ref_errors)
     assert np.array(dataclasses.astuple(report)).tobytes() == \
         np.array(dataclasses.astuple(ref_report)).tobytes()
     assert report.n_scenes == 4

@@ -84,7 +84,7 @@ def collect() -> dict:
     preds = [network.forward(model, sc) for sc in normalized]
     out["predict/trajectories"] = np.stack([p.trajectories for p in preds])
     out["predict/displacements"] = np.stack([p.displacements for p in preds])
-    _, report = network.evaluate_model(model, [network.scene_plan(sc, cfg) for sc in normalized])
+    _, report, _ = network.evaluate_model(model, [network.scene_plan(sc, cfg) for sc in normalized])
     out["eval/report"] = np.array(dataclasses.astuple(report), dtype=np.float64)
     return out
 
