@@ -6,11 +6,17 @@ stage's pointwise output), drops map rows at the head, mean-pools the target
 agent's rows, and regresses K trajectories plus K predicted endpoint
 displacement errors. At inference the trajectories are ranked by predicted
 displacement, ascending. Every evaluation scores through ``evaluate_model``.
+Training sums each batch's gradients in fixed shards by batch position; the
+shards after the first run in forked workers when the process can fork safely.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import multiprocessing as mp
+import os
+import signal
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -278,6 +284,191 @@ def evaluate_model(model: Model, plans: list[ScenePlan]):
     return preds, metrics_mod.evaluate_report(errors), errors
 
 
+# Gradient shards per batch: shard s holds batch positions s, s + SHARDS, ...
+# Shard 0 runs in the calling process. The others run in workers forked once
+# per train call when _worker_available(), else in the calling process.
+SHARDS = 2
+
+# seconds that train waits for a worker to exit before it terminates it
+WORKER_JOIN_S = 10.0
+
+
+def _worker_available() -> bool:
+    """Whether the shards after the first may run in forked workers.
+
+    That takes a usable CPU per shard, the ``fork`` start method, and a
+    process of one OS thread: forking a threaded process is unsafe, and a
+    BLAS thread pool (numpy's default) would oversubscribe the cores anyway.
+    Without ``/proc`` the thread count is unknown, so no worker runs.
+    """
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < SHARDS:
+        return False
+    if "fork" not in mp.get_all_start_methods():
+        return False
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+    return any(line.split() == ["Threads:", "1"] for line in status.splitlines())
+
+
+def _share_params(params: dict):
+    """Move ``params`` into an anonymous shared mapping, beside a flat sum per later shard.
+
+    Returns those sums as flat rows and as dicts of views shaped like the
+    parameters. A process forked afterwards maps the same pages, so it reads
+    every in-place update of the parameters, and the parent reads the sums it
+    writes.
+    """
+    n = sum(t.data.size for t in params.values())
+    flat = np.frombuffer(mmap.mmap(-1, 8 * n * SHARDS), dtype=np.float64).reshape(SHARDS, n)
+
+    def views(row):
+        out, lo = {}, 0
+        for k, t in params.items():
+            out[k] = row[lo : lo + t.data.size].reshape(t.data.shape)
+            lo += t.data.size
+        return out
+
+    for t, view in zip(params.values(), views(flat[0]).values()):
+        view[...] = t.data
+        t.data = view
+    return flat[1:], [views(row) for row in flat[1:]]
+
+
+def _sum_shard(model: Model, epoch: int, ids, plan_of):
+    """Sum the gradients of scenes ``ids`` into ``.grad``, in order.
+
+    Stops at the first scene that fails; returns the losses of the scenes
+    before it and the exception, or None.
+    """
+    for t in model.params.values():
+        t.zero_grad()
+    losses = []
+    try:
+        for si in ids:
+            plan = plan_of(epoch, si)
+            loss = scene_forward_loss(model, plan)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch} on scene {plan.scene_id!r}"
+                )
+            ad.backward(loss)  # sums into .grad across the shard
+            losses.append(value)
+    except Exception as exc:  # noqa: BLE001 - train raises the batch's earliest failure
+        return losses, exc
+    return losses, None
+
+
+def _stored_shard(model: Model, plan_of, sums: dict):
+    """``run(epoch, ids)`` for a later shard: ``_sum_shard``, with the sum moved to ``sums``."""
+
+    def run(epoch, ids):
+        reply = _sum_shard(model, epoch, ids, plan_of)
+        for k, t in model.params.items():
+            sums[k][...] = 0.0 if t.grad is None else t.grad
+            t.grad = None
+        return reply
+
+    return run
+
+
+def _batch_gradient(params: dict, flat_sums, sums: dict, busy: int, n: int) -> dict:
+    """(shard 0 + shard 1 + ...) / ``n``, added in shard order, over the shards that ran.
+
+    Shard 0's sum is each parameter's ``.grad``, and the first ``busy`` rows
+    of ``flat_sums`` hold the later shards' sums. The result is built in place
+    in shard 1's buffer (its flat row ``flat_sums[0]`` and its views ``sums``),
+    which is free until the next send, and returned as those views.
+    """
+    for k, t in params.items():
+        if not busy:
+            sums[k][...] = 0.0 if t.grad is None else t.grad
+        elif t.grad is not None:
+            np.add(t.grad, sums[k], out=sums[k])
+    for row in flat_sums[1:busy]:
+        flat_sums[0] += row
+    flat_sums[0] /= n
+    return sums
+
+
+class _LocalShard:
+    """A later shard run in the calling process, when it is sent."""
+
+    def __init__(self, run):
+        self.run = run
+
+    def send(self, epoch, ids):
+        self.reply = self.run(epoch, ids)
+
+    def recv(self):
+        return self.reply
+
+    def close(self):
+        pass
+
+
+class _ShardWorker:
+    """A later shard run by a process forked once, which answers each ``send``.
+
+    Only scene indices, losses and exceptions cross the pipe: the parameters
+    and the shard's gradient sum live in ``_share_params``'s mapping.
+    """
+
+    def __init__(self, run, parent_ends):
+        ctx = mp.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(child, [*parent_ends, self.conn], run),
+                                daemon=True)
+        self.proc.start()
+        child.close()  # the worker's death then reads as EOF here
+
+    def send(self, epoch, ids):
+        try:
+            self.conn.send((epoch, ids))
+        except OSError:
+            self._died()
+
+    def recv(self):
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self._died()
+
+    def _died(self):
+        self.proc.join(WORKER_JOIN_S)
+        raise RuntimeError(
+            f"training worker (pid {self.proc.pid}) died with exit code {self.proc.exitcode}"
+        )
+
+    def close(self):
+        """Close the pipe, which ends the worker, and reap it; terminate it if it hangs."""
+        self.conn.close()
+        self.proc.join(WORKER_JOIN_S)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
+
+
+def _serve(conn, parent_ends, run):
+    """A worker's loop: answer each ``(epoch, ids)`` with ``run``'s reply until EOF."""
+    # Ctrl-C reaches the whole process group: the parent handles it and closes the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()  # so that the parent's death, even by SIGKILL, reads as EOF here
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        reply = run(*request)
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
 def train(
     dataset: list[RawScene],
     config: TrainConfig,
@@ -287,7 +478,20 @@ def train(
     resume=None,
     config_doc=None,
 ) -> TrainResult:
-    """Adam training with per-scene backward passes accumulated into batches.
+    """Adam training with per-scene backward passes summed into batch gradients.
+
+    Each batch is split into ``SHARDS`` fixed shards by position (0, 2, 4, ...
+    and 1, 3, 5, ...). Each shard sums its scenes' gradients in batch order,
+    and Adam steps on the shards' sums added in shard order, divided by the
+    batch size. When ``_worker_available()`` (a usable CPU per shard, the
+    ``fork`` start method, and a process of one OS thread), each later shard
+    runs in a worker forked once per call, which reads the parameters from
+    shared memory; otherwise the later shards run here, before shard 0, with
+    the same arithmetic, so the result never depends on the machine.
+    ``train_loss`` adds per-scene losses in batch order, and the earliest
+    failing scene in batch order decides the error, raised here with its type
+    and message whichever process ran it. Only this process writes the log
+    and the checkpoints, and the ``eval_every`` pass runs here.
 
     Deterministic for a fixed seed: shuffling and augmentation RNG streams
     derive from (seed, epoch) and (seed, epoch, scene), so resuming from an
@@ -316,9 +520,22 @@ def train(
 
     plans = ([scene_plan(sc, config.model) for sc in normalized]
              if config.augment is None or config.eval_every else None)
+
+    def plan_of(epoch, si):
+        if config.augment is None:
+            return plans[si]
+        sc = augment(normalized[si], [config.seed, epoch, int(si)], config.augment)
+        return scene_plan(sc, config.model)
+
+    flat_sums, shard_sums = _share_params(model.params)
     history = []
+    later = []  # shards 1.., each a _ShardWorker or a _LocalShard
     log_fh = open(log_path, "a") if log_path else None
     try:
+        fork = _worker_available()
+        for sums in shard_sums:
+            run = _stored_shard(model, plan_of, sums)
+            later.append(_ShardWorker(run, [w.conn for w in later]) if fork else _LocalShard(run))
         for epoch in range(start_epoch, config.epochs):
             t0 = time.monotonic()
             lr = lr_at_epoch(epoch, config.lr, config.lr_decay_epochs, config.lr_decay_factor)
@@ -326,30 +543,24 @@ def train(
             epoch_loss, n_seen = 0.0, 0
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo : lo + config.batch_size]
-                for t in model.params.values():
-                    t.zero_grad()
-                for si in batch:
-                    if config.augment is None:
-                        plan = plans[si]
-                    else:
-                        sc = augment(normalized[si], [config.seed, epoch, int(si)], config.augment)
-                        plan = scene_plan(sc, config.model)
-                    loss = scene_forward_loss(model, plan)
-                    value = loss.item()
-                    if not np.isfinite(value):
-                        raise TrainingDiverged(
-                            f"non-finite loss at epoch {epoch} on scene {plan.scene_id!r}"
-                        )
-                    epoch_loss += value
-                    n_seen += 1
-                    ad.backward(loss)  # sums into .grad across the batch
-                grads = {
-                    k: (t.grad if t.grad is not None else np.zeros_like(t.data)) / len(batch)
-                    for k, t in model.params.items()
-                }
-                bad = [k for k, g in grads.items() if not np.isfinite(g).all()]
-                if bad:
-                    raise TrainingDiverged(f"non-finite gradient of {bad[0]!r} at epoch {epoch}")
+                parts = [batch[s::SHARDS] for s in range(SHARDS)]
+                busy = later[: len(batch) - 1]  # the later shards that have scenes
+                for shard, part in zip(busy, parts[1:]):
+                    shard.send(epoch, part)
+                replies = [_sum_shard(model, epoch, parts[0], plan_of)]
+                replies += [shard.recv() for shard in busy]
+                failed = [(SHARDS * len(losses) + s, error)
+                          for s, (losses, error) in enumerate(replies) if error is not None]
+                if failed:
+                    raise min(failed, key=lambda f: f[0])[1]
+                for pos in range(len(batch)):
+                    epoch_loss += replies[pos % SHARDS][0][pos // SHARDS]
+                n_seen += len(batch)
+                grads = _batch_gradient(model.params, flat_sums, shard_sums[0], len(busy),
+                                        len(batch))
+                if not np.isfinite(flat_sums[0]).all():
+                    bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
+                    raise TrainingDiverged(f"non-finite gradient of {bad!r} at epoch {epoch}")
                 adam_step(model.params, grads, state, lr)
 
             entry = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_seen, 1)}
@@ -368,6 +579,8 @@ def train(
                     checkpoint_path, model, state, epoch=epoch, config_doc=config_doc
                 )
     finally:
+        for shard in later:
+            shard.close()
         if log_fh:
             log_fh.close()
 

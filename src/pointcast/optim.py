@@ -1,4 +1,9 @@
-"""Adam with bias correction and the step-decay learning-rate schedule."""
+"""Adam with bias correction and the step-decay learning-rate schedule.
+
+``adam_step`` updates the parameters and both moments in place, so a
+parameter array that another process maps (``network.train``'s shard
+workers read the parameters from shared memory) sees every step.
+"""
 
 from __future__ import annotations
 
@@ -31,7 +36,14 @@ def adam_step(
     betas=(0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update. Parameters without a gradient entry are skipped."""
+    """One Adam update of ``params``, ``state.m`` and ``state.v``, all in place.
+
+    Parameters without a gradient entry are skipped. Each array is updated
+    with in-place operations in the order of the textbook formula
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
+    ``p -= lr m_hat / (sqrt(v_hat) + eps)``, so the result is bit for bit that
+    of the out-of-place expressions, with two scratch arrays per parameter.
+    """
     b1, b2 = betas
     state.step += 1
     t = state.step
@@ -41,11 +53,21 @@ def adam_step(
             continue
         if g.shape != p.data.shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} for {name} {p.data.shape}")
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        step = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += step
+        denom = np.multiply(g, g)
+        denom *= 1.0 - b2
+        v *= b2
+        v += denom
+        np.divide(v, 1.0 - b2**t, out=denom)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, 1.0 - b1**t, out=step)  # m_hat
+        step *= lr
+        step /= denom
+        p.data -= step
 
 
 def lr_at_epoch(epoch: int, base_lr: float, decay_epochs=(10, 20, 30), factor: float = 0.1) -> float:

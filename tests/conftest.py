@@ -7,8 +7,18 @@ stay ignorant of the library's internals.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads, as bench/run.py does: the test
+# process then runs one OS thread, so network.train forks its shard worker
+# here as it does in a pinned `pointcast train`.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from pointcast import autodiff as ad
 
@@ -247,7 +257,37 @@ def brute_radius_pairs(points, radius):
 
 
 # ---------------------------------------------------------------------------
+# processes
+
+
+def live_children(parent: int) -> list[int]:
+    """Pids of the children of ``parent`` that have not exited, read from /proc.
+
+    Empty where there is no /proc. A zombie (exited, not yet reaped) does not count.
+    """
+    out = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # the process exited while we listed
+        state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
+        if int(ppid) == parent and state != "Z":
+            out.append(int(entry.name))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # fixtures
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, such as a training worker."""
+    yield
+    left = live_children(os.getpid())
+    assert not left, f"child processes still running after the test: {left}"
+
 
 
 @pytest.fixture

@@ -937,6 +937,35 @@ def test_adam_quadratic_convergence_matches_scalar_recurrence():
     assert abs(p.data[0, 0]) < 0.1
 
 
+def test_adam_in_place_matches_out_of_place_formula_bit_for_bit(rng):
+    # the textbook expressions, each array rebuilt at every step
+    def reference(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+    shapes = {"w": (5, 3), "b": (1, 3), "skipped": (2, 2)}
+    params = {k: ad.parameter(rng.normal(size=shape)) for k, shape in shapes.items()}
+    state = adam_init(params)
+    ref = {k: (t.data.copy(), np.zeros(shape), np.zeros(shape))
+           for (k, t), shape in zip(params.items(), shapes.values())}
+    skipped = params["skipped"].data.copy()
+    for t in range(1, 7):
+        grads = {k: rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-6, 3) for k in ("w", "b")}
+        adam_step(params, grads, state, lr=3e-2)
+        for k, g in grads.items():
+            ref[k] = reference(*ref[k], g, t, lr=3e-2)
+        for k in grads:
+            p, m, v = ref[k]
+            assert params[k].data.tobytes() == p.tobytes(), (k, t)
+            assert state.m[k].tobytes() == m.tobytes() and state.v[k].tobytes() == v.tobytes()
+    assert params["skipped"].data.tobytes() == skipped.tobytes()
+    assert not state.m["skipped"].any() and not state.v["skipped"].any()
+    assert state.step == 6
+
+
 def test_adam_shape_mismatch():
     p = ad.parameter(np.zeros((2, 2)))
     params = {"p": p}

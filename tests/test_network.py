@@ -363,33 +363,39 @@ def test_train_divergence_names_scene(monkeypatch):
 
 
 def test_train_steps_with_batch_mean_of_scene_gradients(monkeypatch):
-    # 3 scenes at batch size 2 give two Adam steps; each must see the mean of
-    # its scenes' backward gradients, and zeros for a parameter none reaches
+    # 5 scenes at batch size 4 give two Adam steps; each must see (the sum over
+    # the even batch positions + the sum over the odd ones) / batch size, each
+    # sum in batch order, and zeros for a parameter none reaches. In-process,
+    # so that the recording patches see every scene.
     real_init, real_loss = network.init_model, network.scene_forward_loss
     real_step = network.adam_step
-    scenes, steps = [], []
+    plans, steps = [], []
 
     def init_with_unused(config, seed):
         model = real_init(config, seed)
         model.params["unused"] = ad.parameter(np.ones((2, 3)))
         return model
 
-    def recording_loss(model, sc):
-        scenes.append(sc)
-        return real_loss(model, sc)
+    def recording_loss(model, plan):
+        plans.append(plan)
+        return real_loss(model, plan)
 
     def recording_step(params, grads, state, lr):
         before = {k: t.data.copy() for k, t in params.items()}
-        steps.append((before, len(scenes), {k: g.copy() for k, g in grads.items()}))
+        steps.append((before, len(plans), {k: g.copy() for k, g in grads.items()}))
         return real_step(params, grads, state, lr)
 
+    monkeypatch.setattr(network, "_worker_available", lambda: False)
     monkeypatch.setattr(network, "init_model", init_with_unused)
     monkeypatch.setattr(network, "scene_forward_loss", recording_loss)
     monkeypatch.setattr(network, "adam_step", recording_step)
-    cfg = TrainConfig(model=SMALL, epochs=1, batch_size=2, lr=1e-2, lr_decay_epochs=(),
+    cfg = TrainConfig(model=SMALL, epochs=1, batch_size=4, lr=1e-2, lr_decay_epochs=(),
                       augment=None, eval_every=0, seed=5)
-    train(gen_small(3, seed=35), cfg)
-    assert [n_seen for _, n_seen, _ in steps] == [2, 3]
+    data = gen_small(5, seed=35)
+    train(data, cfg)
+    assert [n_seen for _, n_seen, _ in steps] == [4, 5]
+    order = np.random.default_rng([cfg.seed, 0]).permutation(len(data))
+    ids = [data[i].scene_id for i in order]
 
     ref = init_with_unused(SMALL, cfg.seed)
     names = list(ref.params)
@@ -397,13 +403,20 @@ def test_train_steps_with_batch_mean_of_scene_gradients(monkeypatch):
     for before, hi, grads in steps:
         for k in names:
             ref.params[k].data = before[k].copy()
+        by_pos = {ids.index(plan.scene_id) - lo: plan for plan in plans[lo:hi]}
+        assert sorted(by_pos) == list(range(hi - lo))
         total = None
-        for sc in scenes[lo:hi]:
-            for t in ref.params.values():
-                t.zero_grad()
-            per_scene = ad.backward(real_loss(ref, sc), leaves=[ref.params[k] for k in names])
-            g = {k: per_scene[ref.params[k]] for k in names}
-            total = g if total is None else {k: total[k] + g[k] for k in names}
+        for shard in (0, 1):
+            shard_sum = None
+            for pos in range(shard, hi - lo, 2):
+                for t in ref.params.values():
+                    t.zero_grad()
+                per_scene = ad.backward(real_loss(ref, by_pos[pos]),
+                                        leaves=[ref.params[k] for k in names])
+                g = {k: per_scene[ref.params[k]] for k in names}
+                shard_sum = g if shard_sum is None else {k: shard_sum[k] + g[k] for k in names}
+            if shard_sum is not None:
+                total = shard_sum if total is None else {k: total[k] + shard_sum[k] for k in names}
         assert sorted(grads) == sorted(names)
         for k in names:
             assert np.array_equal(grads[k], total[k] / (hi - lo)), k

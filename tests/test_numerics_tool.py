@@ -35,12 +35,14 @@ def test_dump_holds_every_group(dump):
     assert shapes["predict/trajectories"] == (8, 6, 30, 2)
     assert shapes["predict/displacements"] == (8, 6)
     assert shapes["eval/report"] == (7,)
+    assert shapes["train/loss"] == (2,)
+    assert shapes["train/params"] == (1, shapes["overfit/grad"][1])
 
 
 def test_dump_compared_with_itself_is_bit_identical(tool, dump, capsys):
     assert tool.main(["compare", str(dump), str(dump)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 7 and all(line.endswith(": bit-identical") for line in lines)
+    assert len(lines) == 9 and all(line.endswith(": bit-identical") for line in lines)
 
 
 def test_perturbed_dump_is_reported(tool, dump, tmp_path, capsys):
@@ -48,10 +50,13 @@ def test_perturbed_dump_is_reported(tool, dump, tmp_path, capsys):
         groups = dict(f)
     grad = groups["default/grad"]
     grad[3, 7] += 1e-9 * np.abs(grad[3]).max()
+    params = groups["train/params"]
+    params[0, 11] += 1e-6 * np.abs(params).max()
     np.savez(tmp_path / "b.npz", **groups)
     assert tool.main(["compare", str(dump), str(tmp_path / "b.npz")]) == 0
     report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert report.pop("default/grad") == "max relative difference 1e-09"
+    assert report.pop("train/params") == "max relative difference 1e-06"
     assert set(report.values()) == {"bit-identical"}
 
     del groups["predict/displacements"]

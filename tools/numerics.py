@@ -10,6 +10,10 @@
   seed=0)`` at the benchmark's ``OVERFIT_MODEL``, model seed 0;
 - ``default/loss`` and ``default/grad``: the same at the default
   ``ModelConfig``;
+- ``train/loss`` and ``train/params``: the loss history and the flattened
+  trained parameters (sorted names, one row) of a short ``network.train`` on
+  the same 12 scenes at ``OVERFIT_MODEL``: batch 8, 2 epochs, no
+  augmentation, seed 0;
 - ``predict/trajectories`` and ``predict/displacements``: ``network.forward``
   at the default config on 8 congested scenes (the benchmark's
   ``CONGESTED_SPEED``, seed 0);
@@ -34,6 +38,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 N_TRAIN_SCENES = 12
+TRAIN_BATCH = 8
+TRAIN_EPOCHS = 2
 N_PREDICT_SCENES = 8
 
 
@@ -69,6 +75,20 @@ def _losses_and_grads(cfg):
     return np.array(losses), np.stack(grads)
 
 
+def _trained(cfg):
+    """Loss history and flattened parameters of a short training call."""
+    from pointcast import network, synth
+
+    result = network.train(
+        synth.gen_synthetic(N_TRAIN_SCENES, seed=0, future_steps=cfg.future_steps),
+        network.TrainConfig(model=cfg, epochs=TRAIN_EPOCHS, batch_size=TRAIN_BATCH,
+                            augment=None, eval_every=0, seed=0),
+    )
+    params = result.model.params
+    return (np.array([h["train_loss"] for h in result.history]),
+            np.concatenate([params[k].data.ravel() for k in sorted(params)])[None, :])
+
+
 def collect() -> dict:
     from pointcast import network, scenes, synth
 
@@ -76,6 +96,7 @@ def collect() -> dict:
     out = {}
     for name, cfg in (("overfit", bench.OVERFIT_MODEL), ("default", network.ModelConfig())):
         out[f"{name}/loss"], out[f"{name}/grad"] = _losses_and_grads(cfg)
+    out["train/loss"], out["train/params"] = _trained(bench.OVERFIT_MODEL)
     cfg = network.ModelConfig()
     model = network.init_model(cfg, seed=0)
     normalized = [scenes.normalize(raw) for raw in synth.gen_synthetic(
