@@ -8,23 +8,37 @@ was written with fails to load. Arrays are written sorted by name so
 identical states produce byte-identical files.
 
 The listed arrays tile the data file in list order: each starts where the
-one before it ends, and no name repeats. A load reads each array once,
-straight into its own buffer in offset order, and feeds that buffer to the
-digest, so it holds no whole-file copy and no second copy of any array.
+one before it ends, and no name repeats.
+
+A load verifies first and then reads into place. It checks the manifest,
+and the names and shapes of the arrays it is to fill, before it reads a
+byte of data. It then streams the data file once through a fixed
+READ_BUFFER_BYTES buffer to verify its length, digest and finiteness, and
+only then seeks back and reads each array straight into its destination,
+hashing again as it reads. A load that fails a check thus writes nothing.
+When the destinations are arrays the caller already owns (a model's
+parameters and Adam moments), the load's own peak memory is the buffer,
+not the file; without destinations it is one copy of the data.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 
 FORMAT_NAME = "pointcast-checkpoint"
 FORMAT_VERSION = 1
+
+# bytes per read of the verifying pass; a multiple of 8, so each chunk is whole values
+READ_BUFFER_BYTES = 1 << 20
 
 
 class CheckpointMismatchError(Exception):
@@ -126,28 +140,133 @@ def _check_manifest(manifest, manifest_path) -> list[int]:
     return sizes
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (arrays dict, manifest dict).
-
-    The manifest's structure and layout are checked before the data file is
-    read, and the data file's length and digest are verified when the
-    manifest records them (manifests written before they were recorded load
-    unverified). Each array is read into its own buffer, which is also what
-    the digest reads, so a load holds one copy of the data.
-    """
-    manifest_path, data_path = _paths(path)
+def _read_manifest(path):
+    """(manifest path, checked manifest, each array's value count) of checkpoint ``path``."""
+    manifest_path, _ = _paths(path)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
     try:
         manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise CheckpointMismatchError(f"{manifest_path}: not JSON: {exc}") from exc
-    sizes = _check_manifest(manifest, manifest_path)
-    data_path = manifest_path.parent / manifest["data_file"]
-    n_bytes, digest = manifest.get("data_bytes"), manifest.get("data_sha256")
-    arrays = {}
+    return manifest_path, manifest, _check_manifest(manifest, manifest_path)
+
+
+def read_manifest(path) -> dict:
+    """The manifest of checkpoint ``path``, checked as ``load_checkpoint`` checks it."""
+    return _read_manifest(path)[1]
+
+
+def _group(name: str) -> str:
+    return name.split("/", 1)[0]
+
+
+def _check_destinations(entries, into: dict, manifest_path) -> None:
+    """Raise unless ``into`` can take the listed arrays of the groups it names.
+
+    Each destination must be a writeable, C-contiguous float64 array (else
+    ValueError: the caller's fault, not the checkpoint's). Within each group
+    of ``into``'s names, the manifest must list exactly those names, each
+    with its destination's shape.
+    """
+    for name, dest in into.items():
+        if not (isinstance(dest, np.ndarray) and dest.dtype == np.float64
+                and dest.flags.c_contiguous and dest.flags.writeable):
+            raise ValueError(f"load_checkpoint: the destination of {name!r} is not a "
+                             f"writeable C-contiguous float64 array")
+    shapes = {entry["name"]: tuple(entry["shape"]) for entry in entries}
+    groups = {_group(name) for name in into}
+    missing = [name for name in into if name not in shapes]
+    extra = [name for name in shapes if _group(name) in groups and name not in into]
+    if missing or extra:
+        name = min(missing + extra)
+        raise CheckpointMismatchError(
+            f"{manifest_path}: checkpoint is missing array {name!r}" if name in missing else
+            f"{manifest_path}: checkpoint has array {name!r}, which the model does not"
+        )
+    for name, dest in into.items():
+        if shapes[name] != dest.shape:
+            raise CheckpointMismatchError(
+                f"{manifest_path}: array {name!r}: checkpoint shape {shapes[name]}, "
+                f"model parameter shape {dest.shape}"
+            )
+
+
+def _fill(fh, view, data_path) -> None:
+    """Read exactly ``len(view)`` bytes of ``fh`` into the uint8 array ``view``."""
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            raise CheckpointMismatchError(f"{data_path}: shorter than when it was opened")
+        got += n
+
+
+def _stream(fh, n_bytes: int, buf, sha, data_path):
+    """Read the next ``n_bytes`` of ``fh`` through ``buf`` into ``sha``, yielding each chunk."""
+    while n_bytes:
+        chunk = buf[: min(n_bytes, len(buf))]
+        _fill(fh, chunk, data_path)
+        sha.update(chunk)
+        yield chunk
+        n_bytes -= len(chunk)
+
+
+def _verify(fh, length: int, sizes, entries, data_path, digest):
+    """Stream the whole data file once; returns its SHA-256 digest.
+
+    Raises CheckpointMismatchError when the digest is not ``digest`` (unless
+    that is None), or else names the first array that holds a non-finite value.
+    """
+    ends = list(itertools.accumulate(sizes))
     sha = hashlib.sha256()
-    with open(data_path, "rb") as fh:
+    at, bad = 0, None
+    for chunk in _stream(fh, length, np.empty(READ_BUFFER_BYTES, np.uint8), sha, data_path):
+        values = chunk.view("<f8")
+        # min and max propagate NaN and reach ±inf, and allocate no mask
+        if bad is None and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            first = at + int(np.flatnonzero(~np.isfinite(values))[0])
+            bad = entries[bisect.bisect_right(ends, first)]["name"]
+        at += len(values)
+    if digest is not None and sha.hexdigest() != digest:
+        raise CheckpointMismatchError(
+            f"{data_path}: SHA-256 digest differs from the one its manifest records"
+        )
+    if bad is not None:
+        raise CheckpointMismatchError(f"{data_path}: array {bad!r} is not finite")
+    return sha.digest()
+
+
+def load_checkpoint(path, into: dict | None = None):
+    """Read a checkpoint; returns (arrays dict, manifest dict).
+
+    Without ``into``, every listed array is read into a fresh array. With
+    ``into`` (name -> ndarray), each array it names is read straight into
+    its destination, and ``into`` is the dict returned. A destination must be
+    a writeable, C-contiguous float64 array of the listed shape; anything
+    else raises ValueError, and nothing is filled through a copy. Within each
+    group of ``into``'s names (a name's part before its first ``/``, such as
+    ``params`` or ``optim``) the manifest must list exactly those names.
+    Arrays of other groups are verified and dropped, so an inference load
+    may name only ``params/*``.
+
+    Every check comes before the first write to a destination: the
+    manifest's structure and layout, the names and shapes of ``into``, then
+    one pass over the data file through a READ_BUFFER_BYTES buffer for its
+    length, its digest (when the manifest records them; older manifests
+    load unverified) and finite values. Any fault raises
+    CheckpointMismatchError. Only then is the file read again, from the
+    start, into the destinations and hashed again, so a data file that
+    changes between the two passes is refused as well, though the
+    destinations may by then hold part of it.
+    """
+    manifest_path, manifest, sizes = _read_manifest(path)
+    entries = manifest["arrays"]
+    if into is not None:
+        _check_destinations(entries, into, manifest_path)
+    data_path = manifest_path.parent / manifest["data_file"]
+    n_bytes = manifest.get("data_bytes")
+    with open(data_path, "rb", buffering=0) as fh:
         length = os.fstat(fh.fileno()).st_size
         if n_bytes is not None and length != n_bytes:
             raise CheckpointMismatchError(
@@ -156,32 +275,25 @@ def load_checkpoint(path):
             raise CheckpointMismatchError(
                 f"{data_path}: {length} bytes, manifest lists {sum(sizes)} float64 values"
             )
-        for entry, size in zip(manifest["arrays"], sizes):
-            arr = np.empty(entry["shape"], dtype="<f8")
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != 8 * size:
-                raise CheckpointMismatchError(f"{data_path}: shorter than when it was opened")
-            sha.update(arr)
-            arrays[entry["name"]] = arr
-    if digest is not None and sha.hexdigest() != digest:
-        raise CheckpointMismatchError(
-            f"{data_path}: SHA-256 digest differs from the one its manifest records"
-        )
-    for name, arr in arrays.items():
-        # min and max propagate NaN and reach ±inf, and allocate no mask
-        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise CheckpointMismatchError(f"{data_path}: array {name!r} is not finite")
+        verified = _verify(fh, length, sizes, entries, data_path, manifest.get("data_sha256"))
+        # fresh arrays only now that _verify's buffer is freed: the peak is one copy of the data
+        arrays = into if into is not None else {
+            entry["name"]: np.empty(entry["shape"]) for entry in entries}
+        fh.seek(0)
+        sha, buf = hashlib.sha256(), None
+        for entry, size in zip(entries, sizes):
+            dest = arrays.get(entry["name"])
+            if dest is None:  # verified, not kept
+                if buf is None:
+                    buf = np.empty(READ_BUFFER_BYTES, np.uint8)
+                for _ in _stream(fh, 8 * size, buf, sha, data_path):
+                    pass
+                continue
+            view = dest.reshape(-1).view(np.uint8)
+            _fill(fh, view, data_path)
+            sha.update(view)
+            if sys.byteorder == "big":
+                dest.byteswap(inplace=True)
+    if sha.digest() != verified:
+        raise CheckpointMismatchError(f"{data_path}: changed while it was being read")
     return arrays, manifest
-
-
-def restore_into(params: dict, arrays: dict, prefix: str = "params/") -> None:
-    """Copy checkpoint arrays into parameter tensors, checking names and shapes."""
-    for name, tensor in params.items():
-        key = prefix + name
-        if key not in arrays:
-            raise CheckpointMismatchError(f"checkpoint is missing array {key!r}")
-        arr = arrays[key]
-        if arr.shape != tensor.data.shape:
-            raise CheckpointMismatchError(
-                f"parameter {name!r}: checkpoint shape {arr.shape}, model shape {tensor.data.shape}"
-            )
-        tensor.data = np.array(arr, dtype=np.float64)

@@ -7,9 +7,9 @@ Exit codes:
      long, a run-config value or command-line count of the wrong type or out
      of range, a resumed checkpoint that already reached the last epoch, or a
      training run that diverged;
-  3  checkpoint fault: a malformed manifest, missing or misshapen arrays,
-     non-finite values, or a data file that does not match its manifest's
-     length and SHA-256 digest;
+  3  checkpoint fault: a malformed manifest, missing, extra or misshapen
+     arrays, non-finite values, or a data file that does not match its
+     manifest's length and SHA-256 digest;
   1  internal error.
 
 A run config (``run.json``) parses straight into a ``TrainConfig``; only the
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .checkpoint import CheckpointMismatchError, load_checkpoint, restore_into
+from .checkpoint import CheckpointMismatchError, load_checkpoint, read_manifest
 from .network import (ModelConfig, NothingToResume, TrainConfig, TrainingDiverged,
                       evaluate_model, forward, init_model, rank_trajectories, scene_plan, train)
 from .plotting import scene_svg, write_svg
@@ -191,15 +191,19 @@ def cmd_train(args) -> int:
 
 
 def _restore_model(ckpt_path, model_cfg: ModelConfig | None = None):
-    arrays, manifest = load_checkpoint(ckpt_path)
+    """The model of checkpoint ``ckpt_path``, its config from the manifest unless given.
+
+    Only the ``params/`` arrays are read in, straight into the model; the
+    optimizer moments, which inference does not need, are verified and dropped.
+    """
     if model_cfg is None:
-        doc = (manifest.get("config") or {}).get("model")
+        doc = (read_manifest(ckpt_path).get("config") or {}).get("model")
         try:
             model_cfg = _from_doc(ModelConfig, doc, "model.")
         except ConfigError as exc:
             raise CheckpointMismatchError(f"{ckpt_path}: manifest config: {exc}") from exc
     model = init_model(model_cfg, seed=0)
-    restore_into(model.params, arrays)  # inference needs no optimizer moments
+    load_checkpoint(ckpt_path, into={f"params/{k}": t.data for k, t in model.params.items()})
     return model
 
 

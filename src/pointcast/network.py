@@ -27,7 +27,7 @@ from . import autodiff as ad
 from . import metrics as metrics_mod
 from . import nn
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .indexing import EMBED_IN, ScenePlan, index_scene, plan_scene
 from .optim import AdamState, adam_init, adam_step, lr_at_epoch
 from .scenes import (AugConfig, NormalizedScene, RawScene, SceneValidationError, augment,
@@ -243,12 +243,12 @@ def save_train_checkpoint(path, model: Model, state: AdamState, *, epoch: int, c
 
 
 def restore_train_checkpoint(path, model: Model, state: AdamState) -> dict:
-    arrays, manifest = load_checkpoint(path)
-    restore_into(model.params, arrays, prefix="params/")
-    for kind, moments in (("m", state.m), ("v", state.v)):
-        slots = {k: Tensor(v) for k, v in moments.items()}
-        restore_into(slots, arrays, prefix=f"optim/{kind}/")
-        moments.update((k, t.data) for k, t in slots.items())
+    """Read checkpoint ``path`` straight into ``model``'s parameters and ``state``'s moments.
+
+    The checkpoint must hold exactly the model's ``params/``, ``optim/m/`` and
+    ``optim/v/`` arrays; any fault raises before an array is written.
+    """
+    _, manifest = load_checkpoint(path, into=_optimizer_arrays(model, state))
     state.step = int(manifest["global_step"])
     return manifest
 
@@ -313,27 +313,19 @@ def _worker_available() -> bool:
 
 
 def _share_params(params: dict):
-    """Move ``params`` into an anonymous shared mapping, beside a flat sum per later shard.
+    """Move ``params`` into row 0 of an anonymous shared mapping, beside a row per later shard.
 
-    Returns those sums as flat rows and as dicts of views shaped like the
-    parameters. A process forked afterwards maps the same pages, so it reads
-    every in-place update of the parameters, and the parent reads the sums it
-    writes.
+    Returns the (SHARDS, n) rows, laid out in the dict's order, and each later
+    shard's row as a dict of views shaped like the parameters, for its sum. A
+    process forked afterwards maps the same pages, so it reads every in-place
+    update of the parameters, and the parent reads the sums it writes.
     """
     n = sum(t.data.size for t in params.values())
     flat = np.frombuffer(mmap.mmap(-1, 8 * n * SHARDS), dtype=np.float64).reshape(SHARDS, n)
-
-    def views(row):
-        out, lo = {}, 0
-        for k, t in params.items():
-            out[k] = row[lo : lo + t.data.size].reshape(t.data.shape)
-            lo += t.data.size
-        return out
-
-    for t, view in zip(params.values(), views(flat[0]).values()):
+    for t, view in zip(params.values(), nn.flat_views(flat[0], params).values()):
         view[...] = t.data
         t.data = view
-    return flat[1:], [views(row) for row in flat[1:]]
+    return flat, [nn.flat_views(row, params) for row in flat[1:]]
 
 
 def _sum_shard(model: Model, epoch: int, ids, plan_of):
@@ -527,7 +519,8 @@ def train(
         sc = augment(normalized[si], [config.seed, epoch, int(si)], config.augment)
         return scene_plan(sc, config.model)
 
-    flat_sums, shard_sums = _share_params(model.params)
+    flat, shard_sums = _share_params(model.params)
+    flat_params, flat_sums = flat[0], flat[1:]
     history = []
     later = []  # shards 1.., each a _ShardWorker or a _LocalShard
     log_fh = open(log_path, "a") if log_path else None
@@ -561,7 +554,8 @@ def train(
                 if not np.isfinite(flat_sums[0]).all():
                     bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
                     raise TrainingDiverged(f"non-finite gradient of {bad!r} at epoch {epoch}")
-                adam_step(model.params, grads, state, lr)
+                # one step over the flat rows: both lie in model.params' order, as state's do
+                adam_step(flat_params, flat_sums[0], state, lr)
 
             entry = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_seen, 1)}
             if config.eval_every and (epoch + 1) % config.eval_every == 0:

@@ -34,6 +34,15 @@ class MLPLayer:
     norm: Norm | None  # layer norm then relu after the linear map; None: plain linear
 
 
+def flat_views(row: np.ndarray, params: dict) -> dict:
+    """Views of the flat ``row``, one per parameter, shaped like it and laid out in dict order."""
+    out, lo = {}, 0
+    for name, t in params.items():
+        out[name] = row[lo : lo + t.data.size].reshape(t.data.shape)
+        lo += t.data.size
+    return out
+
+
 def init_linear(reg: dict, name: str, fan_in: int, fan_out: int, rng) -> Linear:
     bound = np.sqrt(6.0 / fan_in)
     w = ad.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))

@@ -1,73 +1,96 @@
 """Adam with bias correction and the step-decay learning-rate schedule.
 
-``adam_step`` updates the parameters and both moments in place, so a
-parameter array that another process maps (``network.train``'s shard
-workers read the parameters from shared memory) sees every step.
+``adam_init`` keeps both moments in one flat array, a row each, laid out in
+the order of the parameter dict, with per-name views of the rows for
+checkpoints. ``adam_step`` updates the parameters and both moments in place,
+so a parameter array that another process maps (``network.train``'s shard
+workers read the parameters from shared memory) sees every step. It steps
+tensor by tensor, or once over flat rows laid out as the moments are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
+from .nn import flat_views
+
+# values per update of a flat step, so that its two scratch arrays stay at
+# 512 KiB each however large the model
+FLAT_CHUNK = 1 << 16
 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    flat: np.ndarray            # (2, n): the first-moment row, then the second-moment row
+    m: dict[str, np.ndarray]    # name -> view of flat[0]
+    v: dict[str, np.ndarray]    # name -> view of flat[1]
     step: int = 0
 
 
 def adam_init(params: dict[str, Tensor]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(t.data) for k, t in params.items()},
-        v={k: np.zeros_like(t.data) for k, t in params.items()},
-    )
+    flat = np.zeros((2, sum(t.data.size for t in params.values())))
+    return AdamState(flat, flat_views(flat[0], params), flat_views(flat[1], params))
+
+
+def _update(p, g, m, v, lr, t, b1, b2, eps) -> None:
+    """Adam on one array, in place: 14 numpy calls whatever its size."""
+    step = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += step
+    denom = np.multiply(g, g)
+    denom *= 1.0 - b2
+    v *= b2
+    v += denom
+    np.divide(v, 1.0 - b2**t, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1.0 - b1**t, out=step)  # m_hat
+    step *= lr
+    step /= denom
+    p -= step
 
 
 def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    params,
+    grads,
     state: AdamState,
     lr: float,
     betas=(0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update of ``params``, ``state.m`` and ``state.v``, all in place.
+    """One Adam update of the parameters, ``state.m`` and ``state.v``, all in place.
 
-    Parameters without a gradient entry are skipped. Each array is updated
-    with in-place operations in the order of the textbook formula
+    ``params`` and ``grads`` are either a name -> Tensor dict and a name ->
+    gradient dict, stepped tensor by tensor (parameters without a gradient
+    entry are skipped), or a flat parameter row and a flat gradient row laid
+    out as ``state.flat``'s rows, stepped FLAT_CHUNK values at a time. Each
+    update runs in-place operations in the order of the textbook formula
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
     ``p -= lr m_hat / (sqrt(v_hat) + eps)``, so the result is bit for bit that
-    of the out-of-place expressions, with two scratch arrays per parameter.
+    of the out-of-place expressions in either form, with two scratch arrays
+    per update.
     """
     b1, b2 = betas
     state.step += 1
-    t = state.step
+    hyper = (lr, state.step, b1, b2, eps)
+    if isinstance(params, np.ndarray):
+        if not params.shape == grads.shape == state.flat[0].shape:
+            raise ValueError(f"adam_step: flat parameters {params.shape} and gradient "
+                             f"{grads.shape} for moments {state.flat[0].shape}")
+        for lo in range(0, params.size, FLAT_CHUNK):
+            at = slice(lo, lo + FLAT_CHUNK)
+            _update(params[at], grads[at], state.flat[0, at], state.flat[1, at], *hyper)
+        return
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
         if g.shape != p.data.shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} for {name} {p.data.shape}")
-        m, v = state.m[name], state.v[name]
-        step = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += step
-        denom = np.multiply(g, g)
-        denom *= 1.0 - b2
-        v *= b2
-        v += denom
-        np.divide(v, 1.0 - b2**t, out=denom)  # v_hat
-        np.sqrt(denom, out=denom)
-        denom += eps
-        np.divide(m, 1.0 - b1**t, out=step)  # m_hat
-        step *= lr
-        step /= denom
-        p.data -= step
+        _update(p.data, g, state.m[name], state.v[name], *hyper)
 
 
 def lr_at_epoch(epoch: int, base_lr: float, decay_epochs=(10, 20, 30), factor: float = 0.1) -> float:

@@ -16,6 +16,7 @@ from conftest import (
 )
 
 from pointcast import autodiff as ad
+from pointcast import optim
 from pointcast.indexing import CONV_OFFSETS, GroupTable, group_by_keys, kernel_map
 from pointcast.optim import adam_init, adam_step, lr_at_epoch
 
@@ -964,6 +965,24 @@ def test_adam_in_place_matches_out_of_place_formula_bit_for_bit(rng):
     assert params["skipped"].data.tobytes() == skipped.tobytes()
     assert not state.m["skipped"].any() and not state.v["skipped"].any()
     assert state.step == 6
+
+
+def test_adam_flat_rows_match_per_tensor_steps_bit_for_bit(rng, monkeypatch):
+    # as network.train steps: the parameters and the gradient as flat rows laid
+    # out as the moments are, over more than one chunk (the last one partial)
+    monkeypatch.setattr(optim, "FLAT_CHUNK", 8)
+    shapes = {"w": (5, 3), "b": (1, 3), "s": (2, 2)}
+    per_tensor = {k: ad.parameter(rng.normal(size=shape)) for k, shape in shapes.items()}
+    row = np.concatenate([t.data.ravel() for t in per_tensor.values()])
+    ref, state = adam_init(per_tensor), adam_init(per_tensor)
+    for _ in range(4):
+        grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        adam_step(per_tensor, grads, ref, lr=3e-2)
+        adam_step(row, np.concatenate([g.ravel() for g in grads.values()]), state, lr=3e-2)
+        assert row.tobytes() == b"".join(t.data.tobytes() for t in per_tensor.values())
+        assert state.flat.tobytes() == ref.flat.tobytes() and state.step == ref.step
+    with pytest.raises(ValueError):
+        adam_step(row[1:], row[1:], state, lr=0.1)
 
 
 def test_adam_shape_mismatch():

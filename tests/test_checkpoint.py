@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,14 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pointcast import autodiff as ad
-from pointcast import checkpoint
+from pointcast import checkpoint, network
 from pointcast.checkpoint import (
     CheckpointMismatchError,
     load_checkpoint,
-    restore_into,
     save_checkpoint,
 )
+from pointcast.optim import adam_init
 
 
 def test_roundtrip_exact(tmp_path, rng):
@@ -53,17 +53,16 @@ def test_same_state_same_bytes(tmp_path, rng):
 def test_restore_shape_mismatch_names_parameter(tmp_path, rng):
     arrays = {"params/w": rng.normal(size=(3, 3))}
     save_checkpoint(tmp_path / "ck", arrays, step=0)
-    loaded, _ = load_checkpoint(tmp_path / "ck.json")
-    params = {"w": ad.parameter(np.zeros((2, 3)))}
-    with pytest.raises(CheckpointMismatchError, match="'w'"):
-        restore_into(params, loaded)
+    dest = np.zeros((2, 3))
+    with pytest.raises(CheckpointMismatchError, match="'params/w'.*parameter shape"):
+        load_checkpoint(tmp_path / "ck.json", into={"params/w": dest})
+    assert not dest.any()
 
 
 def test_restore_missing_parameter(tmp_path):
     save_checkpoint(tmp_path / "ck", {}, step=0)
-    loaded, _ = load_checkpoint(tmp_path / "ck.json")
-    with pytest.raises(CheckpointMismatchError, match="missing"):
-        restore_into({"w": ad.parameter(np.zeros((1, 1)))}, loaded)
+    with pytest.raises(CheckpointMismatchError, match="missing array 'w'"):
+        load_checkpoint(tmp_path / "ck.json", into={"w": np.zeros((1, 1))})
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -202,6 +201,181 @@ def test_load_peak_memory_is_one_copy_of_the_data(tmp_path, rng):
         tracemalloc.stop()
     assert size <= peak <= 1.05 * size, (peak, size)
     assert all(loaded[k].tobytes() == v.tobytes() for k, v in arrays.items())
+
+
+# ---------------------------------------------------------------------------
+# loading into destinations
+
+
+def test_load_into_fills_each_destination_in_place(tmp_path, rng):
+    arrays = {"params/a": rng.normal(size=(2, 3)), "params/b": rng.normal(size=4),
+              "optim/m/a": rng.normal(size=(2, 3))}
+    save_checkpoint(tmp_path / "ck", arrays, step=5)
+    into = {"params/a": np.zeros((2, 3)), "params/b": np.zeros(4)}
+    dests = dict(into)
+    loaded, manifest = load_checkpoint(tmp_path / "ck.json", into=into)
+    assert loaded is into and manifest["global_step"] == 5
+    for name, dest in dests.items():  # the same arrays, filled; optim/m/a is dropped
+        assert loaded[name] is dest and dest.tobytes() == arrays[name].tobytes()
+
+
+def test_load_into_refuses_an_extra_array_of_its_groups(tmp_path, rng):
+    save_checkpoint(tmp_path / "ck", {"params/a": rng.normal(size=2),
+                                      "params/b": rng.normal(size=2)}, step=0)
+    dest = np.zeros(2)
+    with pytest.raises(CheckpointMismatchError, match="has array 'params/b'"):
+        load_checkpoint(tmp_path / "ck.json", into={"params/a": dest})
+    assert not dest.any()
+
+
+def test_load_into_verifies_the_arrays_it_drops(tmp_path, rng):
+    save_checkpoint(tmp_path / "ck", {"optim/v/a": np.array([1.0, np.inf]),
+                                      "params/a": rng.normal(size=2)}, step=0)
+    dest = np.zeros(2)
+    with pytest.raises(CheckpointMismatchError, match="'optim/v/a' is not finite"):
+        load_checkpoint(tmp_path / "ck.json", into={"params/a": dest})
+    assert not dest.any()
+
+
+def _read_only(shape):
+    arr = np.zeros(shape)
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.zeros((3, 2)).T,                     # not C-contiguous
+    lambda: np.zeros((2, 6))[:, ::2],               # strided
+    lambda: np.zeros((2, 3), dtype=np.float32),     # not float64
+    lambda: np.zeros((2, 3), dtype=">f8" if np.little_endian else "<f8"),  # not native
+    lambda: _read_only((2, 3)),
+], ids=["transposed", "strided", "float32", "byte-swapped", "read-only"])
+def test_load_into_refuses_an_unfit_destination(tmp_path, rng, make):
+    save_checkpoint(tmp_path / "ck", {"w": rng.normal(size=(2, 3))}, step=0)
+    dest = make()
+    with pytest.raises(ValueError, match="'w' is not a writeable C-contiguous float64"):
+        load_checkpoint(tmp_path / "ck.json", into={"w": dest})
+    assert not dest.any()
+
+
+def test_load_swaps_bytes_after_hashing_on_a_big_endian_host(tmp_path, rng, monkeypatch):
+    # on this host the swap garbles the values; what matters is that the
+    # digest, taken before the swap, still verifies
+    arr = rng.normal(size=(2, 3))
+    save_checkpoint(tmp_path / "ck", {"w": arr}, step=0)
+    monkeypatch.setattr(checkpoint.sys, "byteorder", "big")
+    loaded, _ = load_checkpoint(tmp_path / "ck.json")
+    assert loaded["w"].tobytes() == arr.byteswap().tobytes()
+
+
+def test_load_refuses_data_that_changes_after_it_was_verified(tmp_path, rng, monkeypatch):
+    save_checkpoint(tmp_path / "ck", {"w": rng.normal(size=(2, 3))}, step=0)
+    verify = checkpoint._verify
+
+    def verify_then_rewrite(fh, *args):
+        digest = verify(fh, *args)
+        with open(tmp_path / "ck.bin", "r+b") as other:  # same inode, same length
+            other.write(b"\0" * 8)
+        return digest
+
+    monkeypatch.setattr(checkpoint, "_verify", verify_then_rewrite)
+    with pytest.raises(CheckpointMismatchError, match="changed while it was being read"):
+        load_checkpoint(tmp_path / "ck.json", into={"w": np.zeros((2, 3))})
+
+
+TINY = network.ModelConfig(n_stages=1, intervals=(2, 4), radii=(0.4, 0.8), grid_size=0.4,
+                           n_modes=3, future_steps=5, embed_width=8, radius_width=8,
+                           pointwise_width=8, voxel_width=8, spatial_width=12,
+                           interval_width=8, temporal_width=12, head_width=12)
+
+
+def _trained_state(cfg, seed):
+    """A model and Adam state whose arrays all differ from a fresh init's."""
+    model = network.init_model(cfg, seed)
+    state = adam_init(model.params)
+    state.flat[...] = np.random.default_rng(seed).uniform(0.5, 1.0, size=state.flat.shape)
+    state.step = 7
+    return model, state
+
+
+def _flip_byte(manifest_path):
+    data_path = manifest_path.with_suffix(".bin")
+    blob = bytearray(data_path.read_bytes())
+    blob[len(blob) // 2] ^= 0x40
+    data_path.write_bytes(bytes(blob))
+
+
+def _truncate(manifest_path):
+    data_path = manifest_path.with_suffix(".bin")
+    data_path.write_bytes(data_path.read_bytes()[:-8])
+
+
+# each fault: (model config the checkpoint is saved from, edit of the saved files, error)
+RESTORE_FAULTS = {
+    "extra-array": (dataclasses.replace(TINY, n_stages=2), None, "has array 'optim/m/stage1/"),
+    "missing-array": (TINY, "drop", "missing array 'optim/v/embed/l0/b'"),
+    "shape": (dataclasses.replace(TINY, head_width=16), None, "parameter shape"),
+    "flipped-byte": (TINY, _flip_byte, "digest"),
+    "truncated": (TINY, _truncate, "bytes"),
+    "non-finite-optim-v": (TINY, "nan", "'optim/v/head/reg/l1/b' is not finite"),
+}
+
+
+@pytest.mark.parametrize("fault", RESTORE_FAULTS)
+def test_restore_fault_writes_no_destination(tmp_path, fault):
+    cfg, edit, error = RESTORE_FAULTS[fault]
+    model, state = _trained_state(cfg, seed=1)
+    if edit == "nan":
+        state.v["head/reg/l1/b"][0, 0] = np.nan
+    arrays = network._optimizer_arrays(model, state)
+    if edit == "drop":
+        del arrays["optim/v/embed/l0/b"]
+    manifest_path = save_checkpoint(tmp_path / "ck", arrays, step=state.step, epoch=0)
+    if callable(edit):
+        edit(manifest_path)
+    fresh, fresh_state = _trained_state(TINY, seed=2)
+    before = {k: v.copy() for k, v in network._optimizer_arrays(fresh, fresh_state).items()}
+    with pytest.raises(CheckpointMismatchError, match=error):
+        network.restore_train_checkpoint(manifest_path, fresh, fresh_state)
+    after = network._optimizer_arrays(fresh, fresh_state)
+    assert all(after[k].tobytes() == v.tobytes() for k, v in before.items())
+    assert fresh_state.step == 7
+
+
+def test_restore_train_checkpoint_reads_into_the_model_and_state(tmp_path):
+    model, state = _trained_state(TINY, seed=1)
+    manifest_path = network.save_train_checkpoint(tmp_path / "ck", model, state, epoch=3)
+    fresh, fresh_state = _trained_state(TINY, seed=2)
+    dests = network._optimizer_arrays(fresh, fresh_state)
+    manifest = network.restore_train_checkpoint(manifest_path, fresh, fresh_state)
+    assert manifest["epoch"] == 3 and fresh_state.step == state.step
+    saved = network._optimizer_arrays(model, state)
+    for name, dest in network._optimizer_arrays(fresh, fresh_state).items():
+        assert dest is dests[name]  # filled, not replaced
+        assert dest.tobytes() == saved[name].tobytes(), name
+
+
+def test_restore_train_checkpoint_peak_memory_is_the_buffer(tmp_path):
+    import tracemalloc
+
+    cfg = network.ModelConfig()  # a data file of about 20 MB
+    model = network.init_model(cfg, seed=0)
+    manifest_path = network.save_train_checkpoint(tmp_path / "ck", model,
+                                                  adam_init(model.params), epoch=0)
+    size = manifest_path.with_suffix(".bin").stat().st_size
+    fresh = network.init_model(cfg, seed=1)
+    state = adam_init(fresh.params)
+    tracemalloc.start()
+    try:
+        network.restore_train_checkpoint(manifest_path, fresh, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beside the buffer, the parsed manifest of about 1500 entries
+    bound = checkpoint.READ_BUFFER_BYTES + 3 * 2**19
+    assert peak <= bound < size / 5, (peak, bound, size)
+    assert all(fresh.params[k].data.tobytes() == t.data.tobytes()
+               for k, t in model.params.items())
 
 
 # ---------------------------------------------------------------------------

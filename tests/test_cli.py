@@ -577,6 +577,106 @@ def test_overflowing_checkpoint_exit3(tmp_path, trained, capsys, command):
     assert not (tmp_path / "scenes.csv").exists()
 
 
+def _checkpoint_argv(command, tmp, data, ckpt, out_dir):
+    """``command`` reading checkpoint ``ckpt`` with the ``trained`` fixture's config and scenes."""
+    return {
+        "predict": ["predict", "--ckpt", str(ckpt), "--scene",
+                    str(sorted(data.glob("syn-*.json"))[0]), "--out", str(out_dir / "pred.json")],
+        "eval": ["eval", "--config", str(tmp / "c.json"), "--ckpt", str(ckpt), "--data",
+                 str(data), "--per-scene-csv", str(out_dir / "scenes.csv")],
+        "train": ["train", "--config", str(tmp / "c.json"), "--resume", str(ckpt), "--epochs",
+                  "2", "--out", str(out_dir / "resumed")],
+    }[command]
+
+
+def _assert_nothing_written(out_dir):
+    assert not any((out_dir / name).exists()
+                   for name in ("pred.json", "scenes.csv", "resumed/model.json"))
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "train"])
+def test_checkpoint_with_an_extra_stage_exit3(tmp_path, trained, capsys, command):
+    # every array of the fixture's one-stage model is there with its shape,
+    # beside a second stage's arrays: they must not be dropped in silence
+    tmp, data, _ = trained
+    cfg = write_config(tmp_path / "c2.json", data, tmp_path / "ck2", epochs=1,
+                       model=dict(TINY_MODEL, n_stages=2))
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "ck2" / "model.json"
+    if command == "predict":  # predict builds the model its manifest's config names
+        doc = json.loads(ckpt.read_text())
+        doc["config"]["model"]["n_stages"] = 1
+        ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(_checkpoint_argv(command, tmp, data, ckpt, tmp_path)) == 3
+    kept = "optim/m/" if command == "train" else "params/"  # the first name in order
+    assert f"checkpoint has array '{kept}stage1/" in capsys.readouterr().err
+    _assert_nothing_written(tmp_path)
+
+
+def _flipped_byte_copy(ckpt, out_dir):
+    out_dir.mkdir()
+    blob = bytearray(ckpt.with_suffix(".bin").read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    (out_dir / "model.bin").write_bytes(bytes(blob))
+    (out_dir / "model.json").write_text(ckpt.read_text())
+    return out_dir / "model.json"
+
+
+def _truncated_copy(ckpt, out_dir):
+    out_dir.mkdir()
+    (out_dir / "model.bin").write_bytes(ckpt.with_suffix(".bin").read_bytes()[:-8])
+    (out_dir / "model.json").write_text(ckpt.read_text())
+    return out_dir / "model.json"
+
+
+# each fault: a faulty copy of a checkpoint, and what the error names
+CHECKPOINT_DATA_FAULTS = {
+    "flipped-byte": (_flipped_byte_copy, "digest"),
+    "truncated": (_truncated_copy, "model.bin"),
+    # inference drops the optimizer moments, but only after verifying them
+    "non-finite-optim-v": (lambda ckpt, out_dir: _patched_checkpoint(
+        ckpt, out_dir, "optim/v/head/reg/l1/b", np.nan), "'optim/v/head/reg/l1/b' is not finite"),
+}
+
+
+@pytest.mark.parametrize("fault", CHECKPOINT_DATA_FAULTS)
+@pytest.mark.parametrize("command", ["predict", "eval", "train"])
+def test_checkpoint_data_fault_exit3(tmp_path, trained, capsys, command, fault):
+    tmp, data, ckpt = trained
+    copy, error = CHECKPOINT_DATA_FAULTS[fault]
+    bad = copy(ckpt, tmp_path / "bad")
+    assert cli.main(_checkpoint_argv(command, tmp, data, bad, tmp_path)) == 3
+    assert error in capsys.readouterr().err
+    _assert_nothing_written(tmp_path)
+
+
+def test_restore_model_peak_memory_is_the_model_and_the_buffer(tmp_path):
+    import tracemalloc
+
+    from pointcast import network
+    from pointcast.checkpoint import READ_BUFFER_BYTES
+    from pointcast.optim import adam_init
+
+    cfg = TrainConfig()  # a data file of about 20 MB, 6.7 MB of it parameters
+    model = network.init_model(cfg.model, seed=3)
+    ckpt = network.save_train_checkpoint(tmp_path / "model", model, adam_init(model.params),
+                                         epoch=0, config_doc=cli._to_doc(cfg))
+    size = ckpt.with_suffix(".bin").stat().st_size
+    model_bytes = sum(t.data.nbytes for t in model.params.values())
+    tracemalloc.start()
+    try:
+        restored = cli._restore_model(ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beside the model and the buffer, the parsed manifest and init_model's temporaries
+    bound = model_bytes + READ_BUFFER_BYTES + 3 * 2**19
+    assert peak <= bound < model_bytes + size / 4, (peak, bound, size)
+    assert all(restored.params[k].data.tobytes() == t.data.tobytes()
+               for k, t in model.params.items())
+
+
 def _corrupt_nontarget_point(doc):
     other = next(a for a in doc["agents"] if a["id"] != doc["target_id"])
     other["points"][0][1] = float("nan")

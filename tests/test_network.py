@@ -20,7 +20,7 @@ from pointcast import (
     rank_trajectories,
     select_best,
 )
-from pointcast import indexing, metrics, network, spatial
+from pointcast import indexing, metrics, network, nn, spatial
 from pointcast.indexing import KIND_MAP, index_scene
 from pointcast.scenes import AugConfig, MapElement, SceneValidationError
 from pointcast.network import (
@@ -380,9 +380,8 @@ def test_train_steps_with_batch_mean_of_scene_gradients(monkeypatch):
         plans.append(plan)
         return real_loss(model, plan)
 
-    def recording_step(params, grads, state, lr):
-        before = {k: t.data.copy() for k, t in params.items()}
-        steps.append((before, len(plans), {k: g.copy() for k, g in grads.items()}))
+    def recording_step(params, grads, state, lr):  # train steps on flat rows
+        steps.append((params.copy(), len(plans), grads.copy()))
         return real_step(params, grads, state, lr)
 
     monkeypatch.setattr(network, "_worker_available", lambda: False)
@@ -399,6 +398,8 @@ def test_train_steps_with_batch_mean_of_scene_gradients(monkeypatch):
 
     ref = init_with_unused(SMALL, cfg.seed)
     names = list(ref.params)
+    steps = [(nn.flat_views(before, ref.params), hi, nn.flat_views(grads, ref.params))
+             for before, hi, grads in steps]
     lo = 0
     for before, hi, grads in steps:
         for k in names:

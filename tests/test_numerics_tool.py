@@ -36,13 +36,13 @@ def test_dump_holds_every_group(dump):
     assert shapes["predict/displacements"] == (8, 6)
     assert shapes["eval/report"] == (7,)
     assert shapes["train/loss"] == (2,)
-    assert shapes["train/params"] == (1, shapes["overfit/grad"][1])
+    assert shapes["train/params"] == shapes["restore/params"] == (1, shapes["overfit/grad"][1])
 
 
 def test_dump_compared_with_itself_is_bit_identical(tool, dump, capsys):
     assert tool.main(["compare", str(dump), str(dump)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 9 and all(line.endswith(": bit-identical") for line in lines)
+    assert len(lines) == 10 and all(line.endswith(": bit-identical") for line in lines)
 
 
 def test_perturbed_dump_is_reported(tool, dump, tmp_path, capsys):

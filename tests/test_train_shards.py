@@ -17,7 +17,7 @@ from conftest import live_children
 from test_network import SMALL, gen_small
 
 from pointcast import autodiff as ad
-from pointcast import network
+from pointcast import network, nn
 from pointcast.network import TrainConfig, TrainingDiverged, train
 from pointcast.scenes import AugConfig, SceneValidationError
 
@@ -86,11 +86,11 @@ def test_first_step_gradient_matches_sequential_sum(monkeypatch):
     cfg = shard_cfg(8, epochs=1)
     steps = []
     real_step = network.adam_step
-    monkeypatch.setattr(network, "adam_step",
-                        lambda p, g, s, lr: steps.append({k: v.copy() for k, v in g.items()})
-                        or real_step(p, g, s, lr))
+    monkeypatch.setattr(network, "adam_step",  # train steps on flat rows
+                        lambda p, g, s, lr: steps.append(g.copy()) or real_step(p, g, s, lr))
     train(data, cfg)
     ref = network.init_model(SMALL, cfg.seed)
+    steps = [nn.flat_views(g, ref.params) for g in steps]
     order = np.random.default_rng([cfg.seed, 0]).permutation(len(data))
     for t in ref.params.values():
         t.zero_grad()

@@ -14,6 +14,10 @@
   trained parameters (sorted names, one row) of a short ``network.train`` on
   the same 12 scenes at ``OVERFIT_MODEL``: batch 8, 2 epochs, no
   augmentation, seed 0;
+- ``restore/params``: that trained model saved with
+  ``network.save_train_checkpoint``, restored by
+  ``network.restore_train_checkpoint`` into a fresh ``init_model`` (seed 1)
+  and flattened the same way;
 - ``predict/trajectories`` and ``predict/displacements``: ``network.forward``
   at the default config on 8 congested scenes (the benchmark's
   ``CONGESTED_SPEED``, seed 0);
@@ -32,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -75,18 +80,26 @@ def _losses_and_grads(cfg):
     return np.array(losses), np.stack(grads)
 
 
+def _flat_params(model):
+    return np.concatenate([model.params[k].data.ravel() for k in sorted(model.params)])[None, :]
+
+
 def _trained(cfg):
-    """Loss history and flattened parameters of a short training call."""
-    from pointcast import network, synth
+    """Loss history and flattened parameters of a short training call, and of its restore."""
+    from pointcast import network, optim, synth
 
     result = network.train(
         synth.gen_synthetic(N_TRAIN_SCENES, seed=0, future_steps=cfg.future_steps),
         network.TrainConfig(model=cfg, epochs=TRAIN_EPOCHS, batch_size=TRAIN_BATCH,
                             augment=None, eval_every=0, seed=0),
     )
-    params = result.model.params
-    return (np.array([h["train_loss"] for h in result.history]),
-            np.concatenate([params[k].data.ravel() for k in sorted(params)])[None, :])
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = network.save_train_checkpoint(Path(tmp) / "model", result.model, result.state,
+                                             epoch=TRAIN_EPOCHS - 1)
+        restored = network.init_model(cfg, seed=1)
+        network.restore_train_checkpoint(ckpt, restored, optim.adam_init(restored.params))
+    return (np.array([h["train_loss"] for h in result.history]), _flat_params(result.model),
+            _flat_params(restored))
 
 
 def collect() -> dict:
@@ -96,7 +109,8 @@ def collect() -> dict:
     out = {}
     for name, cfg in (("overfit", bench.OVERFIT_MODEL), ("default", network.ModelConfig())):
         out[f"{name}/loss"], out[f"{name}/grad"] = _losses_and_grads(cfg)
-    out["train/loss"], out["train/params"] = _trained(bench.OVERFIT_MODEL)
+    out["train/loss"], out["train/params"], out["restore/params"] = _trained(
+        bench.OVERFIT_MODEL)
     cfg = network.ModelConfig()
     model = network.init_model(cfg, seed=0)
     normalized = [scenes.normalize(raw) for raw in synth.gen_synthetic(
