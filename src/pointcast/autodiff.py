@@ -6,10 +6,12 @@ Node ids count up as nodes are built, so every parent has a smaller id than
 its children. :func:`backward` is therefore one sweep in descending node id,
 which is a reverse topological order: it runs each reachable node's closure
 once and accumulates into ``Tensor.grad``, so per-sample gradients can be
-summed across a batch before an optimizer step. The sweep frees the graph as
-it goes: once a node's VJP has run, its closure and parent links are dropped,
-so each intermediate is released after its last consumer, and a graph can be
-swept only once.
+summed across a batch before an optimizer step. A leaf that already has a
+``.grad`` array is added into in place, so that array may be a view of a
+caller's buffer (``network.train`` sums each shard into one flat row). The
+sweep frees the graph as it goes: once a node's VJP has run, its closure and
+parent links are dropped, so each intermediate is released after its last
+consumer, and a graph can be swept only once.
 
 Inference records no graph: under :func:`no_grad` every op returns a plain
 ``Tensor`` with no parents and no closure, so each intermediate is freed as
@@ -561,13 +563,15 @@ def _freed_vjp(g):
 def backward(loss: Tensor, leaves=None) -> dict:
     """Accumulate d(loss)/d(tensor) into ``.grad`` of every reachable tensor.
 
-    ``loss`` must be a (1, 1) scalar. Gradients add onto any existing
-    ``.grad`` of a leaf, so calls on freshly built graphs accumulate (use
-    ``zero_grad`` between steps). The sweep frees the graph as it goes: once
+    ``loss`` must be a (1, 1) scalar. Gradients add in place into any
+    existing ``.grad`` array of a leaf, which keeps its identity, so calls on
+    freshly built graphs accumulate (use ``zero_grad`` between steps); a leaf
+    without one gets a fresh copy. The sweep frees the graph as it goes: once
     an interior node's VJP has run, its closure and parent links are dropped
     and its ``.data`` stays readable, so a second ``backward`` through the
     same node raises ``RuntimeError``. When ``leaves`` is given, returns
-    {tensor: gradient} with zeros for leaves the loss does not depend on.
+    {tensor: copy of its gradient} with zeros for leaves the loss does not
+    depend on, so a later call's in-place add does not change it.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward: loss must be scalar (1, 1), got {loss.data.shape}")
@@ -582,7 +586,10 @@ def backward(loss: Tensor, leaves=None) -> dict:
         g = grads.pop(node.node_id)
         if node._vjp is None:
             # leaf: keep the accumulated gradient across backward calls
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            if node.grad is None:
+                node.grad = g.copy()
+            else:
+                node.grad += g
             continue
         for p, pg in zip(node._parents, node._vjp(g)):
             if not p.requires_grad:
@@ -597,4 +604,4 @@ def backward(loss: Tensor, leaves=None) -> dict:
         node._parents, node._vjp = (), _freed_vjp
     if leaves is None:
         return {}
-    return {t: (t.grad if t.grad is not None else np.zeros_like(t.data)) for t in leaves}
+    return {t: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data)) for t in leaves}

@@ -102,14 +102,17 @@ def _is_count(value) -> bool:
 def _check_manifest(manifest, manifest_path) -> list[int]:
     """Each array's value count, unless ``manifest`` breaks the layout save_checkpoint writes.
 
-    Raises CheckpointMismatchError for a bad structure, a repeated array name,
-    or arrays that do not tile the data file in list order.
+    Raises CheckpointMismatchError for a bad structure (a missing data length
+    or digest included), a repeated array name, or arrays that do not tile
+    the data file in list order.
     """
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise CheckpointMismatchError(f"{manifest_path}: not a {FORMAT_NAME} file")
     if not isinstance(manifest.get("data_file"), str):
         raise CheckpointMismatchError(f"{manifest_path}: data_file must be a string")
-    for key in ("global_step", "epoch"):
+    if not isinstance(manifest.get("data_sha256"), str):
+        raise CheckpointMismatchError(f"{manifest_path}: data_sha256 must be a string")
+    for key in ("data_bytes", "global_step", "epoch"):
         if not _is_count(manifest.get(key)):
             raise CheckpointMismatchError(f"{manifest_path}: {key} must be a non-negative integer")
     if not isinstance(manifest.get("config"), (dict, type(None))):
@@ -215,8 +218,8 @@ def _stream(fh, n_bytes: int, buf, sha, data_path):
 def _verify(fh, length: int, sizes, entries, data_path, digest):
     """Stream the whole data file once; returns its SHA-256 digest.
 
-    Raises CheckpointMismatchError when the digest is not ``digest`` (unless
-    that is None), or else names the first array that holds a non-finite value.
+    Raises CheckpointMismatchError when the digest is not ``digest``, or else
+    names the first array that holds a non-finite value.
     """
     ends = list(itertools.accumulate(sizes))
     sha = hashlib.sha256()
@@ -228,7 +231,7 @@ def _verify(fh, length: int, sizes, entries, data_path, digest):
             first = at + int(np.flatnonzero(~np.isfinite(values))[0])
             bad = entries[bisect.bisect_right(ends, first)]["name"]
         at += len(values)
-    if digest is not None and sha.hexdigest() != digest:
+    if sha.hexdigest() != digest:
         raise CheckpointMismatchError(
             f"{data_path}: SHA-256 digest differs from the one its manifest records"
         )
@@ -253,8 +256,7 @@ def load_checkpoint(path, into: dict | None = None):
     Every check comes before the first write to a destination: the
     manifest's structure and layout, the names and shapes of ``into``, then
     one pass over the data file through a READ_BUFFER_BYTES buffer for its
-    length, its digest (when the manifest records them; older manifests
-    load unverified) and finite values. Any fault raises
+    length, its digest and finite values. Any fault raises
     CheckpointMismatchError. Only then is the file read again, from the
     start, into the destinations and hashed again, so a data file that
     changes between the two passes is refused as well, though the
@@ -265,17 +267,16 @@ def load_checkpoint(path, into: dict | None = None):
     if into is not None:
         _check_destinations(entries, into, manifest_path)
     data_path = manifest_path.parent / manifest["data_file"]
-    n_bytes = manifest.get("data_bytes")
     with open(data_path, "rb", buffering=0) as fh:
         length = os.fstat(fh.fileno()).st_size
-        if n_bytes is not None and length != n_bytes:
+        if length != manifest["data_bytes"]:
             raise CheckpointMismatchError(
-                f"{data_path}: {length} bytes, manifest records {n_bytes}")
+                f"{data_path}: {length} bytes, manifest records {manifest['data_bytes']}")
         if length != 8 * sum(sizes):
             raise CheckpointMismatchError(
                 f"{data_path}: {length} bytes, manifest lists {sum(sizes)} float64 values"
             )
-        verified = _verify(fh, length, sizes, entries, data_path, manifest.get("data_sha256"))
+        verified = _verify(fh, length, sizes, entries, data_path, manifest["data_sha256"])
         # fresh arrays only now that _verify's buffer is freed: the peak is one copy of the data
         arrays = into if into is not None else {
             entry["name"]: np.empty(entry["shape"]) for entry in entries}

@@ -6,12 +6,14 @@ stage's pointwise output), drops map rows at the head, mean-pools the target
 agent's rows, and regresses K trajectories plus K predicted endpoint
 displacement errors. At inference the trajectories are ranked by predicted
 displacement, ascending. Every evaluation scores through ``evaluate_model``.
-Training sums each batch's gradients in fixed shards by batch position; the
-shards after the first run in forked workers when the process can fork safely.
+Training sums each batch's gradients in fixed shards by batch position, each
+shard straight into its own flat row of a shared mapping; the shards after the
+first run in forked workers when the process can fork safely.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
 import multiprocessing as mp
@@ -313,29 +315,33 @@ def _worker_available() -> bool:
 
 
 def _share_params(params: dict):
-    """Move ``params`` into row 0 of an anonymous shared mapping, beside a row per later shard.
+    """Move ``params`` into row 0 of an anonymous shared mapping of ``1 + SHARDS`` rows.
 
-    Returns the (SHARDS, n) rows, laid out in the dict's order, and each later
-    shard's row as a dict of views shaped like the parameters, for its sum. A
-    process forked afterwards maps the same pages, so it reads every in-place
-    update of the parameters, and the parent reads the sums it writes.
+    Row ``1 + s`` is shard ``s``'s gradient sum; every row is laid out in the
+    dict's order. Returns the rows. A process forked afterwards maps the same
+    pages, so it reads every in-place update of the parameters, and the
+    parent reads the sums it writes.
     """
     n = sum(t.data.size for t in params.values())
-    flat = np.frombuffer(mmap.mmap(-1, 8 * n * SHARDS), dtype=np.float64).reshape(SHARDS, n)
-    for t, view in zip(params.values(), nn.flat_views(flat[0], params).values()):
+    rows = np.frombuffer(mmap.mmap(-1, 8 * n * (1 + SHARDS)), dtype=np.float64)
+    rows = rows.reshape(1 + SHARDS, n)
+    for t, view in zip(params.values(), nn.flat_views(rows[0], params).values()):
         view[...] = t.data
         t.data = view
-    return flat, [nn.flat_views(row, params) for row in flat[1:]]
+    return rows
 
 
-def _sum_shard(model: Model, epoch: int, ids, plan_of):
-    """Sum the gradients of scenes ``ids`` into ``.grad``, in order.
+def _sum_shard(model: Model, row, epoch: int, ids, plan_of):
+    """Sum the gradients of scenes ``ids`` into the flat ``row``, in order.
 
-    Stops at the first scene that fails; returns the losses of the scenes
-    before it and the exception, or None.
+    Zeroes ``row`` and binds each parameter's ``.grad`` to its view of it, so
+    ``backward`` adds every scene's gradient there in place. Stops at the
+    first scene that fails; returns the losses of the scenes before it and
+    the exception, or None.
     """
-    for t in model.params.values():
-        t.zero_grad()
+    row[...] = 0.0
+    for t, view in zip(model.params.values(), nn.flat_views(row, model.params).values()):
+        t.grad = view
     losses = []
     try:
         for si in ids:
@@ -346,43 +352,11 @@ def _sum_shard(model: Model, epoch: int, ids, plan_of):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} on scene {plan.scene_id!r}"
                 )
-            ad.backward(loss)  # sums into .grad across the shard
+            ad.backward(loss)  # adds into row
             losses.append(value)
     except Exception as exc:  # noqa: BLE001 - train raises the batch's earliest failure
         return losses, exc
     return losses, None
-
-
-def _stored_shard(model: Model, plan_of, sums: dict):
-    """``run(epoch, ids)`` for a later shard: ``_sum_shard``, with the sum moved to ``sums``."""
-
-    def run(epoch, ids):
-        reply = _sum_shard(model, epoch, ids, plan_of)
-        for k, t in model.params.items():
-            sums[k][...] = 0.0 if t.grad is None else t.grad
-            t.grad = None
-        return reply
-
-    return run
-
-
-def _batch_gradient(params: dict, flat_sums, sums: dict, busy: int, n: int) -> dict:
-    """(shard 0 + shard 1 + ...) / ``n``, added in shard order, over the shards that ran.
-
-    Shard 0's sum is each parameter's ``.grad``, and the first ``busy`` rows
-    of ``flat_sums`` hold the later shards' sums. The result is built in place
-    in shard 1's buffer (its flat row ``flat_sums[0]`` and its views ``sums``),
-    which is free until the next send, and returned as those views.
-    """
-    for k, t in params.items():
-        if not busy:
-            sums[k][...] = 0.0 if t.grad is None else t.grad
-        elif t.grad is not None:
-            np.add(t.grad, sums[k], out=sums[k])
-    for row in flat_sums[1:busy]:
-        flat_sums[0] += row
-    flat_sums[0] /= n
-    return sums
 
 
 class _LocalShard:
@@ -405,7 +379,8 @@ class _ShardWorker:
     """A later shard run by a process forked once, which answers each ``send``.
 
     Only scene indices, losses and exceptions cross the pipe: the parameters
-    and the shard's gradient sum live in ``_share_params``'s mapping.
+    and the shard's gradient row live in ``_share_params``'s mapping, where
+    the worker's ``backward`` adds into the row in place.
     """
 
     def __init__(self, run, parent_ends):
@@ -473,13 +448,16 @@ def train(
     """Adam training with per-scene backward passes summed into batch gradients.
 
     Each batch is split into ``SHARDS`` fixed shards by position (0, 2, 4, ...
-    and 1, 3, 5, ...). Each shard sums its scenes' gradients in batch order,
-    and Adam steps on the shards' sums added in shard order, divided by the
-    batch size. When ``_worker_available()`` (a usable CPU per shard, the
-    ``fork`` start method, and a process of one OS thread), each later shard
-    runs in a worker forked once per call, which reads the parameters from
-    shared memory; otherwise the later shards run here, before shard 0, with
-    the same arithmetic, so the result never depends on the machine.
+    and 1, 3, 5, ...). Each shard sums its scenes' gradients in batch order
+    straight into its own flat row of ``_share_params``' mapping: its
+    ``.grad`` arrays are views of that row, and leaves accumulate in place.
+    Shard 0's row then becomes the batch mean, the later rows added in shard
+    order and the sum divided by the batch size, and Adam steps on it. When
+    ``_worker_available()`` (a usable CPU per shard, the ``fork`` start
+    method, and a process of one OS thread), each later shard runs in a
+    worker forked once per call, which reads the parameters from shared
+    memory; otherwise the later shards run here, before shard 0, with the
+    same arithmetic, so the result never depends on the machine.
     ``train_loss`` adds per-scene losses in batch order, and the earliest
     failing scene in batch order decides the error, raised here with its type
     and message whichever process ran it. Only this process writes the log
@@ -519,15 +497,14 @@ def train(
         sc = augment(normalized[si], [config.seed, epoch, int(si)], config.augment)
         return scene_plan(sc, config.model)
 
-    flat, shard_sums = _share_params(model.params)
-    flat_params, flat_sums = flat[0], flat[1:]
+    params_row, *grad_rows = _share_params(model.params)
     history = []
     later = []  # shards 1.., each a _ShardWorker or a _LocalShard
     log_fh = open(log_path, "a") if log_path else None
     try:
         fork = _worker_available()
-        for sums in shard_sums:
-            run = _stored_shard(model, plan_of, sums)
+        for row in grad_rows[1:]:
+            run = functools.partial(_sum_shard, model, row, plan_of=plan_of)
             later.append(_ShardWorker(run, [w.conn for w in later]) if fork else _LocalShard(run))
         for epoch in range(start_epoch, config.epochs):
             t0 = time.monotonic()
@@ -540,7 +517,7 @@ def train(
                 busy = later[: len(batch) - 1]  # the later shards that have scenes
                 for shard, part in zip(busy, parts[1:]):
                     shard.send(epoch, part)
-                replies = [_sum_shard(model, epoch, parts[0], plan_of)]
+                replies = [_sum_shard(model, grad_rows[0], epoch, parts[0], plan_of)]
                 replies += [shard.recv() for shard in busy]
                 failed = [(SHARDS * len(losses) + s, error)
                           for s, (losses, error) in enumerate(replies) if error is not None]
@@ -549,13 +526,17 @@ def train(
                 for pos in range(len(batch)):
                     epoch_loss += replies[pos % SHARDS][0][pos // SHARDS]
                 n_seen += len(batch)
-                grads = _batch_gradient(model.params, flat_sums, shard_sums[0], len(busy),
-                                        len(batch))
-                if not np.isfinite(flat_sums[0]).all():
-                    bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
+                # the batch mean, in shard 0's row, which each .grad views
+                grad = grad_rows[0]
+                for row in grad_rows[1 : 1 + len(busy)]:
+                    grad += row
+                grad /= len(batch)
+                if not np.isfinite(grad).all():
+                    bad = next(k for k, t in model.params.items()
+                               if not np.isfinite(t.grad).all())
                     raise TrainingDiverged(f"non-finite gradient of {bad!r} at epoch {epoch}")
                 # one step over the flat rows: both lie in model.params' order, as state's do
-                adam_step(flat_params, flat_sums[0], state, lr)
+                adam_step(params_row, grad, state, lr)
 
             entry = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_seen, 1)}
             if config.eval_every and (epoch + 1) % config.eval_every == 0:

@@ -19,7 +19,7 @@ from .autodiff import Tensor
 @dataclass
 class Linear:
     w: Tensor
-    b: Tensor
+    b: Tensor | None  # None: no bias
 
 
 @dataclass
@@ -43,12 +43,14 @@ def flat_views(row: np.ndarray, params: dict) -> dict:
     return out
 
 
-def init_linear(reg: dict, name: str, fan_in: int, fan_out: int, rng) -> Linear:
+def init_linear(reg: dict, name: str, fan_in: int, fan_out: int, rng, *,
+                bias: bool = True) -> Linear:
     bound = np.sqrt(6.0 / fan_in)
     w = ad.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    b = ad.parameter(np.zeros((1, fan_out)))
     reg[f"{name}/w"] = w
-    reg[f"{name}/b"] = b
+    b = None
+    if bias:
+        b = reg[f"{name}/b"] = ad.parameter(np.zeros((1, fan_out)))
     return Linear(w, b)
 
 
@@ -67,18 +69,20 @@ def init_mlp(
     rng,
     *,
     final_norm_act: bool = False,
+    final_bias: bool = True,
 ) -> list[MLPLayer]:
     """Build an MLP given a width chain [in, h1, ..., out].
 
     Hidden layers are linear -> layer norm -> relu; the final layer is plain
-    linear unless ``final_norm_act`` gives it the norm and relu too.
+    linear unless ``final_norm_act`` gives it the norm and relu too, and has
+    no bias when ``final_bias`` is false.
     """
     if len(widths) < 2:
         raise ValueError("init_mlp: need at least [in, out] widths")
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         last = i == len(widths) - 2
-        lin = init_linear(reg, f"{name}/l{i}", fan_in, fan_out, rng)
+        lin = init_linear(reg, f"{name}/l{i}", fan_in, fan_out, rng, bias=final_bias or not last)
         norm = init_norm(reg, f"{name}/l{i}", fan_out) if final_norm_act or not last else None
         layers.append(MLPLayer(lin, norm))
     return layers

@@ -2,10 +2,10 @@
 
 ``adam_init`` keeps both moments in one flat array, a row each, laid out in
 the order of the parameter dict, with per-name views of the rows for
-checkpoints. ``adam_step`` updates the parameters and both moments in place,
-so a parameter array that another process maps (``network.train``'s shard
-workers read the parameters from shared memory) sees every step. It steps
-tensor by tensor, or once over flat rows laid out as the moments are.
+checkpoints. ``adam_step`` takes the parameters and the gradient as flat
+rows laid out the same way and updates them and both moments in place, so a
+parameter row that another process maps (``network.train``'s shard workers
+read the parameters from shared memory) sees every step.
 """
 
 from __future__ import annotations
@@ -54,43 +54,31 @@ def _update(p, g, m, v, lr, t, b1, b2, eps) -> None:
 
 
 def adam_step(
-    params,
-    grads,
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     betas=(0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update of the parameters, ``state.m`` and ``state.v``, all in place.
+    """One Adam update of the flat ``params`` row, ``state.m`` and ``state.v``, all in place.
 
-    ``params`` and ``grads`` are either a name -> Tensor dict and a name ->
-    gradient dict, stepped tensor by tensor (parameters without a gradient
-    entry are skipped), or a flat parameter row and a flat gradient row laid
-    out as ``state.flat``'s rows, stepped FLAT_CHUNK values at a time. Each
-    update runs in-place operations in the order of the textbook formula
-    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
-    ``p -= lr m_hat / (sqrt(v_hat) + eps)``, so the result is bit for bit that
-    of the out-of-place expressions in either form, with two scratch arrays
-    per update.
+    ``params`` and ``grads`` are flat rows laid out as ``state.flat``'s rows,
+    stepped FLAT_CHUNK values at a time. Each update runs in-place operations
+    in the order of the textbook formula ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g^2``, ``p -= lr m_hat / (sqrt(v_hat) + eps)``, so
+    the result is bit for bit that of the out-of-place expressions, with two
+    scratch arrays per update.
     """
+    if not params.shape == grads.shape == state.flat[0].shape:
+        raise ValueError(f"adam_step: flat parameters {params.shape} and gradient "
+                         f"{grads.shape} for moments {state.flat[0].shape}")
     b1, b2 = betas
     state.step += 1
-    hyper = (lr, state.step, b1, b2, eps)
-    if isinstance(params, np.ndarray):
-        if not params.shape == grads.shape == state.flat[0].shape:
-            raise ValueError(f"adam_step: flat parameters {params.shape} and gradient "
-                             f"{grads.shape} for moments {state.flat[0].shape}")
-        for lo in range(0, params.size, FLAT_CHUNK):
-            at = slice(lo, lo + FLAT_CHUNK)
-            _update(params[at], grads[at], state.flat[0, at], state.flat[1, at], *hyper)
-        return
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} for {name} {p.data.shape}")
-        _update(p.data, g, state.m[name], state.v[name], *hyper)
+    for lo in range(0, params.size, FLAT_CHUNK):
+        at = slice(lo, lo + FLAT_CHUNK)
+        _update(params[at], grads[at], state.flat[0, at], state.flat[1, at],
+                lr, state.step, b1, b2, eps)
 
 
 def lr_at_epoch(epoch: int, base_lr: float, decay_epochs=(10, 20, 30), factor: float = 0.1) -> float:

@@ -87,8 +87,9 @@ def init_spatial(reg, name, c_in, cfg, rng) -> SpatialParams:
     for b in range(cfg.bottleneck_blocks):
         blocks.append(init_bottleneck(reg, f"{name}/vox/b{b}", c, mid, cfg.voxel_width, rng))
         c = cfg.voxel_width
+    # no last bias: it would shift every logit of a point's softmax alike
     interp_mlp = nn.init_mlp(
-        reg, f"{name}/interp", [2 + cfg.voxel_width, cfg.radius_width, 1], rng
+        reg, f"{name}/interp", [2 + cfg.voxel_width, cfg.radius_width, 1], rng, final_bias=False
     )
     fuse = nn.init_mlp(
         reg, f"{name}/fuse", [cfg.pointwise_width + cfg.voxel_width, cfg.spatial_width],

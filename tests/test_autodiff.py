@@ -16,7 +16,7 @@ from conftest import (
 )
 
 from pointcast import autodiff as ad
-from pointcast import optim
+from pointcast import nn, optim
 from pointcast.indexing import CONV_OFFSETS, GroupTable, group_by_keys, kernel_map
 from pointcast.optim import adam_init, adam_step, lr_at_epoch
 
@@ -643,6 +643,20 @@ def test_backward_disconnected_leaf_zero(rng):
     np.testing.assert_array_equal(grads[x], np.ones((2, 2)))
 
 
+def test_backward_adds_into_existing_grad_and_returns_copies(rng):
+    # a leaf's existing .grad is added into in place, the same array; the
+    # dict an earlier backward returned does not move with it
+    x = ad.parameter(rng.normal(size=(3, 2)))
+    first = ad.backward(ad.sum_all(x), leaves=[x])
+    grad = x.grad
+    assert not np.shares_memory(first[x], grad)
+    second = ad.backward(ad.sum_all(ad.add(x, x)), leaves=[x])
+    assert x.grad is grad
+    np.testing.assert_array_equal(grad, 3.0 * np.ones((3, 2)))
+    np.testing.assert_array_equal(first[x], np.ones((3, 2)))
+    np.testing.assert_array_equal(second[x], 3.0 * np.ones((3, 2)))
+
+
 def test_backward_accumulates_shared_subgraph(rng):
     x = ad.parameter(rng.normal(size=(3, 3)))
     y = ad.add(x, x)
@@ -895,23 +909,29 @@ def test_every_primitive_matches_finite_differences():
 # adam
 
 
+def flat_row(p: ad.Tensor):
+    """``p``'s data as a flat row that shares its memory, as network.train steps it."""
+    row = p.data.reshape(-1)
+    assert np.shares_memory(row, p.data)
+    return row
+
+
 def test_adam_zero_gradient_no_move():
     p = ad.parameter(np.array([[1.0, -2.0]]))
-    params = {"p": p}
-    state = adam_init(params)
-    adam_step(params, {"p": np.zeros((1, 2))}, state, lr=0.1)
+    state = adam_init({"p": p})
+    adam_step(flat_row(p), np.zeros(2), state, lr=0.1)
     np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
+    assert not state.flat.any()
 
 
 def test_adam_first_step_signed_unit():
     p = ad.parameter(np.array([[1.0, 1.0]]))
-    params = {"p": p}
-    state = adam_init(params)
-    g = np.array([[0.3, -4.0]])
-    adam_step(params, {"p": g}, state, lr=0.05)
+    state = adam_init({"p": p})
+    g = np.array([0.3, -4.0])
+    adam_step(flat_row(p), g, state, lr=0.05)
     step = p.data - np.array([[1.0, 1.0]])
     # bias-corrected first step is -lr * sign(g), up to eps
-    np.testing.assert_allclose(step, -0.05 * np.sign(g), rtol=1e-6)
+    np.testing.assert_allclose(step, -0.05 * np.sign(g)[None, :], rtol=1e-6)
     assert np.all(np.abs(step) <= 0.05 + 1e-12)
 
 
@@ -927,19 +947,22 @@ def test_adam_quadratic_convergence_matches_scalar_recurrence():
         w_ref -= lr * (m / (1 - b1**t)) / ((v / (1 - b2**t)) ** 0.5 + eps)
 
     p = ad.parameter(np.array([[1.0]]))
-    params = {"p": p}
-    state = adam_init(params)
+    state = adam_init({"p": p})
+    row = flat_row(p)
     for _ in range(100):
         p.zero_grad()
         loss = ad.mul(p, p)
         ad.backward(ad.sum_all(loss))
-        adam_step(params, {"p": p.grad}, state, lr=lr)
+        adam_step(row, p.grad.reshape(-1), state, lr=lr)
     assert p.data[0, 0] == pytest.approx(w_ref, abs=1e-12)
     assert abs(p.data[0, 0]) < 0.1
 
 
-def test_adam_in_place_matches_out_of_place_formula_bit_for_bit(rng):
-    # the textbook expressions, each array rebuilt at every step
+def test_adam_in_place_matches_out_of_place_formula_bit_for_bit(rng, monkeypatch):
+    # the textbook expressions, each array rebuilt at every step; the flat
+    # step runs over more than one chunk, the last one partial (22 values)
+    monkeypatch.setattr(optim, "FLAT_CHUNK", 8)
+
     def reference(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * (g * g)
@@ -947,50 +970,35 @@ def test_adam_in_place_matches_out_of_place_formula_bit_for_bit(rng):
         v_hat = v / (1.0 - b2**t)
         return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
-    shapes = {"w": (5, 3), "b": (1, 3), "skipped": (2, 2)}
+    shapes = {"w": (5, 3), "b": (1, 3), "unused": (2, 2)}
     params = {k: ad.parameter(rng.normal(size=shape)) for k, shape in shapes.items()}
     state = adam_init(params)
-    ref = {k: (t.data.copy(), np.zeros(shape), np.zeros(shape))
-           for (k, t), shape in zip(params.items(), shapes.values())}
-    skipped = params["skipped"].data.copy()
+    row = np.concatenate([t.data.ravel() for t in params.values()])
+    stepped = nn.flat_views(row, params)
+    ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
+    unused = params["unused"].data.copy()
     for t in range(1, 7):
         grads = {k: rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-6, 3) for k in ("w", "b")}
-        adam_step(params, grads, state, lr=3e-2)
+        grads["unused"] = np.zeros(shapes["unused"])  # as a parameter no scene reaches
+        adam_step(row, np.concatenate([g.ravel() for g in grads.values()]), state, lr=3e-2)
         for k, g in grads.items():
             ref[k] = reference(*ref[k], g, t, lr=3e-2)
-        for k in grads:
             p, m, v = ref[k]
-            assert params[k].data.tobytes() == p.tobytes(), (k, t)
+            assert stepped[k].tobytes() == p.tobytes(), (k, t)
             assert state.m[k].tobytes() == m.tobytes() and state.v[k].tobytes() == v.tobytes()
-    assert params["skipped"].data.tobytes() == skipped.tobytes()
-    assert not state.m["skipped"].any() and not state.v["skipped"].any()
+    assert stepped["unused"].tobytes() == unused.tobytes()
+    assert not state.m["unused"].any() and not state.v["unused"].any()
     assert state.step == 6
-
-
-def test_adam_flat_rows_match_per_tensor_steps_bit_for_bit(rng, monkeypatch):
-    # as network.train steps: the parameters and the gradient as flat rows laid
-    # out as the moments are, over more than one chunk (the last one partial)
-    monkeypatch.setattr(optim, "FLAT_CHUNK", 8)
-    shapes = {"w": (5, 3), "b": (1, 3), "s": (2, 2)}
-    per_tensor = {k: ad.parameter(rng.normal(size=shape)) for k, shape in shapes.items()}
-    row = np.concatenate([t.data.ravel() for t in per_tensor.values()])
-    ref, state = adam_init(per_tensor), adam_init(per_tensor)
-    for _ in range(4):
-        grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-        adam_step(per_tensor, grads, ref, lr=3e-2)
-        adam_step(row, np.concatenate([g.ravel() for g in grads.values()]), state, lr=3e-2)
-        assert row.tobytes() == b"".join(t.data.tobytes() for t in per_tensor.values())
-        assert state.flat.tobytes() == ref.flat.tobytes() and state.step == ref.step
-    with pytest.raises(ValueError):
-        adam_step(row[1:], row[1:], state, lr=0.1)
 
 
 def test_adam_shape_mismatch():
     p = ad.parameter(np.zeros((2, 2)))
-    params = {"p": p}
-    state = adam_init(params)
-    with pytest.raises(ValueError):
-        adam_step(params, {"p": np.zeros((1, 2))}, state, lr=0.1)
+    state = adam_init({"p": p})
+    row = flat_row(p)
+    for params, grads in ((row, np.zeros(3)), (row[1:], row[1:]), (p.data, p.data)):
+        with pytest.raises(ValueError):
+            adam_step(params, grads, state, lr=0.1)
+    assert state.step == 0
 
 
 def test_lr_schedule():

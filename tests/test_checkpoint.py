@@ -132,11 +132,12 @@ def test_manifest_records_data_length_and_digest(tmp_path, rng):
     manifest = json.loads((tmp_path / "ck.json").read_text())
     assert manifest["data_bytes"] == len(data) == 48
     assert manifest["data_sha256"] == hashlib.sha256(data).hexdigest()
-    # a manifest written before these keys existed still loads
-    del manifest["data_bytes"], manifest["data_sha256"]
-    (tmp_path / "ck.json").write_text(json.dumps(manifest))
-    loaded, _ = load_checkpoint(tmp_path / "ck.json")
-    np.testing.assert_array_equal(loaded["w"], np.frombuffer(data, dtype="<f8").reshape(2, 3))
+    # a manifest without either key cannot verify its data, so it does not load
+    for key in ("data_bytes", "data_sha256"):
+        (tmp_path / "ck.json").write_text(json.dumps({k: v for k, v in manifest.items()
+                                                      if k != key}))
+        with pytest.raises(CheckpointMismatchError, match=key):
+            load_checkpoint(tmp_path / "ck.json")
 
 
 def test_failed_manifest_rename_rejects_new_data(tmp_path, rng, monkeypatch):

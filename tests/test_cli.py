@@ -410,6 +410,8 @@ MALFORMED_MANIFESTS = {
         **m, "arrays": [*m["arrays"], {"name": "x", "shape": [2**32, 2**32],
                                        "offset": m["data_bytes"] // 8}]},
     "not-json": lambda m: "{not json",
+    # a manifest without the data file's length and digest cannot verify it
+    "no-digest": lambda m: {k: v for k, v in m.items() if k not in ("data_bytes", "data_sha256")},
     # both pass the digest: the data file is the one the manifest was written with
     "duplicate-name": lambda m: {**m, "arrays": [
         m["arrays"][0], {**m["arrays"][1], "name": m["arrays"][0]["name"]}, *m["arrays"][2:]]},

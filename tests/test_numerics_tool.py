@@ -36,13 +36,21 @@ def test_dump_holds_every_group(dump):
     assert shapes["predict/displacements"] == (8, 6)
     assert shapes["eval/report"] == (7,)
     assert shapes["train/loss"] == (2,)
-    assert shapes["train/params"] == shapes["restore/params"] == (1, shapes["overfit/grad"][1])
+    trained = {k.split("/", 2)[2]: s for k, s in shapes.items() if k.startswith("train/params/")}
+    restored = {k.split("/", 2)[2]: s for k, s in shapes.items() if k.startswith("restore/params/")}
+    assert trained == restored
+    assert all(s[0] == 1 for s in trained.values())
+    assert sum(s[1] for s in trained.values()) == shapes["overfit/grad"][1]
+    assert len(shapes) == 8 + 2 * len(trained)
 
 
 def test_dump_compared_with_itself_is_bit_identical(tool, dump, capsys):
     assert tool.main(["compare", str(dump), str(dump)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10 and all(line.endswith(": bit-identical") for line in lines)
+    *lines, worst = capsys.readouterr().out.splitlines()
+    with np.load(dump) as f:
+        assert len(lines) == len(f.files)
+    assert all(line.endswith(": bit-identical") for line in lines)
+    assert worst == "worst: none, every comparable group is bit-identical"
 
 
 def test_perturbed_dump_is_reported(tool, dump, tmp_path, capsys):
@@ -50,19 +58,21 @@ def test_perturbed_dump_is_reported(tool, dump, tmp_path, capsys):
         groups = dict(f)
     grad = groups["default/grad"]
     grad[3, 7] += 1e-9 * np.abs(grad[3]).max()
-    params = groups["train/params"]
+    params = groups["train/params/head/reg/l0/w"]
     params[0, 11] += 1e-6 * np.abs(params).max()
     np.savez(tmp_path / "b.npz", **groups)
     assert tool.main(["compare", str(dump), str(tmp_path / "b.npz")]) == 0
-    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    *lines, worst = capsys.readouterr().out.splitlines()
+    report = dict(line.split(": ", 1) for line in lines)
     assert report.pop("default/grad") == "max relative difference 1e-09"
-    assert report.pop("train/params") == "max relative difference 1e-06"
+    assert report.pop("train/params/head/reg/l0/w") == "max relative difference 1e-06"
     assert set(report.values()) == {"bit-identical"}
+    assert worst == "worst: train/params/head/reg/l0/w (max relative difference 1e-06)"
 
     del groups["predict/displacements"]
     groups["overfit/loss"] = groups["overfit/loss"][:11]
     np.savez(tmp_path / "c.npz", **groups)
     assert tool.main(["compare", str(dump), str(tmp_path / "c.npz")]) == 1
-    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[:-1])
     assert report["predict/displacements"] == "only in A"
     assert report["overfit/loss"] == "shape (12,) vs (11,)"

@@ -369,7 +369,8 @@ def test_interp_zero_mlp_uniform_weights(rng):
     params, _ = tiny_params()
     for layer in params.interp_mlp:
         layer.lin.w.data[:] = 0
-        layer.lin.b.data[:] = 0
+        if layer.lin.b is not None:
+            layer.lin.b.data[:] = 0
         if layer.norm is not None:
             layer.norm.bias.data[:] = 0
     # point at a voxel center with all four 2x2 candidates occupied
@@ -390,6 +391,14 @@ def test_interp_candidates_match_dict_loop(rng):
         ref = dict_interp_candidates(coords, pts, 0.5)
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
+
+
+def test_interp_logit_layer_has_no_bias():
+    # a bias on the logit would shift every logit of a point alike, which the
+    # softmax ignores: its exact gradient is 0
+    params, reg = tiny_params()
+    assert params.interp_mlp[-1].lin.b is None and params.interp_mlp[0].lin.b is not None
+    assert sorted(k for k in reg if k.startswith("sp/interp/l1")) == ["sp/interp/l1/w"]
 
 
 def test_interp_gradient_wrt_mlp(rng):

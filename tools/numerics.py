@@ -10,14 +10,14 @@
   seed=0)`` at the benchmark's ``OVERFIT_MODEL``, model seed 0;
 - ``default/loss`` and ``default/grad``: the same at the default
   ``ModelConfig``;
-- ``train/loss`` and ``train/params``: the loss history and the flattened
-  trained parameters (sorted names, one row) of a short ``network.train`` on
-  the same 12 scenes at ``OVERFIT_MODEL``: batch 8, 2 epochs, no
-  augmentation, seed 0;
-- ``restore/params``: that trained model saved with
+- ``train/loss`` and ``train/params/<name>``: the loss history and each
+  trained parameter (one group per parameter name, one row) of a short
+  ``network.train`` on the same 12 scenes at ``OVERFIT_MODEL``: batch 8,
+  2 epochs, no augmentation, seed 0;
+- ``restore/params/<name>``: that trained model saved with
   ``network.save_train_checkpoint``, restored by
-  ``network.restore_train_checkpoint`` into a fresh ``init_model`` (seed 1)
-  and flattened the same way;
+  ``network.restore_train_checkpoint`` into a fresh ``init_model`` (seed 1),
+  one group per parameter the same way;
 - ``predict/trajectories`` and ``predict/displacements``: ``network.forward``
   at the default config on 8 congested scenes (the benchmark's
   ``CONGESTED_SPEED``, seed 0);
@@ -26,9 +26,10 @@
 
 ``compare`` prints one line per group: ``bit-identical``, or the largest
 relative difference over scenes, where a scene's difference is its max
-``|a - b|`` over its max ``|a|``. It exits 1 when the two files do not hold
-the same groups and shapes. Dump the parent and the change with the same
-numpy and BLAS, then compare the two files.
+``|a - b|`` over its max ``|a|``. A last line names the group of the largest
+difference, or says that every comparable group is bit-identical. It exits 1
+when the two files do not hold the same groups and shapes. Dump the parent
+and the change with the same numpy and BLAS, then compare the two files.
 """
 
 from __future__ import annotations
@@ -80,12 +81,12 @@ def _losses_and_grads(cfg):
     return np.array(losses), np.stack(grads)
 
 
-def _flat_params(model):
-    return np.concatenate([model.params[k].data.ravel() for k in sorted(model.params)])[None, :]
+def _param_groups(prefix, model):
+    return {f"{prefix}/{k}": t.data.reshape(1, -1) for k, t in model.params.items()}
 
 
 def _trained(cfg):
-    """Loss history and flattened parameters of a short training call, and of its restore."""
+    """Loss history and per-parameter groups of a short training call, and of its restore."""
     from pointcast import network, optim, synth
 
     result = network.train(
@@ -98,8 +99,9 @@ def _trained(cfg):
                                              epoch=TRAIN_EPOCHS - 1)
         restored = network.init_model(cfg, seed=1)
         network.restore_train_checkpoint(ckpt, restored, optim.adam_init(restored.params))
-    return (np.array([h["train_loss"] for h in result.history]), _flat_params(result.model),
-            _flat_params(restored))
+    return {"train/loss": np.array([h["train_loss"] for h in result.history]),
+            **_param_groups("train/params", result.model),
+            **_param_groups("restore/params", restored)}
 
 
 def collect() -> dict:
@@ -109,8 +111,7 @@ def collect() -> dict:
     out = {}
     for name, cfg in (("overfit", bench.OVERFIT_MODEL), ("default", network.ModelConfig())):
         out[f"{name}/loss"], out[f"{name}/grad"] = _losses_and_grads(cfg)
-    out["train/loss"], out["train/params"], out["restore/params"] = _trained(
-        bench.OVERFIT_MODEL)
+    out.update(_trained(bench.OVERFIT_MODEL))
     cfg = network.ModelConfig()
     model = network.init_model(cfg, seed=0)
     normalized = [scenes.normalize(raw) for raw in synth.gen_synthetic(
@@ -125,8 +126,9 @@ def collect() -> dict:
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
-    """One report line per group, and whether the files held the same groups and shapes."""
-    lines, same = [], True
+    """One report line per group and a worst-group line, and whether the files held the same
+    groups and shapes."""
+    lines, same, worst = [], True, None
     for key in sorted(set(a) | set(b)):
         if key not in a or key not in b:
             lines.append(f"{key}: only in {'A' if key in a else 'B'}")
@@ -138,8 +140,13 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
             lines.append(f"{key}: bit-identical")
         else:
             x, y = (v.reshape(len(v), -1) for v in (a[key], b[key]))
-            diff = np.abs(x - y).max(axis=1) / np.abs(x).max(axis=1)
-            lines.append(f"{key}: max relative difference {diff.max():.3g}")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                diff = (np.abs(x - y).max(axis=1) / np.abs(x).max(axis=1)).max()
+            lines.append(f"{key}: max relative difference {diff:.3g}")
+            if worst is None or not diff <= worst[1]:
+                worst = key, diff
+    lines.append("worst: none, every comparable group is bit-identical" if worst is None
+                 else f"worst: {worst[0]} (max relative difference {worst[1]:.3g})")
     return lines, same
 
 
