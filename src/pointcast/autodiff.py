@@ -35,8 +35,8 @@ each block is multiplied on its own rows and a gathered block is gathered
 after its product.
 
 There is deliberately no general broadcasting: the only shape-bending ops are
-the named primitives below (``scale_rows``, ``mean_rows``, the block
-``linear``, ``submanifold_conv``, the gathers and the scatters). Every
+the named primitives below (``scale_rows``, ``mean_rows``, ``take_rows``,
+the block ``linear``, ``submanifold_conv``, the gathers and the scatters). Every
 index-taking primitive reads a CSR :class:`~pointcast.indexing.GroupTable` or
 distinct rows, so each backward sum is a segment sum or a plain fancy-index add.
 """
@@ -417,6 +417,20 @@ def mean_rows(x: Tensor, rows) -> Tensor:
         return (gx,)
 
     return _op(x.data[rows].mean(axis=0, keepdims=True), (x,), vjp)
+
+
+def take_rows(x: Tensor, rows) -> Tensor:
+    """The distinct rows ``rows`` of x, in that order; each gets its row of ``g`` back."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(np.unique(rows)) != len(rows) or not np.all((rows >= 0) & (rows < x.data.shape[0])):
+        raise ValueError(f"take_rows: rows must be distinct and in [0, {x.data.shape[0]})")
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[rows] = g
+        return (gx,)
+
+    return _op(x.data[rows], (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

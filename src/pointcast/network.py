@@ -2,13 +2,14 @@
 
 The network reads one :class:`~pointcast.indexing.ScenePlan` per scene. It
 alternates spatial and temporal blocks (each stage consuming the previous
-stage's pointwise output), drops map rows at the head, mean-pools the target
-agent's rows, and regresses K trajectories plus K predicted endpoint
-displacement errors. At inference the trajectories are ranked by predicted
-displacement, ascending. Every evaluation scores through ``evaluate_model``.
-Training sums each batch's gradients in fixed shards by batch position, each
-shard straight into its own flat row of a shared mapping; the shards after the
-first run in forked workers when the process can fork safely.
+stage's pointwise output), computes the last stage's output at the target
+agent's rows only, mean-pools them, and regresses K trajectories plus K
+predicted endpoint displacement errors. At inference the trajectories are
+ranked by predicted displacement, ascending. Every evaluation scores through
+``evaluate_model``. Training sums each batch's gradients in fixed shards by
+batch position, each shard straight into its own flat row of a shared
+mapping; the shards after the first run in forked workers when the process
+can fork safely.
 """
 
 from __future__ import annotations
@@ -123,13 +124,25 @@ def scene_plan(scene: NormalizedScene, config: ModelConfig) -> ScenePlan:
 
 
 def forward_graph(model: Model, plan: ScenePlan):
-    """Run the network on one scene's plan, returning (reg head (1, K*T*2), disp head (1, K))."""
+    """Run the network on one scene's plan, returning (reg head (1, K*T*2), disp head (1, K)).
+
+    The heads read only the target agent's rows, so the last stage computes
+    only those: its voxel branch runs on the whole plan, and the rest of the
+    stage on ``plan.target_view``. That is exact, because the temporal
+    block works within each instance and every norm within a row. Each
+    kept row comes out as on the whole plan up to rounding: BLAS may
+    round a product over fewer rows differently.
+    """
     x = nn.apply_mlp(model.embed, ad.constant(plan.embedding))
-    for sp, tp in zip(model.spatial, model.temporal):
+    *early, (last_sp, last_tp) = zip(model.spatial, model.temporal)
+    for sp, tp in early:
         x = spatial_block(plan, x, sp)
         x = temporal_block(plan, x, tp)
-    # drop map rows, pool the target agent's rows into one vector
-    pooled = ad.mean_rows(x, plan.target_rows)
+    view = plan.target_view
+    x = spatial_block(plan, x, last_sp, view)
+    x = temporal_block(view, x, last_tp)
+    # x holds the target agent's rows alone: pool them into one vector
+    pooled = ad.mean_rows(x, np.arange(len(view.rows)))
     reg = nn.apply_mlp(model.head_reg, pooled)
     disp = nn.apply_mlp(model.head_disp, pooled)
     return reg, disp

@@ -19,7 +19,7 @@ from . import nn
 from .autodiff import Tensor
 # radius_pairs lives beside the other lookups that plan_scene calls; it is
 # re-exported so callers and span tracers keep finding it as spatial.radius_pairs
-from .indexing import ScenePlan, radius_pairs  # noqa: F401
+from .indexing import ScenePlan, TargetView, radius_pairs  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +102,24 @@ def init_spatial(reg, name, c_in, cfg, rng) -> SpatialParams:
 # forward ops
 
 
-def pointwise_learning(plan: ScenePlan, feats: Tensor, params: SpatialParams) -> Tensor:
-    """Multi-radius neighborhood feature learning; keeps all N points."""
+def pointwise_learning(plan: ScenePlan | TargetView, feats, params: SpatialParams) -> Tensor:
+    """Multi-radius neighborhood feature learning, one output row per center.
+
+    ``feats`` is the block input, whose rows every by-neighbor table of a
+    ScenePlan indexes. For a TargetView it is one Tensor per radius, the
+    input's ``neighbor_rows`` at that radius.
+    """
     if not plan.neighborhoods:
         raise ValueError("pointwise_learning: empty radius list")
     if len(plan.neighborhoods) != len(params.radius_mlps):
         raise ValueError("pointwise_learning: plan and params have different radius counts")
+    if isinstance(feats, Tensor):
+        feats = [feats] * len(plan.neighborhoods)
     per_radius = []
-    for (rel, by_center, by_neighbor), mlp in zip(plan.neighborhoods, params.radius_mlps):
-        # the first layer on [feats[nbrs], rel] runs per point and is gathered per pair
-        h = nn.apply_mlp(mlp, [(feats, by_neighbor), rel])
+    for (rel, by_center, by_neighbor), mlp, x in zip(plan.neighborhoods, params.radius_mlps,
+                                                     feats):
+        # the first layer on [x[nbrs], rel] runs per point and is gathered per pair
+        h = nn.apply_mlp(mlp, [(x, by_neighbor), rel])
         per_radius.append(ad.scatter_max(h, by_center))
     return nn.apply_mlp(params.pointwise_out, per_radius)
 
@@ -139,13 +147,16 @@ def sparse_bottleneck(kernel_map, feats: Tensor, params: SpatialParams) -> Tenso
     return x
 
 
-def interp_voxel_to_point(plan: ScenePlan, voxel_feats: Tensor, params: SpatialParams) -> Tensor:
+def interp_voxel_to_point(plan: ScenePlan | TargetView, voxel_feats: Tensor,
+                          params: SpatialParams) -> Tensor:
     """Learnable interpolation from the <=4 nearest occupied voxels per point.
 
     Candidates are the 2x2 cell neighborhood whose centers surround the
     point's continuous position, filtered to occupied cells; the point's own
     voxel is always occupied and always among the four. An MLP on
     [offset-to-center, voxel feature] produces logits, softmaxed per point.
+    ``voxel_feats`` has the rows that ``plan.interp_rows`` groups by: every
+    voxel of a ScenePlan, or a TargetView's ``voxel_rows``.
     """
     vox_feats = ad.gather_rows(voxel_feats, plan.interp_rows)
     logits = nn.apply_mlp(params.interp_mlp, [plan.interp_delta, vox_feats])
@@ -154,9 +165,23 @@ def interp_voxel_to_point(plan: ScenePlan, voxel_feats: Tensor, params: SpatialP
     return ad.scatter_add_rows(weighted, plan.by_point)
 
 
-def spatial_block(plan: ScenePlan, feats: Tensor, params: SpatialParams) -> Tensor:
-    """Pointwise and voxelwise branches over the block input, fused by concat."""
-    p = pointwise_learning(plan, feats, params)
+def spatial_block(plan: ScenePlan, feats: Tensor, params: SpatialParams,
+                  view: TargetView | None = None) -> Tensor:
+    """Pointwise and voxelwise branches over the block input, fused by concat.
+
+    With ``view`` (the plan's ``target_view``) the output holds the view's
+    rows only. The voxel branch still runs on every voxel of the plan, since
+    a voxel mean reads every point in it; the radius MLPs read the input
+    only at the view's neighbor rows, and the interpolation reads only the
+    view's voxels.
+    """
+    if view is None:
+        p = pointwise_learning(plan, feats, params)
+    else:
+        p = pointwise_learning(view, [ad.take_rows(feats, r) for r in view.neighbor_rows], params)
     v = sparse_bottleneck(plan.kernel_map, ftp_point_to_voxel(plan, feats), params)
-    v = interp_voxel_to_point(plan, v, params)
+    if view is None:
+        v = interp_voxel_to_point(plan, v, params)
+    else:
+        v = interp_voxel_to_point(view, ad.take_rows(v, view.voxel_rows), params)
     return nn.apply_mlp(params.fuse, [p, v])

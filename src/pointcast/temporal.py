@@ -2,7 +2,9 @@
 
 Variable-length agent histories are handled purely through instance-time
 grouping; there is no padding anywhere, and nothing ever mixes features
-across instances.
+across instances. So the blocks run as well on a plan's
+:class:`~pointcast.indexing.TargetView`, whose groups are the target
+instance's alone, as on the whole plan.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .indexing import ScenePlan
+from .indexing import ScenePlan, TargetView
 
 
 @dataclass
@@ -39,7 +41,7 @@ def init_temporal(reg, name, c_in, cfg, rng) -> TemporalParams:
     return TemporalParams(interval_mlps, pool_mlp, pool_proj, out_proj)
 
 
-def multi_interval(plan: ScenePlan, feats: Tensor, interval_mlps) -> list:
+def multi_interval(plan: ScenePlan | TargetView, feats: Tensor, interval_mlps) -> list:
     """Progressive group-transform-pool-slice-concat over the plan's interval ladder.
 
     For each interval t: points regroup by (instance, floor(time / t)); the
@@ -60,7 +62,7 @@ def multi_interval(plan: ScenePlan, feats: Tensor, interval_mlps) -> list:
     return o_p
 
 
-def instance_pool(plan: ScenePlan, blocks: list, pool_mlp, pool_proj) -> Tensor:
+def instance_pool(plan: ScenePlan | TargetView, blocks: list, pool_mlp, pool_proj) -> Tensor:
     """Max-pool transformed features per instance and concat back to each point.
 
     ``blocks`` are the per-point features as column blocks of
@@ -72,7 +74,7 @@ def instance_pool(plan: ScenePlan, blocks: list, pool_mlp, pool_proj) -> Tensor:
     return nn.apply_mlp(pool_proj, [*blocks, (pooled, groups)])
 
 
-def temporal_block(plan: ScenePlan, feats: Tensor, params: TemporalParams) -> Tensor:
+def temporal_block(plan: ScenePlan | TargetView, feats: Tensor, params: TemporalParams) -> Tensor:
     x = multi_interval(plan, feats, params.interval_mlps)
     x = instance_pool(plan, x, params.pool_mlp, params.pool_proj)
     return nn.apply_mlp(params.out_proj, x)

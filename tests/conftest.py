@@ -8,6 +8,7 @@ stay ignorant of the library's internals.
 from __future__ import annotations
 
 import os
+import time
 
 # One BLAS thread, set before numpy loads, as bench/run.py does: the test
 # process then runs one OS thread, so network.train forks its shard worker
@@ -260,6 +261,28 @@ def brute_radius_pairs(points, radius):
 # processes
 
 
+def proc_stat(pid: int) -> tuple[str, int] | None:
+    """``(state, ppid)`` of process ``pid`` from /proc, or None once ``/proc/<pid>`` is gone.
+
+    A read while the process exits can fail, or come back empty or cut short
+    before the ``)`` that ends the command name. Such a read is retried, and
+    the process counts as gone only when its directory is.
+    """
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            stat = ""
+        fields = stat[stat.rindex(")") + 2 :].split() if ")" in stat else []
+        if len(fields) >= 2:
+            return fields[0], int(fields[1])
+        if not Path(f"/proc/{pid}").exists():
+            return None
+        assert time.monotonic() < deadline, f"/proc/{pid}/stat stays unparsable: {stat!r}"
+        time.sleep(0.001)
+
+
 def live_children(parent: int) -> list[int]:
     """Pids of the children of ``parent`` that have not exited, read from /proc.
 
@@ -267,12 +290,8 @@ def live_children(parent: int) -> list[int]:
     """
     out = []
     for entry in Path("/proc").glob("[0-9]*"):
-        try:
-            stat = (entry / "stat").read_text()
-        except OSError:
-            continue  # the process exited while we listed
-        state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
-        if int(ppid) == parent and state != "Z":
+        stat = proc_stat(int(entry.name))
+        if stat is not None and stat[1] == parent and stat[0] != "Z":
             out.append(int(entry.name))
     return out
 

@@ -287,6 +287,25 @@ def test_gather_rows_out_of_range():
         ad.gather_rows(x, GroupTable.from_group_of(np.array([0, 1, 2]), 3))
 
 
+def test_take_rows_values_and_gradient_scatter_back(rng):
+    x = ad.parameter(rng.normal(size=(5, 3)))
+    rows = np.array([3, 0, 4])
+    out = ad.take_rows(x, rows)
+    np.testing.assert_array_equal(out.data, x.data[rows])
+    g = rng.normal(size=(3, 3))
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+    want = np.zeros((5, 3))
+    for i, r in enumerate(rows):
+        want[r] = g[i]
+    np.testing.assert_array_equal(x.grad, want)
+
+
+@pytest.mark.parametrize("rows", [[0, 0], [2], [-1], [0, 1, 1]])
+def test_take_rows_rejects_repeated_or_out_of_range_rows(rows):
+    with pytest.raises(ValueError, match="take_rows"):
+        ad.take_rows(ad.constant(np.zeros((2, 2))), rows)
+
+
 def test_gather_and_scatter_add_rows_match_bruteforce(rng):
     for _ in range(30):
         n = int(rng.integers(1, 40))
@@ -810,6 +829,10 @@ def _primitive_cases(rng, n, c):
     pre_dense = spread_values(child, (n, c))
     x_dense = ad.parameter((pre_dense - b.data) @ w_dense.data.T)
     bias_dense = ad.parameter(bias_clear_of_relu_kink(pre_dense, gain.data))
+    # take_rows draws from the child last: distinct rows in any order, and its probe
+    x_take = ad.parameter(child.normal(size=(n, c)))
+    take_idx = child.permutation(n)[: int(child.integers(1, n + 1))]
+    r_take = ad.constant(child.normal(size=(len(take_idx), c)))
     x_cat_a, x_cat_b = fresh(), fresh()
     x_slice, x_gather, x_mean = fresh(), fresh(), fresh()
     x_smean, x_smax, x_sadd = fresh(), fresh(True), fresh()
@@ -871,6 +894,8 @@ def _primitive_cases(rng, n, c):
          [x_na_act, gain, bias_act]),
         ("dense+relu", lambda: p_nc(ad.dense(x_dense, w_dense, b, gain, bias_dense, act=True)),
          [x_dense, w_dense, b, gain, bias_dense]),
+        ("take_rows", lambda: ad.sum_all(ad.mul(ad.take_rows(x_take, take_idx), r_take)),
+         [x_take]),
     ]
 
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_conv_pairs,
@@ -295,7 +297,8 @@ def test_scene_plan_matches_bruteforce(seed):
     ps = index_scene(normalize(gen_synthetic(1, seed=seed)[0]), 0.2)
     assert ps.voxels.min() < 0 < ps.voxels.max()
     radii, intervals = (0.4, 1.6), (2, 4, 8)
-    plan = plan_scene(ps, ModelConfig(radii=radii, intervals=intervals))
+    cfg = ModelConfig(radii=radii, intervals=intervals)
+    plan = plan_scene(ps, cfg)
 
     assert len(plan.neighborhoods) == len(radii)
     for radius, (rel, by_center, by_neighbor) in zip(radii, plan.neighborhoods):
@@ -335,6 +338,95 @@ def test_scene_plan_matches_bruteforce(seed):
         )
         np.testing.assert_array_equal(table.group_of, ref)
     np.testing.assert_array_equal(plan.by_instance.group_of, brute_group_by_keys(ps.instance)[0])
+    assert_view_restricts_plan(ps, plan, cfg)
+
+
+def assert_view_restricts_plan(ps, plan, cfg):
+    """The plan's target view equals a brute-force restriction of the plan to the target rows."""
+    view = plan.target_view
+    target = np.flatnonzero(ps.kind == KIND_TARGET)
+    np.testing.assert_array_equal(view.rows, target)
+    is_target = np.isin(np.arange(len(ps)), target)
+
+    assert len(view.neighborhoods) == len(view.neighbor_rows) == len(cfg.radii)
+    for radius, (rel, by_center, by_neighbor), rows in zip(cfg.radii, view.neighborhoods,
+                                                           view.neighbor_rows):
+        centers, nbrs = brute_radius_pairs(ps.points, radius)
+        keep = is_target[centers]
+        # the same pairs, in the same order
+        np.testing.assert_array_equal(target[by_center.group_of], centers[keep])
+        np.testing.assert_array_equal(rows[by_neighbor.group_of], nbrs[keep])
+        np.testing.assert_array_equal(rel, ps.points[nbrs[keep]] - ps.points[centers[keep]])
+        np.testing.assert_array_equal(rows, np.unique(nbrs[keep]))
+        assert by_center.n_groups == len(target) and by_neighbor.n_groups == len(rows)
+        for table in (by_center, by_neighbor):
+            assert table.counts().min() >= 1
+
+    cand_point, cand_row = dict_interp_candidates(plan.voxel_coords, ps.points, ps.grid_size)
+    keep = is_target[cand_point]
+    np.testing.assert_array_equal(target[view.by_point.group_of], cand_point[keep])
+    np.testing.assert_array_equal(view.voxel_rows[view.interp_rows.group_of], cand_row[keep])
+    np.testing.assert_array_equal(view.voxel_rows, np.unique(cand_row[keep]))
+    np.testing.assert_array_equal(view.interp_delta, plan.interp_delta[keep])
+    assert view.by_point.n_groups == len(target)
+    assert view.interp_rows.n_groups == len(view.voxel_rows)
+
+    assert len(view.by_interval) == len(cfg.intervals)
+    for interval, table in zip(cfg.intervals, view.by_interval):
+        ref, _ = brute_group_by_keys(
+            [(int(ps.instance[r]), int(ps.time[r]) // interval) for r in target])
+        np.testing.assert_array_equal(table.group_of, ref)
+    np.testing.assert_array_equal(view.by_instance.group_of,
+                                  brute_group_by_keys(ps.instance[target])[0])
+
+    for table in (view.by_point, view.interp_rows, *view.by_interval, view.by_instance):
+        assert table.counts().min() >= 1
+        assert table.n_groups == len(table.offsets) - 1 == table.group_of.max() + 1
+    for rows in (view.rows, view.voxel_rows, *view.neighbor_rows):
+        assert len(rows) and np.all(np.diff(rows) > 0)  # distinct and ascending
+
+
+@st.composite
+def point_sets(draw):
+    """Instances of 1-6 points, one of them the target, in rows shuffled together.
+
+    Coordinates come from a coarse grid on both sides of the origin, so
+    points repeat and share voxels and cells.
+    """
+    n_inst = draw(st.integers(1, 5))
+    target = draw(st.integers(0, n_inst - 1))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=n_inst, max_size=n_inst))
+    kinds = [KIND_TARGET if i == target else draw(st.sampled_from([KIND_OTHER, KIND_MAP]))
+             for i in range(n_inst)]
+    n = sum(sizes)
+    cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=n, max_size=n))
+    perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    time = np.concatenate([np.zeros(k, np.int64) if kind == KIND_MAP else np.arange(k)
+                           for k, kind in zip(sizes, kinds)])
+    return make_ps(np.asarray(cells, dtype=np.float64) * 0.3,
+                   np.repeat(np.arange(n_inst), sizes)[perm], time[perm],
+                   np.repeat(kinds, sizes)[perm], grid_size=draw(st.sampled_from([0.2, 0.5])))
+
+
+VIEW_CFG = ModelConfig(radii=(0.3, 0.7), intervals=(1, 2, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps=point_sets())
+# a one-point target on a point that two other rows repeat, with negative coordinates
+@example(ps=make_ps([[-0.3, 0.3], [-0.3, 0.3], [-0.3, 0.3], [0.6, -0.9]], [1, 0, 1, 2],
+                    [0, 0, 1, 0], [KIND_OTHER, KIND_TARGET, KIND_OTHER, KIND_MAP]))
+def test_target_view_restricts_plan(ps):
+    assert_view_restricts_plan(ps, plan_scene(ps, VIEW_CFG), VIEW_CFG)
+
+
+def test_plan_rejects_target_sharing_an_instance():
+    # the temporal block on the view would miss the instance's other rows
+    ps = make_ps([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [0, 0, 1], [0, 1, 0],
+                 [KIND_TARGET, KIND_OTHER, KIND_OTHER])
+    with pytest.raises(ValueError, match="share a group"):
+        plan_scene(ps, VIEW_CFG)
 
 
 def _arrays(x):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad
-from test_acceptance import OVERFIT_MODEL
+from test_acceptance import OVERFIT_MODEL, TINY
 
 from pointcast import (
     ModelConfig,
@@ -20,9 +20,9 @@ from pointcast import (
     rank_trajectories,
     select_best,
 )
-from pointcast import indexing, metrics, network, nn, spatial
+from pointcast import indexing, metrics, network, nn, spatial, temporal
 from pointcast.indexing import KIND_MAP, index_scene
-from pointcast.scenes import AugConfig, MapElement, SceneValidationError
+from pointcast.scenes import AgentTrack, AugConfig, MapElement, SceneValidationError
 from pointcast.network import (
     TrainingDiverged,
     evaluate_model,
@@ -543,14 +543,15 @@ def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 198), (OVERFIT_MODEL, 88)],
+# one take_rows node per radius and one for the voxels feed the last stage's target view
+@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 203), (OVERFIT_MODEL, 92)],
                          ids=["default", "overfit"])
 def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
     model = init_model(cfg, seed=0)
     gains = sorted(id(t) for name, t in model.params.items() if name.endswith("/gain"))
     calls = {fn.__name__: _count_calls(monkeypatch, fn)
              for fn in (ad.layer_norm, ad.relu, ad.norm_act, ad.dense, ad.linear,
-                        ad.concat_cols, ad.concat_cols_all, ad.gather_rows)}
+                        ad.concat_cols, ad.concat_cols_all, ad.gather_rows, ad.take_rows)}
     built = _record_ops(monkeypatch)
     for raw in gen_synthetic(3, seed=0, future_steps=cfg.future_steps):
         built.clear()
@@ -573,6 +574,7 @@ def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
         # which the softmax weights scale
         assert len(calls["concat_cols"]) == len(calls["concat_cols_all"]) == 0
         assert len(calls["gather_rows"]) == cfg.n_stages
+        assert len(calls["take_rows"]) == len(cfg.radii) + 1
         assert len(built) == nodes
 
 
@@ -666,9 +668,73 @@ def test_forward_builds_no_graph(monkeypatch):
     assert any(t._parents for t in built)
     built.clear()
     forward(model, scene)
-    assert n_graph == 198
+    assert n_graph == 203
     assert len(built) == n_graph  # every primitive still goes through _op once
     assert all(t._parents == () and t._vjp is None and not t.requires_grad for t in built)
+
+
+# ---------------------------------------------------------------------------
+# the last stage on the target view
+
+
+def full_plan_forward_graph(model, plan):
+    """The heads with every stage run on the whole plan and the target rows taken afterwards."""
+    x = nn.apply_mlp(model.embed, ad.constant(plan.embedding))
+    for sp, tp in zip(model.spatial, model.temporal):
+        x = spatial.spatial_block(plan, x, sp)
+        x = temporal.temporal_block(plan, x, tp)
+    pooled = ad.mean_rows(x, plan.target_rows)
+    return nn.apply_mlp(model.head_reg, pooled), nn.apply_mlp(model.head_disp, pooled)
+
+
+def _target_variants(raw):
+    """The normalized scene, with its target last among the agents, and with a one-point target."""
+    scene = normalize(raw)
+    (target,) = [a for a in scene.agents if a.track_id == scene.target_id]
+    others = [a for a in scene.agents if a is not target]
+    last = AgentTrack(target.track_id, target.steps[-1:].copy(), target.xy[-1:].copy())
+    return {"scene": scene,
+            "target-last": dataclasses.replace(scene, agents=others + [target]),
+            "one-point-target": dataclasses.replace(scene, agents=[last] + others)}
+
+
+def _relative(got, want, scale=None):
+    """Max ``|got - want|`` over ``scale``, by default over max ``|want|``."""
+    scale = np.abs(want).max() if scale is None else scale
+    return np.abs(got - want).max() / scale if scale > 0 else np.abs(got).max()
+
+
+@pytest.mark.parametrize("cfg", [TINY, dataclasses.replace(OVERFIT_MODEL, n_stages=1),
+                                 OVERFIT_MODEL, ModelConfig()],
+                         ids=["tiny", "overfit-1-stage", "overfit", "default"])
+def test_last_stage_on_target_view_matches_full_plan(cfg):
+    model = init_model(cfg, seed=0)
+    params = list(model.params.values())
+    for i, raw in enumerate(gen_synthetic(2, seed=8, future_steps=cfg.future_steps)):
+        for name, scene in _target_variants(raw).items():
+            plan = scene_plan(scene, cfg)
+            if name == "target-last":
+                assert plan.target_rows[0] > 0
+            if name == "one-point-target":
+                assert len(plan.target_rows) == 1
+            results = []
+            for run in (forward_graph, full_plan_forward_graph):
+                for t in params:
+                    t.zero_grad()
+                reg, disp = run(model, plan)
+                loss = total_loss(reg, disp, plan.future, cfg)
+                grads = ad.backward(loss, leaves=params)
+                results.append(([reg.data, disp.data, loss.data], [grads[t] for t in params]))
+            (heads, grads), (want_heads, want_grads) = results
+            worst = max((_relative(got, want), label) for label, got, want
+                        in zip(["reg", "disp", "loss"], heads, want_heads))
+            # each gradient relative to the scene's largest: a gradient that is
+            # 0 in exact arithmetic (a layer norm is blind to its input's scale)
+            # is rounding noise, which no relative test on its own size can hold
+            scale = max(np.abs(g).max() for g in want_grads)
+            worst = max(worst, *((_relative(got, want, scale), label) for label, got, want
+                                 in zip(model.params, grads, want_grads)))
+            assert worst[0] <= 1e-12, (i, name, worst)
 
 
 @pytest.mark.parametrize("cfg", [OVERFIT_MODEL, ModelConfig()], ids=["overfit", "default"])

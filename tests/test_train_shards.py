@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import live_children
+from conftest import live_children, proc_stat
 from test_network import SMALL, gen_small
 
 from pointcast import autodiff as ad
@@ -207,6 +207,7 @@ def test_worker_ends_when_parent_is_killed():
         while len(pids) < 2:
             line = proc.stdout.readline()
             assert line, f"training exited with {proc.wait(timeout=30)} before both shards ran"
+            assert line.strip().isdigit(), f"training printed {line!r} where a pid was expected"
             pids.add(int(line))
         (worker,) = pids - {proc.pid}
         assert worker in live_children(proc.pid)
@@ -224,11 +225,8 @@ def test_worker_ends_when_parent_is_killed():
 
 
 def is_running(pid: int) -> bool:
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return stat[stat.rindex(")") + 2] != "Z"
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 def test_worker_available_needs_cpus_fork_and_one_thread(monkeypatch):
