@@ -29,18 +29,19 @@ ps = IndexedPointSet(
 )
 print(f"agent history lengths: {lengths} -> {len(ps)} points, zero padding anywhere")
 plan = plan_scene(ps, cfg)
-print("groups per interval:", {t: g.n_groups for t, g in zip(cfg.intervals, plan.by_interval)},
-      f"instances: {plan.by_instance.n_groups}")
+rows = plan.points
+print("groups per interval:", {t: g.n_groups for t, g in zip(cfg.intervals, rows.by_interval)},
+      f"instances: {rows.by_instance.n_groups}")
 
 params = init_temporal({}, "demo", cfg.spatial_width, cfg, np.random.default_rng(0))
 feats = np.random.default_rng(1).normal(size=(len(ps), cfg.spatial_width))
-out = temporal_block(plan, ad.constant(feats), params)
+out = temporal_block(rows, ad.constant(feats), params)
 print(f"temporal block output: {out.shape}")
 
 # isolation probe: perturb agent 2's features, agents 0 and 1 are untouched
 bumped = feats.copy()
 bumped[8:] += 100.0
-out_b = temporal_block(plan, ad.constant(bumped), params)
+out_b = temporal_block(rows, ad.constant(bumped), params)
 print("rows of agents 0/1 changed:", not np.array_equal(out.data[:8], out_b.data[:8]))
 print("rows of agent 2 changed:   ", not np.array_equal(out.data[8:], out_b.data[8:]))
 
@@ -53,6 +54,6 @@ ps2 = IndexedPointSet(
     kind=np.zeros(len(instance2), dtype=np.int64), grid_size=0.5,
 )
 feats2 = np.vstack([feats, np.random.default_rng(2).normal(size=(5, cfg.spatial_width))])
-out2 = temporal_block(plan_scene(ps2, cfg), ad.constant(feats2), params)
+out2 = temporal_block(plan_scene(ps2, cfg).points, ad.constant(feats2), params)
 print("existing rows identical after adding an instance:",
       np.array_equal(out2.data[: len(ps)], out.data))

@@ -405,18 +405,11 @@ def sum_all(x: Tensor) -> Tensor:
     )
 
 
-def mean_rows(x: Tensor, rows) -> Tensor:
-    """The (1, C) mean of the distinct rows ``rows`` of x; each gets ``g / n`` back."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 0 or len(np.unique(rows)) != len(rows):
-        raise ValueError("mean_rows: rows must be distinct and non-empty")
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[rows] = g / len(rows)
-        return (gx,)
-
-    return _op(x.data[rows].mean(axis=0, keepdims=True), (x,), vjp)
+def mean_rows(x: Tensor) -> Tensor:
+    """The (1, C) mean of the rows of x; each gets ``g / n`` back."""
+    n = x.data.shape[0]
+    return _op(x.data.mean(axis=0, keepdims=True), (x,),
+               lambda g: (np.repeat(g / n, n, axis=0),))
 
 
 def take_rows(x: Tensor, rows) -> Tensor:

@@ -46,9 +46,13 @@ class CheckpointMismatchError(Exception):
 
 
 def _paths(path):
+    """The manifest and data paths of stem ``path``, or of either file of a checkpoint.
+
+    The suffixes are appended, so a dotted stem (``model.v1``) keeps its dot.
+    """
     path = Path(path)
     stem = path.with_suffix("") if path.suffix in (".json", ".bin") else path
-    return stem.with_suffix(".json"), stem.with_suffix(".bin")
+    return stem.with_name(stem.name + ".json"), stem.with_name(stem.name + ".bin")
 
 
 def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config=None) -> Path:

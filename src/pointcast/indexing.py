@@ -8,12 +8,13 @@ key array probed by searchsorted.
 
 :func:`index_scene` flattens a normalized scene into an
 :class:`IndexedPointSet`, and :func:`plan_scene` turns that into a
-:class:`ScenePlan`: the point embedding, the target rows, the ground-truth
-future and every index structure of the scene, in read-only arrays. The plan
-is the network's whole per-scene input. It depends on the points alone, so a
-training run without augmentation plans each scene once and reuses the plan
-at every step. Its :class:`TargetView` restricts the plan's tables to the
-target agent's rows, which are all the network's last stage has to compute.
+:class:`ScenePlan`: the point embedding, the ground-truth future and every
+index structure of the scene, in read-only arrays. The plan is the network's
+whole per-scene input. It depends on the points alone, so a training run
+without augmentation plans each scene once and reuses the plan at every
+step. Its per-row tables come as two :class:`RowTables` of one schema: over
+every row, and over the target agent's rows, which are all the network's
+last stage has to compute.
 """
 
 from __future__ import annotations
@@ -261,28 +262,26 @@ def point_embedding(ps: IndexedPointSet, history_steps: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TargetView:
-    """A ScenePlan's tables restricted to the target agent's rows.
+class RowTables:
+    """A plan's per-row tables over the rows ``rows``: what one stage computes.
 
-    The heads pool only the target rows, and the temporal blocks and every
-    norm work within an instance or a row, so the last stage's output at
-    the target rows depends on nothing but these tables, the plan's voxel
-    branch and the stage input. The view keeps the plan's pairs,
-    candidates and groups in the plan's order. Its group ids are positions
-    in ``rows`` (centers, points) or in a row list of its own
-    (``neighbor_rows``, ``voxel_rows``), and its instance-time groups are
-    numbered afresh, so no group is empty.
+    A plan holds two: ``points`` over every row, and ``target`` over the
+    target agent's rows, which are all the network's last stage has to
+    compute. Pairs, candidates and groups keep the plan's order. Centers and
+    points are numbered by position in ``rows``; neighbors and voxels by
+    position in ``neighbor_rows`` and ``voxel_rows``, where None stands for
+    every input row and every voxel. No group is empty.
     """
 
-    rows: np.ndarray          # (M,) the plan's target rows, ascending
-    neighborhoods: tuple      # per radius: the plan's entry at the pairs centered on
-                              #   ``rows``; the by-neighbor table groups by neighbor_rows
-    neighbor_rows: tuple      # per radius: the distinct neighbors of those pairs, ascending
-    voxel_rows: np.ndarray    # the distinct voxels of the target's candidates, ascending
-    interp_rows: GroupTable   # the target points' interpolation candidates by voxel_rows
+    rows: np.ndarray          # (M,) plan rows, ascending
+    neighborhoods: tuple      # per radius: (offsets from center, by-center table,
+                              #   by-neighbor table)
+    neighbor_rows: tuple      # per radius: the input rows the by-neighbor table groups by
+    voxel_rows: np.ndarray | None  # the voxels that interp_rows groups by
+    interp_rows: GroupTable   # the (point, voxel) interpolation candidates grouped by voxel
     interp_delta: np.ndarray  # (Q, 2) candidate point minus its voxel's center
-    by_point: GroupTable      # the candidates grouped by target point
-    by_interval: tuple        # GroupTable per interval, over the target rows
+    by_point: GroupTable      # the candidates grouped by point
+    by_interval: tuple        # GroupTable per interval
     by_instance: GroupTable
 
 
@@ -294,7 +293,7 @@ class ScenePlan:
     of submanifold sparse convolution) belongs to the scene, not the layer.
     The network's last stage computes only the target rows, which are all
     the heads read: its voxel branch runs on the whole plan, and the rest of
-    the stage on ``target_view``. That is exact, because the temporal block
+    the stage on ``target``. That is exact, because the temporal block
     works within each instance and every norm within a row; the kept rows
     differ from a last stage over every row only by BLAS rounding.
     """
@@ -302,18 +301,11 @@ class ScenePlan:
     scene_id: str
     future: np.ndarray | None  # (T, 2) ground truth, or None
     embedding: np.ndarray      # (N, EMBED_IN) network input, see point_embedding
-    target_rows: np.ndarray    # rows of the target agent, pooled by the heads
-    neighborhoods: tuple       # per radius: (offsets from center, by-center table,
-                               #   by-neighbor table)
     by_voxel: GroupTable
     voxel_coords: np.ndarray   # (G, 2) int64, voxel of each group, distinct
     kernel_map: list           # per 3x3 tap: (out_row, in_row) voxel pairs; None at the center tap
-    interp_rows: GroupTable    # the (point, voxel) interpolation candidates grouped by voxel row
-    interp_delta: np.ndarray   # (Q, 2) candidate point minus its voxel's center
-    by_point: GroupTable       # the candidates grouped by point
-    by_interval: tuple         # GroupTable per interval
-    by_instance: GroupTable
-    target_view: TargetView
+    points: RowTables          # every row
+    target: RowTables          # the target agent's rows, pooled by the heads
 
 
 def _read_only(x):
@@ -334,45 +326,45 @@ def _distinct(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[ids]
 
 
-def _target_view(target_rows, neighborhoods, interp_rows: GroupTable, interp_delta,
-                 by_point: GroupTable, groups) -> TargetView:
-    """The TargetView of ``target_rows`` over a plan's tables.
+def _restrict(tables: RowTables, rows) -> RowTables:
+    """``tables``, which cover every row, restricted to the ascending ``rows``.
 
-    ``groups`` are the plan's interval tables, then its instance table. In
-    each, a group that holds a target row must hold target rows only: that
-    is what makes the temporal block exact on the view.
+    In each interval and instance table, a group that holds one of ``rows``
+    must hold such rows only: that is what makes the temporal block exact on
+    the restriction.
     """
-    n = by_point.n_groups  # the candidates' groups are the points
-    is_target = np.zeros(n, dtype=bool)
-    is_target[target_rows] = True
-    pos = np.cumsum(is_target) - 1  # a target row's position in target_rows
-    m = len(target_rows)
+    n = len(tables.rows)
+    keep = np.zeros(n, dtype=bool)
+    keep[rows] = True
+    pos = np.cumsum(keep) - 1  # a kept row's position in rows
+    m = len(rows)
 
-    view_nbhds, neighbor_rows = [], []
-    for rel, by_center, by_neighbor in neighborhoods:
+    nbhds, neighbor_rows = [], []
+    for rel, by_center, by_neighbor in tables.neighborhoods:
         # pairs are sorted by center, so these stay in the plan's order
-        pairs = np.flatnonzero(is_target[by_center.group_of])
-        rows, row_pos = _distinct(by_neighbor.group_of[pairs], n)
-        view_nbhds.append((rel[pairs], GroupTable.from_group_of(pos[by_center.group_of[pairs]], m),
-                           GroupTable.from_group_of(row_pos, len(rows))))
-        neighbor_rows.append(rows)
-    cands = np.flatnonzero(is_target[by_point.group_of])
-    voxel_rows, voxel_pos = _distinct(interp_rows.group_of[cands], interp_rows.n_groups)
+        pairs = np.flatnonzero(keep[by_center.group_of])
+        nbrs, nbr_pos = _distinct(by_neighbor.group_of[pairs], n)
+        nbhds.append((rel[pairs], GroupTable.from_group_of(pos[by_center.group_of[pairs]], m),
+                      GroupTable.from_group_of(nbr_pos, len(nbrs))))
+        neighbor_rows.append(nbrs)
+    cands = np.flatnonzero(keep[tables.by_point.group_of])
+    voxel_rows, voxel_pos = _distinct(tables.interp_rows.group_of[cands],
+                                      tables.interp_rows.n_groups)
 
     restricted = []
-    for table in groups:
-        ids, id_pos = _distinct(table.group_of[target_rows], table.n_groups)
+    for table in (*tables.by_interval, tables.by_instance):
+        ids, id_pos = _distinct(table.group_of[rows], table.n_groups)
         if table.counts()[ids].sum() != m:
             raise ValueError("the target rows share a group with other rows")
         restricted.append(GroupTable.from_group_of(id_pos, len(ids)))
-    return TargetView(
-        rows=target_rows,
-        neighborhoods=tuple(view_nbhds),
+    return RowTables(
+        rows=rows,
+        neighborhoods=tuple(nbhds),
         neighbor_rows=tuple(neighbor_rows),
         voxel_rows=voxel_rows,
         interp_rows=GroupTable.from_group_of(voxel_pos, len(voxel_rows)),
-        interp_delta=interp_delta[cands],
-        by_point=GroupTable.from_group_of(pos[by_point.group_of[cands]], m),
+        interp_delta=tables.interp_delta[cands],
+        by_point=GroupTable.from_group_of(pos[tables.by_point.group_of[cands]], m),
         by_interval=tuple(restricted[:-1]),
         by_instance=restricted[-1],
     )
@@ -394,30 +386,28 @@ def plan_scene(ps: IndexedPointSet, cfg: ModelConfig) -> ScenePlan:
     by_voxel = build_groups_by_voxel(ps)
     coords = ps.voxels[by_voxel.order[by_voxel.offsets[:-1]]]
     cand_point, cand_row = interp_candidates(coords, ps.points, ps.grid_size)
-    # every voxel is a candidate of its own points, so no group is empty
-    interp_rows = GroupTable.from_group_of(cand_row, len(coords))
-    interp_delta = ps.points[cand_point] - (coords[cand_row] + 0.5) * ps.grid_size
-    by_point = GroupTable.from_group_of(cand_point, len(ps))
-    by_interval = tuple(regroup_by_interval(ps, t) for t in cfg.intervals)
-    by_instance = build_groups_by_instance(ps)
-    target_rows = np.flatnonzero(ps.kind == KIND_TARGET)
+    points = RowTables(
+        rows=np.arange(len(ps)),
+        neighborhoods=tuple(neighborhoods),
+        neighbor_rows=(None,) * len(neighborhoods),
+        voxel_rows=None,
+        # every voxel is a candidate of its own points, so no group is empty
+        interp_rows=GroupTable.from_group_of(cand_row, len(coords)),
+        interp_delta=ps.points[cand_point] - (coords[cand_row] + 0.5) * ps.grid_size,
+        by_point=GroupTable.from_group_of(cand_point, len(ps)),
+        by_interval=tuple(regroup_by_interval(ps, t) for t in cfg.intervals),
+        by_instance=build_groups_by_instance(ps),
+    )
     plan = ScenePlan(
         scene_id=ps.scene_id,
         # a copy, so that marking it read-only leaves the scene's own array alone
         future=None if ps.future is None else np.array(ps.future, dtype=np.float64),
         embedding=point_embedding(ps, cfg.history_steps),
-        target_rows=target_rows,
-        neighborhoods=tuple(neighborhoods),
         by_voxel=by_voxel,
         voxel_coords=coords,
         kernel_map=kernel_map(coords),
-        interp_rows=interp_rows,
-        interp_delta=interp_delta,
-        by_point=by_point,
-        by_interval=by_interval,
-        by_instance=by_instance,
-        target_view=_target_view(target_rows, neighborhoods, interp_rows, interp_delta, by_point,
-                                 (*by_interval, by_instance)),
+        points=points,
+        target=_restrict(points, np.flatnonzero(ps.kind == KIND_TARGET)),
     )
     _read_only(plan)
     return plan

@@ -128,21 +128,19 @@ def forward_graph(model: Model, plan: ScenePlan):
 
     The heads read only the target agent's rows, so the last stage computes
     only those: its voxel branch runs on the whole plan, and the rest of the
-    stage on ``plan.target_view``. That is exact, because the temporal
+    stage on ``plan.target``. That is exact, because the temporal
     block works within each instance and every norm within a row. Each
     kept row comes out as on the whole plan up to rounding: BLAS may
     round a product over fewer rows differently.
     """
     x = nn.apply_mlp(model.embed, ad.constant(plan.embedding))
-    *early, (last_sp, last_tp) = zip(model.spatial, model.temporal)
-    for sp, tp in early:
-        x = spatial_block(plan, x, sp)
-        x = temporal_block(plan, x, tp)
-    view = plan.target_view
-    x = spatial_block(plan, x, last_sp, view)
-    x = temporal_block(view, x, last_tp)
+    last = len(model.spatial) - 1
+    for s, (sp, tp) in enumerate(zip(model.spatial, model.temporal)):
+        rows = plan.target if s == last else plan.points
+        x = spatial_block(plan, x, sp, rows)
+        x = temporal_block(rows, x, tp)
     # x holds the target agent's rows alone: pool them into one vector
-    pooled = ad.mean_rows(x, np.arange(len(view.rows)))
+    pooled = ad.mean_rows(x)
     reg = nn.apply_mlp(model.head_reg, pooled)
     disp = nn.apply_mlp(model.head_disp, pooled)
     return reg, disp
@@ -512,6 +510,7 @@ def train(
 
     params_row, *grad_rows = _share_params(model.params)
     history = []
+    ckpt = None  # the manifest path of the last checkpoint saved
     later = []  # shards 1.., each a _ShardWorker or a _LocalShard
     log_fh = open(log_path, "a") if log_path else None
     try:
@@ -563,7 +562,7 @@ def train(
                 log_fh.write(json.dumps(entry, allow_nan=False) + "\n")
                 log_fh.flush()
             if checkpoint_path is not None:
-                save_train_checkpoint(
+                ckpt = save_train_checkpoint(
                     checkpoint_path, model, state, epoch=epoch, config_doc=config_doc
                 )
     finally:
@@ -572,5 +571,4 @@ def train(
         if log_fh:
             log_fh.close()
 
-    ckpt = Path(checkpoint_path).with_suffix(".json") if checkpoint_path else None
     return TrainResult(model=model, state=state, history=history, checkpoint_path=ckpt)

@@ -76,32 +76,21 @@ class Frame:
         return pts @ rot.T + self.origin
 
 
-def _scene_eq(a, b):
-    return (
-        a.agents == b.agents
-        and a.map_elements == b.map_elements
-        and a.target_id == b.target_id
-        and ((a.future is None) == (b.future is None))
-        and (a.future is None or np.array_equal(a.future, b.future))
-        and a.city == b.city
-        and a.history_steps == b.history_steps
-        and a.future_steps == b.future_steps
-    )
-
-
-@dataclass(eq=False)
-class RawScene:
-    agents: list[AgentTrack]
-    map_elements: list[MapElement]
-    target_id: str
-    future: np.ndarray | None = None  # (future_steps, 2) for the target agent
-    city: str = ""
-    scene_id: str = ""
-    history_steps: int = HISTORY_STEPS
-    future_steps: int = FUTURE_STEPS
+class _Scene:
+    """What RawScene and NormalizedScene share: equality and the target lookup."""
 
     def __eq__(self, other):
-        return isinstance(other, RawScene) and _scene_eq(self, other)
+        return (
+            isinstance(other, type(self))
+            and self.agents == other.agents
+            and self.map_elements == other.map_elements
+            and self.target_id == other.target_id
+            and ((self.future is None) == (other.future is None))
+            and (self.future is None or np.array_equal(self.future, other.future))
+            and self.city == other.city
+            and self.history_steps == other.history_steps
+            and self.future_steps == other.future_steps
+        )
 
     def target_agent(self) -> AgentTrack:
         for a in self.agents:
@@ -111,7 +100,19 @@ class RawScene:
 
 
 @dataclass(eq=False)
-class NormalizedScene:
+class RawScene(_Scene):
+    agents: list[AgentTrack]
+    map_elements: list[MapElement]
+    target_id: str
+    future: np.ndarray | None = None  # (future_steps, 2) for the target agent
+    city: str = ""
+    scene_id: str = ""
+    history_steps: int = HISTORY_STEPS
+    future_steps: int = FUTURE_STEPS
+
+
+@dataclass(eq=False)
+class NormalizedScene(_Scene):
     """Same shape as :class:`RawScene` plus the frame that was applied."""
 
     agents: list[AgentTrack]
@@ -123,15 +124,6 @@ class NormalizedScene:
     scene_id: str = ""
     history_steps: int = HISTORY_STEPS
     future_steps: int = FUTURE_STEPS
-
-    def __eq__(self, other):
-        return isinstance(other, NormalizedScene) and _scene_eq(self, other)
-
-    def target_agent(self) -> AgentTrack:
-        for a in self.agents:
-            if a.track_id == self.target_id:
-                return a
-        raise SceneValidationError(f"target agent {self.target_id!r} not in scene")
 
 
 def validate_raw(scene: RawScene) -> None:
@@ -353,23 +345,41 @@ def scene_to_dict(scene: RawScene) -> dict:
     }
 
 
+def _json_xy(points, owner: str, first: int = 0) -> np.ndarray:
+    """The (n, 2) coordinates at ``first`` and ``first + 1`` of each JSON point.
+
+    Each coordinate must be a JSON number: an int or a float, not a bool or
+    a string.
+    """
+    xy = [[p[first], p[first + 1]] for p in points]
+    for i, pair in enumerate(xy):
+        for v in pair:
+            if type(v) not in (int, float):
+                raise SceneFormatError(
+                    f"{owner} point {i}: coordinate must be a number, got {json.dumps(v)}")
+    return np.array(xy, dtype=np.float64).reshape(-1, 2)
+
+
+def _json_steps(points, owner: str) -> np.ndarray:
+    """The first entry of each JSON point, which must be a JSON integer, not a bool."""
+    for i, p in enumerate(points):
+        if type(p[0]) is not int:
+            raise SceneFormatError(
+                f"{owner} point {i}: step must be an integer, got {json.dumps(p[0])}")
+    return np.array([p[0] for p in points], dtype=np.int64)
+
+
 def scene_from_dict(doc: dict, scene_id: str = "") -> RawScene:
     try:
-        agents = [
-            AgentTrack(
-                track_id=str(a["id"]),
-                steps=np.array([int(p[0]) for p in a["points"]], dtype=np.int64),
-                xy=np.array([[float(p[1]), float(p[2])] for p in a["points"]],
-                            dtype=np.float64).reshape(-1, 2),
-            )
-            for a in doc["agents"]
-        ]
+        agents = []
+        for a in doc["agents"]:
+            track_id = str(a["id"])
+            owner = f"agent {track_id!r}"
+            agents.append(AgentTrack(track_id, _json_steps(a["points"], owner),
+                                     _json_xy(a["points"], owner, first=1)))
         map_elements = [
-            MapElement(
-                element_id=str(m["id"]),
-                xy=np.array([[float(p[0]), float(p[1])] for p in m["points"]],
-                            dtype=np.float64).reshape(-1, 2),
-            )
+            MapElement(element_id=str(m["id"]),
+                       xy=_json_xy(m["points"], f"map element {str(m['id'])!r}"))
             for m in doc["map"]
         ]
         horizons = {k: doc.get(k, v) for k, v in (("history_steps", HISTORY_STEPS),
@@ -378,22 +388,16 @@ def scene_from_dict(doc: dict, scene_id: str = "") -> RawScene:
             if type(v) is not int or v < 1:
                 raise SceneFormatError(f"{k} must be a positive integer, got {json.dumps(v)}")
         future = doc.get("future")
-        future_arr = (
-            None
-            if future is None
-            else np.array([[float(p[0]), float(p[1])] for p in future],
-                          dtype=np.float64).reshape(-1, 2)
-        )
         scene = RawScene(
             agents=agents,
             map_elements=map_elements,
             target_id=str(doc["target_id"]),
-            future=future_arr,
+            future=None if future is None else _json_xy(future, "future"),
             city=str(doc.get("city", "")),
             scene_id=scene_id,
             **horizons,
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise SceneFormatError(f"malformed scene document: {exc}") from exc
     validate_raw(scene)
     return scene
@@ -426,6 +430,9 @@ def _load_csv(path) -> RawScene:
                 x, y = float(row[3]), float(row[4])
             except ValueError as exc:
                 raise SceneFormatError(f"{path}: row {lineno}: {exc}") from exc
+            for name, v in (("TIMESTAMP", ts), ("X", x), ("Y", y)):
+                if not math.isfinite(v):
+                    raise SceneFormatError(f"{path}: row {lineno}: {name} is not finite ({v})")
             rows.append((ts, row[1], row[2], x, y, row[5], lineno))
     if not rows:
         raise SceneFormatError(f"{path}: no observation rows")

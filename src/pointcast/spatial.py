@@ -6,6 +6,9 @@ point downsampling) and a voxel branch (point-to-voxel mean propagation,
 a stack of submanifold sparse bottleneck blocks, and learnable
 voxel-to-point interpolation). The branches fuse by column concatenation
 through a final MLP, whose first linear map takes the two as column blocks.
+The voxel branch reads the plan; every other step reads one of the plan's
+:class:`~pointcast.indexing.RowTables` and computes its rows alone, so the
+same statements run every stage, the last one on the target rows.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from . import nn
 from .autodiff import Tensor
 # radius_pairs lives beside the other lookups that plan_scene calls; it is
 # re-exported so callers and span tracers keep finding it as spatial.radius_pairs
-from .indexing import ScenePlan, TargetView, radius_pairs  # noqa: F401
+from .indexing import RowTables, ScenePlan, radius_pairs  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -102,24 +105,26 @@ def init_spatial(reg, name, c_in, cfg, rng) -> SpatialParams:
 # forward ops
 
 
-def pointwise_learning(plan: ScenePlan | TargetView, feats, params: SpatialParams) -> Tensor:
-    """Multi-radius neighborhood feature learning, one output row per center.
+def _take(x: Tensor, rows) -> Tensor:
+    """The rows ``rows`` of x, where None stands for every row."""
+    return x if rows is None else ad.take_rows(x, rows)
 
-    ``feats`` is the block input, whose rows every by-neighbor table of a
-    ScenePlan indexes. For a TargetView it is one Tensor per radius, the
-    input's ``neighbor_rows`` at that radius.
+
+def pointwise_learning(rows: RowTables, feats: Tensor, params: SpatialParams) -> Tensor:
+    """Multi-radius neighborhood feature learning, one output row per row of ``rows``.
+
+    ``feats`` is the block input, one row per plan row; each radius reads it
+    only at its ``rows.neighbor_rows``.
     """
-    if not plan.neighborhoods:
+    if not rows.neighborhoods:
         raise ValueError("pointwise_learning: empty radius list")
-    if len(plan.neighborhoods) != len(params.radius_mlps):
+    if len(rows.neighborhoods) != len(params.radius_mlps):
         raise ValueError("pointwise_learning: plan and params have different radius counts")
-    if isinstance(feats, Tensor):
-        feats = [feats] * len(plan.neighborhoods)
     per_radius = []
-    for (rel, by_center, by_neighbor), mlp, x in zip(plan.neighborhoods, params.radius_mlps,
-                                                     feats):
+    for (rel, by_center, by_neighbor), nbrs, mlp in zip(rows.neighborhoods, rows.neighbor_rows,
+                                                        params.radius_mlps):
         # the first layer on [x[nbrs], rel] runs per point and is gathered per pair
-        h = nn.apply_mlp(mlp, [(x, by_neighbor), rel])
+        h = nn.apply_mlp(mlp, [(_take(feats, nbrs), by_neighbor), rel])
         per_radius.append(ad.scatter_max(h, by_center))
     return nn.apply_mlp(params.pointwise_out, per_radius)
 
@@ -147,41 +152,31 @@ def sparse_bottleneck(kernel_map, feats: Tensor, params: SpatialParams) -> Tenso
     return x
 
 
-def interp_voxel_to_point(plan: ScenePlan | TargetView, voxel_feats: Tensor,
-                          params: SpatialParams) -> Tensor:
+def interp_voxel_to_point(rows: RowTables, voxel_feats: Tensor, params: SpatialParams) -> Tensor:
     """Learnable interpolation from the <=4 nearest occupied voxels per point.
 
     Candidates are the 2x2 cell neighborhood whose centers surround the
     point's continuous position, filtered to occupied cells; the point's own
     voxel is always occupied and always among the four. An MLP on
     [offset-to-center, voxel feature] produces logits, softmaxed per point.
-    ``voxel_feats`` has the rows that ``plan.interp_rows`` groups by: every
-    voxel of a ScenePlan, or a TargetView's ``voxel_rows``.
+    ``voxel_feats`` has one row per plan voxel, read only at ``rows.voxel_rows``.
     """
-    vox_feats = ad.gather_rows(voxel_feats, plan.interp_rows)
-    logits = nn.apply_mlp(params.interp_mlp, [plan.interp_delta, vox_feats])
+    vox_feats = ad.gather_rows(_take(voxel_feats, rows.voxel_rows), rows.interp_rows)
+    logits = nn.apply_mlp(params.interp_mlp, [rows.interp_delta, vox_feats])
 
-    weighted = ad.scale_rows(vox_feats, ad.segment_softmax(logits, plan.by_point))
-    return ad.scatter_add_rows(weighted, plan.by_point)
+    weighted = ad.scale_rows(vox_feats, ad.segment_softmax(logits, rows.by_point))
+    return ad.scatter_add_rows(weighted, rows.by_point)
 
 
 def spatial_block(plan: ScenePlan, feats: Tensor, params: SpatialParams,
-                  view: TargetView | None = None) -> Tensor:
+                  rows: RowTables) -> Tensor:
     """Pointwise and voxelwise branches over the block input, fused by concat.
 
-    With ``view`` (the plan's ``target_view``) the output holds the view's
-    rows only. The voxel branch still runs on every voxel of the plan, since
-    a voxel mean reads every point in it; the radius MLPs read the input
-    only at the view's neighbor rows, and the interpolation reads only the
-    view's voxels.
+    ``rows`` is ``plan.points`` or ``plan.target``, and the output has one
+    row per row of it. The voxel branch runs on every voxel of the plan,
+    since a voxel mean reads every point in it; the radius MLPs and the
+    interpolation read only the input rows and voxels that ``rows`` names.
     """
-    if view is None:
-        p = pointwise_learning(plan, feats, params)
-    else:
-        p = pointwise_learning(view, [ad.take_rows(feats, r) for r in view.neighbor_rows], params)
+    p = pointwise_learning(rows, feats, params)
     v = sparse_bottleneck(plan.kernel_map, ftp_point_to_voxel(plan, feats), params)
-    if view is None:
-        v = interp_voxel_to_point(plan, v, params)
-    else:
-        v = interp_voxel_to_point(view, ad.take_rows(v, view.voxel_rows), params)
-    return nn.apply_mlp(params.fuse, [p, v])
+    return nn.apply_mlp(params.fuse, [p, interp_voxel_to_point(rows, v, params)])

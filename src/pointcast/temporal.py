@@ -2,9 +2,9 @@
 
 Variable-length agent histories are handled purely through instance-time
 grouping; there is no padding anywhere, and nothing ever mixes features
-across instances. So the blocks run as well on a plan's
-:class:`~pointcast.indexing.TargetView`, whose groups are the target
-instance's alone, as on the whole plan.
+across instances. So the blocks run as well on a plan's ``target``
+:class:`~pointcast.indexing.RowTables`, whose groups are the target
+instance's alone, as on its ``points``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .indexing import ScenePlan, TargetView
+from .indexing import RowTables
 
 
 @dataclass
@@ -41,8 +41,8 @@ def init_temporal(reg, name, c_in, cfg, rng) -> TemporalParams:
     return TemporalParams(interval_mlps, pool_mlp, pool_proj, out_proj)
 
 
-def multi_interval(plan: ScenePlan | TargetView, feats: Tensor, interval_mlps) -> list:
-    """Progressive group-transform-pool-slice-concat over the plan's interval ladder.
+def multi_interval(rows: RowTables, feats: Tensor, interval_mlps) -> list:
+    """Progressive group-transform-pool-slice-concat over the interval ladder of ``rows``.
 
     For each interval t: points regroup by (instance, floor(time / t)); the
     per-point features pass through that interval's MLP; group means propagate
@@ -51,30 +51,30 @@ def multi_interval(plan: ScenePlan | TargetView, feats: Tensor, interval_mlps) -
     materialized: the result is the column blocks ``[(group means, groups),
     F_t]`` of the last interval, which the next linear map takes as they are.
     """
-    if not plan.by_interval:
+    if not rows.by_interval:
         raise ValueError("multi_interval: empty interval list")
-    if len(plan.by_interval) != len(interval_mlps):
+    if len(rows.by_interval) != len(interval_mlps):
         raise ValueError("multi_interval: plan and params have different interval counts")
     o_p = feats
-    for groups, mlp in zip(plan.by_interval, interval_mlps):
+    for groups, mlp in zip(rows.by_interval, interval_mlps):
         f_t = nn.apply_mlp(mlp, o_p)
         o_p = [(ad.scatter_mean(f_t, groups), groups), f_t]
     return o_p
 
 
-def instance_pool(plan: ScenePlan | TargetView, blocks: list, pool_mlp, pool_proj) -> Tensor:
+def instance_pool(rows: RowTables, blocks: list, pool_mlp, pool_proj) -> Tensor:
     """Max-pool transformed features per instance and concat back to each point.
 
     ``blocks`` are the per-point features as column blocks of
     :func:`~pointcast.autodiff.linear`; the pooled feature joins them as one
     more block, gathered per point.
     """
-    groups = plan.by_instance
+    groups = rows.by_instance
     pooled = ad.scatter_max(nn.apply_mlp(pool_mlp, blocks), groups)
     return nn.apply_mlp(pool_proj, [*blocks, (pooled, groups)])
 
 
-def temporal_block(plan: ScenePlan | TargetView, feats: Tensor, params: TemporalParams) -> Tensor:
-    x = multi_interval(plan, feats, params.interval_mlps)
-    x = instance_pool(plan, x, params.pool_mlp, params.pool_proj)
+def temporal_block(rows: RowTables, feats: Tensor, params: TemporalParams) -> Tensor:
+    x = multi_interval(rows, feats, params.interval_mlps)
+    x = instance_pool(rows, x, params.pool_mlp, params.pool_proj)
     return nn.apply_mlp(params.out_proj, x)

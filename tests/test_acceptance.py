@@ -206,7 +206,7 @@ def test_criterion_01_gradient_suite():
         r = ad.constant(rng.normal(size=(6, TINY.spatial_width)))
 
         def sp_loss():
-            return ad.sum_all(ad.mul(spatial_block(plan, feats, params), r))
+            return ad.sum_all(ad.mul(spatial_block(plan, feats, params, plan.points), r))
 
         names = sorted(reg)
         leaves = [feats] + [reg[names[int(i)]] for i in rng.choice(len(names), 2, replace=False)]
@@ -225,7 +225,7 @@ def test_criterion_01_gradient_suite():
         r = ad.constant(rng.normal(size=(6, TINY.temporal_width)))
 
         def tp_loss():
-            return ad.sum_all(ad.mul(temporal_block(plan, feats, params), r))
+            return ad.sum_all(ad.mul(temporal_block(plan.points, feats, params), r))
 
         names = sorted(reg)
         leaves = [feats] + [reg[names[int(i)]] for i in rng.choice(len(names), 2, replace=False)]
@@ -462,10 +462,10 @@ def test_criterion_07_dynamic_lengths():
         reg = {}
         params = init_temporal(reg, "t", 4, TINY, trng)
         feats = trng.normal(size=(12, 4))
-        base = temporal_block(plan, ad.constant(feats), params).data
+        base = temporal_block(plan.points, ad.constant(feats), params).data
         bumped = feats.copy()
         bumped[ps.instance == 0] += trng.normal(size=bumped[ps.instance == 0].shape)
-        out = temporal_block(plan, ad.constant(bumped), params).data
+        out = temporal_block(plan.points, ad.constant(bumped), params).data
         others = ps.instance != 0
         assert np.array_equal(out[others], base[others])
     report("criterion 7: dynamic lengths {1,3,7,20} + exact instance isolation")

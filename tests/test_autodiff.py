@@ -874,7 +874,7 @@ def _primitive_cases(rng, n, c):
         ("scatter_mean", lambda: p_groups(ad.scatter_mean(x_smean, table)), [x_smean]),
         ("scatter_max", lambda: p_groups(ad.scatter_max(x_smax, table)), [x_smax]),
         ("scatter_add_rows", lambda: p_groups(ad.scatter_add_rows(x_sadd, table)), [x_sadd]),
-        ("mean_rows", lambda: p_row(ad.mean_rows(x_mean, mean_idx)), [x_mean]),
+        ("mean_rows", lambda: p_row(ad.mean_rows(ad.take_rows(x_mean, mean_idx))), [x_mean]),
         ("add", lambda: p_nc(ad.add(x_add_a, x_add_b)), [x_add_a, x_add_b]),
         ("sub", lambda: p_nc(ad.sub(x_sub_a, x_sub_b)), [x_sub_a, x_sub_b]),
         ("mul", lambda: p_nc(ad.mul(x_mul_a, x_mul_b)), [x_mul_a, x_mul_b]),

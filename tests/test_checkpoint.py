@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pointcast import checkpoint, network
+from pointcast import checkpoint, gen_synthetic, network
 from pointcast.checkpoint import (
     CheckpointMismatchError,
     load_checkpoint,
@@ -33,6 +33,30 @@ def test_roundtrip_exact(tmp_path, rng):
     assert manifest["config"] == {"lr": 0.001}
     for name, arr in arrays.items():
         np.testing.assert_array_equal(loaded[name], arr)  # float64 is exact
+
+
+def test_dotted_stems_keep_their_own_files(tmp_path, rng):
+    saved = {stem: {"x": rng.normal(size=(2, 3))} for stem in ("model.v1", "model.v2")}
+    for step, (stem, arrays) in enumerate(saved.items()):
+        manifest_path = save_checkpoint(tmp_path / stem, arrays, step=step)
+        assert manifest_path == tmp_path / f"{stem}.json"
+    for step, (stem, arrays) in enumerate(saved.items()):
+        # the stem, its manifest and its data file all name the same checkpoint
+        for path in (stem, f"{stem}.json", f"{stem}.bin"):
+            loaded, manifest = load_checkpoint(tmp_path / path)
+            assert manifest["global_step"] == step
+            np.testing.assert_array_equal(loaded["x"], arrays["x"])
+
+
+def test_train_returns_the_manifest_it_saved(tmp_path):
+    data = gen_synthetic(2, seed=0, future_steps=TINY.future_steps)
+    cfg = network.TrainConfig(model=TINY, epochs=1, batch_size=2, augment=None, eval_every=0)
+    result = network.train(data, cfg, checkpoint_path=tmp_path / "run.v1")
+    assert result.checkpoint_path == tmp_path / "run.v1.json"
+    arrays, manifest = load_checkpoint(result.checkpoint_path)
+    assert manifest["epoch"] == 0
+    for name, t in result.model.params.items():
+        np.testing.assert_array_equal(arrays[f"params/{name}"], t.data)
 
 
 def test_binary_is_little_endian_float64(tmp_path):

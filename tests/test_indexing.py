@@ -22,6 +22,7 @@ from pointcast.indexing import (
     KIND_OTHER,
     KIND_TARGET,
     GroupTable,
+    _restrict,
     build_groups_by_instance,
     build_groups_by_voxel,
     group_by_keys,
@@ -300,8 +301,12 @@ def test_scene_plan_matches_bruteforce(seed):
     cfg = ModelConfig(radii=radii, intervals=intervals)
     plan = plan_scene(ps, cfg)
 
-    assert len(plan.neighborhoods) == len(radii)
-    for radius, (rel, by_center, by_neighbor) in zip(radii, plan.neighborhoods):
+    points = plan.points
+    np.testing.assert_array_equal(points.rows, np.arange(len(ps)))
+    # None stands for every input row and every voxel
+    assert points.neighbor_rows == (None,) * len(radii) and points.voxel_rows is None
+    assert len(points.neighborhoods) == len(radii)
+    for radius, (rel, by_center, by_neighbor) in zip(radii, points.neighborhoods):
         centers, nbrs = brute_radius_pairs(ps.points, radius)
         np.testing.assert_array_equal(by_center.group_of, centers)
         np.testing.assert_array_equal(by_neighbor.group_of, nbrs)
@@ -324,26 +329,26 @@ def test_scene_plan_matches_bruteforce(seed):
             np.testing.assert_array_equal(pair[1], ins)
 
     cand_point, cand_row = dict_interp_candidates(plan.voxel_coords, ps.points, ps.grid_size)
-    np.testing.assert_array_equal(plan.by_point.group_of, cand_point)
-    np.testing.assert_array_equal(plan.interp_rows.group_of, cand_row)
-    assert plan.interp_rows.n_groups == len(plan.voxel_coords)
-    assert plan.interp_rows.counts().min() >= 1  # every voxel is its own points' candidate
+    np.testing.assert_array_equal(points.by_point.group_of, cand_point)
+    np.testing.assert_array_equal(points.interp_rows.group_of, cand_row)
+    assert points.interp_rows.n_groups == len(plan.voxel_coords)
+    assert points.interp_rows.counts().min() >= 1  # every voxel is its own points' candidate
     centers = (plan.voxel_coords[cand_row] + 0.5) * ps.grid_size
-    np.testing.assert_array_equal(plan.interp_delta, ps.points[cand_point] - centers)
+    np.testing.assert_array_equal(points.interp_delta, ps.points[cand_point] - centers)
 
-    assert len(plan.by_interval) == len(intervals)
-    for interval, table in zip(intervals, plan.by_interval):
+    assert len(points.by_interval) == len(intervals)
+    for interval, table in zip(intervals, points.by_interval):
         ref, _ = brute_group_by_keys(
             [(int(i), int(t) // interval) for i, t in zip(ps.instance, ps.time)]
         )
         np.testing.assert_array_equal(table.group_of, ref)
-    np.testing.assert_array_equal(plan.by_instance.group_of, brute_group_by_keys(ps.instance)[0])
+    np.testing.assert_array_equal(points.by_instance.group_of, brute_group_by_keys(ps.instance)[0])
     assert_view_restricts_plan(ps, plan, cfg)
 
 
 def assert_view_restricts_plan(ps, plan, cfg):
-    """The plan's target view equals a brute-force restriction of the plan to the target rows."""
-    view = plan.target_view
+    """The plan's target tables equal a brute-force restriction of the plan to the target rows."""
+    view = plan.target
     target = np.flatnonzero(ps.kind == KIND_TARGET)
     np.testing.assert_array_equal(view.rows, target)
     is_target = np.isin(np.arange(len(ps)), target)
@@ -367,7 +372,7 @@ def assert_view_restricts_plan(ps, plan, cfg):
     np.testing.assert_array_equal(target[view.by_point.group_of], cand_point[keep])
     np.testing.assert_array_equal(view.voxel_rows[view.interp_rows.group_of], cand_row[keep])
     np.testing.assert_array_equal(view.voxel_rows, np.unique(cand_row[keep]))
-    np.testing.assert_array_equal(view.interp_delta, plan.interp_delta[keep])
+    np.testing.assert_array_equal(view.interp_delta, plan.points.interp_delta[keep])
     assert view.by_point.n_groups == len(target)
     assert view.interp_rows.n_groups == len(view.voxel_rows)
 
@@ -421,6 +426,32 @@ def test_target_view_restricts_plan(ps):
     assert_view_restricts_plan(ps, plan_scene(ps, VIEW_CFG), VIEW_CFG)
 
 
+def _assert_tables_equal(got: GroupTable, want: GroupTable):
+    assert got.n_groups == want.n_groups
+    for field in ("group_of", "order", "offsets"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps=point_sets())
+def test_restricting_to_every_row_is_the_identity(ps):
+    points = plan_scene(ps, VIEW_CFG).points
+    same = _restrict(points, np.arange(len(ps)))
+    np.testing.assert_array_equal(same.rows, points.rows)
+    for (rel, by_center, by_neighbor), rows, (want_rel, want_center, want_neighbor) in zip(
+            same.neighborhoods, same.neighbor_rows, points.neighborhoods, strict=True):
+        np.testing.assert_array_equal(rel, want_rel)
+        _assert_tables_equal(by_center, want_center)
+        _assert_tables_equal(by_neighbor, want_neighbor)
+        np.testing.assert_array_equal(rows, np.arange(len(ps)))
+    np.testing.assert_array_equal(same.voxel_rows, np.arange(points.interp_rows.n_groups))
+    np.testing.assert_array_equal(same.interp_delta, points.interp_delta)
+    for got, want in zip((same.interp_rows, same.by_point, *same.by_interval, same.by_instance),
+                         (points.interp_rows, points.by_point, *points.by_interval,
+                          points.by_instance), strict=True):
+        _assert_tables_equal(got, want)
+
+
 def test_plan_rejects_target_sharing_an_instance():
     # the temporal block on the view would miss the instance's other rows
     ps = make_ps([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [0, 0, 1], [0, 1, 0],
@@ -452,7 +483,7 @@ def test_scene_plan_carries_the_network_input():
     np.testing.assert_array_equal(
         plan.embedding, np.hstack([ps.points, onehot, ps.time[:, None] / 16.0]))
     assert plan.embedding.shape == (len(ps), EMBED_IN)
-    np.testing.assert_array_equal(plan.target_rows, np.flatnonzero(ps.kind == KIND_TARGET))
+    np.testing.assert_array_equal(plan.target.rows, np.flatnonzero(ps.kind == KIND_TARGET))
     # a hand-built point set has no scene id and no future
     bare = plan_scene(dataclasses.replace(ps, scene_id="", future=None), cfg)
     assert bare.scene_id == "" and bare.future is None

@@ -543,7 +543,7 @@ def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
     }
 
 
-# one take_rows node per radius and one for the voxels feed the last stage's target view
+# one take_rows node per radius and one for the voxels feed the last stage's target rows
 @pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 203), (OVERFIT_MODEL, 92)],
                          ids=["default", "overfit"])
 def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
@@ -674,16 +674,16 @@ def test_forward_builds_no_graph(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the last stage on the target view
+# the last stage on the target rows
 
 
 def full_plan_forward_graph(model, plan):
     """The heads with every stage run on the whole plan and the target rows taken afterwards."""
     x = nn.apply_mlp(model.embed, ad.constant(plan.embedding))
     for sp, tp in zip(model.spatial, model.temporal):
-        x = spatial.spatial_block(plan, x, sp)
-        x = temporal.temporal_block(plan, x, tp)
-    pooled = ad.mean_rows(x, plan.target_rows)
+        x = spatial.spatial_block(plan, x, sp, plan.points)
+        x = temporal.temporal_block(plan.points, x, tp)
+    pooled = ad.mean_rows(ad.take_rows(x, plan.target.rows))
     return nn.apply_mlp(model.head_reg, pooled), nn.apply_mlp(model.head_disp, pooled)
 
 
@@ -714,9 +714,9 @@ def test_last_stage_on_target_view_matches_full_plan(cfg):
         for name, scene in _target_variants(raw).items():
             plan = scene_plan(scene, cfg)
             if name == "target-last":
-                assert plan.target_rows[0] > 0
+                assert plan.target.rows[0] > 0
             if name == "one-point-target":
-                assert len(plan.target_rows) == 1
+                assert len(plan.target.rows) == 1
             results = []
             for run in (forward_graph, full_plan_forward_graph):
                 for t in params:

@@ -18,6 +18,7 @@ from pointcast import (
 from pointcast.scenes import (
     FUTURE_STEPS,
     HISTORY_STEPS,
+    NormalizedScene,
     SceneFormatError,
     SceneValidationError,
     load_scene_dir,
@@ -100,6 +101,66 @@ def test_json_bad_horizon_rejected(tmp_path, key, value):
     assert cli.main(["plot", "--scene", str(path), "--out", str(tmp_path / "s.svg")]) == 2
 
 
+def _set_step(doc, value):
+    doc["agents"][0]["points"][2][0] = value
+
+
+def _set_agent_x(doc, value):
+    doc["agents"][0]["points"][2][1] = value
+
+
+def _set_map_y(doc, value):
+    doc["map"][0]["points"][1][1] = value
+
+
+def _set_future_x(doc, value):
+    doc["future"][3][0] = value
+
+
+# (edit, value, what the error names): steps are JSON integers, coordinates JSON numbers
+MALFORMED_VALUES = {
+    "fractional-step": (_set_step, 0.5, "agent 'tgt' point 2: step"),
+    "integral-float-step": (_set_step, 2.0, "agent 'tgt' point 2: step"),
+    "bool-step": (_set_step, True, "agent 'tgt' point 2: step"),
+    "string-step": (_set_step, "2", "agent 'tgt' point 2: step"),
+    "overflowing-step": (_set_step, 2**70, "malformed scene document"),
+    "bool-agent-x": (_set_agent_x, True, "agent 'tgt' point 2: coordinate"),
+    "string-agent-x": (_set_agent_x, "3.0", "agent 'tgt' point 2: coordinate"),
+    "null-agent-x": (_set_agent_x, None, "agent 'tgt' point 2: coordinate"),
+    "bool-map-y": (_set_map_y, False, "map element 'm0' point 1: coordinate"),
+    "string-map-y": (_set_map_y, "2.0", "map element 'm0' point 1: coordinate"),
+    "list-map-y": (_set_map_y, [2.0], "map element 'm0' point 1: coordinate"),
+    "bool-future-x": (_set_future_x, True, "future point 3: coordinate"),
+    "string-future-x": (_set_future_x, "1", "future point 3: coordinate"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_VALUES)
+def test_json_malformed_value_rejected(case):
+    edit, value, names = MALFORMED_VALUES[case]
+    doc = scene_to_dict(straight_scene())
+    edit(doc, value)
+    with pytest.raises(SceneFormatError, match=names):
+        scene_from_dict(doc)
+
+
+def test_json_integral_coordinates_accepted():
+    doc = scene_to_dict(straight_scene())
+    _set_agent_x(doc, 5)
+    _set_map_y(doc, -2)
+    assert scene_from_dict(doc).agents[0].xy[2, 0] == 5.0
+
+
+def test_json_fractional_step_exits_2(tmp_path, capsys):
+    doc = scene_to_dict(straight_scene())
+    _set_step(doc, 1.5)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["plot", "--scene", str(path), "--out", str(tmp_path / "s.svg")]) == 2
+    assert "agent 'tgt' point 2: step must be an integer, got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "s.svg").exists()
+
+
 def test_json_parse_error_carries_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"agents": [\n  broken\n]}')
@@ -177,6 +238,26 @@ def test_csv_parse_error_names_row(tmp_path):
     write_csv(path, rows)
     with pytest.raises(SceneFormatError, match="row 5"):
         load_scene(path)
+
+
+@pytest.mark.parametrize("column, value", [(0, "nan"), (0, "inf"), (3, "nan"), (4, "-inf")])
+def test_csv_non_finite_value_rejected(tmp_path, capsys, column, value):
+    rows = [list(r) for r in csv_rows_full()]
+    rows[6][column] = value
+    path = tmp_path / "s.csv"
+    write_csv(path, rows)
+    name = {0: "TIMESTAMP", 3: "X", 4: "Y"}[column]
+    with pytest.raises(SceneFormatError, match=f"row 8: {name} is not finite"):
+        load_scene(path)
+    assert cli.main(["plot", "--scene", str(path), "--out", str(tmp_path / "s.svg")]) == 2
+    assert f"row 8: {name} is not finite" in capsys.readouterr().err
+
+
+def test_scene_classes_share_one_target_lookup():
+    assert RawScene.target_agent is NormalizedScene.target_agent
+    scene = straight_scene()
+    assert scene.target_agent() is scene.agents[0]
+    assert normalize(scene).target_agent().track_id == "tgt"
 
 
 # ---------------------------------------------------------------------------

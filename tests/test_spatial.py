@@ -124,8 +124,8 @@ def test_pointwise_isolated_point_depends_only_on_self(rng):
     pts_b = np.array([[0.0, 0.0], [40.0, -40.0], [41.0, -41.0]])
     feats_b = feats.copy()
     feats_b[1:] = rng.normal(size=(2, 4))
-    out_a = pointwise_learning(plan_of(make_ps(pts_a)), ad.constant(feats), params)
-    out_b = pointwise_learning(plan_of(make_ps(pts_b)), ad.constant(feats_b), params)
+    out_a = pointwise_learning(plan_of(make_ps(pts_a)).points, ad.constant(feats), params)
+    out_b = pointwise_learning(plan_of(make_ps(pts_b)).points, ad.constant(feats_b), params)
     np.testing.assert_allclose(out_a.data[0], out_b.data[0], atol=1e-12)
 
 
@@ -134,7 +134,7 @@ def test_pointwise_identical_points_identical_rows(rng):
     pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.5, 2.5]])
     feats = rng.normal(size=(3, 4))
     feats[1] = feats[0]
-    out = pointwise_learning(plan_of(make_ps(pts)), ad.constant(feats), params)
+    out = pointwise_learning(plan_of(make_ps(pts)).points, ad.constant(feats), params)
     np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-12)
 
 
@@ -143,17 +143,18 @@ def test_pointwise_permutation_equivariance(rng):
     pts = rng.uniform(-2, 2, size=(12, 2))
     feats = rng.normal(size=(12, 4))
     ps = make_ps(pts)
-    out = pointwise_learning(plan_of(ps), ad.constant(feats), params).data
+    out = pointwise_learning(plan_of(ps).points, ad.constant(feats), params).data
     perm = rng.permutation(12)
-    out_p = pointwise_learning(plan_of(permute_ps(ps, perm)), ad.constant(feats[perm]), params).data
+    out_p = pointwise_learning(plan_of(permute_ps(ps, perm)).points, ad.constant(feats[perm]),
+                               params).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
 def test_pointwise_empty_radii_rejected(rng):
     params, _ = tiny_params()
     with pytest.raises(ValueError):
-        plan = dataclasses.replace(plan_of(make_ps(np.zeros((1, 2)))), neighborhoods=())
-        pointwise_learning(plan, ad.constant(np.zeros((1, 4))), params)
+        rows = dataclasses.replace(plan_of(make_ps(np.zeros((1, 2)))).points, neighborhoods=())
+        pointwise_learning(rows, ad.constant(np.zeros((1, 4))), params)
 
 
 def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
@@ -163,7 +164,7 @@ def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
     ps = index_scene(normalize(gen_synthetic(1, seed=0, speed_range=(1.0, 3.0))[0]),
                      cfg.grid_size)
     plan = plan_scene(ps, cfg)
-    pair_counts = {len(rel) for rel, _, _ in plan.neighborhoods}
+    pair_counts = {len(rel) for rel, _, _ in plan.points.neighborhoods}
     assert min(pair_counts) > len(ps)
     params = init_spatial({}, "sp", cfg.embed_width, cfg, np.random.default_rng(0))
     feats = ad.parameter(np.random.default_rng(1).normal(size=(len(ps), cfg.embed_width)))
@@ -175,7 +176,7 @@ def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
         return op(out_data, parents, vjp)
 
     monkeypatch.setattr(ad, "_op", recording_op)
-    pointwise_learning(plan, feats, params)
+    pointwise_learning(plan.points, feats, params)
     assert any(rows in pair_counts for rows, _ in shapes)
     wide = [(r, c) for r, c in shapes if r in pair_counts and c > cfg.radius_width]
     assert wide == []
@@ -184,7 +185,7 @@ def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
 def test_pointwise_rejects_plan_of_other_radius_count():
     params, _ = tiny_params()
     with pytest.raises(ValueError):
-        pointwise_learning(plan_of(make_ps(np.zeros((1, 2))), radii=(0.6, 1.2, 2.4)),
+        pointwise_learning(plan_of(make_ps(np.zeros((1, 2))), radii=(0.6, 1.2, 2.4)).points,
                            ad.constant(np.zeros((1, 4))), params)
 
 
@@ -361,7 +362,7 @@ def test_interp_single_voxel_weight_one(rng):
     params, _ = tiny_params()
     plan = plan_of(make_ps(np.array([[0.2, 0.2]])))
     vox = ftp_point_to_voxel(plan, ad.constant(rng.normal(size=(1, 4))))
-    out = interp_voxel_to_point(plan, vox, params)
+    out = interp_voxel_to_point(plan.points, vox, params)
     np.testing.assert_allclose(out.data, vox.data, atol=1e-12)
 
 
@@ -377,7 +378,7 @@ def test_interp_zero_mlp_uniform_weights(rng):
     pts = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
     plan = plan_of(make_ps(pts))
     feats = rng.normal(size=(4, 4))
-    out = interp_voxel_to_point(plan, ftp_point_to_voxel(plan, ad.constant(feats)), params)
+    out = interp_voxel_to_point(plan.points, ftp_point_to_voxel(plan, ad.constant(feats)), params)
     np.testing.assert_allclose(out.data[0], feats.mean(axis=0), atol=1e-12)
 
 
@@ -411,7 +412,7 @@ def test_interp_gradient_wrt_mlp(rng):
 
     def make_loss():
         vox = ftp_point_to_voxel(plan, feats)
-        return ad.smooth_l1(interp_voxel_to_point(plan, vox, params), target)
+        return ad.smooth_l1(interp_voxel_to_point(plan.points, vox, params), target)
 
     check_grads(make_loss, leaves)
 
@@ -425,17 +426,19 @@ def test_spatial_block_shape_and_permutation(rng):
     pts = rng.uniform(-2, 2, size=(10, 2))
     feats = rng.normal(size=(10, 4))
     ps = make_ps(pts)
-    out = spatial_block(plan_of(ps), ad.constant(feats), params).data
+    plan = plan_of(ps)
+    out = spatial_block(plan, ad.constant(feats), params, plan.points).data
     assert out.shape == (10, TINY.spatial_width)
     perm = rng.permutation(10)
-    out_p = spatial_block(plan_of(permute_ps(ps, perm)), ad.constant(feats[perm]), params).data
+    plan_p = plan_of(permute_ps(ps, perm))
+    out_p = spatial_block(plan_p, ad.constant(feats[perm]), params, plan_p.points).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
 def test_spatial_block_single_point(rng):
     params, _ = tiny_params(seed=8)
     plan = plan_of(make_ps(np.array([[0.3, -0.4]])))
-    out = spatial_block(plan, ad.constant(rng.normal(size=(1, 4))), params).data
+    out = spatial_block(plan, ad.constant(rng.normal(size=(1, 4))), params, plan.points).data
     assert out.shape == (1, TINY.spatial_width)
     assert np.all(np.isfinite(out))
 
@@ -448,7 +451,7 @@ def test_spatial_block_end_to_end_gradient(rng):
     target = np.random.default_rng(5).normal(size=(6, TINY.spatial_width))
 
     def make_loss():
-        return ad.smooth_l1(spatial_block(plan, feats, params), target)
+        return ad.smooth_l1(spatial_block(plan, feats, params, plan.points), target)
 
     sampled = [feats] + [reg[k] for k in sorted(reg)[::5]]
     check_grads(make_loss, sampled)
