@@ -29,8 +29,7 @@ from .scenes import (
     AgentTrack,
     Frame,
     MapElement,
-    NormalizedScene,
-    RawScene,
+    Scene,
     augment,
     load_scene,
     normalize,
@@ -50,9 +49,8 @@ __all__ = [
     "MapElement",
     "Model",
     "ModelConfig",
-    "NormalizedScene",
     "PredictionSet",
-    "RawScene",
+    "Scene",
     "Tensor",
     "TrainConfig",
     "ade",

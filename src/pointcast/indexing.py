@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .scenes import NormalizedScene
+from .scenes import Scene
 
 if TYPE_CHECKING:
     from .network import ModelConfig
@@ -170,11 +170,6 @@ class GroupTable:
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    @property
-    def members(self) -> list[np.ndarray]:
-        """Group id -> ascending rows: a per-group view for inspection, not for hot paths."""
-        return [self.order[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-
 
 def group_by_keys(keys) -> GroupTable:
     """Build a GroupTable from arbitrary int64 keys.
@@ -210,7 +205,7 @@ def build_groups_by_instance(ps: IndexedPointSet) -> GroupTable:
     return group_by_keys(ps.instance)
 
 
-def index_scene(scene: NormalizedScene, grid_size: float) -> IndexedPointSet:
+def index_scene(scene: Scene, grid_size: float) -> IndexedPointSet:
     """Flatten a normalized scene into an IndexedPointSet.
 
     Agent instances come first (in scene order) followed by map instances;

@@ -33,8 +33,7 @@ from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .indexing import EMBED_IN, ScenePlan, index_scene, plan_scene
 from .optim import AdamState, adam_init, adam_step, lr_at_epoch
-from .scenes import (AugConfig, NormalizedScene, RawScene, SceneValidationError, augment,
-                     normalize)
+from .scenes import AugConfig, Scene, SceneValidationError, augment, normalize
 from .spatial import init_spatial, spatial_block
 from .temporal import init_temporal, temporal_block
 
@@ -118,8 +117,9 @@ def init_model(config: ModelConfig, seed) -> Model:
     return Model(config, embed, spatial, temporal, head_reg, head_disp, reg)
 
 
-def scene_plan(scene: NormalizedScene, config: ModelConfig) -> ScenePlan:
+def scene_plan(scene: Scene, config: ModelConfig) -> ScenePlan:
     """Index ``scene`` and plan it for ``config``: the network's whole input for one scene."""
+    check_history(scene, config)
     return plan_scene(index_scene(scene, config.grid_size), config)
 
 
@@ -154,7 +154,7 @@ def prediction_from_heads(reg: Tensor, disp: Tensor, config: ModelConfig) -> Pre
     )
 
 
-def forward(model: Model, scene: NormalizedScene) -> PredictionSet:
+def forward(model: Model, scene: Scene) -> PredictionSet:
     with ad.no_grad():
         reg, disp = forward_graph(model, scene_plan(scene, model.config))
     return prediction_from_heads(reg, disp, model.config)
@@ -274,6 +274,19 @@ def check_future(item, config: ModelConfig) -> None:
         raise SceneValidationError(
             f"scene {item.scene_id!r} future has {len(item.future)} steps, "
             f"model regresses {config.future_steps} (model.future_steps)"
+        )
+
+
+def check_history(scene: Scene, config: ModelConfig) -> None:
+    """Raise SceneValidationError unless ``scene`` spans the model's history_steps.
+
+    The time feature divides each step by ``config.history_steps``, so a
+    longer history would leave [0, 1) and a shorter one would skew it.
+    """
+    if scene.history_steps != config.history_steps:
+        raise SceneValidationError(
+            f"scene {scene.scene_id!r} has {scene.history_steps} history steps, "
+            f"model reads {config.history_steps} (model.history_steps)"
         )
 
 
@@ -448,7 +461,7 @@ def _serve(conn, parent_ends, run):
 
 
 def train(
-    dataset: list[RawScene],
+    dataset: list[Scene],
     config: TrainConfig,
     *,
     checkpoint_path=None,
@@ -486,6 +499,7 @@ def train(
     normalized = [normalize(s) for s in dataset]
     for sc in normalized:
         check_future(sc, config.model)
+        check_history(sc, config.model)
 
     model = init_model(config.model, config.seed)
     state = adam_init(model.params)

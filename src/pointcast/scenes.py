@@ -2,7 +2,10 @@
 
 A scene is one forecasting sample: a handful of agent tracks (timed 2D
 waypoints), static map polylines, one designated target agent, and an
-optional ground-truth future for that target.
+optional ground-truth future for that target. One :class:`Scene` type holds
+it before and after :func:`normalize`, which recenters and rotates it into
+the target's frame and records that transform in ``Scene.frame``; a scene
+read from a file or generated has ``frame`` None.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,19 +31,28 @@ class SceneValidationError(ValueError):
     """A parsed scene violates a structural invariant."""
 
 
+def _fields_equal(self, other) -> bool:
+    """Field-wise equality of two dataclasses of one type, arrays by value.
+
+    Fields declared with ``compare=False`` are skipped.
+    """
+    if type(other) is not type(self):
+        return False
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+        if f.compare and not (np.array_equal(a, b) if arrays else a == b):
+            return False
+    return True
+
+
 @dataclass
 class AgentTrack:
     track_id: str
     steps: np.ndarray  # (n,) int64, strictly increasing, in [0, history_steps)
     xy: np.ndarray     # (n, 2) float64, meters
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AgentTrack)
-            and self.track_id == other.track_id
-            and np.array_equal(self.steps, other.steps)
-            and np.array_equal(self.xy, other.xy)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -48,12 +60,7 @@ class MapElement:
     element_id: str
     xy: np.ndarray  # (n, 2) float64, ordered polyline points
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MapElement)
-            and self.element_id == other.element_id
-            and np.array_equal(self.xy, other.xy)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -63,34 +70,39 @@ class Frame:
     origin: np.ndarray  # (2,) float64
     rotation: float     # radians
 
+    __eq__ = _fields_equal
+
+    def _rotation(self, sign: int) -> np.ndarray:
+        """R(sign * rotation), for column vectors."""
+        c, s = math.cos(self.rotation), sign * math.sin(self.rotation)
+        return np.array([[c, -s], [s, c]])
+
     def apply(self, pts):
-        pts = np.asarray(pts, dtype=np.float64)
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, s], [-s, c]])
-        return (pts - self.origin) @ rot.T
+        return (np.asarray(pts, dtype=np.float64) - self.origin) @ self._rotation(-1).T
 
     def invert(self, pts):
-        pts = np.asarray(pts, dtype=np.float64)
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return pts @ rot.T + self.origin
+        return np.asarray(pts, dtype=np.float64) @ self._rotation(1).T + self.origin
 
 
-class _Scene:
-    """What RawScene and NormalizedScene share: equality and the target lookup."""
+@dataclass
+class Scene:
+    """One forecasting sample; ``frame`` is None until :func:`normalize` sets it.
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, type(self))
-            and self.agents == other.agents
-            and self.map_elements == other.map_elements
-            and self.target_id == other.target_id
-            and ((self.future is None) == (other.future is None))
-            and (self.future is None or np.array_equal(self.future, other.future))
-            and self.city == other.city
-            and self.history_steps == other.history_steps
-            and self.future_steps == other.future_steps
-        )
+    Equality compares every field but ``scene_id``, arrays by value, so a
+    scene never equals its normalized copy.
+    """
+
+    agents: list[AgentTrack]
+    map_elements: list[MapElement]
+    target_id: str
+    future: np.ndarray | None = None  # (future_steps, 2) for the target agent
+    city: str = ""
+    scene_id: str = field(default="", compare=False)
+    history_steps: int = HISTORY_STEPS
+    future_steps: int = FUTURE_STEPS
+    frame: Frame | None = None
+
+    __eq__ = _fields_equal
 
     def target_agent(self) -> AgentTrack:
         for a in self.agents:
@@ -99,35 +111,8 @@ class _Scene:
         raise SceneValidationError(f"target agent {self.target_id!r} not in scene")
 
 
-@dataclass(eq=False)
-class RawScene(_Scene):
-    agents: list[AgentTrack]
-    map_elements: list[MapElement]
-    target_id: str
-    future: np.ndarray | None = None  # (future_steps, 2) for the target agent
-    city: str = ""
-    scene_id: str = ""
-    history_steps: int = HISTORY_STEPS
-    future_steps: int = FUTURE_STEPS
-
-
-@dataclass(eq=False)
-class NormalizedScene(_Scene):
-    """Same shape as :class:`RawScene` plus the frame that was applied."""
-
-    agents: list[AgentTrack]
-    map_elements: list[MapElement]
-    target_id: str
-    future: np.ndarray | None
-    city: str
-    frame: Frame
-    scene_id: str = ""
-    history_steps: int = HISTORY_STEPS
-    future_steps: int = FUTURE_STEPS
-
-
-def validate_raw(scene: RawScene) -> None:
-    """Check RawScene invariants, raising SceneValidationError on the first failure."""
+def validate_raw(scene: Scene) -> None:
+    """Check a scene's structural invariants, raising SceneValidationError on the first failure."""
     h = scene.history_steps
     n_target = 0
     for a in scene.agents:
@@ -169,8 +154,8 @@ def validate_raw(scene: RawScene) -> None:
             raise SceneValidationError("future has non-finite coordinates")
 
 
-def validate_normalized(scene: NormalizedScene, tol: float = 1e-9) -> None:
-    """Check NormalizedScene invariants (origin anchor, heading, range)."""
+def validate_normalized(scene: Scene, tol: float = 1e-9) -> None:
+    """Check a normalized scene's invariants (origin anchor, heading, range)."""
     target = scene.target_agent()
     last = target.xy[-1]
     if abs(last[0]) > tol or abs(last[1]) > tol:
@@ -191,7 +176,7 @@ def validate_normalized(scene: NormalizedScene, tol: float = 1e-9) -> None:
 # normalization
 
 
-def normalize(scene: RawScene) -> NormalizedScene:
+def normalize(scene: Scene) -> Scene:
     """Center the scene on the target's last observation and align its heading with +x.
 
     The rigid transform (translation then rotation) is applied identically to
@@ -199,6 +184,7 @@ def normalize(scene: RawScene) -> NormalizedScene:
     falling outside the [-SCENE_RANGE, SCENE_RANGE]^2 square are dropped
     (the future is transformed but never cropped; the loss needs all of it).
     A single-observation or stationary target gets the identity rotation.
+    Normalizing a normalized scene gives it back up to float error.
     """
     validate_raw(scene)
     target = scene.target_agent()
@@ -226,32 +212,7 @@ def normalize(scene: RawScene) -> NormalizedScene:
         map_elements.append(MapElement(m.element_id, xy[keep]))
 
     future = frame.apply(scene.future) if scene.future is not None else None
-    return NormalizedScene(
-        agents=agents,
-        map_elements=map_elements,
-        target_id=scene.target_id,
-        future=future,
-        city=scene.city,
-        frame=frame,
-        scene_id=scene.scene_id,
-        history_steps=scene.history_steps,
-        future_steps=scene.future_steps,
-    )
-
-
-def renormalize(scene: NormalizedScene) -> NormalizedScene:
-    """Normalize an already-normalized scene (idempotent up to float error)."""
-    raw = RawScene(
-        agents=scene.agents,
-        map_elements=scene.map_elements,
-        target_id=scene.target_id,
-        future=scene.future,
-        city=scene.city,
-        scene_id=scene.scene_id,
-        history_steps=scene.history_steps,
-        future_steps=scene.future_steps,
-    )
-    return normalize(raw)
+    return replace(scene, agents=agents, map_elements=map_elements, future=future, frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +235,7 @@ class AugConfig:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
-def augment(scene: NormalizedScene, seed, config: AugConfig = AugConfig()) -> NormalizedScene:
+def augment(scene: Scene, seed, config: AugConfig = AugConfig()) -> Scene:
     """Global random scaling, point dropout, and location perturbation.
 
     One scale factor drawn uniformly from ``scale_range`` multiplies every
@@ -319,7 +280,7 @@ def augment(scene: NormalizedScene, seed, config: AugConfig = AugConfig()) -> No
 # JSON scene format
 
 
-def scene_to_dict(scene: RawScene) -> dict:
+def scene_to_dict(scene: Scene) -> dict:
     return {
         "agents": [
             {
@@ -369,29 +330,36 @@ def _json_steps(points, owner: str) -> np.ndarray:
     return np.array([p[0] for p in points], dtype=np.int64)
 
 
-def scene_from_dict(doc: dict, scene_id: str = "") -> RawScene:
+def _json_id(value, name: str) -> str:
+    """An agent, map element or target id, which must be a JSON string."""
+    if type(value) is not str:
+        raise SceneFormatError(f"{name} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def scene_from_dict(doc: dict, scene_id: str = "") -> Scene:
     try:
         agents = []
-        for a in doc["agents"]:
-            track_id = str(a["id"])
+        for i, a in enumerate(doc["agents"]):
+            track_id = _json_id(a["id"], f"agent {i} id")
             owner = f"agent {track_id!r}"
             agents.append(AgentTrack(track_id, _json_steps(a["points"], owner),
                                      _json_xy(a["points"], owner, first=1)))
-        map_elements = [
-            MapElement(element_id=str(m["id"]),
-                       xy=_json_xy(m["points"], f"map element {str(m['id'])!r}"))
-            for m in doc["map"]
-        ]
+        map_elements = []
+        for i, m in enumerate(doc["map"]):
+            element_id = _json_id(m["id"], f"map element {i} id")
+            xy = _json_xy(m["points"], f"map element {element_id!r}")
+            map_elements.append(MapElement(element_id, xy))
         horizons = {k: doc.get(k, v) for k, v in (("history_steps", HISTORY_STEPS),
                                                    ("future_steps", FUTURE_STEPS))}
         for k, v in horizons.items():
             if type(v) is not int or v < 1:
                 raise SceneFormatError(f"{k} must be a positive integer, got {json.dumps(v)}")
         future = doc.get("future")
-        scene = RawScene(
+        scene = Scene(
             agents=agents,
             map_elements=map_elements,
-            target_id=str(doc["target_id"]),
+            target_id=_json_id(doc["target_id"], "target_id"),
             future=None if future is None else _json_xy(future, "future"),
             city=str(doc.get("city", "")),
             scene_id=scene_id,
@@ -403,7 +371,7 @@ def scene_from_dict(doc: dict, scene_id: str = "") -> RawScene:
     return scene
 
 
-def save_scene(scene: RawScene, path) -> None:
+def save_scene(scene: Scene, path) -> None:
     Path(path).write_text(json.dumps(scene_to_dict(scene), indent=1, allow_nan=False) + "\n")
 
 
@@ -413,7 +381,7 @@ def save_scene(scene: RawScene, path) -> None:
 CSV_COLUMNS = ["TIMESTAMP", "TRACK_ID", "OBJECT_TYPE", "X", "Y", "CITY_NAME"]
 
 
-def _load_csv(path) -> RawScene:
+def _load_csv(path) -> Scene:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -480,7 +448,7 @@ def _load_csv(path) -> RawScene:
             )
         )
 
-    scene = RawScene(
+    scene = Scene(
         agents=agents,
         map_elements=[],
         target_id=target_id,
@@ -492,7 +460,7 @@ def _load_csv(path) -> RawScene:
     return scene
 
 
-def load_scene(path, fmt: str | None = None) -> RawScene:
+def load_scene(path, fmt: str | None = None) -> Scene:
     """Load a scene file. ``fmt`` is 'json' or 'csv'; inferred from the suffix if None."""
     path = Path(path)
     if fmt is None:
@@ -504,11 +472,14 @@ def load_scene(path, fmt: str | None = None) -> RawScene:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise SceneFormatError(f"{path}: row {exc.lineno}: {exc.msg}") from exc
-        return scene_from_dict(doc, scene_id=path.stem)
+        try:
+            return scene_from_dict(doc, scene_id=path.stem)
+        except (SceneFormatError, SceneValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     raise SceneFormatError(f"unknown scene format {fmt!r}")
 
 
-def load_scene_dir(path) -> list[RawScene]:
+def load_scene_dir(path) -> list[Scene]:
     """Load every *.json scene in a directory, sorted by filename."""
     files = sorted(Path(path).glob("*.json"))
     files = [f for f in files if f.name != "manifest.json"]

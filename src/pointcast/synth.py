@@ -2,16 +2,17 @@
 
 The target agent follows constant-velocity, constant-turn-rate, or
 lateral-offset (lane-change) kinematics; a few other agents drive nearby and
-lane polylines shadow the target's path. Scenes are emitted in a random
-world frame so that normalization is actually exercised. All kinematics are
-exact; observation noise is the augmentation stage's job.
+lane polylines shadow the target's path. Each scene is built in the
+target's frame and placed in a random world frame with ``Frame.invert``, so
+that normalization is actually exercised. All kinematics are exact;
+observation noise is the augmentation stage's job.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scenes import FUTURE_STEPS, HISTORY_STEPS, AgentTrack, MapElement, RawScene
+from .scenes import FUTURE_STEPS, HISTORY_STEPS, AgentTrack, Frame, MapElement, Scene
 
 DT = 0.1  # seconds per step (10 Hz)
 
@@ -48,12 +49,6 @@ def _path_fn(profile, speed, rng):
     raise ValueError(f"unknown profile {profile!r}")
 
 
-def _rigid(pts, angle, offset):
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    return pts @ rot.T + offset
-
-
 def _lane_polyline(pos, lateral_offset, rng):
     """Sample a lane centerline shadowing the path at a lateral offset."""
     s = np.arange(-3.0, 4.0 + 1e-9, rng.uniform(0.15, 0.25))
@@ -72,8 +67,8 @@ def gen_synthetic(
     speed_range=(4.0, 14.0),
     history_steps: int = HISTORY_STEPS,
     future_steps: int = FUTURE_STEPS,
-) -> list[RawScene]:
-    """Generate ``n_scenes`` RawScenes, deterministic per seed."""
+) -> list[Scene]:
+    """Generate ``n_scenes`` scenes, deterministic per seed."""
     if n_scenes < 1:
         raise ValueError("n_scenes must be >= 1")
     if profile not in PROFILES:
@@ -92,6 +87,7 @@ def _gen_one(rng, profile, speed_range, h, t, index):
 
     angle = rng.uniform(0.0, 2.0 * np.pi)
     offset = rng.uniform(-100.0, 100.0, size=2)
+    place = Frame(origin=offset, rotation=angle).invert  # target frame -> world frame
 
     hist_s = (np.arange(h) - (h - 1)) * DT  # [-1.9 .. 0]
     fut_s = (np.arange(1, t + 1)) * DT      # (0 .. 3.0]
@@ -99,9 +95,9 @@ def _gen_one(rng, profile, speed_range, h, t, index):
     target = AgentTrack(
         track_id="agent-0",
         steps=np.arange(h, dtype=np.int64),
-        xy=_rigid(pos(hist_s), angle, offset),
+        xy=place(pos(hist_s)),
     )
-    future = _rigid(pos(fut_s), angle, offset)
+    future = place(pos(fut_s))
 
     agents = [target]
     for j in range(int(rng.integers(1, 5))):
@@ -115,18 +111,18 @@ def _gen_one(rng, profile, speed_range, h, t, index):
         rel_s = (steps - (h - 1)) * DT
         xy = start_pos[None, :] + vel[None, :] * rel_s[:, None]
         agents.append(
-            AgentTrack(track_id=f"agent-{j + 1}", steps=steps, xy=_rigid(xy, angle, offset))
+            AgentTrack(track_id=f"agent-{j + 1}", steps=steps, xy=place(xy))
         )
 
     n_lanes = int(rng.integers(2, 7))
     lane_pool = np.array([-10.5, -7.0, -3.5, 0.0, 3.5, 7.0])
     offsets = rng.choice(lane_pool, size=n_lanes, replace=False)
     map_elements = [
-        MapElement(f"lane-{k}", _rigid(_lane_polyline(pos, off, rng), angle, offset))
+        MapElement(f"lane-{k}", place(_lane_polyline(pos, off, rng)))
         for k, off in enumerate(offsets)
     ]
 
-    return RawScene(
+    return Scene(
         agents=agents,
         map_elements=map_elements,
         target_id="agent-0",

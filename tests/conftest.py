@@ -105,6 +105,11 @@ def brute_group_by_keys(keys):
     return np.asarray(group_of), [np.asarray(m) for m in members]
 
 
+def group_members(table) -> list[np.ndarray]:
+    """Group id -> ascending rows of a GroupTable, one array per group."""
+    return [table.order[a:b] for a, b in zip(table.offsets[:-1], table.offsets[1:])]
+
+
 def brute_scatter_mean(x, group_of, n_groups):
     out = np.zeros((n_groups, x.shape[1]))
     for g in range(n_groups):

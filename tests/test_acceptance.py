@@ -19,6 +19,7 @@ from conftest import (
     brute_radius_pairs,
     brute_scatter_max,
     brute_scatter_mean,
+    group_members,
     spread_values,
 )
 from test_autodiff import _primitive_cases
@@ -54,7 +55,7 @@ from pointcast.network import (
     rank_trajectories,
     scene_plan,
 )
-from pointcast.scenes import AgentTrack, MapElement, RawScene
+from pointcast.scenes import AgentTrack, MapElement, Scene
 from pointcast.spatial import (
     init_spatial,
     radius_pairs,
@@ -118,8 +119,8 @@ def ten_point_scene(rng):
     ]
     lanes = [MapElement("m", rng.uniform(-2, 2, (3, 2)))]
     future = rng.uniform(-2, 2, (TINY.future_steps, 2)) + [[1.0, 0.0]]
-    raw = RawScene(agents=agents, map_elements=lanes, target_id="tgt",
-                   future=future, future_steps=TINY.future_steps, scene_id="fd")
+    raw = Scene(agents=agents, map_elements=lanes, target_id="tgt",
+                future=future, future_steps=TINY.future_steps, scene_id="fd")
     return normalize(raw)
 
 
@@ -388,7 +389,7 @@ def test_criterion_04_interval_identities():
         assert np.array_equal(by_h.group_of, by_inst.group_of)
         finest = regroup_by_interval(ps, 1)
         assert finest.n_groups == n  # (instance, time) pairs are unique here
-        assert all(len(m) == 1 for m in finest.members)
+        assert all(len(m) == 1 for m in group_members(finest))
     report("criterion 4: interval reduction identities", "exhaustive H=1..20")
 
 
@@ -448,8 +449,8 @@ def test_criterion_07_dynamic_lengths():
     lanes = [MapElement("m", rng.uniform(-3, 3, size=(5, 2)))]
     future = rng.uniform(-3, 3, size=(TINY.future_steps, 2))
     scene = normalize(
-        RawScene(agents=agents, map_elements=lanes, target_id="tgt", future=future,
-                 future_steps=TINY.future_steps)
+        Scene(agents=agents, map_elements=lanes, target_id="tgt", future=future,
+              future_steps=TINY.future_steps)
     )
     pred = forward(model, scene)
     assert np.all(np.isfinite(pred.trajectories))

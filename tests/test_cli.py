@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointcast import TrainConfig, cli, gen_synthetic, load_scene, metrics, normalize, train
+from pointcast import (TrainConfig, cli, gen_synthetic, load_scene, metrics, normalize,
+                       save_scene, train)
 from pointcast.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_MODEL = {
@@ -176,6 +177,33 @@ def test_train_diverged_exit2(tmp_path, trained, capsys, overrides, term):
     err = capsys.readouterr().err
     assert err.startswith("error: training diverged:") and term in err
     assert not (tmp_path / "ck" / "model.json").exists()
+
+
+def test_train_names_the_bad_scene_file_exit2(tmp_path, capsys):
+    data = gen_data(tmp_path)
+    bad = sorted(data.glob("syn-*.json"))[2]
+    doc = json.loads(bad.read_text())
+    doc["agents"][1]["points"][0][0] = 0.5
+    bad.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "c.json", data, tmp_path / "ck")
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert f"error: {bad}: agent 'agent-1' point 0: step must be an integer" in (
+        capsys.readouterr().err)
+
+
+def test_other_history_horizon_exit2(tmp_path, trained, capsys):
+    tmp, _, ckpt = trained
+    data = tmp_path / "h40"
+    data.mkdir()
+    for sc in gen_synthetic(2, seed=0, history_steps=40):
+        save_scene(sc, data / f"{sc.scene_id}.json")
+    cfg = write_config(tmp_path / "c.json", data, tmp_path / "ck")
+    names = "has 40 history steps, model reads 20 (model.history_steps)"
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert names in capsys.readouterr().err
+    assert cli.main(["predict", "--ckpt", str(ckpt), "--scene", str(data / "syn-00000.json"),
+                     "--out", str(tmp_path / "pred.json")]) == 2
+    assert names in capsys.readouterr().err
 
 
 def test_readme_run_config_parses(tmp_path):

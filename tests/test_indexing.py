@@ -11,6 +11,7 @@ from conftest import (
     brute_group_by_keys,
     brute_radius_pairs,
     dict_interp_candidates,
+    group_members,
 )
 
 from pointcast import ModelConfig, gen_synthetic, index_scene, normalize, voxelize
@@ -30,7 +31,7 @@ from pointcast.indexing import (
     plan_scene,
     regroup_by_interval,
 )
-from pointcast.scenes import AgentTrack, MapElement, NormalizedScene, Frame
+from pointcast.scenes import AgentTrack, Frame, MapElement, Scene
 
 
 def make_ps(points, instance, time, kind, grid_size=0.2):
@@ -117,7 +118,7 @@ def test_groups_by_voxel_basic():
     ps = make_ps([[0.1, 0.1], [0.15, 0.05], [0.25, 0.1]], [0, 0, 0], [0, 1, 2], [0, 0, 0])
     gt = build_groups_by_voxel(ps)
     assert gt.n_groups == 2
-    assert sorted(len(m) for m in gt.members) == [1, 2]
+    assert sorted(len(m) for m in group_members(gt)) == [1, 2]
 
 
 def test_groups_by_voxel_identity_when_distinct():
@@ -125,7 +126,7 @@ def test_groups_by_voxel_identity_when_distinct():
     ps = make_ps(pts, [0] * 5, range(5), [0] * 5)
     gt = build_groups_by_voxel(ps)
     assert gt.n_groups == 5
-    assert all(len(m) == 1 for m in gt.members)
+    assert all(len(m) == 1 for m in group_members(gt))
 
 
 def test_groups_permutation_invariance(rng):
@@ -136,8 +137,8 @@ def test_groups_permutation_invariance(rng):
     ps2 = make_ps(pts[perm], [0] * 40, np.arange(40)[perm], [0] * 40)
     gt2 = build_groups_by_voxel(ps2)
     # same membership as sets of original point ids
-    sets1 = {frozenset(m.tolist()) for m in gt.members}
-    sets2 = {frozenset(perm[m].tolist()) for m in gt2.members}
+    sets1 = {frozenset(m.tolist()) for m in group_members(gt)}
+    sets2 = {frozenset(perm[m].tolist()) for m in group_members(gt2)}
     assert sets1 == sets2
 
 
@@ -147,17 +148,17 @@ def test_group_by_keys_matches_bruteforce(rng):
         table = group_by_keys(keys)
         ref_group_of, ref_members = brute_group_by_keys(keys)
         np.testing.assert_array_equal(table.group_of, ref_group_of)
-        assert len(table.members) == len(ref_members)
-        for got, ref in zip(table.members, ref_members):
+        assert len(group_members(table)) == len(ref_members)
+        for got, ref in zip(group_members(table), ref_members):
             np.testing.assert_array_equal(got, ref)
 
 
 def test_groups_partition(rng):
     keys = rng.integers(0, 7, size=30)
     table = group_by_keys(keys)
-    allpts = np.concatenate(table.members)
+    allpts = np.concatenate(group_members(table))
     assert sorted(allpts.tolist()) == list(range(30))
-    for g, m in enumerate(table.members):
+    for g, m in enumerate(group_members(table)):
         assert np.all(table.group_of[m] == g)
 
 
@@ -193,7 +194,7 @@ def test_regroup_interval_key():
 def test_regroup_times_0_to_4_interval_2():
     ps = make_ps(np.zeros((5, 2)), [0] * 5, range(5), [0] * 5)
     gt = regroup_by_interval(ps, 2)
-    groups = [sorted(m.tolist()) for m in gt.members]
+    groups = [sorted(m.tolist()) for m in group_members(gt)]
     assert groups == [[0, 1], [2, 3], [4]]
 
 
@@ -237,14 +238,14 @@ def test_groups_by_instance_counts():
     ps = make_ps(np.zeros((70, 2)), inst, times, [0] * 40 + [KIND_MAP] * 30)
     gt = build_groups_by_instance(ps)
     assert gt.n_groups == 5
-    assert [len(m) for m in gt.members] == [20, 20, 10, 10, 10]
+    assert [len(m) for m in group_members(gt)] == [20, 20, 10, 10, 10]
 
 
 def test_single_instance_single_group():
     ps = make_ps(np.zeros((8, 2)), [0] * 8, range(8), [0] * 8)
     gt = build_groups_by_instance(ps)
     assert gt.n_groups == 1
-    assert gt.members[0].tolist() == list(range(8))
+    assert group_members(gt)[0].tolist() == list(range(8))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +258,7 @@ def _tiny_scene():
         AgentTrack("a1", np.array([19]), np.array([[1.0, 1.0]])),
     ]
     lanes = [MapElement("m0", np.array([[0.0, 2.0], [1.0, 2.0]]))]
-    return NormalizedScene(
-        agents=agents, map_elements=lanes, target_id="tgt", future=None,
-        city="", frame=Frame(np.zeros(2), 0.0),
-    )
+    return Scene(agents=agents, map_elements=lanes, target_id="tgt", frame=Frame(np.zeros(2), 0.0))
 
 
 def test_index_scene_layout():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import weakref
 
@@ -91,7 +92,7 @@ def test_forward_requires_target(small_model, scene):
 
 def probe_scene():
     """Target track with a lane running inside the neighborhood radius."""
-    from pointcast.scenes import AgentTrack, RawScene
+    from pointcast.scenes import AgentTrack, Scene
 
     steps = np.arange(20, dtype=np.int64)
     xy = np.stack([(steps - 19) * 0.5, np.zeros(20)], axis=1)
@@ -99,7 +100,7 @@ def probe_scene():
     future = np.stack([0.5 + np.arange(SMALL.future_steps) * 0.5,
                        np.zeros(SMALL.future_steps)], axis=1)
     return normalize(
-        RawScene(
+        Scene(
             agents=[AgentTrack("tgt", steps, xy)],
             map_elements=[MapElement("lane", lane)],
             target_id="tgt",
@@ -326,6 +327,22 @@ def train_cfg(epochs=2, seed=3):
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
         train([], train_cfg())
+
+
+@pytest.mark.parametrize("history_steps", [40, 8])
+def test_other_history_horizon_rejected(history_steps):
+    # the time feature step / model.history_steps would leave [0, 1) or skew
+    data = gen_synthetic(2, seed=0, history_steps=history_steps,
+                         future_steps=SMALL.future_steps)
+    names = f"has {history_steps} history steps, model reads 20 (model.history_steps)"
+    with pytest.raises(SceneValidationError, match=re.escape(names)):
+        scene_plan(normalize(data[0]), SMALL)
+    with pytest.raises(SceneValidationError, match=re.escape(names)):
+        forward(init_model(SMALL, seed=0), normalize(data[0]))
+    # augmented steps plan as they go; train checks every scene before its first step
+    augmented = dataclasses.replace(train_cfg(), augment=AugConfig())
+    with pytest.raises(SceneValidationError, match=re.escape(names)):
+        train(data, augmented)
 
 
 def test_train_same_seed_identical_history():

@@ -1,13 +1,18 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pointcast import (
     AgentTrack,
     AugConfig,
+    Frame,
     MapElement,
-    RawScene,
+    Scene,
     augment,
     cli,
     gen_synthetic,
@@ -18,7 +23,7 @@ from pointcast import (
 from pointcast.scenes import (
     FUTURE_STEPS,
     HISTORY_STEPS,
-    NormalizedScene,
+    SCENE_RANGE,
     SceneFormatError,
     SceneValidationError,
     load_scene_dir,
@@ -40,7 +45,45 @@ def straight_scene(future=True):
             [HISTORY_STEPS + np.arange(FUTURE_STEPS, dtype=np.float64), np.zeros(FUTURE_STEPS)],
             axis=1,
         ) + np.array([3.0, 7.0])
-    return RawScene(agents=agents, map_elements=lanes, target_id="tgt", future=fut, city="X")
+    return Scene(agents=agents, map_elements=lanes, target_id="tgt", future=fut, city="X")
+
+
+# meters, to the millimeter: a heading is 0 or at least 1 mm long
+coords = st.integers(-100_000, 100_000).map(lambda v: v / 1000)
+
+
+def _xy(draw, n, near=None, reach=16.0):
+    """(n, 2) coordinates; with ``near``, within ``reach`` of it on each axis."""
+    c = coords if near is None else st.integers(-1000 * int(reach), 1000 * int(reach)).map(
+        lambda v: v / 1000)
+    xy = np.array(draw(st.lists(st.tuples(c, c), min_size=n, max_size=n)), dtype=np.float64)
+    return xy.reshape(n, 2) + (0.0 if near is None else near)
+
+
+@st.composite
+def scenes(draw):
+    """Valid scenes in a world frame, the target's track within 16 m of its anchor per axis.
+
+    So no target point is ever cropped and the heading stays its last two points.
+    """
+    h, t = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    ids = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    target_id = draw(st.sampled_from(ids))
+    anchor = _xy(draw, 1)[0]
+    agents = []
+    for track_id in ids:
+        if track_id == target_id:
+            steps = draw(st.sets(st.integers(0, h - 1))) | {h - 1}
+            xy = _xy(draw, len(steps), near=anchor)
+        else:
+            steps = draw(st.sets(st.integers(0, h - 1), min_size=1))
+            xy = _xy(draw, len(steps))
+        agents.append(AgentTrack(track_id, np.array(sorted(steps), dtype=np.int64), xy))
+    map_ids = draw(st.lists(st.text(max_size=3), max_size=3))
+    map_elements = [MapElement(m, _xy(draw, draw(st.integers(1, 6)))) for m in map_ids]
+    future = _xy(draw, t) if draw(st.booleans()) else None
+    return Scene(agents=agents, map_elements=map_elements, target_id=target_id,
+                 future=future, city=draw(st.text(max_size=3)), history_steps=h, future_steps=t)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +204,52 @@ def test_json_fractional_step_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s.svg").exists()
 
 
+def _edit(doc, edits):
+    """Set each ``{(key, index, ..., key): value}`` of ``edits`` in ``doc``."""
+    for (*where, key), value in edits.items():
+        owner = doc
+        for k in where:
+            owner = owner[k]
+        owner[key] = value
+    return doc
+
+
+# (edits, what the error names): ids are JSON strings, never str() of another value
+MALFORMED_IDS = {
+    "null-agent-id": ({("agents", 0, "id"): None, ("target_id",): "None"},
+                      "agent 0 id must be a string, got null"),
+    "int-agent-id": ({("agents", 0, "id"): 1, ("target_id",): "1"},
+                     "agent 0 id must be a string, got 1"),
+    "object-map-id": ({("map", 0, "id"): {"x": 1}},
+                      'map element 0 id must be a string, got {"x": 1}'),
+    "int-target-id": ({("target_id",): 1}, "target_id must be a string, got 1"),
+    "null-target-id": ({("target_id",): None}, "target_id must be a string, got null"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_IDS)
+def test_json_non_string_id_rejected(tmp_path, capsys, case):
+    edits, names = MALFORMED_IDS[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_edit(scene_to_dict(straight_scene()), edits)))
+    with pytest.raises(SceneFormatError, match=re.escape(names)):
+        load_scene(path)
+    assert cli.main(["plot", "--scene", str(path), "--out", str(tmp_path / "s.svg")]) == 2
+    assert names in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits, error", [
+    ({("agents", 0, "points", 2, 0): 0.5}, SceneFormatError),
+    ({("map",): None}, SceneFormatError),
+    ({("target_id",): "nobody"}, SceneValidationError),
+])
+def test_json_scene_errors_name_their_file(tmp_path, edits, error):
+    path = tmp_path / "bad-scene.json"
+    path.write_text(json.dumps(_edit(scene_to_dict(straight_scene()), edits)))
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+        load_scene(path)
+
+
 def test_json_parse_error_carries_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"agents": [\n  broken\n]}')
@@ -253,11 +342,21 @@ def test_csv_non_finite_value_rejected(tmp_path, capsys, column, value):
     assert f"row 8: {name} is not finite" in capsys.readouterr().err
 
 
-def test_scene_classes_share_one_target_lookup():
-    assert RawScene.target_agent is NormalizedScene.target_agent
-    scene = straight_scene()
-    assert scene.target_agent() is scene.agents[0]
-    assert normalize(scene).target_agent().track_id == "tgt"
+@settings(max_examples=60, deadline=None)
+@given(scene=scenes())
+def test_scene_dict_roundtrip(scene):
+    assert scene_from_dict(json.loads(json.dumps(scene_to_dict(scene)))) == scene
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=scenes())
+def test_scene_never_equals_its_normalized_copy(scene):
+    norm = normalize(scene)
+    assert scene.frame is None and norm.frame is not None
+    assert scene != norm and norm != scene
+    assert norm == normalize(scene)
+    assert replace(norm, scene_id="other") == norm  # equality ignores the id
+    assert scene.target_agent().track_id == norm.target_agent().track_id == scene.target_id
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +366,35 @@ def test_scene_classes_share_one_target_lookup():
 def test_normalize_two_point_example():
     steps = np.array([18, 19], dtype=np.int64)
     agents = [AgentTrack("tgt", steps, np.array([[4.0, 4.0], [5.0, 5.0]]))]
-    scene = RawScene(agents=agents, map_elements=[], target_id="tgt", future=None)
+    scene = Scene(agents=agents, map_elements=[], target_id="tgt", future=None)
     norm = normalize(scene)
     target = norm.target_agent()
     np.testing.assert_allclose(target.xy[-1], [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(target.xy[-2], [-np.sqrt(2.0), 0.0], atol=1e-12)
 
 
-def test_normalize_idempotent():
-    scene = gen_synthetic(1, seed=2)[0]
-    once = normalize(scene)
-    validate_normalized(once)
-    from pointcast.scenes import renormalize
+def _assert_close_scenes(a, b, atol):
+    assert [(x.track_id, x.steps.tolist()) for x in a.agents] == [
+        (x.track_id, x.steps.tolist()) for x in b.agents]
+    assert [m.element_id for m in a.map_elements] == [m.element_id for m in b.map_elements]
+    for x, y in zip(a.agents + a.map_elements, b.agents + b.map_elements):
+        np.testing.assert_allclose(x.xy, y.xy, rtol=0, atol=atol)
+    assert (a.future is None) == (b.future is None)
+    if a.future is not None:
+        np.testing.assert_allclose(a.future, b.future, rtol=0, atol=atol)
 
-    twice = renormalize(once)
-    for a, b in zip(once.agents, twice.agents):
-        np.testing.assert_allclose(a.xy, b.xy, atol=1e-9)
-    np.testing.assert_allclose(once.future, twice.future, atol=1e-9)
+
+@settings(max_examples=60, deadline=None)
+@given(scene=scenes())
+def test_normalize_idempotent(scene):
+    once = normalize(scene)
+    kept = np.concatenate([x.xy for x in once.agents + once.map_elements])
+    # a point on the crop border may fall either side of it under float error
+    assume(np.all(np.abs(kept) < SCENE_RANGE - 1e-6))
+    twice = normalize(once)
+    validate_normalized(once)
+    validate_normalized(twice)
+    _assert_close_scenes(once, twice, atol=1e-9)
 
 
 def test_normalize_crops_out_of_range():
@@ -308,7 +419,7 @@ def test_normalize_preserves_distances():
 def test_normalize_single_observation_identity_rotation():
     steps = np.array([HISTORY_STEPS - 1], dtype=np.int64)
     agents = [AgentTrack("tgt", steps, np.array([[7.0, -3.0]]))]
-    scene = RawScene(agents=agents, map_elements=[], target_id="tgt")
+    scene = Scene(agents=agents, map_elements=[], target_id="tgt")
     norm = normalize(scene)
     assert norm.frame.rotation == 0.0
     np.testing.assert_allclose(norm.target_agent().xy, [[0.0, 0.0]])
@@ -318,14 +429,16 @@ def test_normalize_requires_target_at_last_step():
     steps = np.array([0, 1], dtype=np.int64)
     agents = [AgentTrack("tgt", steps, np.zeros((2, 2)))]
     with pytest.raises(SceneValidationError):
-        normalize(RawScene(agents=agents, map_elements=[], target_id="tgt"))
+        normalize(Scene(agents=agents, map_elements=[], target_id="tgt"))
 
 
-def test_frame_roundtrip():
-    scene = gen_synthetic(1, seed=4)[0]
-    norm = normalize(scene)
-    raw_xy = scene.target_agent().xy
-    np.testing.assert_allclose(norm.frame.invert(norm.frame.apply(raw_xy)), raw_xy, atol=1e-9)
+@settings(max_examples=100, deadline=None)
+@given(origin=st.tuples(coords, coords), rotation=st.floats(-10.0, 10.0),
+       pts=st.lists(st.tuples(coords, coords), min_size=1, max_size=20))
+def test_frame_roundtrip(origin, rotation, pts):
+    frame = Frame(origin=np.array(origin), rotation=rotation)
+    pts = np.array(pts)
+    np.testing.assert_allclose(frame.invert(frame.apply(pts)), pts, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +481,7 @@ def test_augment_dropout_rate_monte_carlo():
     n_points = 10_000
     lane = MapElement("big", np.zeros((n_points, 2)))
     steps = np.arange(HISTORY_STEPS, dtype=np.int64)
-    scene = RawScene(
+    scene = Scene(
         agents=[AgentTrack("tgt", steps, np.zeros((HISTORY_STEPS, 2)))],
         map_elements=[lane],
         target_id="tgt",
