@@ -50,22 +50,19 @@ def straight_scene(future=True):
 
 # meters, to the millimeter: a heading is 0 or at least 1 mm long
 coords = st.integers(-100_000, 100_000).map(lambda v: v / 1000)
+# a target point's offset from the target's anchor, so no target point is cropped
+offsets = st.integers(-16_000, 16_000).map(lambda v: v / 1000)
 
 
-def _xy(draw, n, near=None, reach=16.0):
-    """(n, 2) coordinates; with ``near``, within ``reach`` of it on each axis."""
-    c = coords if near is None else st.integers(-1000 * int(reach), 1000 * int(reach)).map(
-        lambda v: v / 1000)
-    xy = np.array(draw(st.lists(st.tuples(c, c), min_size=n, max_size=n)), dtype=np.float64)
-    return xy.reshape(n, 2) + (0.0 if near is None else near)
+def _xy(draw, n, c=coords):
+    """(n, 2) coordinates drawn from ``c``."""
+    return np.array(draw(st.lists(st.tuples(c, c), min_size=n, max_size=n)),
+                    dtype=np.float64).reshape(n, 2)
 
 
 @st.composite
 def scenes(draw):
-    """Valid scenes in a world frame, the target's track within 16 m of its anchor per axis.
-
-    So no target point is ever cropped and the heading stays its last two points.
-    """
+    """Valid scenes in a world frame, the target's track within 16 m of its anchor per axis."""
     h, t = draw(st.integers(1, 12)), draw(st.integers(1, 8))
     ids = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
     target_id = draw(st.sampled_from(ids))
@@ -74,7 +71,7 @@ def scenes(draw):
     for track_id in ids:
         if track_id == target_id:
             steps = draw(st.sets(st.integers(0, h - 1))) | {h - 1}
-            xy = _xy(draw, len(steps), near=anchor)
+            xy = anchor + _xy(draw, len(steps), offsets)
         else:
             steps = draw(st.sets(st.integers(0, h - 1), min_size=1))
             xy = _xy(draw, len(steps))
@@ -373,17 +370,6 @@ def test_normalize_two_point_example():
     np.testing.assert_allclose(target.xy[-2], [-np.sqrt(2.0), 0.0], atol=1e-12)
 
 
-def _assert_close_scenes(a, b, atol):
-    assert [(x.track_id, x.steps.tolist()) for x in a.agents] == [
-        (x.track_id, x.steps.tolist()) for x in b.agents]
-    assert [m.element_id for m in a.map_elements] == [m.element_id for m in b.map_elements]
-    for x, y in zip(a.agents + a.map_elements, b.agents + b.map_elements):
-        np.testing.assert_allclose(x.xy, y.xy, rtol=0, atol=atol)
-    assert (a.future is None) == (b.future is None)
-    if a.future is not None:
-        np.testing.assert_allclose(a.future, b.future, rtol=0, atol=atol)
-
-
 @settings(max_examples=60, deadline=None)
 @given(scene=scenes())
 def test_normalize_idempotent(scene):
@@ -394,7 +380,14 @@ def test_normalize_idempotent(scene):
     twice = normalize(once)
     validate_normalized(once)
     validate_normalized(twice)
-    _assert_close_scenes(once, twice, atol=1e-9)
+    assert [(a.track_id, a.steps.tolist()) for a in twice.agents] == [
+        (a.track_id, a.steps.tolist()) for a in once.agents]
+    assert [m.element_id for m in twice.map_elements] == [m.element_id for m in once.map_elements]
+    for a, b in zip(once.agents + once.map_elements, twice.agents + twice.map_elements):
+        np.testing.assert_allclose(b.xy, a.xy, rtol=0, atol=1e-9)
+    assert (once.future is None) == (twice.future is None)
+    if once.future is not None:
+        np.testing.assert_allclose(twice.future, once.future, rtol=0, atol=1e-9)
 
 
 def test_normalize_crops_out_of_range():
