@@ -330,8 +330,8 @@ def _json_steps(points, owner: str) -> np.ndarray:
     return np.array([p[0] for p in points], dtype=np.int64)
 
 
-def _json_id(value, name: str) -> str:
-    """An agent, map element or target id, which must be a JSON string."""
+def _json_str(value, name: str) -> str:
+    """An agent, map element or target id, or the city, which must be a JSON string."""
     if type(value) is not str:
         raise SceneFormatError(f"{name} must be a string, got {json.dumps(value)}")
     return value
@@ -341,13 +341,13 @@ def scene_from_dict(doc: dict, scene_id: str = "") -> Scene:
     try:
         agents = []
         for i, a in enumerate(doc["agents"]):
-            track_id = _json_id(a["id"], f"agent {i} id")
+            track_id = _json_str(a["id"], f"agent {i} id")
             owner = f"agent {track_id!r}"
             agents.append(AgentTrack(track_id, _json_steps(a["points"], owner),
                                      _json_xy(a["points"], owner, first=1)))
         map_elements = []
         for i, m in enumerate(doc["map"]):
-            element_id = _json_id(m["id"], f"map element {i} id")
+            element_id = _json_str(m["id"], f"map element {i} id")
             xy = _json_xy(m["points"], f"map element {element_id!r}")
             map_elements.append(MapElement(element_id, xy))
         horizons = {k: doc.get(k, v) for k, v in (("history_steps", HISTORY_STEPS),
@@ -359,9 +359,9 @@ def scene_from_dict(doc: dict, scene_id: str = "") -> Scene:
         scene = Scene(
             agents=agents,
             map_elements=map_elements,
-            target_id=_json_id(doc["target_id"], "target_id"),
+            target_id=_json_str(doc["target_id"], "target_id"),
             future=None if future is None else _json_xy(future, "future"),
-            city=str(doc.get("city", "")),
+            city=_json_str(doc.get("city", ""), "city"),
             scene_id=scene_id,
             **horizons,
         )
@@ -381,102 +381,84 @@ def save_scene(scene: Scene, path) -> None:
 CSV_COLUMNS = ["TIMESTAMP", "TRACK_ID", "OBJECT_TYPE", "X", "Y", "CITY_NAME"]
 
 
-def _load_csv(path) -> Scene:
+def _csv_document(path) -> dict:
+    """The JSON scene document of a CSV file's rows, for :func:`scene_from_dict`.
+
+    Distinct timestamps are ranked in order: ranks below ``HISTORY_STEPS``
+    are history, the rest the target's future. A non-target track observed
+    only in the future window is dropped.
+    """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != CSV_COLUMNS:
-            raise SceneFormatError(f"{path}: row 1: expected header {','.join(CSV_COLUMNS)}")
+            raise SceneFormatError(f"row 1: expected header {','.join(CSV_COLUMNS)}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(CSV_COLUMNS):
-                raise SceneFormatError(f"{path}: row {lineno}: expected {len(CSV_COLUMNS)} fields")
+                raise SceneFormatError(f"row {lineno}: expected {len(CSV_COLUMNS)} fields")
             try:
                 ts = float(row[0])
                 x, y = float(row[3]), float(row[4])
             except ValueError as exc:
-                raise SceneFormatError(f"{path}: row {lineno}: {exc}") from exc
+                raise SceneFormatError(f"row {lineno}: {exc}") from exc
             for name, v in (("TIMESTAMP", ts), ("X", x), ("Y", y)):
                 if not math.isfinite(v):
-                    raise SceneFormatError(f"{path}: row {lineno}: {name} is not finite ({v})")
-            rows.append((ts, row[1], row[2], x, y, row[5], lineno))
+                    raise SceneFormatError(f"row {lineno}: {name} is not finite ({v})")
+            rows.append((ts, row[1], row[2], x, y, row[5]))
     if not rows:
-        raise SceneFormatError(f"{path}: no observation rows")
-
-    # distinct timestamps, rank-ordered: ranks < H are history, the rest future
-    stamps = sorted({r[0] for r in rows})
-    rank = {ts: i for i, ts in enumerate(stamps)}
-    h = HISTORY_STEPS
+        raise SceneFormatError("no observation rows")
 
     target_ids = {r[1] for r in rows if r[2] == "AGENT"}
     if len(target_ids) != 1:
-        raise SceneValidationError(
-            f"{path}: expected exactly one AGENT track, found {len(target_ids)}"
-        )
+        raise SceneValidationError(f"expected exactly one AGENT track, found {len(target_ids)}")
     target_id = target_ids.pop()
 
+    rank = {ts: i for i, ts in enumerate(sorted({r[0] for r in rows}))}
     by_track: dict[str, list] = {}
     for r in rows:
         by_track.setdefault(r[1], []).append(r)
-
-    agents = []
-    future = None
+    agents, future = [], None
     for track_id, track_rows in by_track.items():
-        ts_list = [r[0] for r in track_rows]
-        if any(b <= a for a, b in zip(ts_list, ts_list[1:])):
-            raise SceneValidationError(
-                f"{path}: track {track_id!r}: timestamps not strictly increasing"
-            )
-        hist = [(rank[r[0]], r[3], r[4]) for r in track_rows if rank[r[0]] < h]
+        if any(b[0] <= a[0] for a, b in zip(track_rows, track_rows[1:])):
+            raise SceneValidationError(f"track {track_id!r}: timestamps not strictly increasing")
+        points = [[rank[r[0]], r[3], r[4]] for r in track_rows]
+        history = [p for p in points if p[0] < HISTORY_STEPS]
         if track_id == target_id:
-            fut = [(rank[r[0]], r[3], r[4]) for r in track_rows if rank[r[0]] >= h]
-            if fut:
-                if len(fut) != FUTURE_STEPS:
-                    raise SceneValidationError(
-                        f"{path}: target future has {len(fut)} rows, expected {FUTURE_STEPS}"
-                    )
-                future = np.array([[x, y] for _, x, y in fut], dtype=np.float64)
-        if not hist:
-            continue  # non-target track observed only in the future window
-        agents.append(
-            AgentTrack(
-                track_id=track_id,
-                steps=np.array([t for t, _, _ in hist], dtype=np.int64),
-                xy=np.array([[x, y] for _, x, y in hist], dtype=np.float64),
-            )
-        )
-
-    scene = Scene(
-        agents=agents,
-        map_elements=[],
-        target_id=target_id,
-        future=future,
-        city=rows[0][5],
-        scene_id=Path(path).stem,
-    )
-    validate_raw(scene)
-    return scene
+            future = [p[1:] for p in points if p[0] >= HISTORY_STEPS] or None
+        if history:
+            agents.append({"id": track_id, "points": history})
+    return {"agents": agents, "map": [], "target_id": target_id, "future": future,
+            "city": rows[0][5]}
 
 
-def load_scene(path, fmt: str | None = None) -> Scene:
-    """Load a scene file. ``fmt`` is 'json' or 'csv'; inferred from the suffix if None."""
-    path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "json":
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError(f"{path}: row {exc.lineno}: {exc.msg}") from exc
-        try:
-            return scene_from_dict(doc, scene_id=path.stem)
-        except (SceneFormatError, SceneValidationError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+def _read_document(path: Path) -> dict:
+    """The JSON scene document of a ``.json`` or ``.csv`` file, by its suffix."""
+    fmt = path.suffix.lstrip(".").lower()
+    try:
+        if fmt == "json":
+            return json.loads(path.read_text(encoding="utf-8"))
+        if fmt == "csv":
+            return _csv_document(path)
+    except json.JSONDecodeError as exc:
+        raise SceneFormatError(f"row {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SceneFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     raise SceneFormatError(f"unknown scene format {fmt!r}")
+
+
+def load_scene(path) -> Scene:
+    """Load a ``.json`` or ``.csv`` scene file, its format taken from the suffix.
+
+    Every SceneFormatError and SceneValidationError it raises starts with the path.
+    """
+    path = Path(path)
+    try:
+        return scene_from_dict(_read_document(path), scene_id=path.stem)
+    except (SceneFormatError, SceneValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_scene_dir(path) -> list[Scene]:

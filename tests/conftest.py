@@ -7,6 +7,7 @@ stay ignorant of the library's internals.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -20,8 +21,16 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+# One Hypothesis profile for every property test. An example builds scenes,
+# plans or files, whose time varies with the machine's load, so none has a
+# deadline. Each test sets its own max_examples.
+settings.register_profile("pointcast", deadline=None)
+settings.load_profile("pointcast")
 
 from pointcast import autodiff as ad
+from pointcast.scenes import SceneFormatError, SceneValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +269,35 @@ def brute_radius_pairs(points, radius):
                 centers.append(i)
                 neighbors.append(j)
     return np.asarray(centers), np.asarray(neighbors)
+
+
+# ---------------------------------------------------------------------------
+# malformed scene files
+
+
+def _csv(agent_steps: int) -> str:
+    """An AGENT track seen at ranks ``0..agent_steps - 1`` and another track at ranks 0..19."""
+    rows = [f"{k / 10},t0,AGENT,{float(k)},0.0,PIT" for k in range(agent_steps)]
+    rows += [f"{k / 10},o1,OTHERS,1.0,{float(k)},PIT" for k in range(20)]
+    return "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n" + "\n".join(rows) + "\n"
+
+
+def _scene_json(city) -> str:
+    """A JSON scene whose target is seen at all 20 history steps, with ``city``."""
+    return json.dumps({"agents": [{"id": "t0", "points": [[k, float(k), 0.0] for k in range(20)]}],
+                       "map": [], "target_id": "t0", "future": None, "city": city})
+
+
+# case: (file name, file bytes, the error load_scene raises)
+MALFORMED_SCENE_FILES = {
+    "agent-stops-at-rank-9": ("s.csv", _csv(10).encode(), SceneValidationError),
+    "bad-csv-header": ("s.csv", _csv(20).replace("TIMESTAMP", "TIME", 1).encode(),
+                       SceneFormatError),
+    "non-utf8-json": ("s.json", b"\xff\xfe{", SceneFormatError),
+    "non-utf8-csv": ("s.csv", _csv(20).encode().replace(b"PIT", b"P\xffT", 1), SceneFormatError),
+    "txt-suffix": ("s.txt", _scene_json("PIT").encode(), SceneFormatError),
+    "null-city-json": ("s.json", _scene_json(None).encode(), SceneFormatError),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,7 @@ _checkpoint_arrays = st.dictionaries(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(arrays=_checkpoint_arrays)
 def test_save_load_round_trips_bit_for_bit(arrays):
     with tempfile.TemporaryDirectory() as tmp:
@@ -459,7 +459,7 @@ _FAULTS = {_truncate: (1, 8), _extend: (0, 0), _flip_byte: (1, 8), _duplicate_na
            _shift_offset: (1, 0)}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(arrays=_checkpoint_arrays, fault=st.sampled_from(list(_FAULTS)), data=st.data())
 def test_load_rejects_every_corrupted_checkpoint(arrays, fault, data):
     n_arrays, n_bytes = _FAULTS[fault]

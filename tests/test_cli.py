@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_SCENE_FILES
 from pointcast import (TrainConfig, cli, gen_synthetic, load_scene, metrics, normalize,
                        save_scene, train)
 from pointcast.checkpoint import load_checkpoint, save_checkpoint
@@ -401,6 +402,31 @@ def test_plot_overflowing_extent_exit2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(pred_file) in err
     assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("case, command", [
+    (case, command) for case, (name, _, _) in MALFORMED_SCENE_FILES.items()
+    for command in ("predict", "plot", "train")
+    if command != "train" or name.endswith(".json")  # train --data reads *.json files
+])
+def test_malformed_scene_file_exit2(tmp_path, trained, capsys, case, command):
+    name, content, _ = MALFORMED_SCENE_FILES[case]
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / name
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    argv = {
+        "predict": ["predict", "--ckpt", str(trained[2]), "--scene", str(path), "--out", str(out)],
+        "plot": ["plot", "--scene", str(path), "--out", str(out)],
+        "train": ["train", "--config", str(write_config(tmp_path / "c.json", data, out)),
+                  "--data", str(data)],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count(str(path)) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cut_bytes", [8, 3])  # a whole value, or mid-value

@@ -415,7 +415,7 @@ def point_sets(draw):
 VIEW_CFG = ModelConfig(radii=(0.3, 0.7), intervals=(1, 2, 4))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(ps=point_sets())
 # a one-point target on a point that two other rows repeat, with negative coordinates
 @example(ps=make_ps([[-0.3, 0.3], [-0.3, 0.3], [-0.3, 0.3], [0.6, -0.9]], [1, 0, 1, 2],
@@ -430,7 +430,7 @@ def _assert_tables_equal(got: GroupTable, want: GroupTable):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(ps=point_sets())
 def test_restricting_to_every_row_is_the_identity(ps):
     points = plan_scene(ps, VIEW_CFG).points

@@ -1,12 +1,16 @@
+import csv
 import json
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import MALFORMED_SCENE_FILES
 from pointcast import (
     AgentTrack,
     AugConfig,
@@ -211,7 +215,7 @@ def _edit(doc, edits):
     return doc
 
 
-# (edits, what the error names): ids are JSON strings, never str() of another value
+# (edits, what the error names): ids and the city are JSON strings, never str() of another value
 MALFORMED_IDS = {
     "null-agent-id": ({("agents", 0, "id"): None, ("target_id",): "None"},
                       "agent 0 id must be a string, got null"),
@@ -221,6 +225,10 @@ MALFORMED_IDS = {
                       'map element 0 id must be a string, got {"x": 1}'),
     "int-target-id": ({("target_id",): 1}, "target_id must be a string, got 1"),
     "null-target-id": ({("target_id",): None}, "target_id must be a string, got null"),
+    "null-city": ({("city",): None}, "city must be a string, got null"),
+    "object-city": ({("city",): {"a": 1}}, 'city must be a string, got {"a": 1}'),
+    "int-city": ({("city",): 7}, "city must be a string, got 7"),
+    "list-city": ({("city",): ["PIT"]}, 'city must be a string, got ["PIT"]'),
 }
 
 
@@ -233,6 +241,12 @@ def test_json_non_string_id_rejected(tmp_path, capsys, case):
         load_scene(path)
     assert cli.main(["plot", "--scene", str(path), "--out", str(tmp_path / "s.svg")]) == 2
     assert names in capsys.readouterr().err
+
+
+def test_json_without_city_reads_empty():
+    doc = scene_to_dict(straight_scene())
+    del doc["city"]
+    assert scene_from_dict(doc).city == ""
 
 
 @pytest.mark.parametrize("edits, error", [
@@ -274,9 +288,10 @@ def test_json_missing_target_is_validation_error(tmp_path):
 
 
 def write_csv(path, rows):
-    lines = ["TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"]
-    lines += [",".join(str(v) for v in r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["TIMESTAMP", "TRACK_ID", "OBJECT_TYPE", "X", "Y", "CITY_NAME"])
+        writer.writerows(rows)
 
 
 def csv_rows_full(track="t0", others=()):
@@ -339,13 +354,96 @@ def test_csv_non_finite_value_rejected(tmp_path, capsys, column, value):
     assert f"row 8: {name} is not finite" in capsys.readouterr().err
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("case", MALFORMED_SCENE_FILES)
+def test_scene_file_errors_name_their_file(tmp_path, case):
+    name, content, error = MALFORMED_SCENE_FILES[case]
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: ") as info:
+        load_scene(path)
+    assert str(info.value).count(str(path)) == 1
+
+
+def argoverse_rows(scene, start, late=()):
+    """CSV rows of a map-less scene at the default horizons, in time order.
+
+    Step k is at ``start + k / 10`` s; the target's future takes the steps
+    from HISTORY_STEPS on. ``late`` lists ``(track_id, steps)`` of non-target
+    rows in the future window, which the loader drops.
+    """
+    future = {} if scene.future is None else {
+        HISTORY_STEPS + k: xy for k, xy in enumerate(scene.future.tolist())}
+    rows = []
+    for k in range(HISTORY_STEPS + FUTURE_STEPS):
+        ts = start + k / 10
+        for a in scene.agents:
+            kind = "AGENT" if a.track_id == scene.target_id else "OTHERS"
+            rows += [(ts, a.track_id, kind, *xy, scene.city)
+                     for step, xy in zip(a.steps.tolist(), a.xy.tolist()) if step == k]
+        if k in future:
+            rows.append((ts, scene.target_id, "AGENT", *future[k], scene.city))
+        rows += [(ts, track_id, "OTHERS", float(k), -1.0, scene.city)
+                 for track_id, steps in late if k in steps]
+    return rows
+
+
+# CSV fields: any text but control characters, often with a space, a comma or a quote
+csv_text = st.text(st.sampled_from(' ,"') | st.characters(exclude_categories=("Cc", "Cs")),
+                   max_size=3)
+
+
+@st.composite
+def argoverse_cases(draw):
+    """A map-less scene at the default horizons, its target seen at every history step,
+    and arguments for :func:`argoverse_rows`.
+
+    Agents are ordered by first step, the order in which time-ordered rows
+    introduce them. Late rows come from other agents and from tracks seen
+    only in the future window.
+    """
+    ids = draw(st.lists(csv_text, min_size=1, max_size=4, unique=True))
+    target_id = draw(st.sampled_from(ids))
+    agents, future = [], None
+    for track_id in ids:
+        steps = np.arange(HISTORY_STEPS) if track_id == target_id else np.array(sorted(
+            draw(st.sets(st.integers(0, HISTORY_STEPS - 1), min_size=1))))
+        # a straight track: few draws per track keep a failing example quick to shrink
+        anchor, velocity = _xy(draw, 2)
+        agents.append(AgentTrack(track_id, steps, anchor + np.outer(steps, velocity)))
+        if track_id == target_id and draw(st.booleans()):
+            future = anchor + np.outer(np.arange(HISTORY_STEPS, HISTORY_STEPS + FUTURE_STEPS),
+                                       velocity)
+    agents.sort(key=lambda a: a.steps[0])
+    scene = Scene(agents=agents, map_elements=[], target_id=target_id, future=future,
+                  city=draw(csv_text))
+    others = [t for t in ids if t != target_id]
+    late_ids = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    late_ids += [t for t in draw(st.lists(csv_text, max_size=2, unique=True)) if t not in ids]
+    future_window = st.sets(st.integers(HISTORY_STEPS, HISTORY_STEPS + FUTURE_STEPS - 1),
+                            min_size=1)
+    late = [(t, draw(future_window)) for t in late_ids]
+    return scene, draw(st.integers(0, 10**9)) / 100, late
+
+
+@settings(max_examples=60)
+@given(case=argoverse_cases())
+def test_csv_roundtrip(case):
+    scene, start, late = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "argo-1.csv"
+        write_csv(path, argoverse_rows(scene, start, late))
+        loaded = load_scene(path)
+    assert loaded == scene
+    assert loaded.scene_id == "argo-1"
+
+
+@settings(max_examples=60)
 @given(scene=scenes())
 def test_scene_dict_roundtrip(scene):
     assert scene_from_dict(json.loads(json.dumps(scene_to_dict(scene)))) == scene
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(scene=scenes())
 def test_scene_never_equals_its_normalized_copy(scene):
     norm = normalize(scene)
@@ -370,7 +468,7 @@ def test_normalize_two_point_example():
     np.testing.assert_allclose(target.xy[-2], [-np.sqrt(2.0), 0.0], atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(scene=scenes())
 def test_normalize_idempotent(scene):
     once = normalize(scene)
@@ -425,7 +523,7 @@ def test_normalize_requires_target_at_last_step():
         normalize(Scene(agents=agents, map_elements=[], target_id="tgt"))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(origin=st.tuples(coords, coords), rotation=st.floats(-10.0, 10.0),
        pts=st.lists(st.tuples(coords, coords), min_size=1, max_size=20))
 def test_frame_roundtrip(origin, rotation, pts):
@@ -497,6 +595,69 @@ def test_augment_never_drops_target_or_last_observation():
 def test_augment_deterministic():
     norm = normalize(gen_synthetic(1, seed=9)[0])
     assert augment(norm, seed=5) == augment(norm, seed=5)
+
+
+@st.composite
+def aug_configs(draw, keep_prob=None, noise_sigma=None):
+    lo = draw(st.floats(0.5, 2.0))
+    hi = lo * draw(st.floats(1.0, 1.5))
+    if keep_prob is None:
+        keep_prob = draw(st.floats(0.0, 1.0, exclude_min=True))
+    if noise_sigma is None:
+        noise_sigma = draw(st.floats(0.0, 1.0))
+    return AugConfig(scale_range=(lo, hi), keep_prob=keep_prob, noise_sigma=noise_sigma)
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _scale_of(before, after, config):
+    """The one factor taking the coordinates ``before`` to ``after``, checked to lie in scale_range."""
+    i = np.argmax(np.abs(before))
+    assume(before[i] != 0)
+    scale = after[i] / before[i]
+    lo, hi = config.scale_range
+    assert lo * (1 - 1e-12) <= scale <= hi * (1 + 1e-12)
+    np.testing.assert_allclose(after, scale * before, rtol=1e-12, atol=0)
+    return scale
+
+
+@settings(max_examples=60)
+@given(scene=scenes(), config=aug_configs(), seed=seeds)
+def test_augment_keeps_target_and_anchors_and_scales_once(scene, config, seed):
+    out = augment(scene, seed, config)
+    assert [a.track_id for a in out.agents] == [a.track_id for a in scene.agents]
+    for a, b in zip(scene.agents, out.agents):
+        assert set(b.steps.tolist()) <= set(a.steps.tolist())
+        assert b.steps[-1] == a.steps[-1]
+    target_in, target_out = scene.target_agent(), out.target_agent()
+    np.testing.assert_array_equal(target_out.steps, target_in.steps)
+    future_in = np.empty(0) if scene.future is None else scene.future.ravel()
+    future_out = np.empty(0) if out.future is None else out.future.ravel()
+    _scale_of(np.concatenate([target_in.xy.ravel(), future_in]),
+              np.concatenate([target_out.xy.ravel(), future_out]), config)
+
+
+@settings(max_examples=60)
+@given(scene=scenes(), config=aug_configs(), seed=seeds)
+def test_augment_same_seed_same_scene(scene, config, seed):
+    assert augment(scene, seed, config) == augment(scene, seed, config)
+
+
+def _coordinates(scene):
+    parts = [a.xy.ravel() for a in scene.agents] + [m.xy.ravel() for m in scene.map_elements]
+    return np.concatenate(parts + [np.empty(0) if scene.future is None else scene.future.ravel()])
+
+
+@settings(max_examples=60)
+@given(scene=scenes(), config=aug_configs(keep_prob=1.0, noise_sigma=0.0), seed=seeds)
+def test_augment_without_dropout_or_noise_only_scales(scene, config, seed):
+    out = augment(scene, seed, config)
+    assert [(a.track_id, a.steps.tolist()) for a in out.agents] == [
+        (a.track_id, a.steps.tolist()) for a in scene.agents]
+    assert [(m.element_id, len(m.xy)) for m in out.map_elements] == [
+        (m.element_id, len(m.xy)) for m in scene.map_elements]
+    _scale_of(_coordinates(scene), _coordinates(out), config)
 
 
 # ---------------------------------------------------------------------------
