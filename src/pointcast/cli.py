@@ -4,10 +4,12 @@ Exit codes:
   0  success;
   2  input or config error: a malformed scene or prediction document, a
      scene to train on or evaluate whose future is not ``model.future_steps``
-     long, a scene whose ``history_steps`` is not the model's, a run-config
-     value or command-line count of the wrong type or out of range, a
-     resumed checkpoint that already reached the last epoch, or a training
-     run that diverged;
+     long, a scene whose ``history_steps`` is not the model's, a scene whose
+     coordinates, augmented or not, are non-finite or too large for the
+     32-bit cell keys at ``model.grid_size`` or the largest of
+     ``model.radii``, a run-config value or command-line count of the wrong
+     type or out of range, a resumed checkpoint that already reached the
+     last epoch, or a training run that diverged;
   3  checkpoint fault: a malformed manifest, missing, extra or misshapen
      arrays, non-finite values, or a data file that does not match its
      manifest's length and SHA-256 digest;

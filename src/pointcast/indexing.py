@@ -14,7 +14,8 @@ whole per-scene input. It depends on the points alone, so a training run
 without augmentation plans each scene once and reuses the plan at every
 step. Its per-row tables come as two :class:`RowTables` of one schema: over
 every row, and over the target agent's rows, which are all the network's
-last stage has to compute.
+last stage has to compute. One builder makes both from one radius search,
+at the largest radius, whose pairs hold those of every smaller one.
 """
 
 from __future__ import annotations
@@ -40,14 +41,15 @@ CENTER_TAP = CONV_OFFSETS.index((0, 0))
 # the 2x2 cells whose centers surround a point, from its lower-left one
 INTERP_CORNERS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
-_I32_MAX = 2**31
+# pack_pair's components lie in (-KEY_RANGE, KEY_RANGE)
+KEY_RANGE = 2**31
 
 
 def pack_pair(a, b) -> np.ndarray:
     """Pack two signed 32-bit integer arrays into collision-free int64 keys."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if np.any(np.abs(a) >= _I32_MAX) or np.any(np.abs(b) >= _I32_MAX):
+    if np.any(np.abs(a) >= KEY_RANGE) or np.any(np.abs(b) >= KEY_RANGE):
         raise ValueError("pair components exceed the signed 32-bit key range")
     return (a << 32) | (b & 0xFFFFFFFF)
 
@@ -314,55 +316,66 @@ def _read_only(x):
         _read_only(list(vars(x).values()))
 
 
-def _distinct(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, pos)``: the distinct ``ids`` in [0, n) ascending, and each id's position there."""
-    seen = np.zeros(n, dtype=bool)
-    seen[ids] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[ids]
+def _topology(ps: IndexedPointSet, cfg: ModelConfig, coords) -> tuple:
+    """What :func:`_row_tables` reads: ``(n, radii, pairs, candidates, groups)`` over every row.
 
-
-def _restrict(tables: RowTables, rows) -> RowTables:
-    """``tables``, which cover every row, restricted to the ascending ``rows``.
-
-    In each interval and instance table, a group that holds one of ``rows``
-    must hold such rows only: that is what makes the temporal block exact on
-    the restriction.
+    ``pairs`` are the largest radius's (center, neighbor, offset, squared
+    length) pairs; radius r keeps those with ``dist2 <= r * r``, the test
+    :func:`radius_pairs` applies to the same offsets. ``candidates`` are the
+    interpolation candidates' (point, voxel row, offset from the voxel's
+    center) and the voxel count; ``groups`` the interval tables, then the
+    instance table.
     """
-    n = len(tables.rows)
+    centers, nbrs = radius_pairs(ps.points, max(cfg.radii))
+    rel = ps.points[nbrs] - ps.points[centers]
+    cand_point, cand_row = interp_candidates(coords, ps.points, ps.grid_size)
+    delta = ps.points[cand_point] - (coords[cand_row] + 0.5) * ps.grid_size
+    groups = (*(regroup_by_interval(ps, t) for t in cfg.intervals), build_groups_by_instance(ps))
+    return (len(ps), cfg.radii, (centers, nbrs, rel, (rel * rel).sum(axis=1)),
+            (cand_point, cand_row, delta, len(coords)), groups)
+
+
+def _row_tables(rows, topology) -> RowTables:
+    """The RowTables over the ascending plan ``rows``, or over every row when ``rows`` is None.
+
+    A group of an interval or instance table that holds one of ``rows`` must
+    hold such rows only: that is what makes the temporal block exact on them.
+    """
+    n, radii, (centers, nbrs, rel, dist2), candidates, groups = topology
+    cand_point, cand_row, delta, n_voxels = candidates
     keep = np.zeros(n, dtype=bool)
-    keep[rows] = True
-    pos = np.cumsum(keep) - 1  # a kept row's position in rows
-    m = len(rows)
+    keep[slice(None) if rows is None else rows] = True
+    pos, m = np.cumsum(keep) - 1, int(keep.sum())  # a kept row's position among the kept rows
+
+    def grouped(ids, n_ids):
+        """The table of ``ids`` in [0, n_ids), and the ids its groups stand for (None: all)."""
+        if rows is None:
+            # every point pairs with itself and is a candidate of its own voxel: no group is empty
+            return GroupTable.from_group_of(ids, n_ids), None
+        seen = np.zeros(n_ids, dtype=bool)
+        seen[ids] = True
+        values = np.flatnonzero(seen)
+        return GroupTable.from_group_of((np.cumsum(seen) - 1)[ids], len(values)), values
 
     nbhds, neighbor_rows = [], []
-    for rel, by_center, by_neighbor in tables.neighborhoods:
-        # pairs are sorted by center, so these stay in the plan's order
-        pairs = np.flatnonzero(keep[by_center.group_of])
-        nbrs, nbr_pos = _distinct(by_neighbor.group_of[pairs], n)
-        nbhds.append((rel[pairs], GroupTable.from_group_of(pos[by_center.group_of[pairs]], m),
-                      GroupTable.from_group_of(nbr_pos, len(nbrs))))
-        neighbor_rows.append(nbrs)
-    cands = np.flatnonzero(keep[tables.by_point.group_of])
-    voxel_rows, voxel_pos = _distinct(tables.interp_rows.group_of[cands],
-                                      tables.interp_rows.n_groups)
-
-    restricted = []
-    for table in (*tables.by_interval, tables.by_instance):
-        ids, id_pos = _distinct(table.group_of[rows], table.n_groups)
-        if table.counts()[ids].sum() != m:
-            raise ValueError("the target rows share a group with other rows")
-        restricted.append(GroupTable.from_group_of(id_pos, len(ids)))
+    for radius in radii:
+        # pairs are sorted by center, so the kept ones stay in the plan's order
+        pairs = np.flatnonzero(keep[centers] & (dist2 <= radius * radius))
+        by_neighbor, nbr_rows = grouped(nbrs[pairs], n)
+        nbhds.append((rel[pairs], GroupTable.from_group_of(pos[centers[pairs]], m), by_neighbor))
+        neighbor_rows.append(nbr_rows)
+    cands = np.flatnonzero(keep[cand_point])
+    interp_rows, voxel_rows = grouped(cand_row[cands], n_voxels)
+    if rows is not None:
+        kept = [grouped(table.group_of[rows], table.n_groups) for table in groups]
+        if any(table.counts()[ids].sum() != m for table, (_, ids) in zip(groups, kept)):
+            raise ValueError("the kept rows share a group with other rows")
+        groups = [table for table, _ in kept]
     return RowTables(
-        rows=rows,
-        neighborhoods=tuple(nbhds),
-        neighbor_rows=tuple(neighbor_rows),
-        voxel_rows=voxel_rows,
-        interp_rows=GroupTable.from_group_of(voxel_pos, len(voxel_rows)),
-        interp_delta=tables.interp_delta[cands],
-        by_point=GroupTable.from_group_of(pos[tables.by_point.group_of[cands]], m),
-        by_interval=tuple(restricted[:-1]),
-        by_instance=restricted[-1],
-    )
+        rows=np.arange(n) if rows is None else rows, neighborhoods=tuple(nbhds),
+        neighbor_rows=tuple(neighbor_rows), voxel_rows=voxel_rows, interp_rows=interp_rows,
+        interp_delta=delta[cands], by_point=GroupTable.from_group_of(pos[cand_point[cands]], m),
+        by_interval=tuple(groups[:-1]), by_instance=groups[-1])
 
 
 def plan_scene(ps: IndexedPointSet, cfg: ModelConfig) -> ScenePlan:
@@ -371,28 +384,9 @@ def plan_scene(ps: IndexedPointSet, cfg: ModelConfig) -> ScenePlan:
     Every array of the plan is read-only, so a plan can be shared between
     training steps.
     """
-    neighborhoods = []
-    for radius in cfg.radii:
-        centers, rows = radius_pairs(ps.points, radius)
-        # every point pairs with itself, so both tables' group ids are point indices
-        by_center = GroupTable.from_group_of(centers, len(ps))
-        by_neighbor = GroupTable.from_group_of(rows, len(ps))
-        neighborhoods.append((ps.points[rows] - ps.points[centers], by_center, by_neighbor))
     by_voxel = build_groups_by_voxel(ps)
     coords = ps.voxels[by_voxel.order[by_voxel.offsets[:-1]]]
-    cand_point, cand_row = interp_candidates(coords, ps.points, ps.grid_size)
-    points = RowTables(
-        rows=np.arange(len(ps)),
-        neighborhoods=tuple(neighborhoods),
-        neighbor_rows=(None,) * len(neighborhoods),
-        voxel_rows=None,
-        # every voxel is a candidate of its own points, so no group is empty
-        interp_rows=GroupTable.from_group_of(cand_row, len(coords)),
-        interp_delta=ps.points[cand_point] - (coords[cand_row] + 0.5) * ps.grid_size,
-        by_point=GroupTable.from_group_of(cand_point, len(ps)),
-        by_interval=tuple(regroup_by_interval(ps, t) for t in cfg.intervals),
-        by_instance=build_groups_by_instance(ps),
-    )
+    topology = _topology(ps, cfg, coords)
     plan = ScenePlan(
         scene_id=ps.scene_id,
         # a copy, so that marking it read-only leaves the scene's own array alone
@@ -401,8 +395,8 @@ def plan_scene(ps: IndexedPointSet, cfg: ModelConfig) -> ScenePlan:
         by_voxel=by_voxel,
         voxel_coords=coords,
         kernel_map=kernel_map(coords),
-        points=points,
-        target=_restrict(points, np.flatnonzero(ps.kind == KIND_TARGET)),
+        points=_row_tables(None, topology),
+        target=_row_tables(np.flatnonzero(ps.kind == KIND_TARGET), topology),
     )
     _read_only(plan)
     return plan

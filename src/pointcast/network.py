@@ -31,7 +31,7 @@ from . import metrics as metrics_mod
 from . import nn
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .indexing import EMBED_IN, ScenePlan, index_scene, plan_scene
+from .indexing import EMBED_IN, KEY_RANGE, ScenePlan, index_scene, plan_scene
 from .optim import AdamState, adam_init, adam_step, lr_at_epoch
 from .scenes import AugConfig, Scene, SceneValidationError, augment, normalize
 from .spatial import init_spatial, spatial_block
@@ -120,6 +120,7 @@ def init_model(config: ModelConfig, seed) -> Model:
 def scene_plan(scene: Scene, config: ModelConfig) -> ScenePlan:
     """Index ``scene`` and plan it for ``config``: the network's whole input for one scene."""
     check_history(scene, config)
+    check_extent(scene, config)
     return plan_scene(index_scene(scene, config.grid_size), config)
 
 
@@ -288,6 +289,28 @@ def check_history(scene: Scene, config: ModelConfig) -> None:
             f"scene {scene.scene_id!r} has {scene.history_steps} history steps, "
             f"model reads {config.history_steps} (model.history_steps)"
         )
+
+
+def check_extent(scene: Scene, config: ModelConfig) -> None:
+    """Raise SceneValidationError unless ``scene``'s coordinates are finite and fit the plan's keys.
+
+    A plan hashes each point's cell at ``grid_size`` and at the largest
+    radius and probes the cells next to it, so every such cell index must lie
+    in the signed 32-bit range of the packed keys. A config cannot bound this
+    alone: augmentation scales the coordinates.
+    """
+    xy = np.concatenate([a.xy for a in scene.agents] + [m.xy for m in scene.map_elements])
+    extent = np.abs(xy).max()
+    if not np.isfinite(extent):
+        raise SceneValidationError(f"scene {scene.scene_id!r}: largest |coordinate| {extent} "
+                                   f"is not finite")
+    for name, size in (("model.grid_size", config.grid_size),
+                       ("the largest of model.radii", max(config.radii))):
+        # a cell index is at most ceil(extent / size) in magnitude, and a probe one more
+        if not extent / size <= KEY_RANGE - 2:
+            raise SceneValidationError(
+                f"scene {scene.scene_id!r}: largest |coordinate| {extent:g} in cells of "
+                f"{name}, {size:g}, overflows the signed 32-bit cell keys")
 
 
 def scene_forward_loss(model: Model, plan: ScenePlan):

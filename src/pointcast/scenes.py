@@ -386,7 +386,8 @@ def _csv_document(path) -> dict:
 
     Distinct timestamps are ranked in order: ranks below ``HISTORY_STEPS``
     are history, the rest the target's future. A non-target track observed
-    only in the future window is dropped.
+    only in the future window is dropped. Every row must name the first
+    row's CITY_NAME, and every row of a track its first row's OBJECT_TYPE.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -407,9 +408,13 @@ def _csv_document(path) -> dict:
             for name, v in (("TIMESTAMP", ts), ("X", x), ("Y", y)):
                 if not math.isfinite(v):
                     raise SceneFormatError(f"row {lineno}: {name} is not finite ({v})")
-            rows.append((ts, row[1], row[2], x, y, row[5]))
+            rows.append((ts, row[1], row[2], x, y, row[5], lineno))
     if not rows:
         raise SceneFormatError("no observation rows")
+    for r in rows:
+        if r[5] != rows[0][5]:
+            raise SceneValidationError(f"row {r[6]}: CITY_NAME {r[5]!r} differs from "
+                                       f"row {rows[0][6]}'s {rows[0][5]!r}")
 
     target_ids = {r[1] for r in rows if r[2] == "AGENT"}
     if len(target_ids) != 1:
@@ -424,6 +429,11 @@ def _csv_document(path) -> dict:
     for track_id, track_rows in by_track.items():
         if any(b[0] <= a[0] for a, b in zip(track_rows, track_rows[1:])):
             raise SceneValidationError(f"track {track_id!r}: timestamps not strictly increasing")
+        for r in track_rows:
+            if r[2] != track_rows[0][2]:
+                raise SceneValidationError(
+                    f"row {r[6]}: OBJECT_TYPE {r[2]!r} of track {track_id!r} differs from "
+                    f"row {track_rows[0][6]}'s {track_rows[0][2]!r}")
         points = [[rank[r[0]], r[3], r[4]] for r in track_rows]
         history = [p for p in points if p[0] < HISTORY_STEPS]
         if track_id == target_id:

@@ -282,6 +282,14 @@ def _csv(agent_steps: int) -> str:
     return "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n" + "\n".join(rows) + "\n"
 
 
+def _one_track_csv(types, cities) -> str:
+    """One track seen at ranks 0..19, whose row k has OBJECT_TYPE ``types[k]`` and CITY_NAME
+    ``cities[k]``."""
+    rows = [f"{k / 10},t0,{kind},{float(k)},0.0,{city}"
+            for k, (kind, city) in enumerate(zip(types, cities))]
+    return "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n" + "\n".join(rows) + "\n"
+
+
 def _scene_json(city) -> str:
     """A JSON scene whose target is seen at all 20 history steps, with ``city``."""
     return json.dumps({"agents": [{"id": "t0", "points": [[k, float(k), 0.0] for k in range(20)]}],
@@ -297,6 +305,12 @@ MALFORMED_SCENE_FILES = {
     "non-utf8-csv": ("s.csv", _csv(20).encode().replace(b"PIT", b"P\xffT", 1), SceneFormatError),
     "txt-suffix": ("s.txt", _scene_json("PIT").encode(), SceneFormatError),
     "null-city-json": ("s.json", _scene_json(None).encode(), SceneFormatError),
+    "city-switches-at-row-12": ("s.csv", _one_track_csv(["AGENT"] * 20,
+                                                        ["PIT"] * 11 + ["MIA"] * 9).encode(),
+                                SceneValidationError),
+    "object-type-alternates": ("s.csv", _one_track_csv(["AGENT", "OTHERS"] * 10,
+                                                       ["PIT"] * 20).encode(),
+                               SceneValidationError),
 }
 
 

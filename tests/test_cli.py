@@ -167,6 +167,45 @@ def test_train_malformed_config_exit2(tmp_path, trained, capsys, monkeypatch, ca
     assert not (tmp_path / "ck" / "model.json").exists()
 
 
+# (config overrides, what the error must name): coordinates that leave the
+# finite range, or whose cells at the grid size or the largest radius overflow
+# the 32-bit keys, whether from the config or from augmenting the scene
+UNPLANNABLE_RUNS = {
+    "grid-size-tiny": ({"model": dict(TINY_MODEL, grid_size=1e-12)}, "model.grid_size, 1e-12,"),
+    "radius-tiny": ({"model": dict(TINY_MODEL, radii=[1e-300])}, "model.radii, 1e-300,"),
+    "scale-huge": ({"augment": {"scale_range": [1e10, 1e10]}}, "model.grid_size, 0.4,"),
+    "noise-huge": ({"augment": {"noise_sigma": 1e12}}, "model.grid_size, 0.4,"),
+    "scale-overflow": ({"augment": {"scale_range": [1e308, 1e308]}}, "inf is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", UNPLANNABLE_RUNS)
+def test_train_unplannable_coordinates_exit2(tmp_path, trained, capsys, case):
+    overrides, term = UNPLANNABLE_RUNS[case]
+    cfg = write_config(tmp_path / "c.json", trained[1], tmp_path / "ck", **overrides)
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scene 'syn-") and "largest |coordinate|" in err and term in err
+    assert not (tmp_path / "ck" / "model.json").exists()
+
+
+def test_predict_unplannable_checkpoint_grid_exit2(tmp_path, trained, capsys):
+    _, data, ckpt = trained
+    bad = _malformed_copy(ckpt, tmp_path, lambda m: {**m, "config": {
+        **m["config"], "model": {**m["config"]["model"], "grid_size": 1e-12}}})
+    assert cli.main(["predict", "--ckpt", bad, "--scene", str(sorted(data.glob("syn-*.json"))[0]),
+                     "--out", str(tmp_path / "pred.json")]) == 2
+    assert "model.grid_size, 1e-12," in capsys.readouterr().err
+    assert not (tmp_path / "pred.json").exists()
+
+
+def test_train_with_a_tiny_smaller_radius(tmp_path, trained):
+    # only the largest radius is hashed; a smaller one keeps the pairs within it
+    cfg = write_config(tmp_path / "c.json", trained[1], tmp_path / "ck", epochs=1,
+                       model=dict(TINY_MODEL, radii=[1e-300, 0.4]))
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+
+
 @pytest.mark.parametrize("overrides, term", [
     ({"batch_size": 2, "eval_every": 0}, "non-finite loss"),  # the second batch's loss
     ({"batch_size": 4, "eval_every": 1}, "non-finite minADE_1"),  # the end-of-epoch evaluation

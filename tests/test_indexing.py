@@ -23,7 +23,8 @@ from pointcast.indexing import (
     KIND_OTHER,
     KIND_TARGET,
     GroupTable,
-    _restrict,
+    _row_tables,
+    _topology,
     build_groups_by_instance,
     build_groups_by_voxel,
     group_by_keys,
@@ -341,52 +342,51 @@ def test_scene_plan_matches_bruteforce(seed):
         )
         np.testing.assert_array_equal(table.group_of, ref)
     np.testing.assert_array_equal(points.by_instance.group_of, brute_group_by_keys(ps.instance)[0])
-    assert_view_restricts_plan(ps, plan, cfg)
+    assert_view_restricts_plan(ps, plan, cfg, np.flatnonzero(ps.kind == KIND_TARGET), plan.target)
 
 
-def assert_view_restricts_plan(ps, plan, cfg):
-    """The plan's target tables equal a brute-force restriction of the plan to the target rows."""
-    view = plan.target
-    target = np.flatnonzero(ps.kind == KIND_TARGET)
-    np.testing.assert_array_equal(view.rows, target)
-    is_target = np.isin(np.arange(len(ps)), target)
+def assert_view_restricts_plan(ps, plan, cfg, rows, view):
+    """``view`` equals a brute-force restriction of ``plan`` to the ascending ``rows``."""
+    np.testing.assert_array_equal(view.rows, rows)
+    kept = np.isin(np.arange(len(ps)), rows)
 
     assert len(view.neighborhoods) == len(view.neighbor_rows) == len(cfg.radii)
-    for radius, (rel, by_center, by_neighbor), rows in zip(cfg.radii, view.neighborhoods,
-                                                           view.neighbor_rows):
+    for radius, (rel, by_center, by_neighbor), nbr_rows in zip(cfg.radii, view.neighborhoods,
+                                                               view.neighbor_rows):
         centers, nbrs = brute_radius_pairs(ps.points, radius)
-        keep = is_target[centers]
+        keep = kept[centers]
         # the same pairs, in the same order
-        np.testing.assert_array_equal(target[by_center.group_of], centers[keep])
-        np.testing.assert_array_equal(rows[by_neighbor.group_of], nbrs[keep])
+        np.testing.assert_array_equal(rows[by_center.group_of], centers[keep])
+        np.testing.assert_array_equal(nbr_rows[by_neighbor.group_of], nbrs[keep])
         np.testing.assert_array_equal(rel, ps.points[nbrs[keep]] - ps.points[centers[keep]])
-        np.testing.assert_array_equal(rows, np.unique(nbrs[keep]))
-        assert by_center.n_groups == len(target) and by_neighbor.n_groups == len(rows)
+        np.testing.assert_array_equal(nbr_rows, np.unique(nbrs[keep]))
+        assert by_center.n_groups == len(rows) and by_neighbor.n_groups == len(nbr_rows)
         for table in (by_center, by_neighbor):
             assert table.counts().min() >= 1
 
     cand_point, cand_row = dict_interp_candidates(plan.voxel_coords, ps.points, ps.grid_size)
-    keep = is_target[cand_point]
-    np.testing.assert_array_equal(target[view.by_point.group_of], cand_point[keep])
+    keep = kept[cand_point]
+    np.testing.assert_array_equal(rows[view.by_point.group_of], cand_point[keep])
     np.testing.assert_array_equal(view.voxel_rows[view.interp_rows.group_of], cand_row[keep])
     np.testing.assert_array_equal(view.voxel_rows, np.unique(cand_row[keep]))
-    np.testing.assert_array_equal(view.interp_delta, plan.points.interp_delta[keep])
-    assert view.by_point.n_groups == len(target)
+    voxel_centers = (plan.voxel_coords[cand_row[keep]] + 0.5) * ps.grid_size
+    np.testing.assert_array_equal(view.interp_delta, ps.points[cand_point[keep]] - voxel_centers)
+    assert view.by_point.n_groups == len(rows)
     assert view.interp_rows.n_groups == len(view.voxel_rows)
 
     assert len(view.by_interval) == len(cfg.intervals)
     for interval, table in zip(cfg.intervals, view.by_interval):
         ref, _ = brute_group_by_keys(
-            [(int(ps.instance[r]), int(ps.time[r]) // interval) for r in target])
+            [(int(ps.instance[r]), int(ps.time[r]) // interval) for r in rows])
         np.testing.assert_array_equal(table.group_of, ref)
     np.testing.assert_array_equal(view.by_instance.group_of,
-                                  brute_group_by_keys(ps.instance[target])[0])
+                                  brute_group_by_keys(ps.instance[rows])[0])
 
     for table in (view.by_point, view.interp_rows, *view.by_interval, view.by_instance):
         assert table.counts().min() >= 1
         assert table.n_groups == len(table.offsets) - 1 == table.group_of.max() + 1
-    for rows in (view.rows, view.voxel_rows, *view.neighbor_rows):
-        assert len(rows) and np.all(np.diff(rows) > 0)  # distinct and ascending
+    for ids in (view.rows, view.voxel_rows, *view.neighbor_rows):
+        assert len(ids) and np.all(np.diff(ids) > 0)  # distinct and ascending
 
 
 @st.composite
@@ -421,33 +421,27 @@ VIEW_CFG = ModelConfig(radii=(0.3, 0.7), intervals=(1, 2, 4))
 @example(ps=make_ps([[-0.3, 0.3], [-0.3, 0.3], [-0.3, 0.3], [0.6, -0.9]], [1, 0, 1, 2],
                     [0, 0, 1, 0], [KIND_OTHER, KIND_TARGET, KIND_OTHER, KIND_MAP]))
 def test_target_view_restricts_plan(ps):
-    assert_view_restricts_plan(ps, plan_scene(ps, VIEW_CFG), VIEW_CFG)
+    plan = plan_scene(ps, VIEW_CFG)
+    target = np.flatnonzero(ps.kind == KIND_TARGET)
+    assert_view_restricts_plan(ps, plan, VIEW_CFG, target, plan.target)
 
 
-def _assert_tables_equal(got: GroupTable, want: GroupTable):
-    assert got.n_groups == want.n_groups
-    for field in ("group_of", "order", "offsets"):
-        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+@st.composite
+def instance_unions(draw):
+    """A point set and a non-empty ascending union of its whole instances."""
+    ps = draw(point_sets())
+    instances = np.unique(ps.instance).tolist()
+    chosen = draw(st.lists(st.sampled_from(instances), min_size=1, unique=True))
+    return ps, np.flatnonzero(np.isin(ps.instance, chosen))
 
 
-@settings(max_examples=100)
-@given(ps=point_sets())
-def test_restricting_to_every_row_is_the_identity(ps):
-    points = plan_scene(ps, VIEW_CFG).points
-    same = _restrict(points, np.arange(len(ps)))
-    np.testing.assert_array_equal(same.rows, points.rows)
-    for (rel, by_center, by_neighbor), rows, (want_rel, want_center, want_neighbor) in zip(
-            same.neighborhoods, same.neighbor_rows, points.neighborhoods, strict=True):
-        np.testing.assert_array_equal(rel, want_rel)
-        _assert_tables_equal(by_center, want_center)
-        _assert_tables_equal(by_neighbor, want_neighbor)
-        np.testing.assert_array_equal(rows, np.arange(len(ps)))
-    np.testing.assert_array_equal(same.voxel_rows, np.arange(points.interp_rows.n_groups))
-    np.testing.assert_array_equal(same.interp_delta, points.interp_delta)
-    for got, want in zip((same.interp_rows, same.by_point, *same.by_interval, same.by_instance),
-                         (points.interp_rows, points.by_point, *points.by_interval,
-                          points.by_instance), strict=True):
-        _assert_tables_equal(got, want)
+@settings(max_examples=150)
+@given(case=instance_unions())
+def test_row_tables_restrict_plan_to_any_instance_union(case):
+    ps, rows = case
+    plan = plan_scene(ps, VIEW_CFG)
+    view = _row_tables(rows, _topology(ps, VIEW_CFG, plan.voxel_coords))
+    assert_view_restricts_plan(ps, plan, VIEW_CFG, rows, view)
 
 
 def test_plan_rejects_target_sharing_an_instance():

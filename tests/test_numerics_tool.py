@@ -41,7 +41,17 @@ def test_dump_holds_every_group(dump):
     assert trained == restored
     assert all(s[0] == 1 for s in trained.values())
     assert sum(s[1] for s in trained.values()) == shapes["overfit/grad"][1]
-    assert len(shapes) == 8 + 2 * len(trained)
+    # the plans' groups at the default config (4 radii, 5 intervals): 22 of the
+    # plan itself (embedding, future, 3 by_voxel, voxel_coords, 2 per off-center
+    # tap), 54 of each RowTables (rows, 7 per radius, 3 interp_rows,
+    # interp_delta, 3 by_point, 3 per interval, 3 by_instance), and the
+    # target's 4 neighbor_rows and voxel_rows, which are None in plan.points
+    plan = {k: s for k, s in shapes.items() if k.startswith("plan/")}
+    assert len(plan) == 22 + 2 * 54 + 5
+    assert plan["plan/points/rows"] == (plan["plan/embedding"][0],)
+    assert plan["plan/target/neighbor_rows/3"][0] > plan["plan/target/rows"][0]
+    assert "plan/points/voxel_rows" not in plan and "plan/kernel_map/4/0" not in plan
+    assert len(shapes) == 8 + 2 * len(trained) + len(plan)
 
 
 def test_dump_compared_with_itself_is_bit_identical(tool, dump, capsys):
@@ -68,6 +78,12 @@ def test_perturbed_dump_is_reported(tool, dump, tmp_path, capsys):
     assert report.pop("train/params/head/reg/l0/w") == "max relative difference 1e-06"
     assert set(report.values()) == {"bit-identical"}
     assert worst == "worst: train/params/head/reg/l0/w (max relative difference 1e-06)"
+
+    groups["plan/points/rows"][1] += 1  # row 0 holds 0 in both files, which must not hide it
+    np.savez(tmp_path / "d.npz", **groups)
+    assert tool.main(["compare", str(dump), str(tmp_path / "d.npz")]) == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[:-1])
+    assert report["plan/points/rows"] == "max relative difference 1"
 
     del groups["predict/displacements"]
     groups["overfit/loss"] = groups["overfit/loss"][:11]

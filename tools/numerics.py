@@ -22,14 +22,19 @@
   at the default config on 8 congested scenes (the benchmark's
   ``CONGESTED_SPEED``, seed 0);
 - ``eval/report``: the ``EvalReport`` fields, in order, of
-  ``network.evaluate_model`` on the plans of the same 8 scenes.
+  ``network.evaluate_model`` on the plans of the same 8 scenes;
+- ``plan/<field path>``: every array of those 8 plans, concatenated over the
+  plans, one group per path through the ``ScenePlan``'s dataclass fields and
+  tuple and list positions (``plan/points/neighborhoods/3/2/order`` is the
+  by-neighbor table's order at the fourth radius); a None is skipped.
 
 ``compare`` prints one line per group: ``bit-identical``, or the largest
-relative difference over scenes, where a scene's difference is its max
-``|a - b|`` over its max ``|a|``. A last line names the group of the largest
-difference, or says that every comparable group is bit-identical. It exits 1
-when the two files do not hold the same groups and shapes. Dump the parent
-and the change with the same numpy and BLAS, then compare the two files.
+relative difference over scenes (over rows for a ``plan/`` group), where a
+scene's difference is its max ``|a - b|`` over its max ``|a|``, and 0 where
+they are equal. A last line names the group of the largest difference, or
+says that every comparable group is bit-identical. It exits 1 when the two
+files do not hold the same groups and shapes. Dump the parent and the change
+with the same numpy and BLAS, then compare the two files.
 """
 
 from __future__ import annotations
@@ -120,9 +125,27 @@ def collect() -> dict:
     preds = [network.forward(model, sc) for sc in normalized]
     out["predict/trajectories"] = np.stack([p.trajectories for p in preds])
     out["predict/displacements"] = np.stack([p.displacements for p in preds])
-    _, report, _ = network.evaluate_model(model, [network.scene_plan(sc, cfg) for sc in normalized])
+    plans = [network.scene_plan(sc, cfg) for sc in normalized]
+    _, report, _ = network.evaluate_model(model, plans)
     out["eval/report"] = np.array(dataclasses.astuple(report), dtype=np.float64)
+    parts = {}
+    for plan in plans:
+        for path, array in _arrays(plan, "plan"):
+            parts.setdefault(path, []).append(array)
+    out.update((path, np.concatenate(arrays)) for path, arrays in parts.items())
     return out
+
+
+def _arrays(x, path):
+    """``(path, array)`` for every array in ``x``, through dataclass fields, tuples and lists."""
+    if isinstance(x, np.ndarray):
+        yield path, x
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _arrays(getattr(x, f.name), f"{path}/{f.name}")
+    elif isinstance(x, (tuple, list)):
+        for i, item in enumerate(x):
+            yield from _arrays(item, f"{path}/{i}")
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
@@ -140,8 +163,10 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
             lines.append(f"{key}: bit-identical")
         else:
             x, y = (v.reshape(len(v), -1) for v in (a[key], b[key]))
+            num = np.abs(x - y).max(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                diff = (np.abs(x - y).max(axis=1) / np.abs(x).max(axis=1)).max()
+                # an equal row differs by 0, also where it holds only zeros
+                diff = np.where(num == 0, 0.0, num / np.abs(x).max(axis=1)).max()
             lines.append(f"{key}: max relative difference {diff:.3g}")
             if worst is None or not diff <= worst[1]:
                 worst = key, diff
