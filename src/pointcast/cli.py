@@ -8,16 +8,20 @@ Exit codes:
      coordinates, augmented or not, are non-finite or too large for the
      32-bit cell keys at ``model.grid_size`` or the largest of
      ``model.radii``, a run-config value or command-line count of the wrong
-     type or out of range, a resumed checkpoint that already reached the
-     last epoch, or a training run that diverged;
-  3  checkpoint fault: a malformed manifest, missing, extra or misshapen
-     arrays, non-finite values, or a data file that does not match its
-     manifest's length and SHA-256 digest;
+     type or out of range, a path of the wrong kind (a directory where a
+     file goes, or a file where a directory goes), a resumed checkpoint that
+     already reached the last epoch, or a training run that diverged;
+  3  checkpoint fault: a malformed manifest, a manifest model that no scene
+     can plan, a resumed checkpoint whose model differs from the run's,
+     missing, extra or misshapen arrays, non-finite values, or a data file
+     that does not match its manifest's length and SHA-256 digest;
   1  internal error.
 
 A run config (``run.json``) parses straight into a ``TrainConfig``; only the
 deployment paths in PATH_KEYS stay outside it. The env var TPCN_SEED
-supplies the seed when neither a flag nor the config file does.
+supplies the seed when neither a flag nor the config file does. A
+checkpoint's manifest records its ``ModelConfig``, and every command that
+reads a checkpoint builds its model from that record alone.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def _parse_value(default, value, key: str):
 
 
 def _from_doc(cls, doc, where: str = ""):
-    """Parse the JSON object ``doc`` into dataclass ``cls``; ``_to_doc`` is the inverse.
+    """Parse the JSON object ``doc`` into dataclass ``cls``.
 
     Each value must have the JSON type of its field's default (an int field
     takes no bool or float); ``cls`` checks the ranges. An AugConfig document
@@ -100,18 +104,6 @@ def _from_doc(cls, doc, where: str = ""):
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from exc
     return parsed if enabled else None
-
-
-def _to_doc(value):
-    """The JSON document that ``_from_doc`` parses back into ``value``."""
-    if value is None:  # the one optional field: a disabled augmentation
-        return {"enabled": False}
-    if dataclasses.is_dataclass(value):
-        doc = {f.name: _to_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        return {"enabled": True, **doc} if isinstance(value, AugConfig) else doc
-    if isinstance(value, tuple):
-        return [_to_doc(v) for v in value]
-    return value
 
 
 def _load_run_config(path) -> tuple[dict, dict]:
@@ -171,6 +163,8 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
     except ValueError as exc:
         raise ConfigError(f"command line: {exc}") from exc
+    if args.resume is not None:
+        _check_resumed_model(args.resume, cfg.model)
     data_dir = Path(args.data or paths.get("data_dir", ""))
     if not data_dir.is_dir():
         raise ConfigError(f"data directory {data_dir} does not exist")
@@ -180,32 +174,40 @@ def cmd_train(args) -> int:
     ckpt_dir = Path(args.out or paths.get("checkpoint_dir", "checkpoints"))
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     log_path = args.log or paths.get("log_path") or (ckpt_dir / "train_log.jsonl")
-    result = train(
-        dataset,
-        cfg,
-        checkpoint_path=ckpt_dir / "model",
-        log_path=log_path,
-        resume=args.resume,
-        config_doc=_to_doc(cfg),
-    )
+    result = train(dataset, cfg, checkpoint_path=ckpt_dir / "model", log_path=log_path,
+                   resume=args.resume)
     last = result.history[-1] if result.history else {}
     print(json.dumps({"checkpoint": str(result.checkpoint_path), **last}, allow_nan=False))
     return 0
 
 
-def _restore_model(ckpt_path, model_cfg: ModelConfig | None = None):
-    """The model of checkpoint ``ckpt_path``, its config from the manifest unless given.
+def _recorded_model(ckpt_path) -> ModelConfig:
+    """Checkpoint ``ckpt_path``'s recorded ``config.model``; other ``config`` keys are ignored."""
+    doc = (read_manifest(ckpt_path).get("config") or {}).get("model")
+    try:
+        return _from_doc(ModelConfig, doc, "model.")
+    except ConfigError as exc:
+        raise CheckpointMismatchError(f"{ckpt_path}: manifest config: {exc}") from exc
+
+
+def _check_resumed_model(ckpt_path, model_cfg: ModelConfig) -> None:
+    """Raise CheckpointMismatchError naming the first field where ``ckpt_path``'s record differs."""
+    recorded = _recorded_model(ckpt_path)
+    for f in dataclasses.fields(ModelConfig):
+        ours, theirs = getattr(model_cfg, f.name), getattr(recorded, f.name)
+        if ours != theirs:
+            raise CheckpointMismatchError(
+                f"{ckpt_path}: the run's model.{f.name}, {json.dumps(ours)}, differs from "
+                f"the checkpoint's, {json.dumps(theirs)}")
+
+
+def _restore_model(ckpt_path):
+    """The model of checkpoint ``ckpt_path``, built from the config its manifest records.
 
     Only the ``params/`` arrays are read in, straight into the model; the
     optimizer moments, which inference does not need, are verified and dropped.
     """
-    if model_cfg is None:
-        doc = (read_manifest(ckpt_path).get("config") or {}).get("model")
-        try:
-            model_cfg = _from_doc(ModelConfig, doc, "model.")
-        except ConfigError as exc:
-            raise CheckpointMismatchError(f"{ckpt_path}: manifest config: {exc}") from exc
-    model = init_model(model_cfg, seed=0)
+    model = init_model(_recorded_model(ckpt_path), seed=0)
     load_checkpoint(ckpt_path, into={f"params/{k}": t.data for k, t in model.params.items()})
     return model
 
@@ -217,8 +219,7 @@ def _require_finite(ckpt_path, *arrays):
 
 
 def cmd_eval(args) -> int:
-    cfg = _from_doc(TrainConfig, _load_run_config(args.config)[0])
-    model = _restore_model(args.ckpt, cfg.model)
+    model = _restore_model(args.ckpt)
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise ConfigError(f"data directory {data_dir} does not exist")
@@ -308,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a scene directory")
-    p.add_argument("--config", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--per-scene-csv", default=None, help="also write per-scene metric rows")
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, SceneFormatError, SceneValidationError, FileNotFoundError,
-            NothingToResume) as exc:
+            IsADirectoryError, NotADirectoryError, FileExistsError, NothingToResume) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

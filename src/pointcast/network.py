@@ -33,7 +33,7 @@ from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .indexing import EMBED_IN, KEY_RANGE, ScenePlan, index_scene, plan_scene
 from .optim import AdamState, adam_init, adam_step, lr_at_epoch
-from .scenes import AugConfig, Scene, SceneValidationError, augment, normalize
+from .scenes import SCENE_RANGE, AugConfig, Scene, SceneValidationError, augment, normalize
 from .spatial import init_spatial, spatial_block
 from .temporal import init_temporal, temporal_block
 
@@ -44,6 +44,11 @@ class TrainingDiverged(RuntimeError):
 
 class NothingToResume(ValueError):
     """A resumed checkpoint has already trained every epoch the config asks for."""
+
+
+# the smallest grid size, and largest radius, at which a scene inside
+# normalize's crop keeps its cells within check_extent's bound
+MIN_CELL_SIZE = SCENE_RANGE / (KEY_RANGE - 2)
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,12 @@ class ModelConfig:
             raise ValueError(f"intervals must be non-empty and >= 1, got {list(self.intervals)}")
         if not self.radii or not all(r > 0 for r in self.radii):
             raise ValueError(f"radii must be non-empty and positive, got {list(self.radii)}")
-        if not self.grid_size > 0:
-            raise ValueError(f"grid_size must be positive, got {self.grid_size}")
+        if not max(self.radii) >= MIN_CELL_SIZE:
+            raise ValueError(f"radii must reach {MIN_CELL_SIZE:.3g} at their largest, so that "
+                             f"a scene can plan, got {list(self.radii)}")
+        if not self.grid_size >= MIN_CELL_SIZE:
+            raise ValueError(f"grid_size must be at least {MIN_CELL_SIZE:.3g}, so that a scene "
+                             f"can plan, got {self.grid_size}")
         if not self.loss_weight_disp >= 0:
             raise ValueError(f"loss_weight_disp must be >= 0, got {self.loss_weight_disp}")
 
@@ -246,13 +255,14 @@ def _optimizer_arrays(model: Model, state: AdamState) -> dict:
     return arrays
 
 
-def save_train_checkpoint(path, model: Model, state: AdamState, *, epoch: int, config_doc=None):
+def save_train_checkpoint(path, model: Model, state: AdamState, *, epoch: int):
+    """Save ``model`` and ``state``; the manifest's config records the model's ``ModelConfig``."""
     return save_checkpoint(
         path,
         _optimizer_arrays(model, state),
         step=state.step,
         epoch=epoch,
-        config=config_doc,
+        config={"model": asdict(model.config)},
     )
 
 
@@ -490,7 +500,6 @@ def train(
     checkpoint_path=None,
     log_path=None,
     resume=None,
-    config_doc=None,
 ) -> TrainResult:
     """Adam training with per-scene backward passes summed into batch gradients.
 
@@ -599,9 +608,7 @@ def train(
                 log_fh.write(json.dumps(entry, allow_nan=False) + "\n")
                 log_fh.flush()
             if checkpoint_path is not None:
-                ckpt = save_train_checkpoint(
-                    checkpoint_path, model, state, epoch=epoch, config_doc=config_doc
-                )
+                ckpt = save_train_checkpoint(checkpoint_path, model, state, epoch=epoch)
     finally:
         for shard in later:
             shard.close()

@@ -249,30 +249,32 @@ def augment(scene: Scene, seed, config: AugConfig = AugConfig()) -> Scene:
     lo, hi = config.scale_range
     scale = rng.uniform(lo, hi)
 
-    agents = []
-    for a in scene.agents:
-        xy = a.xy * scale
-        steps = a.steps
-        if a.track_id != scene.target_id:
+    # an overflowed coordinate is inf, which the plan's extent check refuses
+    with np.errstate(over="ignore"):
+        agents = []
+        for a in scene.agents:
+            xy = a.xy * scale
+            steps = a.steps
+            if a.track_id != scene.target_id:
+                keep = rng.random(len(xy)) < config.keep_prob
+                keep[-1] = True  # the instance-time anchor survives dropout
+                xy, steps = xy[keep], steps[keep]
+                if config.noise_sigma > 0:
+                    xy = xy + rng.normal(0.0, config.noise_sigma, xy.shape)
+            agents.append(AgentTrack(a.track_id, steps.copy(), xy))
+
+        map_elements = []
+        for m in scene.map_elements:
+            xy = m.xy * scale
             keep = rng.random(len(xy)) < config.keep_prob
-            keep[-1] = True  # the instance-time anchor survives dropout
-            xy, steps = xy[keep], steps[keep]
+            if not np.any(keep):
+                continue
+            xy = xy[keep]
             if config.noise_sigma > 0:
                 xy = xy + rng.normal(0.0, config.noise_sigma, xy.shape)
-        agents.append(AgentTrack(a.track_id, steps.copy(), xy))
+            map_elements.append(MapElement(m.element_id, xy))
 
-    map_elements = []
-    for m in scene.map_elements:
-        xy = m.xy * scale
-        keep = rng.random(len(xy)) < config.keep_prob
-        if not np.any(keep):
-            continue
-        xy = xy[keep]
-        if config.noise_sigma > 0:
-            xy = xy + rng.normal(0.0, config.noise_sigma, xy.shape)
-        map_elements.append(MapElement(m.element_id, xy))
-
-    future = scene.future * scale if scene.future is not None else None
+        future = scene.future * scale if scene.future is not None else None
     return replace(scene, agents=agents, map_elements=map_elements, future=future)
 
 

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,9 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import MALFORMED_SCENE_FILES
-from pointcast import (TrainConfig, cli, gen_synthetic, load_scene, metrics, normalize,
-                       save_scene, train)
+from pointcast import (ModelConfig, TrainConfig, cli, gen_synthetic, load_scene, metrics,
+                       normalize, save_scene, train)
 from pointcast.checkpoint import load_checkpoint, save_checkpoint
+from pointcast.network import evaluate_model, scene_plan
+from pointcast.scenes import load_scene_dir
 
 TINY_MODEL = {
     "n_stages": 1,
@@ -150,6 +154,10 @@ MALFORMED_RUNS = {
     "env-seed": ({"seed": None}, [], {"TPCN_SEED": "abc"}, "TPCN_SEED"),
     "future-length": ({"model": dict(TINY_MODEL, future_steps=20)}, [], {},
                       "model.future_steps"),
+    # no scene inside normalize's crop can plan at these cell sizes
+    "grid-size-tiny": ({"model": dict(TINY_MODEL, grid_size=1e-12)}, [], {},
+                       "model.grid_size must be at least"),
+    "radius-tiny": ({"model": dict(TINY_MODEL, radii=[1e-300])}, [], {}, "model.radii must reach"),
 }
 
 
@@ -167,12 +175,9 @@ def test_train_malformed_config_exit2(tmp_path, trained, capsys, monkeypatch, ca
     assert not (tmp_path / "ck" / "model.json").exists()
 
 
-# (config overrides, what the error must name): coordinates that leave the
-# finite range, or whose cells at the grid size or the largest radius overflow
-# the 32-bit keys, whether from the config or from augmenting the scene
+# (config overrides, what the error must name): augmented coordinates that
+# leave the finite range, or whose cells at the grid size overflow the 32-bit keys
 UNPLANNABLE_RUNS = {
-    "grid-size-tiny": ({"model": dict(TINY_MODEL, grid_size=1e-12)}, "model.grid_size, 1e-12,"),
-    "radius-tiny": ({"model": dict(TINY_MODEL, radii=[1e-300])}, "model.radii, 1e-300,"),
     "scale-huge": ({"augment": {"scale_range": [1e10, 1e10]}}, "model.grid_size, 0.4,"),
     "noise-huge": ({"augment": {"noise_sigma": 1e12}}, "model.grid_size, 0.4,"),
     "scale-overflow": ({"augment": {"scale_range": [1e308, 1e308]}}, "inf is not finite"),
@@ -183,20 +188,24 @@ UNPLANNABLE_RUNS = {
 def test_train_unplannable_coordinates_exit2(tmp_path, trained, capsys, case):
     overrides, term = UNPLANNABLE_RUNS[case]
     cfg = write_config(tmp_path / "c.json", trained[1], tmp_path / "ck", **overrides)
-    assert cli.main(["train", "--config", str(cfg)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: scene 'syn-") and "largest |coordinate|" in err and term in err
     assert not (tmp_path / "ck" / "model.json").exists()
 
 
-def test_predict_unplannable_checkpoint_grid_exit2(tmp_path, trained, capsys):
-    _, data, ckpt = trained
+def test_predict_unplannable_checkpoint_grid_exit3(tmp_path, trained, capsys):
+    # a manifest model that no scene can plan is refused where the manifest is parsed
+    tmp, data, ckpt = trained
     bad = _malformed_copy(ckpt, tmp_path, lambda m: {**m, "config": {
         **m["config"], "model": {**m["config"]["model"], "grid_size": 1e-12}}})
-    assert cli.main(["predict", "--ckpt", bad, "--scene", str(sorted(data.glob("syn-*.json"))[0]),
-                     "--out", str(tmp_path / "pred.json")]) == 2
-    assert "model.grid_size, 1e-12," in capsys.readouterr().err
-    assert not (tmp_path / "pred.json").exists()
+    for command in ("predict", "eval"):
+        assert cli.main(_checkpoint_argv(command, tmp, data, bad, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and "model.grid_size must be" in err
+    _assert_nothing_written(tmp_path)
 
 
 def test_train_with_a_tiny_smaller_radius(tmp_path, trained):
@@ -254,7 +263,18 @@ def test_readme_run_config_parses(tmp_path):
     assert paths == {"data_dir": "data", "checkpoint_dir": "ckpt"}
     cfg = cli._from_doc(TrainConfig, doc)
     assert cfg.model.intervals == (2, 4, 6, 8, 16) and cfg.augment is not None
-    assert cli._from_doc(TrainConfig, cli._to_doc(cfg)) == cfg
+
+
+def test_readme_cli_lines_parse():
+    # each command line of the README, with and without its [optional] parts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("pointcast ")]
+    assert len(lines) == 5
+    parser = cli.build_parser()
+    for line in lines:
+        for variant in (re.sub(r"\s*\[[^]]*\]", "", line), re.sub(r"[][]", "", line)):
+            parser.parse_args(shlex.split(variant)[1:])
 
 
 def test_train_and_eval_roundtrip(tmp_path, capsys):
@@ -264,15 +284,29 @@ def test_train_and_eval_roundtrip(tmp_path, capsys):
     ckpt = tmp_path / "ck" / "model.json"
     assert ckpt.exists()
     capsys.readouterr()
-    assert cli.main(["eval", "--config", str(cfg), "--ckpt", str(ckpt),
-                     "--data", str(data)]) == 0
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
     out1 = capsys.readouterr().out
-    assert cli.main(["eval", "--config", str(cfg), "--ckpt", str(ckpt),
-                     "--data", str(data)]) == 0
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
     out2 = capsys.readouterr().out
     assert out1 == out2  # deterministic report
     report = json.loads(out1)
     assert report["n_scenes"] == 4
+
+
+def test_eval_reports_the_restored_model(trained, capsys):
+    _, data, ckpt = trained
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
+    model = cli._restore_model(ckpt)
+    plans = [scene_plan(normalize(s), model.config) for s in load_scene_dir(data)]
+    assert capsys.readouterr().out == evaluate_model(model, plans)[1].to_json() + "\n"
+
+
+def test_eval_takes_no_run_config(trained):
+    tmp, data, ckpt = trained
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--config", str(tmp / "c.json"), "--ckpt", str(ckpt),
+                  "--data", str(data)])
+    assert exc.value.code == 2
 
 
 def test_train_single_interval_override(tmp_path):
@@ -281,9 +315,11 @@ def test_train_single_interval_override(tmp_path):
     cfg = write_config(tmp_path / "c.json", data, tmp_path / "ck", model=model, epochs=1)
     assert cli.main(["train", "--config", str(cfg)]) == 0
     _, manifest = load_checkpoint(tmp_path / "ck" / "model.json")
+    assert list(manifest["config"]) == ["model"]
     assert manifest["config"]["model"]["intervals"] == [2]
     doc, _ = cli._load_run_config(cfg)
-    assert cli._from_doc(TrainConfig, manifest["config"]) == cli._from_doc(TrainConfig, doc)
+    assert (cli._from_doc(ModelConfig, manifest["config"]["model"])
+            == cli._from_doc(TrainConfig, doc).model)
 
 
 def test_train_byte_identical_checkpoints(tmp_path):
@@ -303,8 +339,8 @@ def test_eval_empty_data_dir_exit2(tmp_path):
     assert cli.main(["train", "--config", str(cfg)]) == 0
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert cli.main(["eval", "--config", str(cfg), "--ckpt",
-                     str(tmp_path / "ck" / "model.json"), "--data", str(empty)]) == 2
+    assert cli.main(["eval", "--ckpt", str(tmp_path / "ck" / "model.json"),
+                     "--data", str(empty)]) == 2
 
 
 def test_eval_future_length_mismatch_exit2(tmp_path, capsys):
@@ -313,24 +349,22 @@ def test_eval_future_length_mismatch_exit2(tmp_path, capsys):
                        model=dict(TINY_MODEL, future_steps=12))
     train_cfg = cli._from_doc(TrainConfig, cli._load_run_config(cfg)[0])
     train(gen_synthetic(2, seed=3, future_steps=12), train_cfg,
-          checkpoint_path=tmp_path / "model", config_doc=cli._to_doc(train_cfg))
+          checkpoint_path=tmp_path / "model")
     data = gen_data(tmp_path)
     capsys.readouterr()
-    assert cli.main(["eval", "--config", str(cfg), "--ckpt", str(tmp_path / "model.json"),
-                     "--data", str(data)]) == 2
+    assert cli.main(["eval", "--ckpt", str(tmp_path / "model.json"), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "future has 30 steps, model regresses 12" in err
 
 
-def test_eval_checkpoint_shape_mismatch_exit3(tmp_path, capsys):
-    data = gen_data(tmp_path)
-    cfg = write_config(tmp_path / "c.json", data, tmp_path / "ck", epochs=1)
-    assert cli.main(["train", "--config", str(cfg)]) == 0
-    other_model = dict(TINY_MODEL, spatial_width=16)
-    cfg2 = write_config(tmp_path / "c2.json", data, tmp_path / "ck2", model=other_model)
-    assert cli.main(["eval", "--config", str(cfg2), "--ckpt",
-                     str(tmp_path / "ck" / "model.json"), "--data", str(data)]) == 3
-    assert "parameter" in capsys.readouterr().err
+def test_eval_checkpoint_shape_mismatch_exit3(tmp_path, trained, capsys):
+    # the manifest's model is not the one its arrays were trained as
+    _, data, ckpt = trained
+    bad = _malformed_copy(ckpt, tmp_path, lambda m: {**m, "config": {
+        "model": {**m["config"]["model"], "spatial_width": 16}}})
+    assert cli.main(["eval", "--ckpt", bad, "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "model parameter shape" in err
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +502,42 @@ def test_malformed_scene_file_exit2(tmp_path, trained, capsys, case, command):
     assert not out.exists()
 
 
+# each case: a command given an existing directory ``d`` where a file goes,
+# or an existing file ``f`` where a directory goes
+WRONG_KIND_PATHS = {
+    "eval-csv-dir": lambda ckpt, scene, cfg, d, f: [
+        "eval", "--ckpt", ckpt, "--data", str(scene.parent), "--per-scene-csv", d],
+    "predict-out-dir": lambda ckpt, scene, cfg, d, f: [
+        "predict", "--ckpt", ckpt, "--scene", str(scene), "--out", d],
+    "predict-out-under-file": lambda ckpt, scene, cfg, d, f: [
+        "predict", "--ckpt", ckpt, "--scene", str(scene), "--out", f + "/p.json"],
+    "plot-out-dir": lambda ckpt, scene, cfg, d, f: [
+        "plot", "--scene", str(scene), "--out", d],
+    "train-out-file": lambda ckpt, scene, cfg, d, f: ["train", "--config", cfg, "--out", f],
+    "train-log-dir": lambda ckpt, scene, cfg, d, f: ["train", "--config", cfg, "--log", d],
+    "train-config-dir": lambda ckpt, scene, cfg, d, f: ["train", "--config", d],
+    "gen-synthetic-out-file": lambda ckpt, scene, cfg, d, f: [
+        "gen-synthetic", "--out", f, "--n", "1"],
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KIND_PATHS)
+def test_path_of_the_wrong_kind_exit2(tmp_path, trained, capsys, case):
+    _, data, ckpt = trained
+    cfg = write_config(tmp_path / "c.json", data, tmp_path / "ck", epochs=1)
+    d, f = tmp_path / "d", tmp_path / "f"
+    d.mkdir()
+    f.write_text("x")
+    argv = WRONG_KIND_PATHS[case](str(ckpt), sorted(data.glob("syn-*.json"))[0], str(cfg),
+                                  str(d), str(f))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "internal" not in captured.err
+    assert captured.out == ""
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert files == ["c.json", "f"] and f.read_text() == "x"
+
+
 @pytest.mark.parametrize("cut_bytes", [8, 3])  # a whole value, or mid-value
 def test_predict_truncated_checkpoint_exit3(tmp_path, trained, capsys, cut_bytes):
     _, data, ckpt = trained
@@ -536,8 +606,7 @@ def test_predict_malformed_manifest_exit3(tmp_path, trained, capsys, case):
 def test_eval_manifest_layout_fault_exit3(tmp_path, trained, capsys, case):
     tmp, data, ckpt = trained
     bad = _malformed_copy(ckpt, tmp_path, MALFORMED_MANIFESTS[case])
-    assert cli.main(["eval", "--config", str(tmp / "c.json"), "--ckpt", bad,
-                     "--data", str(data)]) == 3
+    assert cli.main(["eval", "--ckpt", bad, "--data", str(data)]) == 3
     captured = capsys.readouterr()
     assert "checkpoint error:" in captured.err and captured.out == ""
 
@@ -551,6 +620,21 @@ def test_resume_malformed_manifest_exit3(tmp_path, trained, capsys, edit):
                      "--epochs", "2", "--out", str(tmp_path / "resumed")]) == 3
     assert "checkpoint error:" in capsys.readouterr().err
     assert not (tmp_path / "resumed" / "model.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_size", 0.2), ("radii", [1.6, 3.2]), ("intervals", [2]), ("n_stages", 2)])
+def test_resume_with_another_model_exit3(tmp_path, trained, capsys, field, value):
+    # the checkpoint's weights mean nothing under another geometry or stage count
+    tmp, data, ckpt = trained
+    out, log = tmp_path / "resumed", tmp_path / "log.jsonl"
+    cfg = write_config(tmp_path / "c.json", data, out, model=dict(TINY_MODEL, **{field: value}))
+    assert cli.main(["train", "--config", str(cfg), "--resume", str(ckpt),
+                     "--log", str(log)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"checkpoint error: {ckpt}: the run's model.{field}, ")
+    assert captured.out == ""
+    assert not out.exists() and not log.exists()
 
 
 @pytest.mark.parametrize("epochs", [1, 2])
@@ -577,7 +661,7 @@ def test_eval_scores_each_scene_once_per_cut_off(tmp_path, trained, capsys, monk
     tmp, data, ckpt = trained
     calls, score = [], metrics._scene_topk_errors
     monkeypatch.setattr(metrics, "_scene_topk_errors", lambda *a: calls.append(a) or score(*a))
-    argv = ["eval", "--config", str(tmp / "c.json"), "--ckpt", str(ckpt), "--data", str(data)]
+    argv = ["eval", "--ckpt", str(ckpt), "--data", str(data)]
     if csv:
         argv += ["--per-scene-csv", str(tmp_path / "scenes.csv")]
     assert cli.main(argv) == 0
@@ -606,8 +690,7 @@ def test_params_only_checkpoint_predicts_and_evals(tmp_path, trained, capsys):
         out = tmp_path / "pred.json"
         assert cli.main(["predict", "--ckpt", path, "--scene", scene_file,
                          "--out", str(out)]) == 0
-        assert cli.main(["eval", "--config", str(tmp / "c.json"), "--ckpt", path,
-                         "--data", str(data)]) == 0
+        assert cli.main(["eval", "--ckpt", path, "--data", str(data)]) == 0
         outputs.append((out.read_text(), capsys.readouterr().out.splitlines()[-1]))
     assert outputs[0] == outputs[1]
 
@@ -641,7 +724,7 @@ def test_non_finite_checkpoint_exit3(tmp_path, trained, capsys, command):
     argv = {
         "predict": ["predict", "--ckpt", bad, "--scene", str(sorted(data.glob("syn-*.json"))[0]),
                     "--out", str(tmp_path / "pred.json")],
-        "eval": ["eval", "--config", str(tmp / "c.json"), "--ckpt", bad, "--data", str(data)],
+        "eval": ["eval", "--ckpt", bad, "--data", str(data)],
         "train": ["train", "--config", str(tmp / "c.json"), "--resume", bad, "--epochs", "2",
                   "--out", str(tmp_path / "resumed")],
     }[command]
@@ -660,7 +743,7 @@ def test_overflowing_checkpoint_exit3(tmp_path, trained, capsys, command):
     argv = {
         "predict": ["predict", "--ckpt", bad, "--scene", str(sorted(data.glob("syn-*.json"))[0]),
                     "--out", str(tmp_path / "pred.json")],
-        "eval": ["eval", "--config", str(tmp / "c.json"), "--ckpt", bad, "--data", str(data),
+        "eval": ["eval", "--ckpt", bad, "--data", str(data),
                  "--per-scene-csv", str(tmp_path / "scenes.csv")],
     }[command]
     assert cli.main(argv) == 3
@@ -677,8 +760,8 @@ def _checkpoint_argv(command, tmp, data, ckpt, out_dir):
     return {
         "predict": ["predict", "--ckpt", str(ckpt), "--scene",
                     str(sorted(data.glob("syn-*.json"))[0]), "--out", str(out_dir / "pred.json")],
-        "eval": ["eval", "--config", str(tmp / "c.json"), "--ckpt", str(ckpt), "--data",
-                 str(data), "--per-scene-csv", str(out_dir / "scenes.csv")],
+        "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--per-scene-csv", str(out_dir / "scenes.csv")],
         "train": ["train", "--config", str(tmp / "c.json"), "--resume", str(ckpt), "--epochs",
                   "2", "--out", str(out_dir / "resumed")],
     }[command]
@@ -698,15 +781,30 @@ def test_checkpoint_with_an_extra_stage_exit3(tmp_path, trained, capsys, command
                        model=dict(TINY_MODEL, n_stages=2))
     assert cli.main(["train", "--config", str(cfg)]) == 0
     ckpt = tmp_path / "ck2" / "model.json"
-    if command == "predict":  # predict builds the model its manifest's config names
-        doc = json.loads(ckpt.read_text())
-        doc["config"]["model"]["n_stages"] = 1
-        ckpt.write_text(json.dumps(doc))
+    doc = json.loads(ckpt.read_text())  # every command builds the model its manifest records
+    doc["config"]["model"]["n_stages"] = 1
+    ckpt.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(_checkpoint_argv(command, tmp, data, ckpt, tmp_path)) == 3
     kept = "optim/m/" if command == "train" else "params/"  # the first name in order
     assert f"checkpoint has array '{kept}stage1/" in capsys.readouterr().err
     _assert_nothing_written(tmp_path)
+
+
+def test_manifest_with_the_whole_run_config_predicts_and_evals(tmp_path, trained, capsys):
+    # older manifests hold the whole TrainConfig document; only its model is read
+    tmp, data, ckpt = trained
+    run_doc, _ = cli._load_run_config(tmp / "c.json")
+    (tmp_path / "old").mkdir()
+    old = _malformed_copy(ckpt, tmp_path / "old",
+                          lambda m: {**m, "config": {**run_doc, "model": m["config"]["model"]}})
+    outputs = []
+    for path in (str(ckpt), old):
+        for command in ("predict", "eval"):
+            assert cli.main(_checkpoint_argv(command, tmp, data, path, tmp_path)) == 0
+        report = capsys.readouterr().out.splitlines()[-1]
+        outputs.append([report] + [(tmp_path / n).read_text() for n in ("pred.json", "scenes.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def _flipped_byte_copy(ckpt, out_dir):
@@ -756,7 +854,7 @@ def test_restore_model_peak_memory_is_the_model_and_the_buffer(tmp_path):
     cfg = TrainConfig()  # a data file of about 20 MB, 6.7 MB of it parameters
     model = network.init_model(cfg.model, seed=3)
     ckpt = network.save_train_checkpoint(tmp_path / "model", model, adam_init(model.params),
-                                         epoch=0, config_doc=cli._to_doc(cfg))
+                                         epoch=0)
     size = ckpt.with_suffix(".bin").stat().st_size
     model_bytes = sum(t.data.nbytes for t in model.params.values())
     tracemalloc.start()
@@ -795,8 +893,7 @@ def test_eval_non_finite_scene_exit2(tmp_path, trained, capsys, corrupt):
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "scene.json").write_text(json.dumps(doc))
-    assert cli.main(["eval", "--config", str(tmp / "c.json"), "--ckpt", str(ckpt),
-                     "--data", str(bad)]) == 2
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(bad)]) == 2
     assert "non-finite" in capsys.readouterr().err
 
 
