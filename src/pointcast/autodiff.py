@@ -53,6 +53,7 @@ from .indexing import CENTER_TAP, GroupTable
 
 _ids = itertools.count()
 _grad_enabled = True
+NORM_EPS = 1e-8  # added to each row's variance before the layer norm's square root
 
 
 class Tensor:
@@ -245,8 +246,8 @@ def _check_norm(gain: Tensor, bias: Tensor, c: int, name: str) -> None:
         raise ValueError(f"{name}: gain/bias must be (1, C)")
 
 
-def _norm_forward(x: np.ndarray, gain: Tensor, bias: Tensor, act: bool, eps: float,
-                  keep: bool, out: np.ndarray | None = None):
+def _norm_forward(x: np.ndarray, gain: Tensor, bias: Tensor, act: bool, keep: bool,
+                  out: np.ndarray | None = None):
     """``(y, xhat, inv)``: layer norm, affine and the optional relu of the rows of ``x``.
 
     Row means are matvecs with a ones vector, so each reduction is one BLAS
@@ -257,7 +258,7 @@ def _norm_forward(x: np.ndarray, gain: Tensor, bias: Tensor, act: bool, eps: flo
     """
     c = x.shape[1]
     xhat = np.subtract(x, (x @ np.ones(c) / c)[:, None], out=out)
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / c + eps)
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / c + NORM_EPS)
     xhat *= inv[:, None]
     y = xhat * gain.data if keep else np.multiply(xhat, gain.data, out=xhat)
     y += bias.data
@@ -284,7 +285,7 @@ def _norm_vjp(g, y, xhat, inv, gain: Tensor, act: bool) -> tuple:
     return gg, ggain, gbias
 
 
-def norm_act(x: Tensor, gain: Tensor, bias: Tensor, act: bool, eps: float = 1e-8) -> Tensor:
+def norm_act(x: Tensor, gain: Tensor, bias: Tensor, act: bool) -> Tensor:
     """Per-row layer norm, then affine, then relu when ``act``, as one node.
 
     The forward makes one centered copy of ``x`` and normalizes it in place
@@ -295,12 +296,11 @@ def norm_act(x: Tensor, gain: Tensor, bias: Tensor, act: bool, eps: float = 1e-8
     """
     _check_norm(gain, bias, x.data.shape[1], "norm_act")
     parents = (x, gain, bias)
-    y, xhat, inv = _norm_forward(x.data, gain, bias, act, eps, _recording(parents))
+    y, xhat, inv = _norm_forward(x.data, gain, bias, act, _recording(parents))
     return _op(y, parents, lambda g: _norm_vjp(g, y, xhat, inv, gain, act))
 
 
-def dense(x, w: Tensor, b: Tensor | None, gain: Tensor, bias: Tensor, act: bool,
-          eps: float = 1e-8) -> Tensor:
+def dense(x, w: Tensor, b: Tensor | None, gain: Tensor, bias: Tensor, act: bool) -> Tensor:
     """``norm_act(linear(x, w, b), gain, bias, act)`` as one node, bit for bit.
 
     ``x`` takes the column blocks of :func:`linear`. The pre-activation is
@@ -313,7 +313,7 @@ def dense(x, w: Tensor, b: Tensor | None, gain: Tensor, bias: Tensor, act: bool,
     _check_norm(gain, bias, w.data.shape[1], "dense")
     parents = (*linear_parents, gain, bias)
     pre = _linear_forward(blocks, edges, w, b)
-    y, xhat, inv = _norm_forward(pre, gain, bias, act, eps, _recording(parents), out=pre)
+    y, xhat, inv = _norm_forward(pre, gain, bias, act, _recording(parents), out=pre)
 
     def vjp(g):
         gpre, ggain, gbias = _norm_vjp(g, y, xhat, inv, gain, act)
@@ -322,9 +322,9 @@ def dense(x, w: Tensor, b: Tensor | None, gain: Tensor, bias: Tensor, act: bool,
     return _op(y, parents, vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then affine."""
-    return norm_act(x, gain, bias, act=False, eps=eps)
+    return norm_act(x, gain, bias, act=False)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

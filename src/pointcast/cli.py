@@ -8,13 +8,17 @@ Exit codes:
      coordinates, augmented or not, are non-finite or too large for the
      32-bit cell keys at ``model.grid_size`` or the largest of
      ``model.radii``, a run-config value or command-line count of the wrong
-     type or out of range, a path of the wrong kind (a directory where a
-     file goes, or a file where a directory goes), a resumed checkpoint that
-     already reached the last epoch, or a training run that diverged;
-  3  checkpoint fault: a malformed manifest, a manifest model that no scene
-     can plan, a resumed checkpoint whose model differs from the run's,
-     missing, extra or misshapen arrays, non-finite values, or a data file
-     that does not match its manifest's length and SHA-256 digest;
+     type or out of range (an integer beyond float range included), a
+     ``run.json`` that is not UTF-8, a JSON document holding an integer
+     literal past Python's digit limit, a path of the wrong kind (a
+     directory where a file goes, or a file where a directory goes), a
+     resumed checkpoint that already reached the last epoch, or a training
+     run that diverged;
+  3  checkpoint fault: a malformed manifest (a ``config.model`` value beyond
+     float range included), a manifest model that no scene can plan, a
+     resumed checkpoint whose model differs from the run's, missing, extra
+     or misshapen arrays, non-finite values, or a data file that does not
+     match its manifest's length and SHA-256 digest;
   1  internal error.
 
 A run config (``run.json``) parses straight into a ``TrainConfig``; only the
@@ -72,11 +76,13 @@ def _parse_value(default, value, key: str):
             raise ConfigError(f"{key} must be a list, got {json.dumps(value)}")
         return tuple(_parse_value(default[0], v, f"{key}[{i}]") for i, v in enumerate(value))
     kind = type(default)
+    parsed = value
     if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind or (kind is float and not np.isfinite(value)):
+        # an integer beyond float range, where float() would raise, is not finite
+        parsed = float(value) if abs(value) <= sys.float_info.max else np.inf
+    if type(parsed) is not kind or (kind is float and not np.isfinite(parsed)):
         raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
-    return value
+    return parsed
 
 
 def _from_doc(cls, doc, where: str = ""):
@@ -112,8 +118,8 @@ def _load_run_config(path) -> tuple[dict, dict]:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -262,7 +268,7 @@ def _load_trajectories(path) -> np.ndarray:
     try:
         doc = json.loads(Path(path).read_text())
         trajs = np.asarray(doc["trajectories"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SceneFormatError(f"{path}: not an object with numeric trajectories ({exc})") from exc
     if trajs.ndim != 3 or trajs.shape[2] != 2 or 0 in trajs.shape or not np.isfinite(trajs).all():
         raise SceneFormatError(f"{path}: trajectories must be a finite (K, T, 2) array with "

@@ -49,6 +49,11 @@ class EvalReport:
         return json.dumps(asdict(self), indent=1, allow_nan=False)
 
 
+def rank_trajectories(pred) -> np.ndarray:
+    """Mode indices sorted by predicted displacement, ascending, stable."""
+    return np.argsort(pred.displacements, kind="stable")
+
+
 def _scene_topk_errors(pred, gt, k: int):
     """(min ADE, min FDE, miss) over the top-k trajectories by predicted displacement.
 
@@ -57,7 +62,7 @@ def _scene_topk_errors(pred, gt, k: int):
     """
     if k > len(pred.displacements):
         raise ValueError(f"evaluate: k={k} exceeds {len(pred.displacements)} trajectories")
-    top = np.asarray(pred.trajectories)[np.argsort(pred.displacements, kind="stable")[:k]]
+    top = np.asarray(pred.trajectories)[rank_trajectories(pred)[:k]]
     best_fde = float(np.min([fde(t, gt) for t in top]))
     return float(np.min([ade(t, gt) for t in top])), best_fde, not best_fde <= MISS_THRESHOLD
 

@@ -32,6 +32,8 @@ from . import nn
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .indexing import EMBED_IN, KEY_RANGE, ScenePlan, index_scene, plan_scene
+# the ranking that the metrics score, re-exported for predict and span tracers
+from .metrics import rank_trajectories  # noqa: F401
 from .optim import AdamState, adam_init, adam_step, lr_at_epoch
 from .scenes import SCENE_RANGE, AugConfig, Scene, SceneValidationError, augment, normalize
 from .spatial import init_spatial, spatial_block
@@ -206,11 +208,6 @@ def total_loss(reg: Tensor, disp: Tensor, gt: np.ndarray, config: ModelConfig) -
     l_reg = loss_reg(reg, gt, k_star, config)
     l_disp = loss_disp(disp, pred, gt)
     return ad.add(l_reg, ad.scale(l_disp, config.loss_weight_disp))
-
-
-def rank_trajectories(pred: PredictionSet) -> np.ndarray:
-    """Mode indices sorted by predicted displacement, ascending, stable."""
-    return np.argsort(pred.displacements, kind="stable")
 
 
 # ---------------------------------------------------------------------------

@@ -446,16 +446,23 @@ def _csv_document(path) -> dict:
             "city": rows[0][5]}
 
 
+def _json_document(text: str) -> dict:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SceneFormatError(f"row {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SceneFormatError(str(exc)) from exc
+
+
 def _read_document(path: Path) -> dict:
     """The JSON scene document of a ``.json`` or ``.csv`` file, by its suffix."""
     fmt = path.suffix.lstrip(".").lower()
     try:
         if fmt == "json":
-            return json.loads(path.read_text(encoding="utf-8"))
+            return _json_document(path.read_text(encoding="utf-8"))
         if fmt == "csv":
             return _csv_document(path)
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"row {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise SceneFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     raise SceneFormatError(f"unknown scene format {fmt!r}")
@@ -474,7 +481,7 @@ def load_scene(path) -> Scene:
 
 
 def load_scene_dir(path) -> list[Scene]:
-    """Load every *.json scene in a directory, sorted by filename."""
-    files = sorted(Path(path).glob("*.json"))
-    files = [f for f in files if f.name != "manifest.json"]
+    """Load every ``.json`` and ``.csv`` scene of a directory but ``manifest.json``, by name."""
+    files = sorted(f for f in Path(path).iterdir()
+                   if f.suffix in (".json", ".csv") and f.name != "manifest.json")
     return [load_scene(f) for f in files]

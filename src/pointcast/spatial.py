@@ -6,6 +6,8 @@ point downsampling) and a voxel branch (point-to-voxel mean propagation,
 a stack of submanifold sparse bottleneck blocks, and learnable
 voxel-to-point interpolation). The branches fuse by column concatenation
 through a final MLP, whose first linear map takes the two as column blocks.
+Every parameterized map but the bottleneck's 3x3 conv, its 1x1 maps included,
+is an :class:`~pointcast.nn.Layer` run by :func:`~pointcast.nn.apply_mlp`.
 The voxel branch reads the plan; every other step reads one of the plan's
 :class:`~pointcast.indexing.RowTables` and computes its rows alone, so the
 same statements run every stage, the last one on the target rows.
@@ -31,14 +33,12 @@ from .indexing import RowTables, ScenePlan, radius_pairs  # noqa: F401
 
 @dataclass
 class BottleneckParams:
-    reduce: nn.MLPLayer          # 1x1 in -> mid
+    reduce: nn.Layer             # 1x1 in -> mid, norm and relu
     conv_w: list[Tensor]         # 9 taps, mid -> mid
     conv_b: Tensor
     conv_norm: nn.Norm
-    expand: nn.Linear            # 1x1 mid -> out
-    expand_norm: nn.Norm
-    skip: nn.Linear | None       # 1x1 projection when widths differ
-    skip_norm: nn.Norm | None
+    expand: nn.Layer             # 1x1 mid -> out, norm without relu
+    skip: nn.Layer | None        # 1x1 projection when widths differ, norm without relu
 
 
 @dataclass
@@ -51,10 +51,7 @@ class SpatialParams:
 
 
 def init_bottleneck(reg, name, c_in, c_mid, c_out, rng) -> BottleneckParams:
-    reduce = nn.MLPLayer(
-        nn.init_linear(reg, f"{name}/reduce", c_in, c_mid, rng),
-        nn.init_norm(reg, f"{name}/reduce", c_mid),
-    )
+    reduce = nn.init_layer(reg, f"{name}/reduce", c_in, c_mid, rng)
     bound = np.sqrt(6.0 / (9 * c_mid))
     conv_w = []
     for k in range(9):
@@ -64,14 +61,11 @@ def init_bottleneck(reg, name, c_in, c_mid, c_out, rng) -> BottleneckParams:
     conv_b = ad.parameter(np.zeros((1, c_mid)))
     reg[f"{name}/conv/b"] = conv_b
     conv_norm = nn.init_norm(reg, f"{name}/conv", c_mid)
-    expand = nn.init_linear(reg, f"{name}/expand", c_mid, c_out, rng)
-    expand_norm = nn.init_norm(reg, f"{name}/expand", c_out)
+    expand = nn.init_layer(reg, f"{name}/expand", c_mid, c_out, rng, act=False)
+    skip = None
     if c_in != c_out:
-        skip = nn.init_linear(reg, f"{name}/skip", c_in, c_out, rng)
-        skip_norm = nn.init_norm(reg, f"{name}/skip", c_out)
-    else:
-        skip, skip_norm = None, None
-    return BottleneckParams(reduce, conv_w, conv_b, conv_norm, expand, expand_norm, skip, skip_norm)
+        skip = nn.init_layer(reg, f"{name}/skip", c_in, c_out, rng, act=False)
+    return BottleneckParams(reduce, conv_w, conv_b, conv_norm, expand, skip)
 
 
 def init_spatial(reg, name, c_in, cfg, rng) -> SpatialParams:
@@ -141,13 +135,8 @@ def sparse_bottleneck(kernel_map, feats: Tensor, params: SpatialParams) -> Tenso
         h = nn.apply_mlp([block.reduce], x)
         h = ad.submanifold_conv(h, kernel_map, block.conv_w, block.conv_b)
         h = ad.norm_act(h, block.conv_norm.gain, block.conv_norm.bias, act=True)
-        h = ad.dense(h, block.expand.w, block.expand.b, block.expand_norm.gain,
-                     block.expand_norm.bias, act=False)
-        if block.skip is not None:
-            s = ad.dense(x, block.skip.w, block.skip.b, block.skip_norm.gain,
-                         block.skip_norm.bias, act=False)
-        else:
-            s = x
+        h = nn.apply_mlp([block.expand], h)
+        s = x if block.skip is None else nn.apply_mlp([block.skip], x)
         x = ad.relu(ad.add(h, s))
     return x
 

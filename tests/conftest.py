@@ -311,6 +311,9 @@ MALFORMED_SCENE_FILES = {
     "object-type-alternates": ("s.csv", _one_track_csv(["AGENT", "OTHERS"] * 10,
                                                        ["PIT"] * 20).encode(),
                                SceneValidationError),
+    # json.loads refuses an integer literal past Python's 4300-digit limit
+    "integer-past-digit-limit": ("s.json", _scene_json("PIT").replace(
+        "0.0", "1" + "0" * 4300, 1).encode(), SceneFormatError),
 }
 
 

@@ -380,6 +380,30 @@ def test_restore_train_checkpoint_reads_into_the_model_and_state(tmp_path):
         assert dest.tobytes() == saved[name].tobytes(), name
 
 
+# a params-only checkpoint of TINY and one gen_synthetic scene with its
+# predict document, all written by commit 1245733 (see data/tiny_ckpt/README.md)
+FIXTURE = Path(__file__).parent / "data" / "tiny_ckpt"
+
+
+def test_checkpoint_from_an_earlier_commit_predicts_the_same(tmp_path):
+    from pointcast.cli import main
+
+    assert read_fixture_model() == TINY
+    out = tmp_path / "pred.json"
+    assert main(["predict", "--ckpt", str(FIXTURE / "model.json"),
+                 "--scene", str(FIXTURE / "scene.json"), "--out", str(out)]) == 0
+    got, want = json.loads(out.read_text()), json.loads((FIXTURE / "predict.json").read_text())
+    assert got["n_modes"] == want["n_modes"] and got["order_by"] == want["order_by"]
+    for key in ("trajectories", "displacements"):
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0)
+
+
+def read_fixture_model():
+    doc = json.loads((FIXTURE / "model.json").read_text())["config"]["model"]
+    return network.ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in doc.items()})
+
+
 def test_restore_train_checkpoint_peak_memory_is_the_buffer(tmp_path):
     import tracemalloc
 

@@ -158,6 +158,8 @@ MALFORMED_RUNS = {
     "grid-size-tiny": ({"model": dict(TINY_MODEL, grid_size=1e-12)}, [], {},
                        "model.grid_size must be at least"),
     "radius-tiny": ({"model": dict(TINY_MODEL, radii=[1e-300])}, [], {}, "model.radii must reach"),
+    # an integer that float() cannot take
+    "lr-beyond-float": ({"lr": 10**400}, [], {}, "lr must be a finite number"),
 }
 
 
@@ -173,6 +175,19 @@ def test_train_malformed_config_exit2(tmp_path, trained, capsys, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not (tmp_path / "ck" / "model.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    b'{"epochs": 2, "seed": "\xff"}',
+    b'{"lr": 1' + b"0" * 4300 + b"}",
+], ids=["not-utf8", "integer-past-digit-limit"])
+def test_train_undecodable_run_config_exit2(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(text)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "ck")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ")
+    assert not (tmp_path / "ck").exists()
 
 
 # (config overrides, what the error must name): augmented coordinates that
@@ -309,6 +324,22 @@ def test_eval_takes_no_run_config(trained):
     assert exc.value.code == 2
 
 
+def test_train_and_eval_on_csv_scenes(tmp_path, capsys):
+    from test_scenes import argoverse_rows, write_csv
+
+    data = gen_data(tmp_path)
+    csv_dir = tmp_path / "csv"
+    csv_dir.mkdir()
+    for scene in load_scene_dir(data):
+        write_csv(csv_dir / f"{scene.scene_id}.csv", argoverse_rows(scene, 0.0))
+    cfg = write_config(tmp_path / "c.json", csv_dir, tmp_path / "ck", epochs=1)
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(tmp_path / "ck" / "model.json"),
+                     "--data", str(csv_dir)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_scenes"] == 4
+
+
 def test_train_single_interval_override(tmp_path):
     data = gen_data(tmp_path)
     model = dict(TINY_MODEL, intervals=[2])
@@ -434,7 +465,8 @@ def test_plot_svg_structure(tmp_path, trained):
     {"trajectories": [[1, 2]]},
     [1],
     {"trajectories": [[[float("nan"), 1], [2, 3]]]},
-], ids=["not-3d", "not-object", "nan"])
+    {"trajectories": [[[10**400, 1], [2, 3]]]},
+], ids=["not-3d", "not-object", "nan", "beyond-float"])
 def test_plot_malformed_predictions_exit2(tmp_path, trained, capsys, doc):
     scene_file = sorted(trained[1].glob("syn-*.json"))[0]
     pred_file = tmp_path / "pred.json"
@@ -480,7 +512,7 @@ def test_plot_overflowing_extent_exit2(tmp_path, capsys):
 @pytest.mark.parametrize("case, command", [
     (case, command) for case, (name, _, _) in MALFORMED_SCENE_FILES.items()
     for command in ("predict", "plot", "train")
-    if command != "train" or name.endswith(".json")  # train --data reads *.json files
+    if command != "train" or name.endswith((".json", ".csv"))  # what train --data reads
 ])
 def test_malformed_scene_file_exit2(tmp_path, trained, capsys, case, command):
     name, content, _ = MALFORMED_SCENE_FILES[case]
@@ -788,6 +820,16 @@ def test_checkpoint_with_an_extra_stage_exit3(tmp_path, trained, capsys, command
     assert cli.main(_checkpoint_argv(command, tmp, data, ckpt, tmp_path)) == 3
     kept = "optim/m/" if command == "train" else "params/"  # the first name in order
     assert f"checkpoint has array '{kept}stage1/" in capsys.readouterr().err
+    _assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_manifest_number_beyond_float_exit3(tmp_path, trained, capsys, command):
+    tmp, data, ckpt = trained
+    bad = _malformed_copy(ckpt, tmp_path, lambda m: {
+        **m, "config": {"model": {**m["config"]["model"], "grid_size": 10**400}}})
+    assert cli.main(_checkpoint_argv(command, tmp, data, bad, tmp_path)) == 3
+    assert "model.grid_size must be a finite number" in capsys.readouterr().err
     _assert_nothing_written(tmp_path)
 
 

@@ -697,3 +697,15 @@ def test_load_scene_dir(tmp_path):
     (tmp_path / "manifest.json").write_text("{}")
     scenes = load_scene_dir(tmp_path)
     assert len(scenes) == 3
+
+
+def test_load_scene_dir_reads_csv_and_json_scenes_by_file_name(tmp_path):
+    first, second = gen_synthetic(2, seed=13)
+    save_scene(first, tmp_path / "b.json")
+    write_csv(tmp_path / "a.csv", csv_rows_full())
+    save_scene(second, tmp_path / "c.json")
+    (tmp_path / "manifest.json").write_text("{}")
+    (tmp_path / "notes.txt").write_text("not a scene")
+    scenes = load_scene_dir(tmp_path)
+    assert [s.scene_id for s in scenes] == ["a", "b", "c"]
+    assert scenes == [load_scene(tmp_path / n) for n in ("a.csv", "b.json", "c.json")]

@@ -236,8 +236,8 @@ def test_ftp_coords_match_hash():
 
 def zero_block_params(params):
     for blk in params.blocks:
-        blk.reduce.lin.w.data[:] = 0
-        blk.reduce.lin.b.data[:] = 0
+        blk.reduce.w.data[:] = 0
+        blk.reduce.b.data[:] = 0
         for w in blk.conv_w:
             w.data[:] = 0
         blk.conv_b.data[:] = 0
@@ -306,7 +306,7 @@ def dense_bottleneck_oracle(feats_hw, params):
     x = feats_hw
     for blk in params.blocks:
         red, _ = norm_act_ref(
-            x.reshape(h_dim * w_dim, -1) @ blk.reduce.lin.w.data + blk.reduce.lin.b.data,
+            x.reshape(h_dim * w_dim, -1) @ blk.reduce.w.data + blk.reduce.b.data,
             blk.reduce.norm.gain.data,
             blk.reduce.norm.bias.data,
             act=True,
@@ -325,16 +325,16 @@ def dense_bottleneck_oracle(feats_hw, params):
         )
         flat, _ = norm_act_ref(
             flat @ blk.expand.w.data + blk.expand.b.data,
-            blk.expand_norm.gain.data,
-            blk.expand_norm.bias.data,
+            blk.expand.norm.gain.data,
+            blk.expand.norm.bias.data,
             act=False,
         )
         xf = x.reshape(h_dim * w_dim, -1)
         if blk.skip is not None:
             skip, _ = norm_act_ref(
                 xf @ blk.skip.w.data + blk.skip.b.data,
-                blk.skip_norm.gain.data,
-                blk.skip_norm.bias.data,
+                blk.skip.norm.gain.data,
+                blk.skip.norm.bias.data,
                 act=False,
             )
         else:
@@ -369,9 +369,9 @@ def test_interp_single_voxel_weight_one(rng):
 def test_interp_zero_mlp_uniform_weights(rng):
     params, _ = tiny_params()
     for layer in params.interp_mlp:
-        layer.lin.w.data[:] = 0
-        if layer.lin.b is not None:
-            layer.lin.b.data[:] = 0
+        layer.w.data[:] = 0
+        if layer.b is not None:
+            layer.b.data[:] = 0
         if layer.norm is not None:
             layer.norm.bias.data[:] = 0
     # point at a voxel center with all four 2x2 candidates occupied
@@ -398,7 +398,7 @@ def test_interp_logit_layer_has_no_bias():
     # a bias on the logit would shift every logit of a point alike, which the
     # softmax ignores: its exact gradient is 0
     params, reg = tiny_params()
-    assert params.interp_mlp[-1].lin.b is None and params.interp_mlp[0].lin.b is not None
+    assert params.interp_mlp[-1].b is None and params.interp_mlp[0].b is not None
     assert sorted(k for k in reg if k.startswith("sp/interp/l1")) == ["sp/interp/l1/w"]
 
 

@@ -13,7 +13,7 @@ from pointcast.indexing import (
     plan_scene,
     voxelize,
 )
-from pointcast.nn import Linear, MLPLayer
+from pointcast.nn import Layer
 from pointcast.temporal import init_temporal, instance_pool, multi_interval, temporal_block
 
 TINY = ModelConfig(
@@ -51,7 +51,7 @@ def rows_of(ps, intervals=TINY.intervals):
 
 
 def identity_mlp(c):
-    return [MLPLayer(Linear(ad.constant(np.eye(c)), ad.constant(np.zeros((1, c)))), None)]
+    return [Layer(ad.constant(np.eye(c)), ad.constant(np.zeros((1, c))), None)]
 
 
 def tiny_params(c_in=4, seed=0):
