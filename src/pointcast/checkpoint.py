@@ -1,11 +1,11 @@
 """Checkpoint container: a flat little-endian float64 binary plus a JSON manifest.
 
-The manifest (``<stem>.json``) lists array names, shapes, and offsets into the
-data file (``<stem>.bin``) together with the global step, epoch, and the run
-config. It also records the data file's byte length and SHA-256 digest, so
-the manifest is the one commit point of a save: data that is not the data it
-was written with fails to load. Arrays are written sorted by name so
-identical states produce byte-identical files.
+The manifest (``<stem>.json``) lists array names, shapes and offsets into the
+data file, always ``<stem>.bin`` beside it (a copied pair loads; an older
+manifest's ``data_file`` is ignored), with the version, step, epoch and
+config. It records the data file's length and SHA-256 digest, so the manifest
+is the one commit point of a save: data that is not the data it was written
+with fails to load. Arrays are sorted by name, so equal states give equal files.
 
 The listed arrays tile the data file in list order: each starts where the
 one before it ends, and no name repeats.
@@ -76,7 +76,6 @@ def save_checkpoint(path, arrays: dict, *, step: int = 0, epoch: int = 0, config
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "data_file": data_path.name,
         "data_bytes": 8 * offset,
         "data_sha256": digest.hexdigest(),
         "global_step": int(step),
@@ -107,13 +106,14 @@ def _check_manifest(manifest, manifest_path) -> list[int]:
     """Each array's value count, unless ``manifest`` breaks the layout save_checkpoint writes.
 
     Raises CheckpointMismatchError for a bad structure (a missing data length
-    or digest included), a repeated array name, or arrays that do not tile
-    the data file in list order.
+    or digest, or a version other than FORMAT_VERSION, included), a repeated
+    array name, or arrays that do not tile ``data_bytes`` in list order.
     """
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise CheckpointMismatchError(f"{manifest_path}: not a {FORMAT_NAME} file")
-    if not isinstance(manifest.get("data_file"), str):
-        raise CheckpointMismatchError(f"{manifest_path}: data_file must be a string")
+    if manifest.get("version") != FORMAT_VERSION or type(manifest["version"]) is not int:
+        raise CheckpointMismatchError(
+            f"{manifest_path}: version {json.dumps(manifest.get('version'))}, not {FORMAT_VERSION}")
     if not isinstance(manifest.get("data_sha256"), str):
         raise CheckpointMismatchError(f"{manifest_path}: data_sha256 must be a string")
     for key in ("data_bytes", "global_step", "epoch"):
@@ -144,24 +144,27 @@ def _check_manifest(manifest, manifest_path) -> list[int]:
         names.add(name)
         sizes.append(math.prod(entry["shape"]))  # exact, unlike int64
         end += sizes[-1]
+    if manifest["data_bytes"] != 8 * end:
+        raise CheckpointMismatchError(
+            f"{manifest_path}: data_bytes is {manifest['data_bytes']}, arrays list {end} values")
     return sizes
 
 
 def _read_manifest(path):
-    """(manifest path, checked manifest, each array's value count) of checkpoint ``path``."""
-    manifest_path, _ = _paths(path)
+    """(manifest path, data path, checked manifest, each array's value count) of ``path``."""
+    manifest_path, data_path = _paths(path)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
     try:
         manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise CheckpointMismatchError(f"{manifest_path}: not JSON: {exc}") from exc
-    return manifest_path, manifest, _check_manifest(manifest, manifest_path)
+    return manifest_path, data_path, manifest, _check_manifest(manifest, manifest_path)
 
 
 def read_manifest(path) -> dict:
     """The manifest of checkpoint ``path``, checked as ``load_checkpoint`` checks it."""
-    return _read_manifest(path)[1]
+    return _read_manifest(path)[2]
 
 
 def _group(name: str) -> str:
@@ -266,20 +269,17 @@ def load_checkpoint(path, into: dict | None = None):
     changes between the two passes is refused as well, though the
     destinations may by then hold part of it.
     """
-    manifest_path, manifest, sizes = _read_manifest(path)
+    manifest_path, data_path, manifest, sizes = _read_manifest(path)
     entries = manifest["arrays"]
     if into is not None:
         _check_destinations(entries, into, manifest_path)
-    data_path = manifest_path.parent / manifest["data_file"]
+    if not data_path.is_file():
+        raise CheckpointMismatchError(f"{data_path}: missing, or not a regular file")
     with open(data_path, "rb", buffering=0) as fh:
         length = os.fstat(fh.fileno()).st_size
         if length != manifest["data_bytes"]:
             raise CheckpointMismatchError(
                 f"{data_path}: {length} bytes, manifest records {manifest['data_bytes']}")
-        if length != 8 * sum(sizes):
-            raise CheckpointMismatchError(
-                f"{data_path}: {length} bytes, manifest lists {sum(sizes)} float64 values"
-            )
         verified = _verify(fh, length, sizes, entries, data_path, manifest["data_sha256"])
         # fresh arrays only now that _verify's buffer is freed: the peak is one copy of the data
         arrays = into if into is not None else {

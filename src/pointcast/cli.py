@@ -15,17 +15,21 @@ Exit codes:
      resumed checkpoint that already reached the last epoch, or a training
      run that diverged;
   3  checkpoint fault: a malformed manifest (a ``config.model`` value beyond
-     float range included), a manifest model that no scene can plan, a
-     resumed checkpoint whose model differs from the run's, missing, extra
-     or misshapen arrays, non-finite values, or a data file that does not
-     match its manifest's length and SHA-256 digest;
+     float range, or a ``version`` other than 1, included), a manifest
+     model that no scene can plan, a resumed checkpoint whose model differs
+     from the run's, missing, extra or misshapen arrays, non-finite values,
+     a missing data file (always ``<stem>.bin`` beside ``<stem>.json``), or
+     a data file that does not match its manifest's length and SHA-256
+     digest;
   1  internal error.
 
 A run config (``run.json``) parses straight into a ``TrainConfig``; only the
 deployment paths in PATH_KEYS stay outside it. The env var TPCN_SEED
 supplies the seed when neither a flag nor the config file does. A
 checkpoint's manifest records its ``ModelConfig``, and every command that
-reads a checkpoint builds its model from that record alone.
+reads a checkpoint builds its model from that record alone. A ``--data``
+directory's scene files are those ``load_scene`` reads, their suffixes
+matched in any case.
 """
 
 from __future__ import annotations

@@ -455,9 +455,14 @@ def _json_document(text: str) -> dict:
         raise SceneFormatError(str(exc)) from exc
 
 
+def _scene_format(path: Path) -> str:
+    """The format a file's suffix names, in any case: ``json`` and ``csv`` are scenes."""
+    return path.suffix.lstrip(".").lower()
+
+
 def _read_document(path: Path) -> dict:
     """The JSON scene document of a ``.json`` or ``.csv`` file, by its suffix."""
-    fmt = path.suffix.lstrip(".").lower()
+    fmt = _scene_format(path)
     try:
         if fmt == "json":
             return _json_document(path.read_text(encoding="utf-8"))
@@ -481,7 +486,11 @@ def load_scene(path) -> Scene:
 
 
 def load_scene_dir(path) -> list[Scene]:
-    """Load every ``.json`` and ``.csv`` scene of a directory but ``manifest.json``, by name."""
+    """Load every scene file of a directory that ``load_scene`` reads, in order of name.
+
+    Suffixes match in any case, as ``load_scene`` matches them (``B.JSON`` is a
+    scene), and ``manifest.json``, in any case, is not a scene.
+    """
     files = sorted(f for f in Path(path).iterdir()
-                   if f.suffix in (".json", ".csv") and f.name != "manifest.json")
+                   if _scene_format(f) in ("json", "csv") and f.name.lower() != "manifest.json")
     return [load_scene(f) for f in files]

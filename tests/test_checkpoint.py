@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -46,6 +48,64 @@ def test_dotted_stems_keep_their_own_files(tmp_path, rng):
             loaded, manifest = load_checkpoint(tmp_path / path)
             assert manifest["global_step"] == step
             np.testing.assert_array_equal(loaded["x"], arrays["x"])
+
+
+@pytest.mark.parametrize("then", ["overwritten", "deleted"])
+def test_a_copied_pair_loads_its_own_data_file(tmp_path, rng, then):
+    # keeping one epoch's weights is copying model.json and model.bin to another stem
+    kept = {"x": rng.normal(size=(2, 3))}
+    original = save_checkpoint(tmp_path / "model", kept, step=1)
+    for suffix in (".json", ".bin"):
+        shutil.copyfile(original.with_suffix(suffix), tmp_path / f"snap{suffix}")
+    if then == "overwritten":
+        save_checkpoint(tmp_path / "model", {"x": rng.normal(size=(2, 3))}, step=2)
+    else:
+        for suffix in (".json", ".bin"):
+            original.with_suffix(suffix).unlink()
+    loaded, manifest = load_checkpoint(tmp_path / "snap.json")
+    assert manifest["global_step"] == 1 and loaded["x"].tobytes() == kept["x"].tobytes()
+
+
+@pytest.mark.parametrize("data_file", ["", ".", "../x/model.bin", "absolute", "other.bin"])
+def test_an_older_manifests_data_file_is_ignored(tmp_path, rng, data_file):
+    # each name is a directory or another checkpoint's data, which a load that
+    # followed the key would refuse or, from another file, read in silence
+    kept, other = {"x": rng.normal(size=(2, 3))}, {"x": rng.normal(size=(2, 3))}
+    (tmp_path / "a").mkdir()
+    (tmp_path / "x").mkdir()
+    manifest_path = save_checkpoint(tmp_path / "a" / "model", kept)
+    save_checkpoint(tmp_path / "a" / "other", other)
+    save_checkpoint(tmp_path / "x" / "model", other)
+    doc = json.loads(manifest_path.read_text())
+    doc["data_file"] = str(tmp_path / "x" / "model.bin") if data_file == "absolute" else data_file
+    manifest_path.write_text(json.dumps(doc))
+    loaded, _ = load_checkpoint(manifest_path)
+    assert loaded["x"].tobytes() == kept["x"].tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+def test_load_refuses_a_manifest_without_its_data_file(tmp_path, rng, make):
+    manifest_path = save_checkpoint(tmp_path / "model", {"x": rng.normal(size=(2, 3))})
+    data_path = tmp_path / "model.bin"
+    data_path.unlink()
+    make(data_path)
+    with pytest.raises(CheckpointMismatchError,
+                       match=re.escape(f"{data_path}: missing, or not a regular file")):
+        load_checkpoint(manifest_path)
+
+
+@pytest.mark.parametrize("version", [2, "1", None, "absent", 1.0, True])
+def test_load_refuses_another_format_version(tmp_path, rng, version):
+    manifest_path = save_checkpoint(tmp_path / "model", {"x": rng.normal(size=(2, 3))})
+    doc = json.loads(manifest_path.read_text())
+    if version == "absent":
+        del doc["version"]
+    else:
+        doc["version"] = version
+    manifest_path.write_text(json.dumps(doc))
+    found = "null" if version == "absent" else json.dumps(version)
+    with pytest.raises(CheckpointMismatchError, match=re.escape(f"version {found}, not 1")):
+        load_checkpoint(manifest_path)
 
 
 def test_train_returns_the_manifest_it_saved(tmp_path):
@@ -208,6 +268,16 @@ def test_load_rejects_offsets_that_do_not_tile_the_data(tmp_path, rng):
     _edit_manifest(manifest_path, lambda entries: entries[1].update(offset=0))
     (tmp_path / "ck.bin").unlink()  # rejected before the data file is read
     with pytest.raises(CheckpointMismatchError, match="'b' starts at value 0, not at 6"):
+        load_checkpoint(manifest_path)
+
+
+def test_load_rejects_a_data_length_the_arrays_do_not_fill(tmp_path, rng):
+    manifest_path = _two_arrays(tmp_path, rng)
+    doc = json.loads(manifest_path.read_text())
+    doc["data_bytes"] += 8
+    manifest_path.write_text(json.dumps(doc))
+    (tmp_path / "ck.bin").unlink()  # rejected before the data file is read
+    with pytest.raises(CheckpointMismatchError, match="data_bytes is 104, arrays list 12 values"):
         load_checkpoint(manifest_path)
 
 

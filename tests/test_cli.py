@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import shutil
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -612,6 +613,11 @@ MALFORMED_MANIFESTS = {
         m["arrays"][0], {**m["arrays"][1], "name": m["arrays"][0]["name"]}, *m["arrays"][2:]]},
     "offset-overlap": lambda m: {**m, "arrays": [
         m["arrays"][0], {**m["arrays"][1], "offset": 0}, *m["arrays"][2:]]},
+    # a reader of format version 1 reads no other
+    "version-2": lambda m: {**m, "version": 2},
+    "version-string": lambda m: {**m, "version": "1"},
+    "version-null": lambda m: {**m, "version": None},
+    "no-version": _drop("version"),
 }
 
 
@@ -858,6 +864,12 @@ def _flipped_byte_copy(ckpt, out_dir):
     return out_dir / "model.json"
 
 
+def _manifest_only_copy(ckpt, out_dir):
+    out_dir.mkdir()
+    (out_dir / "model.json").write_text(ckpt.read_text())
+    return out_dir / "model.json"
+
+
 def _truncated_copy(ckpt, out_dir):
     out_dir.mkdir()
     (out_dir / "model.bin").write_bytes(ckpt.with_suffix(".bin").read_bytes()[:-8])
@@ -869,6 +881,7 @@ def _truncated_copy(ckpt, out_dir):
 CHECKPOINT_DATA_FAULTS = {
     "flipped-byte": (_flipped_byte_copy, "digest"),
     "truncated": (_truncated_copy, "model.bin"),
+    "no-data-file": (_manifest_only_copy, "model.bin: missing, or not a regular file"),
     # inference drops the optimizer moments, but only after verifying them
     "non-finite-optim-v": (lambda ckpt, out_dir: _patched_checkpoint(
         ckpt, out_dir, "optim/v/head/reg/l1/b", np.nan), "'optim/v/head/reg/l1/b' is not finite"),
@@ -884,6 +897,19 @@ def test_checkpoint_data_fault_exit3(tmp_path, trained, capsys, command, fault):
     assert cli.main(_checkpoint_argv(command, tmp, data, bad, tmp_path)) == 3
     assert error in capsys.readouterr().err
     _assert_nothing_written(tmp_path)
+
+
+def test_resume_from_a_copied_pair(tmp_path, trained):
+    # keeping an epoch's weights is copying the pair to another stem; training
+    # then rewrites model.json and model.bin in place, and the copy still resumes
+    tmp, _, ckpt = trained
+    for stem in ("model", "snap"):
+        for suffix in (".json", ".bin"):
+            shutil.copyfile(ckpt.with_suffix(suffix), tmp_path / (stem + suffix))
+    resume = ["train", "--config", str(tmp / "c.json"), "--epochs", "2", "--resume"]
+    assert cli.main(resume + [str(tmp_path / "model.json"), "--out", str(tmp_path)]) == 0
+    assert cli.main(resume + [str(tmp_path / "snap.json"), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "model.bin").read_bytes() == (tmp_path / "model.bin").read_bytes()
 
 
 def test_restore_model_peak_memory_is_the_model_and_the_buffer(tmp_path):

@@ -709,3 +709,15 @@ def test_load_scene_dir_reads_csv_and_json_scenes_by_file_name(tmp_path):
     scenes = load_scene_dir(tmp_path)
     assert [s.scene_id for s in scenes] == ["a", "b", "c"]
     assert scenes == [load_scene(tmp_path / n) for n in ("a.csv", "b.json", "c.json")]
+
+
+def test_load_scene_dir_matches_suffixes_in_any_case(tmp_path):
+    # load_scene reads B.JSON and C.Csv, so --data must not skip them
+    first, second = gen_synthetic(2, seed=13)
+    save_scene(first, tmp_path / "a.json")
+    save_scene(second, tmp_path / "B.JSON")
+    write_csv(tmp_path / "C.Csv", csv_rows_full())
+    (tmp_path / "Manifest.JSON").write_text("{}")
+    scenes = load_scene_dir(tmp_path)
+    assert [s.scene_id for s in scenes] == ["B", "C", "a"]
+    assert scenes == [load_scene(tmp_path / n) for n in ("B.JSON", "C.Csv", "a.json")]
