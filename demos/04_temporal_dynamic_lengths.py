@@ -4,7 +4,8 @@
 Three agents observed for 1, 7, and 20 steps run through multi-interval
 learning and instance pooling together, with no padding and no cross-instance
 leakage. The interval and instance groups come from the scene's plan, built
-once per point set.
+once per point set; every point here is of the target's kind, so the plan's
+one stage computes every row.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ ps = IndexedPointSet(
 )
 print(f"agent history lengths: {lengths} -> {len(ps)} points, zero padding anywhere")
 plan = plan_scene(ps, cfg)
-rows = plan.points
+rows = plan.stages[0]
 print("groups per interval:", {t: g.n_groups for t, g in zip(cfg.intervals, rows.by_interval)},
       f"instances: {rows.by_instance.n_groups}")
 
@@ -54,6 +55,6 @@ ps2 = IndexedPointSet(
     kind=np.zeros(len(instance2), dtype=np.int64), grid_size=0.5,
 )
 feats2 = np.vstack([feats, np.random.default_rng(2).normal(size=(5, cfg.spatial_width))])
-out2 = temporal_block(plan_scene(ps2, cfg).points, ad.constant(feats2), params)
+out2 = temporal_block(plan_scene(ps2, cfg).stages[0], ad.constant(feats2), params)
 print("existing rows identical after adding an instance:",
       np.array_equal(out2.data[: len(ps)], out.data))

@@ -1,7 +1,16 @@
 """pointcast: spatio-temporal point-cloud learning for trajectory forecasting."""
 
-from .autodiff import Tensor, backward, constant, parameter
-from .indexing import (
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before the first
+# numpy import: the process then runs one OS thread, so `train` can fork its
+# shard worker, and its bytes do not depend on the core count. A caller that
+# imported numpy first keeps its pool.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .autodiff import Tensor, backward, constant, parameter  # noqa: E402
+from .indexing import (  # noqa: E402
     GroupTable,
     IndexedPointSet,
     build_groups_by_instance,
@@ -11,8 +20,8 @@ from .indexing import (
     regroup_by_interval,
     voxelize,
 )
-from .metrics import EvalReport, ade, evaluate, evaluate_report, fde, scene_errors
-from .network import (
+from .metrics import EvalReport, ade, evaluate, evaluate_report, fde, scene_errors  # noqa: E402
+from .network import (  # noqa: E402
     Model,
     ModelConfig,
     PredictionSet,
@@ -24,7 +33,7 @@ from .network import (
     total_loss,
     train,
 )
-from .scenes import (
+from .scenes import (  # noqa: E402
     AugConfig,
     AgentTrack,
     Frame,
@@ -35,7 +44,7 @@ from .scenes import (
     normalize,
     save_scene,
 )
-from .synth import gen_synthetic
+from .synth import gen_synthetic  # noqa: E402
 
 __version__ = "0.1.0"
 

@@ -181,8 +181,8 @@ def cmd_train(args) -> int:
     dataset = load_scene_dir(data_dir)
     if not dataset:
         raise ConfigError(f"no scene files in {data_dir}")
+    # train makes the directory once it accepts the run, so a refused one writes nothing
     ckpt_dir = Path(args.out or paths.get("checkpoint_dir", "checkpoints"))
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     log_path = args.log or paths.get("log_path") or (ckpt_dir / "train_log.jsonl")
     result = train(dataset, cfg, checkpoint_path=ckpt_dir / "model", log_path=log_path,
                    resume=args.resume)
@@ -237,8 +237,9 @@ def cmd_eval(args) -> int:
     plans = [scene_plan(s, model.config) for s in scenes if s.future is not None]
     if not plans:
         raise ConfigError(f"no evaluable scenes (with ground-truth future) in {data_dir}")
-    preds, report, errors = evaluate_model(model, plans)
-    # a finite but huge prediction can still overflow a metric
+    # finite weights can still overflow a prediction or a metric: _require_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds, report, errors = evaluate_model(model, plans)
     _require_finite(args.ckpt, dataclasses.astuple(report),
                     *(p.trajectories for p in preds), *(p.displacements for p in preds))
     if args.per_scene_csv:
@@ -251,9 +252,11 @@ def cmd_predict(args) -> int:
     model = _restore_model(args.ckpt)
     raw = load_scene(args.scene)
     scene = normalize(raw)
-    pred = forward(model, scene)
-    order = rank_trajectories(pred)
-    trajs = [scene.frame.invert(pred.trajectories[i]).tolist() for i in order]
+    # finite weights can still overflow a prediction: _require_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = forward(model, scene)
+        order = rank_trajectories(pred)
+        trajs = [scene.frame.invert(pred.trajectories[i]).tolist() for i in order]
     doc = {
         "scene": raw.scene_id,
         "n_modes": int(model.config.n_modes),

@@ -8,20 +8,21 @@ key array probed by searchsorted.
 
 :func:`index_scene` flattens a normalized scene into an
 :class:`IndexedPointSet`, and :func:`plan_scene` turns that into a
-:class:`ScenePlan`: the point embedding, the ground-truth future and every
+:class:`ScenePlan`: the input embedding, the ground-truth future and every
 index structure of the scene, in read-only arrays. The plan is the network's
 whole per-scene input. It depends on the points alone, so a training run
 without augmentation plans each scene once and reuses the plan at every
-step. Its per-row tables come as two :class:`RowTables` of one schema: over
-every row, and over the target agent's rows, which are all the network's
-last stage has to compute. One builder makes both from one radius search,
-at the largest radius, whose pairs hold those of every smaller one.
+step. The heads read only the target agent's rows, so the plan holds one
+:class:`RowTables` per stage, over the rows and voxels that can still reach
+them: the stage's receptive field, computed backwards from the target. One
+builder cuts each stage's tables from one radius search, at the largest
+radius, whose pairs hold those of every smaller one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,7 @@ def pack_pair(a, b) -> np.ndarray:
     """Pack two signed 32-bit integer arrays into collision-free int64 keys."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if np.any(np.abs(a) >= KEY_RANGE) or np.any(np.abs(b) >= KEY_RANGE):
+    if (np.abs(a) >= KEY_RANGE).any() or (np.abs(b) >= KEY_RANGE).any():
         raise ValueError("pair components exceed the signed 32-bit key range")
     return (a << 32) | (b & 0xFFFFFFFF)
 
@@ -166,8 +167,8 @@ class GroupTable:
         """The table of dense group ids ``group_of``; each id in [0, n_groups) must occur."""
         group_of = np.asarray(group_of, dtype=np.int64)
         offsets = np.zeros(n_groups + 1, dtype=np.int64)
-        np.cumsum(np.bincount(group_of, minlength=n_groups), out=offsets[1:])
-        return cls(n_groups, group_of, np.argsort(group_of, kind="stable"), offsets)
+        np.bincount(group_of, minlength=n_groups).cumsum(out=offsets[1:])
+        return cls(n_groups, group_of, group_of.argsort(kind="stable"), offsets)
 
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -260,20 +261,26 @@ def point_embedding(ps: IndexedPointSet, history_steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowTables:
-    """A plan's per-row tables over the rows ``rows``: what one stage computes.
+    """What one stage computes: its rows ``rows``, and every table its blocks read.
 
-    A plan holds two: ``points`` over every row, and ``target`` over the
-    target agent's rows, which are all the network's last stage has to
-    compute. Pairs, candidates and groups keep the plan's order. Centers and
-    points are numbered by position in ``rows``; neighbors and voxels by
-    position in ``neighbor_rows`` and ``voxel_rows``, where None stands for
-    every input row and every voxel. No group is empty.
+    A plan holds one per stage, over that stage's receptive field. The
+    stage reads its input rows: the previous stage's ``rows``, or the plan's
+    ``input_rows`` at stage 0. Pairs, candidates and groups keep the plan's
+    order. Centers and points are numbered by position in ``rows``;
+    neighbors and voxel points by position in the input rows, at
+    ``neighbor_rows`` and ``voxel_points``; candidate voxels and kernel-map
+    pairs by position in ``voxels``, the former at ``voxel_rows``. None stands
+    for all of them. No group is empty.
     """
 
     rows: np.ndarray          # (M,) plan rows, ascending
     neighborhoods: tuple      # per radius: (offsets from center, by-center table,
                               #   by-neighbor table)
     neighbor_rows: tuple      # per radius: the input rows the by-neighbor table groups by
+    voxels: np.ndarray        # (V,) the plan voxels the voxel branch computes, ascending
+    voxel_points: np.ndarray | None  # the input rows in those voxels, ascending
+    by_voxel: GroupTable      # voxel_points grouped by voxel
+    kernel_map: list          # per 3x3 tap: (out, in) pairs within voxels; None at the center tap
     voxel_rows: np.ndarray | None  # the voxels that interp_rows groups by
     interp_rows: GroupTable   # the (point, voxel) interpolation candidates grouped by voxel
     interp_delta: np.ndarray  # (Q, 2) candidate point minus its voxel's center
@@ -288,115 +295,185 @@ class ScenePlan:
 
     The point set never changes between stages, so its topology (the rulebook
     of submanifold sparse convolution) belongs to the scene, not the layer.
-    The network's last stage computes only the target rows, which are all
-    the heads read: its voxel branch runs on the whole plan, and the rest of
-    the stage on ``target``. That is exact, because the temporal block
-    works within each instance and every norm within a row; the kept rows
-    differ from a last stage over every row only by BLAS rounding.
+    The heads read only the target agent's rows, and each stage widens what
+    a row sees by a bounded amount, so each stage computes only the rows
+    that can reach the target: ``stages`` holds one :class:`RowTables` per
+    stage, the last over the target rows. That is exact, because the
+    temporal block works within each instance, every norm within a row and
+    the voxel branch within its kernel-map hops; the kept rows differ from
+    stages over every row only by BLAS rounding.
     """
 
     scene_id: str
     future: np.ndarray | None  # (T, 2) ground truth, or None
-    embedding: np.ndarray      # (N, EMBED_IN) network input, see point_embedding
-    by_voxel: GroupTable
-    voxel_coords: np.ndarray   # (G, 2) int64, voxel of each group, distinct
-    kernel_map: list           # per 3x3 tap: (out_row, in_row) voxel pairs; None at the center tap
-    points: RowTables          # every row
-    target: RowTables          # the target agent's rows, pooled by the heads
+    input_rows: np.ndarray     # (N0,) the plan rows that stage 0 reads, ascending
+    embedding: np.ndarray      # (N0, EMBED_IN) network input at input_rows, see point_embedding
+    voxel_coords: np.ndarray   # (G, 2) int64, the coordinate of each plan voxel, distinct
+    stages: tuple              # RowTables per stage, from the first
 
 
 def _read_only(x):
-    """Mark every array in ``x``, its items and its dataclass fields non-writeable."""
-    if isinstance(x, np.ndarray):
-        x.flags.writeable = False
-    elif isinstance(x, (tuple, list)):
-        for item in x:
-            _read_only(item)
-    elif is_dataclass(x):
-        _read_only(list(vars(x).values()))
+    """Mark every array in table, tuple or list ``x``, its items and its nested tables read-only.
 
-
-def _topology(ps: IndexedPointSet, cfg: ModelConfig, coords) -> tuple:
-    """What :func:`_row_tables` reads: ``(n, radii, pairs, candidates, groups)`` over every row.
-
-    ``pairs`` are the largest radius's (center, neighbor, offset, squared
-    length) pairs; radius r keeps those with ``dist2 <= r * r``, the test
-    :func:`radius_pairs` applies to the same offsets. ``candidates`` are the
-    interpolation candidates' (point, voxel row, offset from the voxel's
-    center) and the voxel count; ``groups`` the interval tables, then the
-    instance table.
+    Only containers are walked: a scalar or None costs two type tests.
     """
+    for v in (x if isinstance(x, (tuple, list)) else vars(x).values()):
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+        elif isinstance(v, (tuple, list, GroupTable, RowTables)):
+            _read_only(v)
+
+
+class _Topology(NamedTuple):
+    """A scene's topology over every row: what the receptive fields and the tables are cut from.
+
+    ``centers``, ``nbrs``, ``rel`` and ``dist2`` are the largest radius's
+    (center, neighbor, offset, squared length) pairs; radius r keeps those
+    with ``dist2 <= r * r``, the test :func:`radius_pairs` applies to the
+    same offsets. ``cand_*`` are the interpolation candidates' point, voxel
+    and offset from the voxel's center.
+    """
+
+    radii: tuple
+    centers: np.ndarray
+    nbrs: np.ndarray
+    rel: np.ndarray
+    dist2: np.ndarray
+    by_voxel: GroupTable      # every row grouped by voxel
+    coords: np.ndarray        # (G, 2) the voxel of each group
+    kernel_map: list          # over every voxel
+    cand_point: np.ndarray
+    cand_row: np.ndarray
+    cand_delta: np.ndarray
+    groups: tuple             # the interval tables, then the instance table
+
+
+def _topology(ps: IndexedPointSet, cfg: ModelConfig) -> _Topology:
+    """The topology of ``ps`` for ``cfg``, from one radius search at the largest radius."""
+    by_voxel = build_groups_by_voxel(ps)
+    coords = ps.voxels[by_voxel.order[by_voxel.offsets[:-1]]]
     centers, nbrs = radius_pairs(ps.points, max(cfg.radii))
     rel = ps.points[nbrs] - ps.points[centers]
     cand_point, cand_row = interp_candidates(coords, ps.points, ps.grid_size)
     delta = ps.points[cand_point] - (coords[cand_row] + 0.5) * ps.grid_size
     groups = (*(regroup_by_interval(ps, t) for t in cfg.intervals), build_groups_by_instance(ps))
-    return (len(ps), cfg.radii, (centers, nbrs, rel, (rel * rel).sum(axis=1)),
-            (cand_point, cand_row, delta, len(coords)), groups)
+    return _Topology(cfg.radii, centers, nbrs, rel, (rel * rel).sum(axis=1), by_voxel, coords,
+                     kernel_map(coords), cand_point, cand_row, delta, groups)
 
 
-def _row_tables(rows, topology) -> RowTables:
-    """The RowTables over the ascending plan ``rows``, or over every row when ``rows`` is None.
+def _receptive_fields(top: _Topology, target, n_stages: int, hops: int) -> list:
+    """Per stage, from the first, its ``(rows, inputs, voxels)`` masks.
 
-    A group of an interval or instance table that holds one of ``rows`` must
-    hold such rows only: that is what makes the temporal block exact on them.
+    The last stage keeps the ``target`` rows. A stage's voxels are its
+    rows' interpolation candidates and every voxel within ``hops`` kernel-map
+    hops of them: each submanifold convolution keeps its active set and
+    reads one hop further. A stage reads the radius neighbors of its rows
+    and every point in its voxels; the stage before it keeps the instance
+    closure of those, for its temporal block, and stage 0 reads them as they
+    are, because the embedding works within a row. Once the rows read only
+    themselves, the field stops growing: every stage before repeats the same
+    field, as the same tuple.
     """
-    n, radii, (centers, nbrs, rel, dist2), candidates, groups = topology
-    cand_point, cand_row, delta, n_voxels = candidates
-    keep = np.zeros(n, dtype=bool)
-    keep[slice(None) if rows is None else rows] = True
-    pos, m = np.cumsum(keep) - 1, int(keep.sum())  # a kept row's position among the kept rows
+    instance = top.groups[-1]
+    rows, fields = target, []
+    for _ in range(n_stages):
+        voxels = np.zeros(top.by_voxel.n_groups, dtype=bool)
+        voxels[top.cand_row[rows[top.cand_point]]] = True
+        for _ in range(hops):
+            reached = voxels.copy()
+            for pair in top.kernel_map:
+                if pair is not None:  # the map holds each pair both ways round
+                    reached[pair[1][voxels[pair[0]]]] = True
+            voxels = reached
+        reads = voxels[top.by_voxel.group_of]
+        reads[top.nbrs[rows[top.centers]]] = True
+        closed = np.zeros(instance.n_groups, dtype=bool)
+        closed[instance.group_of[reads]] = True
+        wider = closed[instance.group_of]
+        if np.array_equal(wider, rows):
+            return [(rows, rows, voxels)] * (n_stages - len(fields)) + fields[::-1]
+        fields.append((rows, wider, voxels))
+        rows = wider
+    fields[-1] = fields[-1][0], reads, fields[-1][2]
+    return fields[::-1]
+
+
+def _row_tables(top: _Topology, rows, inputs, voxels) -> RowTables:
+    """The RowTables of the row mask ``rows``, reading the rows ``inputs`` and the voxels ``voxels``.
+
+    ``inputs`` must hold every radius neighbor of ``rows`` and every point in
+    ``voxels``, and ``voxels`` every interpolation candidate of ``rows``.
+    ``rows`` must be a union of whole instances: that is what makes the
+    temporal block exact on them.
+    """
+    row_ids = rows.nonzero()[0]
+    pos, in_pos, vox_pos = (mask.cumsum() - 1 for mask in (rows, inputs, voxels))
+    m, n_in, n_vox = len(row_ids), int(in_pos[-1]) + 1, int(vox_pos[-1]) + 1
 
     def grouped(ids, n_ids):
         """The table of ``ids`` in [0, n_ids), and the ids its groups stand for (None: all)."""
-        if rows is None:
-            # every point pairs with itself and is a candidate of its own voxel: no group is empty
-            return GroupTable.from_group_of(ids, n_ids), None
         seen = np.zeros(n_ids, dtype=bool)
         seen[ids] = True
-        values = np.flatnonzero(seen)
-        return GroupTable.from_group_of((np.cumsum(seen) - 1)[ids], len(values)), values
+        if seen.all():
+            return GroupTable.from_group_of(ids, n_ids), None
+        values = seen.nonzero()[0]
+        return GroupTable.from_group_of((seen.cumsum() - 1)[ids], len(values)), values
 
+    # pairs are sorted by center, so the kept ones stay in the plan's order
+    near = rows[top.centers].nonzero()[0]
+    points = voxels[top.by_voxel.group_of].nonzero()[0]
+    cands = rows[top.cand_point].nonzero()[0]
+    if not (inputs[top.nbrs[near]].all() and inputs[points].all()
+            and voxels[top.cand_row[cands]].all()):
+        raise ValueError("the stage's inputs miss a row or voxel that its rows read")
     nbhds, neighbor_rows = [], []
-    for radius in radii:
-        # pairs are sorted by center, so the kept ones stay in the plan's order
-        pairs = np.flatnonzero(keep[centers] & (dist2 <= radius * radius))
-        by_neighbor, nbr_rows = grouped(nbrs[pairs], n)
-        nbhds.append((rel[pairs], GroupTable.from_group_of(pos[centers[pairs]], m), by_neighbor))
+    for radius in top.radii:
+        pairs = near[top.dist2[near] <= radius * radius]
+        by_neighbor, nbr_rows = grouped(in_pos[top.nbrs[pairs]], n_in)
+        nbhds.append((top.rel[pairs], GroupTable.from_group_of(pos[top.centers[pairs]], m),
+                      by_neighbor))
         neighbor_rows.append(nbr_rows)
-    cands = np.flatnonzero(keep[cand_point])
-    interp_rows, voxel_rows = grouped(cand_row[cands], n_voxels)
-    if rows is not None:
-        kept = [grouped(table.group_of[rows], table.n_groups) for table in groups]
-        if any(table.counts()[ids].sum() != m for table, (_, ids) in zip(groups, kept)):
-            raise ValueError("the kept rows share a group with other rows")
-        groups = [table for table, _ in kept]
-    return RowTables(
-        rows=np.arange(n) if rows is None else rows, neighborhoods=tuple(nbhds),
-        neighbor_rows=tuple(neighbor_rows), voxel_rows=voxel_rows, interp_rows=interp_rows,
-        interp_delta=delta[cands], by_point=GroupTable.from_group_of(pos[cand_point[cands]], m),
+    kmap = []
+    for pair in top.kernel_map:
+        if pair is not None:
+            kept = (voxels[pair[0]] & voxels[pair[1]]).nonzero()[0]
+            pair = vox_pos[pair[0][kept]], vox_pos[pair[1][kept]]
+        kmap.append(pair)
+    interp_rows, voxel_rows = grouped(vox_pos[top.cand_row[cands]], n_vox)
+    groups = [grouped(table.group_of[row_ids], table.n_groups) for table in top.groups]
+    # the intervals split instances, so whole instances are whole interval groups too
+    sizes, instances = top.groups[-1].counts(), groups[-1][1]
+    if (sizes if instances is None else sizes[instances]).sum() != m:
+        raise ValueError("the kept rows share a group with other rows")
+    groups = [table for table, _ in groups]
+    tables = RowTables(
+        rows=row_ids, neighborhoods=tuple(nbhds), neighbor_rows=tuple(neighbor_rows),
+        voxels=voxels.nonzero()[0], voxel_points=None if len(points) == n_in else in_pos[points],
+        by_voxel=GroupTable.from_group_of(vox_pos[top.by_voxel.group_of[points]], n_vox),
+        kernel_map=kmap, voxel_rows=voxel_rows, interp_rows=interp_rows,
+        interp_delta=top.cand_delta[cands],
+        by_point=GroupTable.from_group_of(pos[top.cand_point[cands]], m),
         by_interval=tuple(groups[:-1]), by_instance=groups[-1])
+    _read_only(tables)
+    return tables
 
 
 def plan_scene(ps: IndexedPointSet, cfg: ModelConfig) -> ScenePlan:
-    """Build the ScenePlan of ``ps`` for the radii, intervals and history length of ``cfg``.
+    """Build the ScenePlan of ``ps`` for ``cfg``'s radii, intervals, stages, bottleneck blocks
+    and history length.
 
     Every array of the plan is read-only, so a plan can be shared between
     training steps.
     """
-    by_voxel = build_groups_by_voxel(ps)
-    coords = ps.voxels[by_voxel.order[by_voxel.offsets[:-1]]]
-    topology = _topology(ps, cfg, coords)
-    plan = ScenePlan(
-        scene_id=ps.scene_id,
-        # a copy, so that marking it read-only leaves the scene's own array alone
-        future=None if ps.future is None else np.array(ps.future, dtype=np.float64),
-        embedding=point_embedding(ps, cfg.history_steps),
-        by_voxel=by_voxel,
-        voxel_coords=coords,
-        kernel_map=kernel_map(coords),
-        points=_row_tables(None, topology),
-        target=_row_tables(np.flatnonzero(ps.kind == KIND_TARGET), topology),
-    )
-    _read_only(plan)
-    return plan
+    top = _topology(ps, cfg)
+    fields = _receptive_fields(top, ps.kind == KIND_TARGET, cfg.n_stages, cfg.bottleneck_blocks)
+    stages = []
+    for i, field in enumerate(fields):
+        stages.append(stages[-1] if i and field is fields[i - 1] else _row_tables(top, *field))
+    input_rows = np.flatnonzero(fields[0][1])
+    # a copy, so that marking it read-only leaves the scene's own array alone
+    future = None if ps.future is None else np.array(ps.future, dtype=np.float64)
+    embedding = point_embedding(ps, cfg.history_steps)[input_rows]
+    _read_only([future, input_rows, embedding, top.coords])
+    return ScenePlan(scene_id=ps.scene_id, future=future, input_rows=input_rows,
+                     embedding=embedding, voxel_coords=top.coords, stages=tuple(stages))

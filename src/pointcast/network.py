@@ -2,10 +2,11 @@
 
 The network reads one :class:`~pointcast.indexing.ScenePlan` per scene. It
 alternates spatial and temporal blocks (each stage consuming the previous
-stage's pointwise output), computes the last stage's output at the target
-agent's rows only, mean-pools them, and regresses K trajectories plus K
-predicted endpoint displacement errors. At inference the trajectories are
-ranked by predicted displacement, ascending. Every evaluation scores through
+stage's pointwise output, over only the rows that can reach the target
+agent's), mean-pools the last stage's rows, which are the target agent's,
+and regresses K trajectories plus K predicted endpoint displacement errors.
+At inference the trajectories are ranked by predicted displacement,
+ascending. Every evaluation scores through
 ``evaluate_model``. Training sums each batch's gradients in fixed shards by
 batch position, each shard straight into its own flat row of a shared
 mapping; the shards after the first run in forked workers when the process
@@ -138,18 +139,14 @@ def scene_plan(scene: Scene, config: ModelConfig) -> ScenePlan:
 def forward_graph(model: Model, plan: ScenePlan):
     """Run the network on one scene's plan, returning (reg head (1, K*T*2), disp head (1, K)).
 
-    The heads read only the target agent's rows, so the last stage computes
-    only those: its voxel branch runs on the whole plan, and the rest of the
-    stage on ``plan.target``. That is exact, because the temporal
-    block works within each instance and every norm within a row. Each
-    kept row comes out as on the whole plan up to rounding: BLAS may
-    round a product over fewer rows differently.
+    Each stage computes the rows of its ``plan.stages`` tables, which are
+    all the rows that can reach the heads; the last stage's are the target
+    agent's rows. Each kept row comes out as in a network over every row up
+    to rounding: BLAS may round a product over fewer rows differently.
     """
     x = nn.apply_mlp(model.embed, ad.constant(plan.embedding))
-    last = len(model.spatial) - 1
-    for s, (sp, tp) in enumerate(zip(model.spatial, model.temporal)):
-        rows = plan.target if s == last else plan.points
-        x = spatial_block(plan, x, sp, rows)
+    for sp, tp, rows in zip(model.spatial, model.temporal, plan.stages, strict=True):
+        x = spatial_block(rows, x, sp)
         x = temporal_block(rows, x, tp)
     # x holds the target agent's rows alone: pool them into one vector
     pooled = ad.mean_rows(x)
@@ -398,16 +395,18 @@ def _sum_shard(model: Model, row, epoch: int, ids, plan_of):
         t.grad = view
     losses = []
     try:
-        for si in ids:
-            plan = plan_of(epoch, si)
-            loss = scene_forward_loss(model, plan)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} on scene {plan.scene_id!r}"
-                )
-            ad.backward(loss)  # adds into row
-            losses.append(value)
+        # an overflow shows as a non-finite loss here, or gradient in train, which raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for si in ids:
+                plan = plan_of(epoch, si)
+                loss = scene_forward_loss(model, plan)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch} on scene {plan.scene_id!r}"
+                    )
+                ad.backward(loss)  # adds into row
+                losses.append(value)
     except Exception as exc:  # noqa: BLE001 - train raises the batch's earliest failure
         return losses, exc
     return losses, None
@@ -514,7 +513,9 @@ def train(
     ``train_loss`` adds per-scene losses in batch order, and the earliest
     failing scene in batch order decides the error, raised here with its type
     and message whichever process ran it. Only this process writes the log
-    and the checkpoints, and the ``eval_every`` pass runs here.
+    and the checkpoints, and the ``eval_every`` pass runs here. The
+    checkpoint's directory is made once the scenes, the resumed checkpoint
+    and the plans are accepted.
 
     Deterministic for a fixed seed: shuffling and augmentation RNG streams
     derive from (seed, epoch) and (seed, epoch, scene), so resuming from an
@@ -555,6 +556,8 @@ def train(
     history = []
     ckpt = None  # the manifest path of the last checkpoint saved
     later = []  # shards 1.., each a _ShardWorker or a _LocalShard
+    if checkpoint_path is not None:
+        Path(checkpoint_path).parent.mkdir(parents=True, exist_ok=True)
     log_fh = open(log_path, "a") if log_path else None
     try:
         fork = _worker_available()
@@ -595,7 +598,8 @@ def train(
 
             entry = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_seen, 1)}
             if config.eval_every and (epoch + 1) % config.eval_every == 0:
-                entry.update(asdict(evaluate_model(model, plans)[1]))
+                with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                    entry.update(asdict(evaluate_model(model, plans)[1]))
             bad = [k for k, v in entry.items() if not np.isfinite(v)]
             if bad:
                 raise TrainingDiverged(f"non-finite {bad[0]} at epoch {epoch}")

@@ -8,9 +8,9 @@ voxel-to-point interpolation). The branches fuse by column concatenation
 through a final MLP, whose first linear map takes the two as column blocks.
 Every parameterized map but the bottleneck's 3x3 conv, its 1x1 maps included,
 is an :class:`~pointcast.nn.Layer` run by :func:`~pointcast.nn.apply_mlp`.
-The voxel branch reads the plan; every other step reads one of the plan's
-:class:`~pointcast.indexing.RowTables` and computes its rows alone, so the
-same statements run every stage, the last one on the target rows.
+Every step reads one stage's :class:`~pointcast.indexing.RowTables`: the
+block computes that stage's rows and voxels alone, from the input rows and
+voxels the tables name, so the same statements run every stage.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import nn
 from .autodiff import Tensor
 # radius_pairs lives beside the other lookups that plan_scene calls; it is
 # re-exported so callers and span tracers keep finding it as spatial.radius_pairs
-from .indexing import RowTables, ScenePlan, radius_pairs  # noqa: F401
+from .indexing import RowTables, radius_pairs  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +123,12 @@ def pointwise_learning(rows: RowTables, feats: Tensor, params: SpatialParams) ->
     return nn.apply_mlp(params.pointwise_out, per_radius)
 
 
-def ftp_point_to_voxel(plan: ScenePlan, feats: Tensor) -> Tensor:
-    """Scatter pointwise features into their voxels (``plan.voxel_coords`` rows) by mean."""
-    return ad.scatter_mean(feats, plan.by_voxel)
+def ftp_point_to_voxel(rows: RowTables, feats: Tensor) -> Tensor:
+    """Scatter the block input into the voxels ``rows.voxels`` by mean.
+
+    ``feats`` has one row per input row, read only at ``rows.voxel_points``.
+    """
+    return ad.scatter_mean(_take(feats, rows.voxel_points), rows.by_voxel)
 
 
 def sparse_bottleneck(kernel_map, feats: Tensor, params: SpatialParams) -> Tensor:
@@ -148,7 +151,8 @@ def interp_voxel_to_point(rows: RowTables, voxel_feats: Tensor, params: SpatialP
     point's continuous position, filtered to occupied cells; the point's own
     voxel is always occupied and always among the four. An MLP on
     [offset-to-center, voxel feature] produces logits, softmaxed per point.
-    ``voxel_feats`` has one row per plan voxel, read only at ``rows.voxel_rows``.
+    ``voxel_feats`` has one row per voxel of ``rows.voxels``, read only at
+    ``rows.voxel_rows``.
     """
     vox_feats = ad.gather_rows(_take(voxel_feats, rows.voxel_rows), rows.interp_rows)
     logits = nn.apply_mlp(params.interp_mlp, [rows.interp_delta, vox_feats])
@@ -157,15 +161,14 @@ def interp_voxel_to_point(rows: RowTables, voxel_feats: Tensor, params: SpatialP
     return ad.scatter_add_rows(weighted, rows.by_point)
 
 
-def spatial_block(plan: ScenePlan, feats: Tensor, params: SpatialParams,
-                  rows: RowTables) -> Tensor:
+def spatial_block(rows: RowTables, feats: Tensor, params: SpatialParams) -> Tensor:
     """Pointwise and voxelwise branches over the block input, fused by concat.
 
-    ``rows`` is ``plan.points`` or ``plan.target``, and the output has one
-    row per row of it. The voxel branch runs on every voxel of the plan,
-    since a voxel mean reads every point in it; the radius MLPs and the
-    interpolation read only the input rows and voxels that ``rows`` names.
+    ``feats`` has one row per input row of the stage that ``rows`` plans,
+    and the output one per row of ``rows``. The voxel branch computes the
+    voxels ``rows.voxels``: every point in them is an input row, since a
+    voxel mean reads them all.
     """
     p = pointwise_learning(rows, feats, params)
-    v = sparse_bottleneck(plan.kernel_map, ftp_point_to_voxel(plan, feats), params)
+    v = sparse_bottleneck(rows.kernel_map, ftp_point_to_voxel(rows, feats), params)
     return nn.apply_mlp(params.fuse, [p, interp_voxel_to_point(rows, v, params)])

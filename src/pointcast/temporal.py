@@ -2,9 +2,9 @@
 
 Variable-length agent histories are handled purely through instance-time
 grouping; there is no padding anywhere, and nothing ever mixes features
-across instances. So the blocks run as well on a plan's ``target``
-:class:`~pointcast.indexing.RowTables`, whose groups are the target
-instance's alone, as on its ``points``.
+across instances. So the blocks run as well on any stage's
+:class:`~pointcast.indexing.RowTables`, whose rows are a union of whole
+instances, as on every row.
 """
 
 from __future__ import annotations

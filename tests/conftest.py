@@ -271,6 +271,38 @@ def brute_radius_pairs(points, radius):
     return np.asarray(centers), np.asarray(neighbors)
 
 
+def every_row_tables(ps, cfg):
+    """One stage's RowTables over every row, input row and voxel of point set ``ps``.
+
+    This is what a stage computed before the plan kept only the rows that
+    can reach the target, built by the plan's own builder.
+    """
+    from pointcast.indexing import _row_tables, _topology
+
+    topology = _topology(ps, cfg)
+    every = np.ones(len(ps), dtype=bool)
+    return _row_tables(topology, every, every, np.ones(len(topology.coords), dtype=bool))
+
+
+def every_row_heads(model, ps, embedding):
+    """The heads of ``model`` on point set ``ps`` with every stage over every row.
+
+    ``embedding`` is the network input of every row of ``ps``; the target
+    rows are taken from the last stage's output and pooled.
+    """
+    from pointcast import nn
+    from pointcast.indexing import KIND_TARGET
+    from pointcast.spatial import spatial_block
+    from pointcast.temporal import temporal_block
+
+    tables = every_row_tables(ps, model.config)
+    x = nn.apply_mlp(model.embed, ad.constant(embedding))
+    for sp, tp in zip(model.spatial, model.temporal):
+        x = temporal_block(tables, spatial_block(tables, x, sp), tp)
+    pooled = ad.mean_rows(ad.take_rows(x, np.flatnonzero(ps.kind == KIND_TARGET)))
+    return nn.apply_mlp(model.head_reg, pooled), nn.apply_mlp(model.head_disp, pooled)
+
+
 # ---------------------------------------------------------------------------
 # malformed scene files
 

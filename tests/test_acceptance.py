@@ -19,6 +19,7 @@ from conftest import (
     brute_radius_pairs,
     brute_scatter_max,
     brute_scatter_mean,
+    every_row_tables,
     group_members,
     spread_values,
 )
@@ -41,7 +42,6 @@ from pointcast.indexing import (
     group_by_keys,
     kernel_map,
     pack_pair,
-    plan_scene,
     regroup_by_interval,
     voxelize,
 )
@@ -199,7 +199,7 @@ def test_criterion_01_gradient_suite():
     # relu kinks at these frozen seeds)
     for seed in range(100):
         rng = np.random.default_rng([2, seed])
-        plan = plan_scene(tiny_ps(rng), TINY)
+        tables = every_row_tables(tiny_ps(rng), TINY)
         reg = {}
         params = init_spatial(reg, "s", 4, TINY, rng)
         jitter_params(reg, rng)
@@ -207,7 +207,7 @@ def test_criterion_01_gradient_suite():
         r = ad.constant(rng.normal(size=(6, TINY.spatial_width)))
 
         def sp_loss():
-            return ad.sum_all(ad.mul(spatial_block(plan, feats, params, plan.points), r))
+            return ad.sum_all(ad.mul(spatial_block(tables, feats, params), r))
 
         names = sorted(reg)
         leaves = [feats] + [reg[names[int(i)]] for i in rng.choice(len(names), 2, replace=False)]
@@ -218,7 +218,7 @@ def test_criterion_01_gradient_suite():
     # temporal block
     for seed in range(100):
         rng = np.random.default_rng([3, seed])
-        plan = plan_scene(tiny_ps(rng), TINY)
+        tables = every_row_tables(tiny_ps(rng), TINY)
         reg = {}
         params = init_temporal(reg, "t", 4, TINY, rng)
         jitter_params(reg, rng)
@@ -226,7 +226,7 @@ def test_criterion_01_gradient_suite():
         r = ad.constant(rng.normal(size=(6, TINY.temporal_width)))
 
         def tp_loss():
-            return ad.sum_all(ad.mul(temporal_block(plan.points, feats, params), r))
+            return ad.sum_all(ad.mul(temporal_block(tables, feats, params), r))
 
         names = sorted(reg)
         leaves = [feats] + [reg[names[int(i)]] for i in rng.choice(len(names), 2, replace=False)]
@@ -356,7 +356,7 @@ def test_criterion_03_ftp_conservation():
             kind=np.zeros(n, dtype=np.int64), grid_size=0.5,
         )
         feats = ad.parameter(rng.normal(size=(n, 5)))
-        vox = ftp_point_to_voxel(plan_scene(ps, TINY), feats)
+        vox = ftp_point_to_voxel(every_row_tables(ps, TINY), feats)
         counts = build_groups_by_voxel(ps).counts()[:, None]
         residual = np.abs((vox.data * counts).sum(0) - feats.data.sum(0)).max()
         assert residual <= 1e-9, residual
@@ -459,14 +459,14 @@ def test_criterion_07_dynamic_lengths():
     for trial in range(10):
         trng = np.random.default_rng([7, trial])
         ps = tiny_ps(trng, n=12, n_instances=3)
-        plan = plan_scene(ps, TINY)
+        tables = every_row_tables(ps, TINY)
         reg = {}
         params = init_temporal(reg, "t", 4, TINY, trng)
         feats = trng.normal(size=(12, 4))
-        base = temporal_block(plan.points, ad.constant(feats), params).data
+        base = temporal_block(tables, ad.constant(feats), params).data
         bumped = feats.copy()
         bumped[ps.instance == 0] += trng.normal(size=bumped[ps.instance == 0].shape)
-        out = temporal_block(plan.points, ad.constant(bumped), params).data
+        out = temporal_block(tables, ad.constant(bumped), params).data
         others = ps.instance != 0
         assert np.array_equal(out[others], base[others])
     report("criterion 7: dynamic lengths {1,3,7,20} + exact instance isolation")

@@ -11,10 +11,12 @@ from conftest import (
     brute_group_by_keys,
     brute_radius_pairs,
     dict_interp_candidates,
+    every_row_heads,
+    every_row_tables,
     group_members,
 )
 
-from pointcast import ModelConfig, gen_synthetic, index_scene, normalize, voxelize
+from pointcast import ModelConfig, autodiff as ad, gen_synthetic, index_scene, normalize, voxelize
 from pointcast.indexing import (
     CENTER_TAP,
     CONV_OFFSETS,
@@ -30,8 +32,10 @@ from pointcast.indexing import (
     group_by_keys,
     pack_pair,
     plan_scene,
+    point_embedding,
     regroup_by_interval,
 )
+from pointcast.network import init_model
 from pointcast.scenes import AgentTrack, Frame, MapElement, Scene
 
 
@@ -291,88 +295,101 @@ def test_index_scene_on_synthetic():
 # scene plan
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_scene_plan_matches_bruteforce(seed):
-    # normalized synthetic scenes span negative and positive coordinates
-    ps = index_scene(normalize(gen_synthetic(1, seed=seed)[0]), 0.2)
-    assert ps.voxels.min() < 0 < ps.voxels.max()
-    radii, intervals = (0.4, 1.6), (2, 4, 8)
-    cfg = ModelConfig(radii=radii, intervals=intervals)
-    plan = plan_scene(ps, cfg)
+def brute_voxels(ps):
+    """Each row's voxel, numbered by first appearance, and each voxel's coordinate, via a dict."""
+    voxel_of, members = brute_group_by_keys([tuple(v) for v in ps.voxels.tolist()])
+    return voxel_of, np.array([ps.voxels[m[0]] for m in members]).reshape(-1, 2)
 
-    points = plan.points
-    np.testing.assert_array_equal(points.rows, np.arange(len(ps)))
-    # None stands for every input row and every voxel
-    assert points.neighbor_rows == (None,) * len(radii) and points.voxel_rows is None
-    assert len(points.neighborhoods) == len(radii)
-    for radius, (rel, by_center, by_neighbor) in zip(radii, points.neighborhoods):
-        centers, nbrs = brute_radius_pairs(ps.points, radius)
-        np.testing.assert_array_equal(by_center.group_of, centers)
-        np.testing.assert_array_equal(by_neighbor.group_of, nbrs)
-        np.testing.assert_array_equal(rel, ps.points[nbrs] - ps.points[centers])
-        assert by_center.n_groups == len(ps)
-        assert by_neighbor.n_groups == len(ps)
-        assert by_neighbor.counts().min() >= 1  # every point is its own neighbor
 
-    ref_vox, ref_members = brute_group_by_keys(pack_pair(ps.voxels[:, 0], ps.voxels[:, 1]))
-    np.testing.assert_array_equal(plan.by_voxel.group_of, ref_vox)
-    for g, members in enumerate(ref_members):
-        np.testing.assert_array_equal(plan.voxel_coords[g], ps.voxels[members[0]])
+def brute_fields(ps, cfg):
+    """Stage 0's input rows and each stage's (rows, voxels), from the first, by sets and loops.
 
-    ref_map = brute_conv_pairs(plan.voxel_coords, CONV_OFFSETS)
-    for k, (pair, (outs, ins)) in enumerate(zip(plan.kernel_map, ref_map)):
+    The last stage keeps the target's rows. A stage's voxels are its rows'
+    interpolation candidates, grown ``bottleneck_blocks`` times by every
+    voxel within one cell of a kept one in both axes. The stage before keeps
+    every instance that holds a radius neighbor of a kept row or a point in
+    a kept voxel; stage 0 reads those rows themselves.
+    """
+    voxel_of, coords = brute_voxels(ps)
+    centers, nbrs = brute_radius_pairs(ps.points, max(cfg.radii))
+    cand_point, cand_row = dict_interp_candidates(coords, ps.points, ps.grid_size)
+    rows = set(np.flatnonzero(ps.kind == KIND_TARGET).tolist())
+    fields = []
+    for _ in range(cfg.n_stages):
+        voxels = {int(v) for p, v in zip(cand_point, cand_row) if p in rows}
+        for _ in range(cfg.bottleneck_blocks):
+            voxels = {int(h) for g in voxels
+                      for h in np.flatnonzero(np.abs(coords - coords[g]).max(axis=1) <= 1)}
+        fields.append((np.array(sorted(rows), dtype=np.int64),
+                       np.array(sorted(voxels), dtype=np.int64)))
+        reads = {int(b) for a, b in zip(centers, nbrs) if a in rows}
+        reads |= {p for p in range(len(ps)) if voxel_of[p] in voxels}
+        kept = {int(ps.instance[p]) for p in reads}
+        rows = {p for p in range(len(ps)) if ps.instance[p] in kept}
+    return np.array(sorted(reads), dtype=np.int64), fields[::-1]
+
+
+def assert_csr(table):
+    """``table`` is the CSR of its ``group_of``: members ascending, no group empty."""
+    order, offsets = brute_csr(table.group_of, table.n_groups)
+    np.testing.assert_array_equal(table.order, order)
+    np.testing.assert_array_equal(table.offsets, offsets)
+    assert table.n_groups == len(table.offsets) - 1 and table.counts().min() >= 1
+
+
+def _all(ids, n):
+    """``ids``, where None stands for all of [0, n)."""
+    return np.arange(n) if ids is None else ids
+
+
+def assert_tables_restrict_plan(ps, cfg, view, rows, inputs, voxels, pairs=None):
+    """``view`` equals a brute-force cut of the scene to the ascending plan rows ``rows``,
+    reading the input rows ``inputs`` and computing the plan voxels ``voxels``.
+
+    ``pairs`` maps each radius to its brute-force pairs, when the caller has them.
+    """
+    pairs = pairs or {r: brute_radius_pairs(ps.points, r) for r in cfg.radii}
+    voxel_of, coords = brute_voxels(ps)
+    np.testing.assert_array_equal(view.rows, rows)
+    np.testing.assert_array_equal(view.voxels, voxels)
+    kept = np.isin(np.arange(len(ps)), rows)
+
+    assert len(view.neighborhoods) == len(view.neighbor_rows) == len(cfg.radii)
+    for radius, (rel, by_center, by_neighbor), nbr_rows in zip(cfg.radii, view.neighborhoods,
+                                                               view.neighbor_rows):
+        centers, nbrs = pairs[radius]
+        keep = kept[centers]
+        nbr_rows = _all(nbr_rows, len(inputs))
+        # the same pairs, in the same order
+        np.testing.assert_array_equal(rows[by_center.group_of], centers[keep])
+        np.testing.assert_array_equal(inputs[nbr_rows[by_neighbor.group_of]], nbrs[keep])
+        np.testing.assert_array_equal(rel, ps.points[nbrs[keep]] - ps.points[centers[keep]])
+        np.testing.assert_array_equal(inputs[nbr_rows], np.unique(nbrs[keep]))
+        assert by_center.n_groups == len(rows) and by_neighbor.n_groups == len(nbr_rows)
+
+    # every point of every kept voxel, and the kernel map among the kept voxels
+    points = np.flatnonzero(np.isin(voxel_of, voxels))
+    np.testing.assert_array_equal(inputs[_all(view.voxel_points, len(inputs))], points)
+    np.testing.assert_array_equal(voxels[view.by_voxel.group_of], voxel_of[points])
+    assert view.by_voxel.n_groups == len(voxels)
+    ref_map = brute_conv_pairs(coords[voxels], CONV_OFFSETS)
+    for k, (pair, (outs, ins)) in enumerate(zip(view.kernel_map, ref_map)):
         if k == CENTER_TAP:
             assert pair is None
         else:
             np.testing.assert_array_equal(pair[0], outs)
             np.testing.assert_array_equal(pair[1], ins)
 
-    cand_point, cand_row = dict_interp_candidates(plan.voxel_coords, ps.points, ps.grid_size)
-    np.testing.assert_array_equal(points.by_point.group_of, cand_point)
-    np.testing.assert_array_equal(points.interp_rows.group_of, cand_row)
-    assert points.interp_rows.n_groups == len(plan.voxel_coords)
-    assert points.interp_rows.counts().min() >= 1  # every voxel is its own points' candidate
-    centers = (plan.voxel_coords[cand_row] + 0.5) * ps.grid_size
-    np.testing.assert_array_equal(points.interp_delta, ps.points[cand_point] - centers)
-
-    assert len(points.by_interval) == len(intervals)
-    for interval, table in zip(intervals, points.by_interval):
-        ref, _ = brute_group_by_keys(
-            [(int(i), int(t) // interval) for i, t in zip(ps.instance, ps.time)]
-        )
-        np.testing.assert_array_equal(table.group_of, ref)
-    np.testing.assert_array_equal(points.by_instance.group_of, brute_group_by_keys(ps.instance)[0])
-    assert_view_restricts_plan(ps, plan, cfg, np.flatnonzero(ps.kind == KIND_TARGET), plan.target)
-
-
-def assert_view_restricts_plan(ps, plan, cfg, rows, view):
-    """``view`` equals a brute-force restriction of ``plan`` to the ascending ``rows``."""
-    np.testing.assert_array_equal(view.rows, rows)
-    kept = np.isin(np.arange(len(ps)), rows)
-
-    assert len(view.neighborhoods) == len(view.neighbor_rows) == len(cfg.radii)
-    for radius, (rel, by_center, by_neighbor), nbr_rows in zip(cfg.radii, view.neighborhoods,
-                                                               view.neighbor_rows):
-        centers, nbrs = brute_radius_pairs(ps.points, radius)
-        keep = kept[centers]
-        # the same pairs, in the same order
-        np.testing.assert_array_equal(rows[by_center.group_of], centers[keep])
-        np.testing.assert_array_equal(nbr_rows[by_neighbor.group_of], nbrs[keep])
-        np.testing.assert_array_equal(rel, ps.points[nbrs[keep]] - ps.points[centers[keep]])
-        np.testing.assert_array_equal(nbr_rows, np.unique(nbrs[keep]))
-        assert by_center.n_groups == len(rows) and by_neighbor.n_groups == len(nbr_rows)
-        for table in (by_center, by_neighbor):
-            assert table.counts().min() >= 1
-
-    cand_point, cand_row = dict_interp_candidates(plan.voxel_coords, ps.points, ps.grid_size)
+    cand_point, cand_row = dict_interp_candidates(coords, ps.points, ps.grid_size)
     keep = kept[cand_point]
+    voxel_rows = _all(view.voxel_rows, len(voxels))
     np.testing.assert_array_equal(rows[view.by_point.group_of], cand_point[keep])
-    np.testing.assert_array_equal(view.voxel_rows[view.interp_rows.group_of], cand_row[keep])
-    np.testing.assert_array_equal(view.voxel_rows, np.unique(cand_row[keep]))
-    voxel_centers = (plan.voxel_coords[cand_row[keep]] + 0.5) * ps.grid_size
+    np.testing.assert_array_equal(voxels[voxel_rows[view.interp_rows.group_of]], cand_row[keep])
+    np.testing.assert_array_equal(voxels[voxel_rows], np.unique(cand_row[keep]))
+    voxel_centers = (coords[cand_row[keep]] + 0.5) * ps.grid_size
     np.testing.assert_array_equal(view.interp_delta, ps.points[cand_point[keep]] - voxel_centers)
     assert view.by_point.n_groups == len(rows)
-    assert view.interp_rows.n_groups == len(view.voxel_rows)
+    assert view.interp_rows.n_groups == len(voxel_rows)
 
     assert len(view.by_interval) == len(cfg.intervals)
     for interval, table in zip(cfg.intervals, view.by_interval):
@@ -382,11 +399,57 @@ def assert_view_restricts_plan(ps, plan, cfg, rows, view):
     np.testing.assert_array_equal(view.by_instance.group_of,
                                   brute_group_by_keys(ps.instance[rows])[0])
 
-    for table in (view.by_point, view.interp_rows, *view.by_interval, view.by_instance):
-        assert table.counts().min() >= 1
-        assert table.n_groups == len(table.offsets) - 1 == table.group_of.max() + 1
-    for ids in (view.rows, view.voxel_rows, *view.neighbor_rows):
-        assert len(ids) and np.all(np.diff(ids) > 0)  # distinct and ascending
+    for table in (*(t for _, *tables in view.neighborhoods for t in tables), view.by_voxel,
+                  view.by_point, view.interp_rows, *view.by_interval, view.by_instance):
+        assert_csr(table)
+    for ids in (view.rows, view.voxels, view.voxel_points, view.voxel_rows, *view.neighbor_rows):
+        assert ids is None or (len(ids) and np.all(np.diff(ids) > 0))  # distinct and ascending
+
+
+def assert_plan_matches_bruteforce(ps, cfg, plan, pairs=None):
+    """Every stage of ``plan`` holds the brute-force receptive field and its tables."""
+    np.testing.assert_array_equal(plan.voxel_coords, brute_voxels(ps)[1])
+    inputs, fields = brute_fields(ps, cfg)
+    np.testing.assert_array_equal(plan.input_rows, inputs)
+    assert len(plan.stages) == cfg.n_stages
+    pairs = pairs or {r: brute_radius_pairs(ps.points, r) for r in cfg.radii}
+    for view, (rows, voxels) in zip(plan.stages, fields):
+        assert_tables_restrict_plan(ps, cfg, view, rows, inputs, voxels, pairs)
+        inputs = rows
+
+    # each field holds the target and the next stage's field, in whole instances
+    target = np.flatnonzero(ps.kind == KIND_TARGET)
+    np.testing.assert_array_equal(plan.stages[-1].rows, target)
+    wider = plan.input_rows
+    for view in plan.stages:
+        assert np.isin(view.rows, wider).all() and np.isin(target, view.rows).all()
+        kept = np.isin(ps.instance, ps.instance[view.rows])
+        np.testing.assert_array_equal(np.flatnonzero(kept), view.rows)
+        wider = view.rows
+    for earlier, later in zip(plan.stages[:-1], plan.stages[1:]):
+        assert np.isin(later.voxels, earlier.voxels).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scene_plan_matches_bruteforce(seed):
+    # normalized synthetic scenes span negative and positive coordinates
+    ps = index_scene(normalize(gen_synthetic(1, seed=seed)[0]), 0.2)
+    assert ps.voxels.min() < 0 < ps.voxels.max()
+    radii, intervals = (0.4, 1.6), (2, 4, 8)
+    cfg = ModelConfig(radii=radii, intervals=intervals)
+    plan = plan_scene(ps, cfg)
+    pairs = {r: brute_radius_pairs(ps.points, r) for r in radii}
+    assert_plan_matches_bruteforce(ps, cfg, plan, pairs)
+    # the fields leave rows out: the stages compute less than the whole scene
+    assert len(plan.stages[0].rows) < len(ps)
+
+    # the every-row tables, where None stands for every input row and every voxel
+    every = every_row_tables(ps, cfg)
+    assert every.neighbor_rows == (None,) * len(radii)
+    assert every.voxel_points is None and every.voxel_rows is None
+    all_rows = np.arange(len(ps))
+    assert_tables_restrict_plan(ps, cfg, every, all_rows, all_rows,
+                                np.arange(len(plan.voxel_coords)), pairs)
 
 
 @st.composite
@@ -416,14 +479,39 @@ VIEW_CFG = ModelConfig(radii=(0.3, 0.7), intervals=(1, 2, 4))
 
 
 @settings(max_examples=150)
-@given(ps=point_sets())
+@given(ps=point_sets(), n_stages=st.integers(1, 3), hops=st.integers(1, 2))
 # a one-point target on a point that two other rows repeat, with negative coordinates
 @example(ps=make_ps([[-0.3, 0.3], [-0.3, 0.3], [-0.3, 0.3], [0.6, -0.9]], [1, 0, 1, 2],
-                    [0, 0, 1, 0], [KIND_OTHER, KIND_TARGET, KIND_OTHER, KIND_MAP]))
-def test_target_view_restricts_plan(ps):
-    plan = plan_scene(ps, VIEW_CFG)
-    target = np.flatnonzero(ps.kind == KIND_TARGET)
-    assert_view_restricts_plan(ps, plan, VIEW_CFG, target, plan.target)
+                    [0, 0, 1, 0], [KIND_OTHER, KIND_TARGET, KIND_OTHER, KIND_MAP]),
+         n_stages=2, hops=1)
+# a single-point scene
+@example(ps=make_ps([[-0.6, -0.9]], [0], [0], [KIND_TARGET]), n_stages=3, hops=2)
+def test_target_view_restricts_plan(ps, n_stages, hops):
+    cfg = dataclasses.replace(VIEW_CFG, n_stages=n_stages, bottleneck_blocks=hops)
+    assert_plan_matches_bruteforce(ps, cfg, plan_scene(ps, cfg))
+
+
+ORACLE_CFG = dataclasses.replace(
+    VIEW_CFG, n_stages=3, n_modes=2, future_steps=2, embed_width=4, radius_width=4,
+    pointwise_width=4, voxel_width=4, spatial_width=4, interval_width=4, temporal_width=4,
+    head_width=4)
+
+
+@settings(max_examples=60)
+@given(ps=point_sets(), hops=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_rows_outside_the_fields_never_reach_the_heads_of_any_point_set(ps, hops, seed):
+    # on the every-row tables, any finite change to a row that stage 0 does
+    # not read leaves the heads bit-identical
+    cfg = dataclasses.replace(ORACLE_CFG, bottleneck_blocks=hops)
+    model = init_model(cfg, seed=0)
+    outside = ~np.isin(np.arange(len(ps)), plan_scene(ps, cfg).input_rows)
+    embedding = point_embedding(ps, cfg.history_steps)
+    bumped = embedding.copy()
+    bumped[outside] += np.random.default_rng(seed).normal(scale=10.0, size=(outside.sum(), 6))
+    with ad.no_grad():
+        heads = [[h.data.tobytes() for h in every_row_heads(model, ps, e)]
+                 for e in (embedding, bumped)]
+    assert heads[0] == heads[1]
 
 
 @st.composite
@@ -439,9 +527,24 @@ def instance_unions(draw):
 @given(case=instance_unions())
 def test_row_tables_restrict_plan_to_any_instance_union(case):
     ps, rows = case
-    plan = plan_scene(ps, VIEW_CFG)
-    view = _row_tables(rows, _topology(ps, VIEW_CFG, plan.voxel_coords))
-    assert_view_restricts_plan(ps, plan, VIEW_CFG, rows, view)
+    topology = _topology(ps, VIEW_CFG)
+    every = np.ones(len(ps), dtype=bool)
+    voxels = np.ones(len(topology.coords), dtype=bool)
+    view = _row_tables(topology, np.isin(np.arange(len(ps)), rows), every, voxels)
+    assert_tables_restrict_plan(ps, VIEW_CFG, view, rows, np.arange(len(ps)),
+                                np.flatnonzero(voxels))
+
+
+def test_row_tables_refuse_inputs_that_miss_a_read():
+    # row 1 is row 0's radius neighbor, and its voxel is row 0's candidate
+    ps = make_ps([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]], [0, 1, 2], [0, 0, 0],
+                 [KIND_TARGET, KIND_OTHER, KIND_MAP])
+    topology = _topology(ps, VIEW_CFG)
+    rows = np.array([True, False, False])
+    voxels = np.ones(len(topology.coords), dtype=bool)
+    for inputs, voxels in ((rows, voxels), (np.ones(3, dtype=bool), ~voxels)):
+        with pytest.raises(ValueError, match="miss a row or voxel"):
+            _row_tables(topology, rows, inputs, voxels)
 
 
 def test_plan_rejects_target_sharing_an_instance():
@@ -471,11 +574,14 @@ def test_scene_plan_carries_the_network_input():
     plan = plan_scene(ps, cfg)
     assert plan.scene_id == scene.scene_id
     np.testing.assert_array_equal(plan.future, scene.future)
+    # the embedding holds stage 0's input rows alone
     onehot = np.eye(3)[ps.kind]
+    rows = plan.input_rows
+    assert 0 < len(rows) < len(ps)
     np.testing.assert_array_equal(
-        plan.embedding, np.hstack([ps.points, onehot, ps.time[:, None] / 16.0]))
-    assert plan.embedding.shape == (len(ps), EMBED_IN)
-    np.testing.assert_array_equal(plan.target.rows, np.flatnonzero(ps.kind == KIND_TARGET))
+        plan.embedding, np.hstack([ps.points, onehot, ps.time[:, None] / 16.0])[rows])
+    assert plan.embedding.shape == (len(rows), EMBED_IN)
+    np.testing.assert_array_equal(plan.stages[-1].rows, np.flatnonzero(ps.kind == KIND_TARGET))
     # a hand-built point set has no scene id and no future
     bare = plan_scene(dataclasses.replace(ps, scene_id="", future=None), cfg)
     assert bare.scene_id == "" and bare.future is None

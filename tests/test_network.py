@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import fd_grad
+from conftest import every_row_heads, fd_grad
 from test_acceptance import OVERFIT_MODEL, TINY
 
 from pointcast import (
@@ -548,20 +548,27 @@ def test_forward_builds_one_conv_node_per_bottleneck_block(monkeypatch):
     forward_graph(model, plan)
     assert len(convs) == cfg.n_stages * cfg.bottleneck_blocks
 
-    assert sum(len(pair[0]) for pair in plan.kernel_map if pair is not None) > 0
-    feats = ad.constant(np.random.default_rng(0).normal(size=(len(plan.voxel_coords),
+    rows = plan.stages[0]
+    assert sum(len(pair[0]) for pair in rows.kernel_map if pair is not None) > 0
+    feats = ad.constant(np.random.default_rng(0).normal(size=(len(rows.voxels),
                                                                cfg.embed_width)))
     calls = {fn.__name__: _count_calls(monkeypatch, fn)
              for fn in (ad.gather_rows, ad.scatter_add_rows, ad.add)}
-    spatial.sparse_bottleneck(plan.kernel_map, feats, model.spatial[0])
+    spatial.sparse_bottleneck(rows.kernel_map, feats, model.spatial[0])
     # the taps add no nodes of their own; the only add is each block's residual
     assert {k: len(v) for k, v in calls.items()} == {
         "gather_rows": 0, "scatter_add_rows": 0, "add": cfg.bottleneck_blocks,
     }
 
 
-# one take_rows node per radius and one for the voxels feed the last stage's target rows
-@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 203), (OVERFIT_MODEL, 92)],
+def _take_nodes(plan):
+    """The take_rows nodes of a forward: one per row list of a stage's tables that is not all."""
+    return sum(ids is not None for rows in plan.stages
+               for ids in (*rows.neighbor_rows, rows.voxel_points, rows.voxel_rows))
+
+
+# the nodes of a forward besides its take_rows nodes
+@pytest.mark.parametrize("cfg, nodes", [(ModelConfig(), 198), (OVERFIT_MODEL, 88)],
                          ids=["default", "overfit"])
 def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
     model = init_model(cfg, seed=0)
@@ -574,7 +581,8 @@ def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
         built.clear()
         for c in calls.values():
             c.clear()
-        forward_graph(model, scene_plan(normalize(raw), cfg))
+        plan = scene_plan(normalize(raw), cfg)
+        forward_graph(model, plan)
         # every layer norm is one node, its relu included: a dense node with
         # its linear map, or a norm_act after a submanifold conv; the only
         # relu nodes left are the bottleneck residuals
@@ -591,8 +599,8 @@ def test_forward_graph_builds_one_node_per_norm_site(monkeypatch, cfg, nodes):
         # which the softmax weights scale
         assert len(calls["concat_cols"]) == len(calls["concat_cols_all"]) == 0
         assert len(calls["gather_rows"]) == cfg.n_stages
-        assert len(calls["take_rows"]) == len(cfg.radii) + 1
-        assert len(built) == nodes
+        assert len(calls["take_rows"]) == _take_nodes(plan) > 0
+        assert len(built) == nodes + _take_nodes(plan)
 
 
 def test_backward_frees_the_training_graph(monkeypatch):
@@ -606,13 +614,19 @@ def test_backward_frees_the_training_graph(monkeypatch):
         return t
 
     monkeypatch.setattr(ad, "_op", recording)
-    loss = network.scene_forward_loss(model, scene_plan(scene, OVERFIT_MODEL))
+    plan = scene_plan(scene, OVERFIT_MODEL)
+    loss = network.scene_forward_loss(model, plan)
     assert all(v() is not None for v in values)
     ad.backward(loss)
     # the loss is still referenced, and it no longer holds the graph
     assert values[-1]() is loss.data and loss._parents == ()
     assert [v for v in values[:-1] if v() is not None] == []
-    assert all(t.grad is not None for t in model.params.values())
+    # every parameter gets a gradient, but a conv tap with no pair among a
+    # stage's voxels, whose gradient would be exactly 0
+    idle = {f"stage{s}/spatial/vox/b{b}/conv/w{k}"
+            for s, rows in enumerate(plan.stages) for b in range(OVERFIT_MODEL.bottleneck_blocks)
+            for k, pair in enumerate(rows.kernel_map) if pair is not None and len(pair[0]) == 0}
+    assert {name for name, t in model.params.items() if t.grad is None} == idle
 
 
 def test_train_names_first_non_finite_gradient(monkeypatch):
@@ -680,28 +694,19 @@ def test_forward_builds_no_graph(monkeypatch):
     model = init_model(cfg, seed=0)
     scene = normalize(gen_synthetic(1, seed=3, future_steps=cfg.future_steps)[0])
     built = _record_ops(monkeypatch)
-    forward_graph(model, scene_plan(scene, cfg))
+    plan = scene_plan(scene, cfg)
+    forward_graph(model, plan)
     n_graph = len(built)
     assert any(t._parents for t in built)
     built.clear()
     forward(model, scene)
-    assert n_graph == 203
+    assert n_graph == 198 + _take_nodes(plan)
     assert len(built) == n_graph  # every primitive still goes through _op once
     assert all(t._parents == () and t._vjp is None and not t.requires_grad for t in built)
 
 
 # ---------------------------------------------------------------------------
 # the last stage on the target rows
-
-
-def full_plan_forward_graph(model, plan):
-    """The heads with every stage run on the whole plan and the target rows taken afterwards."""
-    x = nn.apply_mlp(model.embed, ad.constant(plan.embedding))
-    for sp, tp in zip(model.spatial, model.temporal):
-        x = spatial.spatial_block(plan, x, sp, plan.points)
-        x = temporal.temporal_block(plan.points, x, tp)
-    pooled = ad.mean_rows(ad.take_rows(x, plan.target.rows))
-    return nn.apply_mlp(model.head_reg, pooled), nn.apply_mlp(model.head_disp, pooled)
 
 
 def _target_variants(raw):
@@ -721,37 +726,73 @@ def _relative(got, want, scale=None):
     return np.abs(got - want).max() / scale if scale > 0 else np.abs(got).max()
 
 
-@pytest.mark.parametrize("cfg", [TINY, dataclasses.replace(OVERFIT_MODEL, n_stages=1),
-                                 OVERFIT_MODEL, ModelConfig()],
-                         ids=["tiny", "overfit-1-stage", "overfit", "default"])
+FIELD_CONFIGS = [TINY, dataclasses.replace(OVERFIT_MODEL, n_stages=1), OVERFIT_MODEL,
+                 ModelConfig()]
+FIELD_IDS = ["tiny", "overfit-1-stage", "overfit", "default"]
+
+
+def _field_scenes(cfg):
+    """Two scenes of ordinary traffic and a congested one, each in its _target_variants."""
+    raws = (gen_synthetic(2, seed=8, future_steps=cfg.future_steps)
+            + gen_synthetic(1, seed=8, speed_range=(1.0, 3.0), future_steps=cfg.future_steps))
+    return [(i, name, scene) for i, raw in enumerate(raws)
+            for name, scene in _target_variants(raw).items()]
+
+
+@pytest.mark.parametrize("cfg", FIELD_CONFIGS, ids=FIELD_IDS)
 def test_last_stage_on_target_view_matches_full_plan(cfg):
+    # every stage computes only its receptive field; the heads, the loss and
+    # every gradient match a network whose stages compute every row
     model = init_model(cfg, seed=0)
     params = list(model.params.values())
-    for i, raw in enumerate(gen_synthetic(2, seed=8, future_steps=cfg.future_steps)):
-        for name, scene in _target_variants(raw).items():
-            plan = scene_plan(scene, cfg)
-            if name == "target-last":
-                assert plan.target.rows[0] > 0
-            if name == "one-point-target":
-                assert len(plan.target.rows) == 1
-            results = []
-            for run in (forward_graph, full_plan_forward_graph):
-                for t in params:
-                    t.zero_grad()
-                reg, disp = run(model, plan)
-                loss = total_loss(reg, disp, plan.future, cfg)
-                grads = ad.backward(loss, leaves=params)
-                results.append(([reg.data, disp.data, loss.data], [grads[t] for t in params]))
-            (heads, grads), (want_heads, want_grads) = results
-            worst = max((_relative(got, want), label) for label, got, want
-                        in zip(["reg", "disp", "loss"], heads, want_heads))
-            # each gradient relative to the scene's largest: a gradient that is
-            # 0 in exact arithmetic (a layer norm is blind to its input's scale)
-            # is rounding noise, which no relative test on its own size can hold
-            scale = max(np.abs(g).max() for g in want_grads)
-            worst = max(worst, *((_relative(got, want, scale), label) for label, got, want
-                                 in zip(model.params, grads, want_grads)))
-            assert worst[0] <= 1e-12, (i, name, worst)
+    for i, name, scene in _field_scenes(cfg):
+        plan = scene_plan(scene, cfg)
+        if name == "target-last":
+            assert plan.stages[-1].rows[0] > 0
+        if name == "one-point-target":
+            assert len(plan.stages[-1].rows) == 1
+        ps = index_scene(scene, cfg.grid_size)
+        embedding = indexing.point_embedding(ps, cfg.history_steps)
+        results = []
+        for run in (lambda: forward_graph(model, plan),
+                    lambda: every_row_heads(model, ps, embedding)):
+            for t in params:
+                t.zero_grad()
+            reg, disp = run()
+            loss = total_loss(reg, disp, plan.future, cfg)
+            grads = ad.backward(loss, leaves=params)
+            results.append(([reg.data, disp.data, loss.data], [grads[t] for t in params]))
+        (heads, grads), (want_heads, want_grads) = results
+        worst = max((_relative(got, want), label) for label, got, want
+                    in zip(["reg", "disp", "loss"], heads, want_heads))
+        # each gradient relative to the scene's largest: a gradient that is
+        # 0 in exact arithmetic (a layer norm is blind to its input's scale)
+        # is rounding noise, which no relative test on its own size can hold
+        scale = max(np.abs(g).max() for g in want_grads)
+        worst = max(worst, *((_relative(got, want, scale), label) for label, got, want
+                             in zip(model.params, grads, want_grads)))
+        assert worst[0] <= 1e-12, (i, name, worst)
+
+
+@pytest.mark.parametrize("cfg", FIELD_CONFIGS, ids=FIELD_IDS)
+def test_rows_outside_the_field_never_reach_the_heads(cfg):
+    # on the every-row tables, any finite change to a row that stage 0 does
+    # not read leaves the heads bit-identical
+    model = init_model(cfg, seed=0)
+    rng = np.random.default_rng(11)
+    pruned = 0
+    for _, _, scene in _field_scenes(cfg):
+        ps = index_scene(scene, cfg.grid_size)
+        outside = ~np.isin(np.arange(len(ps)), scene_plan(scene, cfg).input_rows)
+        pruned += outside.sum()
+        embedding = indexing.point_embedding(ps, cfg.history_steps)
+        bumped = embedding.copy()
+        bumped[outside] += rng.normal(scale=10.0, size=bumped[outside].shape)
+        with ad.no_grad():
+            heads = [[h.data.tobytes() for h in every_row_heads(model, ps, e)]
+                     for e in (embedding, bumped)]
+        assert heads[0] == heads[1]
+    assert pruned > 0
 
 
 @pytest.mark.parametrize("cfg", [OVERFIT_MODEL, ModelConfig()], ids=["overfit", "default"])

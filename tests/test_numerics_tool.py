@@ -41,16 +41,20 @@ def test_dump_holds_every_group(dump):
     assert trained == restored
     assert all(s[0] == 1 for s in trained.values())
     assert sum(s[1] for s in trained.values()) == shapes["overfit/grad"][1]
-    # the plans' groups at the default config (4 radii, 5 intervals): 22 of the
-    # plan itself (embedding, future, 3 by_voxel, voxel_coords, 2 per off-center
-    # tap), 54 of each RowTables (rows, 7 per radius, 3 interp_rows,
-    # interp_delta, 3 by_point, 3 per interval, 3 by_instance), and the
-    # target's 4 neighbor_rows and voxel_rows, which are None in plan.points
+    # the plans' groups at the default config (4 radii, 5 intervals, 4 stages):
+    # 4 of the plan itself (future, input_rows, embedding, voxel_coords), 74 of
+    # each stage's RowTables (rows, 7 per radius, voxels, 3 by_voxel, 2 per
+    # off-center tap, 3 interp_rows, interp_delta, 3 by_point, 3 per interval,
+    # 3 by_instance), and the row lists that stand for fewer than all in some
+    # plan: the 4 neighbor_rows, voxel_points and voxel_rows at stages 1 and 3,
+    # all but voxel_rows at stage 2, and none at stage 0, which reads its own rows
     plan = {k: s for k, s in shapes.items() if k.startswith("plan/")}
-    assert len(plan) == 22 + 2 * 54 + 5
-    assert plan["plan/points/rows"] == (plan["plan/embedding"][0],)
-    assert plan["plan/target/neighbor_rows/3"][0] > plan["plan/target/rows"][0]
-    assert "plan/points/voxel_rows" not in plan and "plan/kernel_map/4/0" not in plan
+    assert len(plan) == 4 + 4 * 74 + 6 + 5 + 6
+    assert plan["plan/stages/0/rows"] == plan["plan/input_rows"] == (plan["plan/embedding"][0],)
+    # the fields widen from the target stage back to the first
+    rows = [plan[f"plan/stages/{s}/rows"][0] for s in range(4)]
+    assert rows[3] < rows[2] <= rows[1] <= rows[0]
+    assert "plan/stages/0/voxel_rows" not in plan and "plan/stages/0/kernel_map/4/0" not in plan
     assert len(shapes) == 8 + 2 * len(trained) + len(plan)
 
 
@@ -79,11 +83,11 @@ def test_perturbed_dump_is_reported(tool, dump, tmp_path, capsys):
     assert set(report.values()) == {"bit-identical"}
     assert worst == "worst: train/params/head/reg/l0/w (max relative difference 1e-06)"
 
-    groups["plan/points/rows"][1] += 1  # row 0 holds 0 in both files, which must not hide it
+    groups["plan/stages/0/rows"][1] += 1  # row 0 holds 0 in both files, which must not hide it
     np.savez(tmp_path / "d.npz", **groups)
     assert tool.main(["compare", str(dump), str(tmp_path / "d.npz")]) == 0
     report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[:-1])
-    assert report["plan/points/rows"] == "max relative difference 1"
+    assert report["plan/stages/0/rows"] == "max relative difference 1"
 
     del groups["predict/displacements"]
     groups["overfit/loss"] = groups["overfit/loss"][:11]

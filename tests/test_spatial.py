@@ -8,6 +8,7 @@ from conftest import (
     brute_radius_pairs,
     check_grads,
     dict_interp_candidates,
+    every_row_tables,
     norm_act_ref,
     spread_values,
 )
@@ -64,8 +65,13 @@ def make_ps(points, grid_size=0.5):
     )
 
 
-def plan_of(ps, radii=TINY.radii):
-    return plan_scene(ps, dataclasses.replace(TINY, radii=tuple(radii)))
+def tables_of(ps, radii=TINY.radii):
+    """The every-row tables of ``ps`` at TINY with ``radii``."""
+    return every_row_tables(ps, dataclasses.replace(TINY, radii=tuple(radii)))
+
+
+def voxel_coords_of(ps):
+    return plan_scene(ps, TINY).voxel_coords
 
 
 def permute_ps(ps, perm):
@@ -124,8 +130,8 @@ def test_pointwise_isolated_point_depends_only_on_self(rng):
     pts_b = np.array([[0.0, 0.0], [40.0, -40.0], [41.0, -41.0]])
     feats_b = feats.copy()
     feats_b[1:] = rng.normal(size=(2, 4))
-    out_a = pointwise_learning(plan_of(make_ps(pts_a)).points, ad.constant(feats), params)
-    out_b = pointwise_learning(plan_of(make_ps(pts_b)).points, ad.constant(feats_b), params)
+    out_a = pointwise_learning(tables_of(make_ps(pts_a)), ad.constant(feats), params)
+    out_b = pointwise_learning(tables_of(make_ps(pts_b)), ad.constant(feats_b), params)
     np.testing.assert_allclose(out_a.data[0], out_b.data[0], atol=1e-12)
 
 
@@ -134,7 +140,7 @@ def test_pointwise_identical_points_identical_rows(rng):
     pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.5, 2.5]])
     feats = rng.normal(size=(3, 4))
     feats[1] = feats[0]
-    out = pointwise_learning(plan_of(make_ps(pts)).points, ad.constant(feats), params)
+    out = pointwise_learning(tables_of(make_ps(pts)), ad.constant(feats), params)
     np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-12)
 
 
@@ -143,9 +149,9 @@ def test_pointwise_permutation_equivariance(rng):
     pts = rng.uniform(-2, 2, size=(12, 2))
     feats = rng.normal(size=(12, 4))
     ps = make_ps(pts)
-    out = pointwise_learning(plan_of(ps).points, ad.constant(feats), params).data
+    out = pointwise_learning(tables_of(ps), ad.constant(feats), params).data
     perm = rng.permutation(12)
-    out_p = pointwise_learning(plan_of(permute_ps(ps, perm)).points, ad.constant(feats[perm]),
+    out_p = pointwise_learning(tables_of(permute_ps(ps, perm)), ad.constant(feats[perm]),
                                params).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
@@ -153,7 +159,7 @@ def test_pointwise_permutation_equivariance(rng):
 def test_pointwise_empty_radii_rejected(rng):
     params, _ = tiny_params()
     with pytest.raises(ValueError):
-        rows = dataclasses.replace(plan_of(make_ps(np.zeros((1, 2)))).points, neighborhoods=())
+        rows = dataclasses.replace(tables_of(make_ps(np.zeros((1, 2)))), neighborhoods=())
         pointwise_learning(rows, ad.constant(np.zeros((1, 4))), params)
 
 
@@ -163,8 +169,8 @@ def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
     cfg = ModelConfig()
     ps = index_scene(normalize(gen_synthetic(1, seed=0, speed_range=(1.0, 3.0))[0]),
                      cfg.grid_size)
-    plan = plan_scene(ps, cfg)
-    pair_counts = {len(rel) for rel, _, _ in plan.points.neighborhoods}
+    tables = every_row_tables(ps, cfg)
+    pair_counts = {len(rel) for rel, _, _ in tables.neighborhoods}
     assert min(pair_counts) > len(ps)
     params = init_spatial({}, "sp", cfg.embed_width, cfg, np.random.default_rng(0))
     feats = ad.parameter(np.random.default_rng(1).normal(size=(len(ps), cfg.embed_width)))
@@ -176,7 +182,7 @@ def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
         return op(out_data, parents, vjp)
 
     monkeypatch.setattr(ad, "_op", recording_op)
-    pointwise_learning(plan.points, feats, params)
+    pointwise_learning(tables, feats, params)
     assert any(rows in pair_counts for rows, _ in shapes)
     wide = [(r, c) for r, c in shapes if r in pair_counts and c > cfg.radius_width]
     assert wide == []
@@ -185,7 +191,7 @@ def test_pointwise_builds_no_wide_pair_rows(monkeypatch):
 def test_pointwise_rejects_plan_of_other_radius_count():
     params, _ = tiny_params()
     with pytest.raises(ValueError):
-        pointwise_learning(plan_of(make_ps(np.zeros((1, 2))), radii=(0.6, 1.2, 2.4)).points,
+        pointwise_learning(tables_of(make_ps(np.zeros((1, 2))), radii=(0.6, 1.2, 2.4)),
                            ad.constant(np.zeros((1, 4))), params)
 
 
@@ -196,16 +202,16 @@ def test_pointwise_rejects_plan_of_other_radius_count():
 def test_ftp_mean_of_shared_voxel():
     ps = make_ps(np.array([[0.1, 0.1], [0.2, 0.2]]))  # same cell at grid 0.5
     feats = ad.constant(np.array([[1.0, 3.0], [3.0, 5.0]]))
-    plan = plan_of(ps)
-    vox = ftp_point_to_voxel(plan, feats)
-    assert plan.voxel_coords.shape == (1, 2)
+    tables = tables_of(ps)
+    vox = ftp_point_to_voxel(tables, feats)
+    assert tables.voxels.tolist() == [0]
     np.testing.assert_array_equal(vox.data, [[2.0, 4.0]])
 
 
 def test_ftp_identity_when_distinct(rng):
     pts = np.arange(12, dtype=np.float64).reshape(6, 2) * 3.0
     feats = rng.normal(size=(6, 3))
-    vox = ftp_point_to_voxel(plan_of(make_ps(pts)), ad.constant(feats))
+    vox = ftp_point_to_voxel(tables_of(make_ps(pts)), ad.constant(feats))
     np.testing.assert_array_equal(vox.data, feats)
 
 
@@ -215,7 +221,7 @@ def test_ftp_conservation_through_graph(rng):
         pts = rng.uniform(-3, 3, size=(n, 2))
         feats = ad.parameter(rng.normal(size=(n, 4)))
         ps = make_ps(pts)
-        vox = ftp_point_to_voxel(plan_of(ps), feats)
+        vox = ftp_point_to_voxel(tables_of(ps), feats)
         counts = build_groups_by_voxel(ps).counts()[:, None]
         np.testing.assert_allclose(
             (vox.data * counts).sum(axis=0), feats.data.sum(axis=0), atol=1e-9
@@ -224,7 +230,7 @@ def test_ftp_conservation_through_graph(rng):
 
 def test_ftp_coords_match_hash():
     ps = make_ps(np.array([[0.1, 0.1], [5.0, 5.0], [0.3, 0.3]]))
-    coords = plan_of(ps).voxel_coords
+    coords = voxel_coords_of(ps)
     probe, rows = match_coords(coords, coords)
     np.testing.assert_array_equal(probe, np.arange(len(coords)))
     np.testing.assert_array_equal(rows, np.arange(len(coords)))
@@ -255,9 +261,9 @@ def test_bottleneck_zero_kernels_identity_skip(rng):
     zero_block_params(params)
     ps = make_ps(rng.uniform(-2, 2, size=(7, 2)))
     feats = ad.constant(rng.normal(size=(7, TINY.voxel_width)))
-    plan = plan_of(ps)
-    vox = ftp_point_to_voxel(plan, feats)
-    out = sparse_bottleneck(plan.kernel_map, vox, params)
+    tables = tables_of(ps)
+    vox = ftp_point_to_voxel(tables, feats)
+    out = sparse_bottleneck(tables.kernel_map, vox, params)
     np.testing.assert_allclose(out.data, np.maximum(vox.data, 0.0), atol=1e-12)
 
 
@@ -360,9 +366,9 @@ def test_bottleneck_dense_equivalence(side, rng):
 
 def test_interp_single_voxel_weight_one(rng):
     params, _ = tiny_params()
-    plan = plan_of(make_ps(np.array([[0.2, 0.2]])))
-    vox = ftp_point_to_voxel(plan, ad.constant(rng.normal(size=(1, 4))))
-    out = interp_voxel_to_point(plan.points, vox, params)
+    tables = tables_of(make_ps(np.array([[0.2, 0.2]])))
+    vox = ftp_point_to_voxel(tables, ad.constant(rng.normal(size=(1, 4))))
+    out = interp_voxel_to_point(tables, vox, params)
     np.testing.assert_allclose(out.data, vox.data, atol=1e-12)
 
 
@@ -376,9 +382,9 @@ def test_interp_zero_mlp_uniform_weights(rng):
             layer.norm.bias.data[:] = 0
     # point at a voxel center with all four 2x2 candidates occupied
     pts = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
-    plan = plan_of(make_ps(pts))
+    tables = tables_of(make_ps(pts))
     feats = rng.normal(size=(4, 4))
-    out = interp_voxel_to_point(plan.points, ftp_point_to_voxel(plan, ad.constant(feats)), params)
+    out = interp_voxel_to_point(tables, ftp_point_to_voxel(tables, ad.constant(feats)), params)
     np.testing.assert_allclose(out.data[0], feats.mean(axis=0), atol=1e-12)
 
 
@@ -387,7 +393,7 @@ def test_interp_candidates_match_dict_loop(rng):
         n = int(rng.integers(1, 60))
         pts = rng.uniform(-3, 3, size=(n, 2))
         # the voxels hold only some of the points, so some probes miss
-        coords = plan_of(make_ps(pts[: n // 2 + 1])).voxel_coords
+        coords = voxel_coords_of(make_ps(pts[: n // 2 + 1]))
         got = interp_candidates(coords, pts, 0.5)
         ref = dict_interp_candidates(coords, pts, 0.5)
         np.testing.assert_array_equal(got[0], ref[0])
@@ -405,14 +411,14 @@ def test_interp_logit_layer_has_no_bias():
 def test_interp_gradient_wrt_mlp(rng):
     params, reg = tiny_params(seed=5)
     pts = rng.uniform(-1, 1, size=(6, 2))
-    plan = plan_of(make_ps(pts))
+    tables = tables_of(make_ps(pts))
     feats = ad.constant(rng.normal(size=(6, 4)))
     target = rng.normal(size=(6, 4))
     leaves = [t for name, t in reg.items() if name.startswith("sp/interp")]
 
     def make_loss():
-        vox = ftp_point_to_voxel(plan, feats)
-        return ad.smooth_l1(interp_voxel_to_point(plan.points, vox, params), target)
+        vox = ftp_point_to_voxel(tables, feats)
+        return ad.smooth_l1(interp_voxel_to_point(tables, vox, params), target)
 
     check_grads(make_loss, leaves)
 
@@ -426,19 +432,19 @@ def test_spatial_block_shape_and_permutation(rng):
     pts = rng.uniform(-2, 2, size=(10, 2))
     feats = rng.normal(size=(10, 4))
     ps = make_ps(pts)
-    plan = plan_of(ps)
-    out = spatial_block(plan, ad.constant(feats), params, plan.points).data
+    tables = tables_of(ps)
+    out = spatial_block(tables, ad.constant(feats), params).data
     assert out.shape == (10, TINY.spatial_width)
     perm = rng.permutation(10)
-    plan_p = plan_of(permute_ps(ps, perm))
-    out_p = spatial_block(plan_p, ad.constant(feats[perm]), params, plan_p.points).data
+    tables_p = tables_of(permute_ps(ps, perm))
+    out_p = spatial_block(tables_p, ad.constant(feats[perm]), params).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
 def test_spatial_block_single_point(rng):
     params, _ = tiny_params(seed=8)
-    plan = plan_of(make_ps(np.array([[0.3, -0.4]])))
-    out = spatial_block(plan, ad.constant(rng.normal(size=(1, 4))), params, plan.points).data
+    tables = tables_of(make_ps(np.array([[0.3, -0.4]])))
+    out = spatial_block(tables, ad.constant(rng.normal(size=(1, 4))), params).data
     assert out.shape == (1, TINY.spatial_width)
     assert np.all(np.isfinite(out))
 
@@ -446,12 +452,12 @@ def test_spatial_block_single_point(rng):
 def test_spatial_block_end_to_end_gradient(rng):
     params, reg = tiny_params(seed=9)
     pts = spread_values(np.random.default_rng(3), (6, 2), gap=0.3)
-    plan = plan_of(make_ps(pts))
+    tables = tables_of(make_ps(pts))
     feats = ad.parameter(spread_values(np.random.default_rng(4), (6, 4)))
     target = np.random.default_rng(5).normal(size=(6, TINY.spatial_width))
 
     def make_loss():
-        return ad.smooth_l1(spatial_block(plan, feats, params, plan.points), target)
+        return ad.smooth_l1(spatial_block(tables, feats, params), target)
 
     sampled = [feats] + [reg[k] for k in sorted(reg)[::5]]
     check_grads(make_loss, sampled)

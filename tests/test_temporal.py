@@ -3,14 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import check_grads, materialize, spread_values
+from conftest import check_grads, every_row_tables, materialize, spread_values
 
 from pointcast import ModelConfig, autodiff as ad
 from pointcast.indexing import (
     KIND_MAP,
     IndexedPointSet,
     build_groups_by_instance,
-    plan_scene,
     voxelize,
 )
 from pointcast.nn import Layer
@@ -46,8 +45,8 @@ def make_ps(instance, time, kind=None, points=None):
 
 
 def rows_of(ps, intervals=TINY.intervals):
-    """The tables over every row of the plan of ``ps``."""
-    return plan_scene(ps, dataclasses.replace(TINY, intervals=tuple(intervals))).points
+    """The tables over every row of ``ps``."""
+    return every_row_tables(ps, dataclasses.replace(TINY, intervals=tuple(intervals)))
 
 
 def identity_mlp(c):

@@ -1,6 +1,7 @@
 """network.train's gradient shards: the forked worker and the in-process path agree bit for
 bit, errors reach the caller in batch order, and no worker outlives its train call."""
 
+import json
 import os
 import signal
 import subprocess
@@ -249,3 +250,45 @@ def test_worker_available_needs_cpus_fork_and_one_thread(monkeypatch):
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run(args, **blas):
+    """Run ``python args`` with ``src`` importable, the BLAS variables ``blas`` and no others."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=300).stdout
+
+
+# the process's OS threads and whether train would fork its worker, right after the import
+THREAD_PROBE = ("import pointcast, re; from pointcast import network; "
+                "print(re.search(r'Threads:\\s+(\\d+)', open('/proc/self/status').read())[1], "
+                "network._worker_available())")
+
+
+def test_import_pins_blas_to_one_thread_unless_the_caller_sets_it():
+    cpus = len(os.sched_getaffinity(0)) >= network.SHARDS
+    assert _run(["-c", THREAD_PROBE]).split() == ["1", str(cpus)]
+    # a value the caller set wins: OpenBLAS then starts its pool, and no worker runs
+    threads, worker = _run(["-c", THREAD_PROBE], OPENBLAS_NUM_THREADS="2").split()
+    assert int(threads) > 1 and worker == "False"
+
+
+def test_cli_train_without_blas_variables_writes_the_pinned_checkpoint(tmp_path):
+    # at the default widths a BLAS pool would round some products differently
+    data = tmp_path / "data"
+    _run(["-m", "pointcast.cli", "gen-synthetic", "--out", str(data), "--n", "16",
+          "--seed", "3"])
+    (tmp_path / "run.json").write_text(json.dumps({
+        "data_dir": str(data), "epochs": 1, "batch_size": 8, "eval_every": 0, "seed": 0,
+        "augment": {"enabled": False}}))
+    outputs = []
+    for name, blas in (("unset", {}), ("pinned", dict.fromkeys(BLAS_VARS, "1"))):
+        _run(["-m", "pointcast.cli", "train", "--config", str(tmp_path / "run.json"),
+              "--out", str(tmp_path / name)], **blas)
+        outputs.append([(tmp_path / name / f).read_bytes() for f in ("model.json", "model.bin")])
+    assert outputs[0] == outputs[1]

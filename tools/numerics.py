@@ -25,8 +25,9 @@
   ``network.evaluate_model`` on the plans of the same 8 scenes;
 - ``plan/<field path>``: every array of those 8 plans, concatenated over the
   plans, one group per path through the ``ScenePlan``'s dataclass fields and
-  tuple and list positions (``plan/points/neighborhoods/3/2/order`` is the
-  by-neighbor table's order at the fourth radius); a None is skipped.
+  tuple and list positions (``plan/stages/0/neighborhoods/3/2/order`` is the
+  first stage's by-neighbor table's order at the fourth radius); a None is
+  skipped.
 
 ``compare`` prints one line per group: ``bit-identical``, or the largest
 relative difference over scenes (over rows for a ``plan/`` group), where a
